@@ -40,13 +40,11 @@ from .strings import (
 from .forbidden import (
     ForbiddenWalk,
     LengthOrInf,
-    RelationDigraph,
     delta_forbidden_sup,
     forbidden_cycles,
     is_down_relational,
     is_relational_vertex,
     is_up_relational,
-    relation_digraph,
     sup_forbidden_from_arrow,
     sup_forbidden_from_vertex,
     zero_length_forbidden,

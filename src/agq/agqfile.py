@@ -52,6 +52,7 @@ def parse_agq(text: str) -> AgqDocument:
     doc = AgqDocument()
     explicit_vertices = False
     seen_arrow_line: dict[str, int] = {}
+    rel_names_at: list[tuple[int, int, int]] = []  # line, columns of the two names
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -90,15 +91,18 @@ def parse_agq(text: str) -> AgqDocument:
             names = rest.split()
             if len(names) != 2 or not all(_TOKEN_RE.match(n) for n in names):
                 raise ParseError(lineno, len(head) + 2, "expected 'rel A B' (the path A then B)")
+            first = raw.index(names[0], raw.index(head) + len(head))
+            second = raw.index(names[1], first + len(names[0]))
             doc.relations.append((names[0], names[1]))
+            rel_names_at.append((lineno, first + 1, second + 1))
         else:
             raise ParseError(lineno, 1, f"unknown declaration {head!r}")
 
     arrow_names = {a.name for a in doc.arrows}
-    for a, b in doc.relations:
-        for n in (a, b):
+    for (a, b), (lineno, col_a, col_b) in zip(doc.relations, rel_names_at):
+        for n, col in ((a, col_a), (b, col_b)):
             if n not in arrow_names:
-                raise ParseError(0, 0, f"relation mentions unknown arrow {n!r}")
+                raise ParseError(lineno, col, f"relation mentions unknown arrow {n!r}")
     if not explicit_vertices:
         for a in doc.arrows:
             for v in (a.source, a.target):

@@ -52,14 +52,18 @@ def _require_valid(pair) -> None:
         raise SystemExit(1)
 
 
+def _walk_text(walk) -> str:
+    """A witness as its arrows, a lasso's cycle as ``(c1 c2 ...)*``."""
+    text = " ".join(walk.stem)
+    if walk.is_lasso:
+        text = (text + " " if text else "") + "(" + " ".join(walk.cycle) + ")*"
+    return text
+
+
 def _print_dim(report, args) -> None:
     print(report.value)
     if getattr(args, "witness", False) and report.witness is not None:
-        walk = report.witness
-        text = " ".join(walk.stem)
-        if walk.is_lasso:
-            text = (text + " " if text else "") + "(" + " ".join(walk.cycle) + ")*"
-        print(f"witness: {text}")
+        print(f"witness: {_walk_text(report.witness)}")
 
 
 def cmd_validate(args) -> int:
@@ -138,10 +142,7 @@ def cmd_forbidden(args) -> int:
         if witness is None:
             print(f"{v}: sup 0{mark}")
         else:
-            text = " ".join(witness.stem)
-            if witness.is_lasso:
-                text = (text + " " if text else "") + "(" + " ".join(witness.cycle) + ")*"
-            print(f"{v}: sup {value} via {text}{mark}")
+            print(f"{v}: sup {value} via {_walk_text(witness)}{mark}")
     return 0
 
 

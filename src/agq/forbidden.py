@@ -86,35 +86,22 @@ class ForbiddenWalk:
         return True
 
 
-@dataclass(frozen=True)
-class RelationDigraph:
-    nodes: tuple[str, ...]
-    edges: tuple[tuple[str, str], ...]
-
-    def successors(self, a: str) -> tuple[str, ...]:
-        return tuple(b for x, b in self.edges if x == a)
-
-
-def relation_digraph(pair: AlmostGentlePair) -> RelationDigraph:
-    """Nodes are the arrows, edges the relation pairs; deterministic order."""
-    pair.require_valid()
-    idx = pair.quiver.arrow_index
-    edges = sorted(pair.relations, key=lambda e: (idx[e[0]], idx[e[1]]))
-    return RelationDigraph(tuple(a.name for a in pair.quiver.arrows), tuple(edges))
-
-
 class _DigraphData:
-    """Longest-path data over the relation digraph, shared per pair."""
+    """The relation digraph of one pair, condensed, with every arrow's sup.
+
+    ``sup[a]`` is the sup of forbidden-path lengths from arrow a with its
+    witness: a lasso when a reaches a cycle, else the longest walk, ties
+    broken to the least witness by arrow declaration order.
+    """
 
     def __init__(self, pair: AlmostGentlePair):
-        self.pair = pair
         self.idx = pair.quiver.arrow_index
         self.succ: dict[str, list[str]] = {a.name: [] for a in pair.quiver.arrows}
         for a, b in pair.relations:
             self.succ[a].append(b)
         for a in self.succ:
             self.succ[a].sort(key=lambda b: self.idx[b])
-        self.scc = self._tarjan()
+        self.scc, order = self._tarjan()
         sizes: dict[int, int] = {}
         for node, comp in self.scc.items():
             sizes[comp] = sizes.get(comp, 0) + 1
@@ -122,13 +109,14 @@ class _DigraphData:
             node for node, comp in self.scc.items()
             if sizes[comp] > 1 or node in self.succ[node]
         }
-        self.reaches_cycle = self._reachability()
-        self._best: dict[str, tuple[int, tuple[str, ...]]] = {}
+        self.sup = self._sups(order)
 
-    def _tarjan(self) -> dict[str, int]:
+    def _tarjan(self) -> tuple[dict[str, int], list[str]]:
+        """Component of every node, and the nodes in emission order (sinks first)."""
         index: dict[str, int] = {}
         low: dict[str, int] = {}
         comp: dict[str, int] = {}
+        order: list[str] = []
         stack: list[str] = []
         on_stack: set[str] = set()
         counter = [0]
@@ -161,6 +149,7 @@ class _DigraphData:
                         w = stack.pop()
                         on_stack.discard(w)
                         comp[w] = ncomp[0]
+                        order.append(w)
                         if w == node:
                             break
                     ncomp[0] += 1
@@ -172,85 +161,50 @@ class _DigraphData:
         for node in self.succ:
             if node not in index:
                 strongconnect(node)
-        return comp
+        return comp, order
 
-    def _reachability(self) -> set[str]:
+    def _sups(self, order: list[str]) -> dict[str, tuple[LengthOrInf, ForbiddenWalk]]:
+        """One sweep in emission order, so every successor outside a node's
+        own component is settled before the node.  Seeding ``reaches`` with
+        the cyclic nodes settles the successors inside a cyclic component.
+        """
         reaches = set(self.cyclic_node)
-        changed = True
-        while changed:
-            changed = False
-            for node, children in self.succ.items():
-                if node not in reaches and any(c in reaches for c in children):
-                    reaches.add(node)
-                    changed = True
-        return reaches
+        sup: dict[str, tuple[LengthOrInf, ForbiddenWalk]] = {}
 
-    def longest_from(self, a: str) -> tuple[int, tuple[str, ...]]:
-        """(edge count, witness node path) of the longest walk from a finite node.
+        def step(node: str) -> str | None:
+            return next((c for c in self.succ[node] if c in reaches), None)
 
-        Ties break to the lexicographically least witness by arrow
-        declaration order.
-        """
-        if a in self._best:
-            return self._best[a]
-        order: list[str] = []
-        seen: set[str] = set()
-        stack: list[tuple[str, bool]] = [(a, False)]
-        while stack:
-            node, done = stack.pop()
-            if done:
-                order.append(node)
-                continue
-            if node in seen:
-                continue
-            seen.add(node)
-            stack.append((node, True))
-            for ch in reversed(self.succ[node]):
-                if ch not in seen and ch not in self._best:
-                    stack.append((ch, False))
         for node in order:
-            best: tuple[int, tuple[str, ...]] = (0, (node,))
-            for ch in self.succ[node]:
-                n, path = self._best[ch]
-                cand = (n + 1, (node,) + path)
-                if cand[0] > best[0] or (cand[0] == best[0] and self._key(cand[1]) < self._key(best[1])):
-                    best = cand
-            self._best[node] = best
-        return self._best[a]
-
-    def _key(self, path: tuple[str, ...]) -> tuple[int, ...]:
-        return tuple(self.idx[x] for x in path)
-
-    def lasso_from(self, a: str) -> ForbiddenWalk:
-        """Deterministic stem + cycle witnessing an infinite walk from a.
-
-        Walks cycle-reaching successors until the first repeat; the repeat
-        point splits the walk into a stem and the looped cycle, so the
-        junction and wraparound compositions are real digraph edges.
-        """
-        path = [a]
-        pos = {a: 0}
-        node = a
-        while True:
-            node = next(c for c in self.succ[node] if c in self.reaches_cycle)
-            if node in pos:
-                return ForbiddenWalk(tuple(path[:pos[node]]), tuple(path[pos[node]:]))
-            pos[node] = len(path)
-            path.append(node)
-
-
-_DATA_CACHE: dict[int, _DigraphData] = {}
+            if node in sup:
+                continue
+            nxt = step(node)
+            if nxt is None:
+                # ties go to the first child in declaration order
+                tail = max((sup[c][1].stem for c in self.succ[node]), key=len, default=())
+                sup[node] = (LengthOrInf.finite(len(tail) + 1), ForbiddenWalk((node,) + tail))
+                continue
+            # Follow first cycle-reaching successors until a node with a
+            # known lasso, or until the walk closes a ring of its own.
+            reaches.add(node)
+            path, pos, cur = [node], {node: 0}, nxt
+            while cur not in sup and cur not in pos:
+                pos[cur] = len(path)
+                path.append(cur)
+                cur = step(cur)  # type: ignore[assignment]
+            if cur in pos:
+                ring = path[pos[cur]:]
+                del path[pos[cur]:]
+                for i, r in enumerate(ring):
+                    sup[r] = (INF, ForbiddenWalk((), tuple(ring[i:] + ring[:i])))
+            for a in reversed(path):
+                after = sup[cur][1]
+                sup[a] = (INF, ForbiddenWalk((a,) + after.stem, after.cycle))
+                cur = a
+        return sup
 
 
 def digraph_data(pair: AlmostGentlePair) -> _DigraphData:
-    key = id(pair)
-    data = _DATA_CACHE.get(key)
-    if data is None or data.pair is not pair:
-        data = _DigraphData(pair)
-        _DATA_CACHE[key] = data
-        if len(_DATA_CACHE) > 64:
-            _DATA_CACHE.pop(next(iter(_DATA_CACHE)))
-    return data
+    return pair.memo("digraph", lambda: _DigraphData(pair))
 
 
 def sup_forbidden_from_arrow(pair: AlmostGentlePair, a: str) -> tuple[LengthOrInf, ForbiddenWalk]:
@@ -261,11 +215,7 @@ def sup_forbidden_from_arrow(pair: AlmostGentlePair, a: str) -> tuple[LengthOrIn
     pair.require_valid()
     if a not in pair.quiver.arrow_index:
         raise UnknownArrowError(a)
-    data = digraph_data(pair)
-    if a in data.reaches_cycle:
-        return INF, data.lasso_from(a)
-    n, path = data.longest_from(a)
-    return LengthOrInf.finite(n + 1), ForbiddenWalk(path)
+    return digraph_data(pair).sup[a]
 
 
 def sup_forbidden_from_vertex(pair: AlmostGentlePair, v: str) -> tuple[LengthOrInf, ForbiddenWalk | None]:
@@ -414,8 +364,7 @@ def forbidden_cycles(pair: AlmostGentlePair, cap: int = 10_000) -> tuple[list[tu
         covered = {frozenset(data.scc[x] for x in cyc) for cyc in cycles}
         for node in nodes:
             if node in data.cyclic_node and frozenset({data.scc[node]}) not in covered:
-                walk = data.lasso_from(node)
-                cycles.append(walk.cycle)
+                cycles.append(data.sup[node][1].cycle)
                 covered.add(frozenset({data.scc[node]}))
     canon = []
     for cyc in cycles:

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 
 from .agqfile import AgqDocument, emit_agq
-from .quiver import AlmostGentlePair, Arrow, Quiver
+from .quiver import AlmostGentlePair, Arrow, Quiver, successor_cycles
 
 
 @dataclass(frozen=True)
@@ -53,8 +53,8 @@ def random_ag_pair(params: GeneratorParams) -> tuple[AlmostGentlePair, str]:
     # per-vertex partial matching of in-arrows to out-arrows = nonzero pairs
     successor: dict[str, str] = {}
     for v in vertices:
-        ins = [a.name for a in arrows if a.target == v]
-        outs = [b.name for b in arrows if b.source == v]
+        ins = [a.name for a in quiver._in[v]]  # type: ignore[attr-defined]
+        outs = [b.name for b in quiver._out[v]]  # type: ignore[attr-defined]
         rng.shuffle(ins)
         rng.shuffle(outs)
         for a, b in zip(ins, outs):
@@ -62,27 +62,13 @@ def random_ag_pair(params: GeneratorParams) -> tuple[AlmostGentlePair, str]:
                 successor[a] = b
 
     # admissibility: break every cycle of the successor graph
-    state: dict[str, int] = {}
-    for start in list(successor):
-        if state.get(start):
-            continue
-        chain = []
-        cur: str | None = start
-        while cur is not None and state.get(cur, 0) == 0:
-            state[cur] = 1
-            chain.append(cur)
-            cur = successor.get(cur)
-        if cur is not None and state[cur] == 1:
-            cycle = chain[chain.index(cur):]
-            drop = min(cycle)
-            del successor[drop]
-        for name in chain:
-            state[name] = 2
+    for cycle in successor_cycles(successor):
+        del successor[min(cycle)]
 
     relations = frozenset(
         (a.name, b.name)
-        for a in arrows for b in arrows
-        if a.target == b.source and successor.get(a.name) != b.name)
+        for a in arrows for b in quiver._out[a.target]  # type: ignore[attr-defined]
+        if successor.get(a.name) != b.name)
     pair = AlmostGentlePair.build(quiver, relations)
     if not pair.validated:  # pragma: no cover - construction guarantees validity
         raise AssertionError(f"generator produced an invalid pair: {pair.report.violations}")

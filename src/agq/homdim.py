@@ -54,10 +54,12 @@ def global_dimension(pair: AlmostGentlePair) -> DimReport:
     """Sup of the simple dimensions; infinite iff a forbidden cycle exists."""
     pair.require_valid()
     best: tuple[LengthOrInf, ForbiddenWalk | None] = (ZERO, None)
+    at = None  # the first vertex attaining the sup
     for v in pair.quiver.vertices:
-        best = better_witnessed(pair, best, sup_forbidden_from_vertex(pair, v))
-    at = next((v for v in pair.quiver.vertices
-               if sup_forbidden_from_vertex(pair, v)[0] == best[0]), None)
+        cand = sup_forbidden_from_vertex(pair, v)
+        if at is None or cand[0] > best[0]:
+            at = v
+        best = better_witnessed(pair, best, cand)
     return DimReport(best[0], best[1], "forbidden-global", at)
 
 

@@ -11,6 +11,7 @@ algebra.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 TOKEN_RE = re.compile(r"[A-Za-z0-9_']+\Z")
@@ -144,12 +145,13 @@ def validate_bound_quiver(quiver: Quiver, relations: frozenset[tuple[str, str]])
     if violations:
         return ValidationReport(False, tuple(violations), tuple(warnings))
 
+    # Both endpoints of every arrow are vertices from here on.
     succ: dict[str, str | None] = {}
     for a in quiver.arrows:
-        nonzero_out = [b.name for b in quiver.arrows
-                       if b.source == a.target and (a.name, b.name) not in relations]
-        nonzero_in = [c.name for c in quiver.arrows
-                      if c.target == a.source and (c.name, a.name) not in relations]
+        nonzero_out = [b.name for b in quiver._out[a.target]  # type: ignore[attr-defined]
+                       if (a.name, b.name) not in relations]
+        nonzero_in = [c.name for c in quiver._in[a.source]  # type: ignore[attr-defined]
+                      if (c.name, a.name) not in relations]
         if len(nonzero_out) > 1:
             violations.append(Violation("TooManyNonzeroSuccessors", (a.name,),
                                         f"arrow {a.name} has nonzero successors {', '.join(nonzero_out)}"))
@@ -161,8 +163,26 @@ def validate_bound_quiver(quiver: Quiver, relations: frozenset[tuple[str, str]])
     # Admissibility: the nonzero-successor functional graph must be acyclic
     # (nonzero extensions are unique, so any arbitrarily long nonzero path
     # closes up into a cycle of this graph).
+    for cycle in successor_cycles(succ):
+        violations.append(Violation("NonzeroCycle", tuple(cycle),
+                                    "nonzero cycle " + " ".join(cycle)))
+
+    if quiver.vertices and _component_count(quiver) > 1:
+        warnings.append("quiver is disconnected; all computations are componentwise")
+
+    violations.sort(key=lambda v: (v.kind, v.location))
+    return ValidationReport(not violations, tuple(violations), tuple(warnings))
+
+
+def successor_cycles(succ: Mapping[str, str | None]) -> list[list[str]]:
+    """The cycles of the partial map a -> succ[a], each listed once.
+
+    Walks start from the keys in order, and each cycle starts at the first
+    of its nodes that a walk enters.  The cycles of a map are disjoint.
+    """
+    cycles: list[list[str]] = []
     state: dict[str, int] = {}
-    for start in (a.name for a in quiver.arrows):
+    for start in succ:
         if state.get(start):
             continue
         chain = []
@@ -170,19 +190,12 @@ def validate_bound_quiver(quiver: Quiver, relations: frozenset[tuple[str, str]])
         while cur is not None and state.get(cur, 0) == 0:
             state[cur] = 1
             chain.append(cur)
-            cur = succ[cur]
+            cur = succ.get(cur)
         if cur is not None and state[cur] == 1:
-            cycle = chain[chain.index(cur):]
-            violations.append(Violation("NonzeroCycle", tuple(cycle),
-                                        "nonzero cycle " + " ".join(cycle)))
+            cycles.append(chain[chain.index(cur):])
         for name in chain:
             state[name] = 2
-
-    if quiver.vertices and _component_count(quiver) > 1:
-        warnings.append("quiver is disconnected; all computations are componentwise")
-
-    violations.sort(key=lambda v: (v.kind, v.location))
-    return ValidationReport(not violations, tuple(violations), tuple(warnings))
+    return cycles
 
 
 def _component_count(quiver: Quiver) -> int:

@@ -111,11 +111,6 @@ class SyzygyDecomposition:
         ordered = sorted(counts, key=lambda s: summand_sort_key(pair, s))
         return cls(tuple((s, counts[s]) for s in ordered))
 
-    @property
-    def summands(self) -> tuple[Summand, ...]:
-        """Expanded view; avoid on decompositions with huge multiplicities."""
-        return tuple(s for s, n in self.items for _ in range(n))
-
     def total(self) -> int:
         return sum(n for _, n in self.items)
 

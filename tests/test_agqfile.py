@@ -49,8 +49,9 @@ def test_bad_arrow_syntax():
 
 
 def test_rel_unknown_arrow():
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as err:
         parse_agq("arrow a : 1 -> 2\nrel a z\n")
+    assert (err.value.line, err.value.column) == (2, 7)
 
 
 def test_explicit_vertices_make_arrows_strict():

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 from agq.forbidden import (
     INF,
     LengthOrInf,
@@ -6,20 +9,13 @@ from agq.forbidden import (
     is_down_relational,
     is_relational_vertex,
     is_up_relational,
-    relation_digraph,
     sup_forbidden_from_arrow,
     sup_forbidden_from_vertex,
     zero_length_forbidden,
 )
 from agq.strings import DirectedString
 from agq.generator import GeneratorParams, random_ag_pair
-
-
-def test_relation_digraph(a3r, cyc2, fig1):
-    assert relation_digraph(a3r).edges == (("a", "b"),)
-    assert set(relation_digraph(cyc2).edges) == {("a", "b"), ("b", "a")}
-    assert len(relation_digraph(fig1).edges) == 11
-    assert forbidden_cycles(fig1)[0] == []
+from agq.homdim import global_dimension
 
 
 def test_sup_from_arrow_fig1(fig1):
@@ -59,6 +55,17 @@ def test_sup_from_vertex(fig1, cyc2):
     assert sup_forbidden_from_vertex(fig1, "1")[0] == LengthOrInf.finite(4)
     assert sup_forbidden_from_vertex(fig1, "5")[0] == LengthOrInf.finite(0)
     assert sup_forbidden_from_vertex(cyc2, "1")[0] == INF
+
+
+def test_sup_table_is_stored_on_the_pair_only():
+    pair, _ = random_ag_pair(GeneratorParams(seed=1))
+    assert not global_dimension(pair).value.is_finite
+    a = pair.quiver.arrows[0].name
+    assert sup_forbidden_from_arrow(pair, a) is sup_forbidden_from_arrow(pair, a)
+    ref = weakref.ref(pair)
+    del pair
+    gc.collect()
+    assert ref() is None  # no module-level cache keeps the pair alive
 
 
 def test_sup_matches_bfs_brute_force():
