@@ -51,7 +51,7 @@ class AgqDocument:
 def parse_agq(text: str) -> AgqDocument:
     doc = AgqDocument()
     explicit_vertices = False
-    seen_arrow_line: dict[str, int] = {}
+    arrow_at: dict[str, tuple[int, int, int]] = {}  # line, columns of source and target
     rel_names_at: list[tuple[int, int, int]] = []  # line, columns of the two names
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -67,25 +67,29 @@ def parse_agq(text: str) -> AgqDocument:
             names = rest.split()
             if not names:
                 raise ParseError(lineno, len(head) + 1, "vertex line needs at least one name")
+            col = raw.index(head) + len(head)
             for name in names:
+                col = raw.index(name, col)
                 if not _TOKEN_RE.match(name):
-                    raise ParseError(lineno, raw.find(name) + 1, f"bad vertex name {name!r}")
+                    raise ParseError(lineno, col + 1, f"bad vertex name {name!r}")
                 if name in doc.line_of and explicit_vertices:
-                    raise ParseError(lineno, raw.find(name) + 1,
+                    raise ParseError(lineno, col + 1,
                                      f"vertex {name!r} already declared on line {doc.line_of[name]}")
                 if name not in doc.vertices:
                     doc.vertices.append(name)
                     doc.line_of[name] = lineno
+                col += len(name)
             explicit_vertices = True
         elif head == "arrow":
             m = _ARROW_RE.match(rest)
             if not m:
                 raise ParseError(lineno, len(head) + 2, "expected 'arrow NAME : SRC -> TGT'")
             name, src, tgt = m.groups()
-            if name in seen_arrow_line:
-                raise ParseError(lineno, raw.find(name) + 1,
-                                 f"arrow {name!r} already declared on line {seen_arrow_line[name]}")
-            seen_arrow_line[name] = lineno
+            at = raw.index(rest, raw.index(head) + len(head)) + 1  # column where rest starts
+            if name in arrow_at:
+                raise ParseError(lineno, at + m.start(1),
+                                 f"arrow {name!r} already declared on line {arrow_at[name][0]}")
+            arrow_at[name] = (lineno, at + m.start(2), at + m.start(3))
             doc.arrows.append(Arrow(name, src, tgt))
         elif head == "rel":
             names = rest.split()
@@ -110,10 +114,10 @@ def parse_agq(text: str) -> AgqDocument:
                     doc.vertices.append(v)
     else:
         for a in doc.arrows:
-            for v in (a.source, a.target):
+            lineno, col_src, col_tgt = arrow_at[a.name]
+            for v, col in ((a.source, col_src), (a.target, col_tgt)):
                 if v not in doc.vertices:
-                    raise ParseError(seen_arrow_line[a.name], 1,
-                                     f"arrow {a.name!r} uses undeclared vertex {v!r}")
+                    raise ParseError(lineno, col, f"arrow {a.name!r} uses undeclared vertex {v!r}")
     return doc
 
 

@@ -1,54 +1,48 @@
-"""Exact dense linear algebra over the rationals for the resolution oracle.
+"""Exact sparse linear algebra over the rationals for the resolution oracle.
 
-Matrices are lists of row lists with Fraction entries (inputs are 0/1
-incidence matrices, so most arithmetic stays integral).  Instances are tiny;
-no sparse machinery.
+A matrix is a list of sparse rows, each a ``{column: value}`` dict that
+stores only nonzero entries; rows carry no width, so callers pass column
+counts where they matter.  Elimination runs in integers: a row becomes
+``Fraction`` only when it is divided by a pivot other than +-1.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-Matrix = list[list[Fraction]]
+Value = int | Fraction
+Row = dict[int, Value]
+Matrix = list[Row]
 
 
-def zeros(nrows: int, ncols: int) -> Matrix:
-    return [[Fraction(0)] * ncols for _ in range(nrows)]
+def zeros(nrows: int) -> Matrix:
+    return [{} for _ in range(nrows)]
 
 
 def identity(n: int) -> Matrix:
-    m = zeros(n, n)
-    for i in range(n):
-        m[i][i] = Fraction(1)
-    return m
+    return [{i: 1} for i in range(n)]
+
+
+def _add_scaled(acc: Row, f: Value, row: Row) -> None:
+    """acc += f * row, in place, storing nonzero entries only."""
+    for k, y in row.items():
+        x = acc.get(k, 0) + f * y
+        if x:
+            acc[k] = x
+        else:
+            del acc[k]
+
+
+def row_times(mat: Matrix, vec: Row) -> Row:
+    """vec @ mat for a sparse row vector."""
+    out: Row = {}
+    for k, x in vec.items():
+        _add_scaled(out, x, mat[k])
+    return out
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if not a or not b:
-        return []
-    ncols = len(b[0])
-    out = zeros(len(a), ncols)
-    for i, row in enumerate(a):
-        for k, x in enumerate(row):
-            if x:
-                brow = b[k]
-                orow = out[i]
-                for j in range(ncols):
-                    if brow[j]:
-                        orow[j] += x * brow[j]
-    return out
-
-
-def row_times(mat: Matrix, vec: list[Fraction], ncols: int) -> list[Fraction]:
-    """vec @ mat for a row vector; ncols fixes the width when mat has no rows."""
-    out = [Fraction(0)] * ncols
-    for k, x in enumerate(vec):
-        if x:
-            row = mat[k]
-            for j, y in enumerate(row):
-                if y:
-                    out[j] += x * y
-    return out
+    return [row_times(b, row) for row in a]
 
 
 def rref(mat: Matrix, pivot: str = "first") -> tuple[Matrix, list[int]]:
@@ -56,25 +50,28 @@ def rref(mat: Matrix, pivot: str = "first") -> tuple[Matrix, list[int]]:
 
     pivot picks the pivot row among candidates: "first" takes the first
     nonzero, "largest" the entry of largest absolute value (elimination
-    results must agree; tested).
+    results must agree; tested).  All-zero rows keep their places, so the
+    pivot sequence is that of the dense elimination.
     """
-    m = [row[:] for row in mat]
+    m = [{k: x for k, x in row.items() if x} for row in mat]
     nrows = len(m)
-    ncols = len(m[0]) if m else 0
     pivots: list[int] = []
     r = 0
-    for c in range(ncols):
-        cand = [i for i in range(r, nrows) if m[i][c] != 0]
+    for c in sorted({k for row in m for k in row}):
+        cand = [i for i in range(r, nrows) if c in m[i]]
         if not cand:
             continue
         i = cand[0] if pivot == "first" else max(cand, key=lambda i: abs(m[i][c]))
         m[r], m[i] = m[i], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for j in range(nrows):
-            if j != r and m[j][c]:
-                f = m[j][c]
-                m[j] = [x - f * y for x, y in zip(m[j], m[r])]
+        row = m[r]
+        pv = row[c]
+        if pv == -1:
+            row = m[r] = {k: -x for k, x in row.items()}
+        elif pv != 1:
+            row = m[r] = {k: Fraction(x, pv) for k, x in row.items()}
+        for j, other in enumerate(m):
+            if j != r and c in other:
+                _add_scaled(other, -other[c], row)
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -83,38 +80,40 @@ def rref(mat: Matrix, pivot: str = "first") -> tuple[Matrix, list[int]]:
 
 
 def rank(mat: Matrix, pivot: str = "first") -> int:
-    if not mat or not mat[0]:
-        return 0
     return len(rref(mat, pivot)[1])
 
 
-def left_nullspace(mat: Matrix, nrows: int, pivot: str = "first") -> tuple[Matrix, list[int]]:
+def left_nullspace(mat: Matrix, nrows: int, ncols: int,
+                   pivot: str = "first") -> tuple[Matrix, list[int]]:
     """Basis of {x row vector : x @ mat = 0} plus its free coordinate list.
 
-    Each basis vector has a 1 in its own free coordinate and zeros in the
-    others, so coordinates of a kernel vector in this basis are read off at
-    the free coordinates.
+    mat has nrows rows and ncols columns.  Each basis vector has a 1 in its
+    own free coordinate and zeros in the others, so coordinates of a kernel
+    vector in this basis are read off at the free coordinates.
     """
     if nrows == 0:
         return [], []
-    ncols = len(mat[0]) if mat else 0
     if ncols == 0:
         return identity(nrows), list(range(nrows))
-    # x @ mat = 0  <=>  mat^T x^T = 0: reduce mat^T.
-    tr = [[mat[i][j] for i in range(nrows)] for j in range(ncols)]
+    # x @ mat = 0  <=>  mat^T x^T = 0: reduce mat^T, all-zero rows included.
+    tr = zeros(ncols)
+    for i, row in enumerate(mat):
+        for j, x in row.items():
+            tr[j][i] = x
     red, pivots = rref(tr, pivot)
     pivot_set = set(pivots)
     free = [j for j in range(nrows) if j not in pivot_set]
-    basis: Matrix = []
-    for f in free:
-        vec = [Fraction(0)] * nrows
-        vec[f] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -red[r][f]
-        basis.append(vec)
-    return basis, free
+    basis: dict[int, Row] = {f: {f: 1} for f in free}
+    for r, pc in enumerate(pivots):
+        for f, x in red[r].items():
+            if f != pc:
+                basis[f][pc] = -x
+    return [basis[f] for f in free], free
 
 
-def coords_in_nullbasis(free_cols: list[int], vec: list[Fraction]) -> list[Fraction]:
-    """Coordinates of a kernel vector in a left_nullspace basis."""
-    return [vec[f] for f in free_cols]
+def coords_in_nullbasis(free_pos: dict[int, int], vec: Row) -> Row:
+    """Coordinates of a kernel vector in a left_nullspace basis.
+
+    free_pos maps each free coordinate to the index of its basis vector.
+    """
+    return {free_pos[c]: x for c, x in vec.items() if x and c in free_pos}

@@ -12,21 +12,19 @@ its own higher syzygies has infinite projective dimension.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
 from .forbidden import LengthOrInf
 from .quiver import AlmostGentlePair
 from .strings import DirectedString, string_of
 
-ONE = Fraction(1)
-
 
 @dataclass
 class Representation:
     """dims per vertex and one matrix per arrow, acting on row vectors.
 
-    maps[a] has dims[s(a)] rows and dims[t(a)] columns; a relation pair must
+    maps[a] is a list of dims[s(a)] sparse rows ({column: value}, nonzero
+    entries only) with columns below dims[t(a)]; a relation pair must
     compose to the zero matrix.
     """
 
@@ -41,28 +39,86 @@ class Representation:
 
 
 def _empty_maps(pair: AlmostGentlePair, dims: dict[str, int]) -> dict[str, linalg.Matrix]:
-    return {a.name: linalg.zeros(dims[a.source], dims[a.target]) for a in pair.quiver.arrows}
+    return {a.name: [{} for _i in range(dims[a.source])] if dims[a.source] else []
+            for a in pair.quiver.arrows}
 
 
-def _paths_from(pair: AlmostGentlePair, v: str) -> list[tuple[str, ...]]:
-    """Nonzero paths out of v (arrow tuples, stationary path first)."""
-    paths: list[tuple[str, ...]] = [()]
-    frontier: list[tuple[str, ...]] = [(a.name,) for a in pair.out_arrows(v)]
-    idx = pair.quiver.arrow_index
-    while frontier:
-        paths.extend(frontier)
-        nxt = []
-        for p in frontier:
-            for b in pair.out_arrows(pair.arrow(p[-1]).target):
-                if (p[-1], b.name) not in pair.relations:
-                    nxt.append(p + (b.name,))
-        frontier = nxt
-    paths.sort(key=lambda p: (len(p), tuple(idx[a] for a in p)))
-    return paths
+@dataclass(frozen=True)
+class _PathTree:
+    """The nonzero paths out of one vertex (or into it), shortest first.
+
+    Path 0 is the stationary path.  Path k > 0 is path up[k] made one arrow
+    longer at its far end, which is ends[k]; local[k] numbers the paths that
+    share that far end, and ext[(k, a)] is path k followed by arrow a when
+    that is nonzero (paths out of the vertex only).
+    """
+
+    paths: list[tuple[str, ...]]
+    ends: list[str]
+    up: list[int]
+    local: list[int]
+    dims: dict[str, int]
+    ext: dict[tuple[int, str], int]
 
 
-def _path_target(pair: AlmostGentlePair, v: str, p: tuple[str, ...]) -> str:
-    return v if not p else pair.arrow(p[-1]).target
+def _path_tree(pair: AlmostGentlePair, v: str, forward: bool = True) -> _PathTree:
+    """Paths out of v (forward) or into v, enumerated once per pair."""
+    def grow(p: tuple[str, ...]) -> list[tuple[str, ...]]:
+        if forward:
+            arrows = pair.out_arrows(pair.arrow(p[-1]).target if p else v)
+            return [p + (b.name,) for b in arrows if not p or (p[-1], b.name) not in pair.relations]
+        arrows = pair.in_arrows(pair.arrow(p[0]).source if p else v)
+        return [(b.name,) + p for b in arrows if not p or (b.name, p[0]) not in pair.relations]
+
+    def compute() -> _PathTree:
+        paths: list[tuple[str, ...]] = []
+        frontier: list[tuple[str, ...]] = [()]
+        while frontier:
+            paths.extend(frontier)
+            frontier = [q for p in frontier for q in grow(p)]
+        idx = pair.quiver.arrow_index
+        paths.sort(key=lambda p: (len(p), tuple(idx[a] for a in p)))
+        pos = {p: k for k, p in enumerate(paths)}
+        tree = _PathTree(paths, [v], [-1], [0], dict.fromkeys(pair.quiver.vertices, 0), {})
+        tree.dims[v] = 1
+        for k, p in enumerate(paths[1:], start=1):
+            a, shorter = (p[-1], p[:-1]) if forward else (p[0], p[1:])
+            end = pair.arrow(a).target if forward else pair.arrow(a).source
+            tree.ends.append(end)
+            tree.up.append(pos[shorter])
+            tree.local.append(tree.dims[end])
+            tree.dims[end] += 1
+            if forward:
+                tree.ext[(pos[shorter], a)] = k
+        return tree
+
+    return pair.memo(("paths", v, forward), compute)
+
+
+Slot = tuple[int, int]  # (generator, path index in that generator's tree)
+
+
+def _free_module(pair: AlmostGentlePair, tops: list[str]) -> Representation:
+    """The direct sum of the projectives P(v), v in tops, on its path basis.
+
+    Slots (g, k) at each vertex are listed generator by generator, then in
+    path order; the last arrow of path k sends slot (g, up[k]) to (g, k).
+    """
+    slot_list: dict[str, list[Slot]] = {w: [] for w in pair.quiver.vertices}
+    trees = [_path_tree(pair, v) for v in tops]
+    for g, tree in enumerate(trees):
+        for k, w in enumerate(tree.ends):
+            slot_list[w].append((g, k))
+    dims = {w: len(slot_list[w]) for w in pair.quiver.vertices}
+    maps = _empty_maps(pair, dims)
+    index = {w: {sl: i for i, sl in enumerate(slot_list[w])} for w in pair.quiver.vertices}
+    for w in pair.quiver.vertices:
+        for i, (g, k) in enumerate(slot_list[w]):
+            if k:
+                tree = trees[g]
+                up = tree.up[k]
+                maps[tree.paths[k][-1]][index[tree.ends[up]][(g, up)]][i] = 1
+    return Representation(dims, maps)
 
 
 def rep_of(pair: AlmostGentlePair, kind: str, arg) -> Representation:
@@ -88,53 +144,18 @@ def rep_of(pair: AlmostGentlePair, kind: str, arg) -> Representation:
         dims = {w: counts.get(w, 0) for w in pair.quiver.vertices}
         maps = _empty_maps(pair, dims)
         for i, a in enumerate(ds.arrows):
-            maps[a][slot_of[i]][slot_of[i + 1]] = ONE
+            maps[a][slot_of[i]][slot_of[i + 1]] = 1
         return Representation(dims, maps)
 
     if kind == "projective":
-        v = pair.require_vertex(arg)
-        paths = _paths_from(pair, v)
-        slots: dict[str, list[tuple[str, ...]]] = {w: [] for w in pair.quiver.vertices}
-        for p in paths:
-            slots[_path_target(pair, v, p)].append(p)
-        index = {(w, p): i for w in slots for i, p in enumerate(slots[w])}
-        dims = {w: len(slots[w]) for w in pair.quiver.vertices}
-        maps = _empty_maps(pair, dims)
-        for a in pair.quiver.arrows:
-            for i, p in enumerate(slots[a.source]):
-                q = p + (a.name,)
-                ok = (not p and a.source == v) or (p and (p[-1], a.name) not in pair.relations)
-                if ok and (a.target, q) in index:
-                    maps[a.name][i][index[(a.target, q)]] = ONE
-        return Representation(dims, maps)
+        return _free_module(pair, [pair.require_vertex(arg)])
 
     if kind == "injective":
-        v = pair.require_vertex(arg)
-        idx = pair.quiver.arrow_index
-        paths: list[tuple[str, ...]] = [()]
-        frontier = [(a.name,) for a in pair.in_arrows(v)]
-        while frontier:
-            paths.extend(frontier)
-            nxt = []
-            for p in frontier:
-                for b in pair.in_arrows(pair.arrow(p[0]).source):
-                    if (b.name, p[0]) not in pair.relations:
-                        nxt.append((b.name,) + p)
-            frontier = nxt
-        paths.sort(key=lambda p: (len(p), tuple(idx[a] for a in p)))
-        slots = {w: [] for w in pair.quiver.vertices}
-        for p in paths:
-            start = v if not p else pair.arrow(p[0]).source
-            slots[start].append(p)
-        index = {(w, p): i for w in slots for i, p in enumerate(slots[w])}
-        dims = {w: len(slots[w]) for w in pair.quiver.vertices}
-        maps = _empty_maps(pair, dims)
-        for a in pair.quiver.arrows:
-            for i, p in enumerate(slots[a.source]):
-                if p and p[0] == a.name:
-                    q = p[1:]
-                    maps[a.name][i][index[(a.target, q)]] = ONE
-        return Representation(dims, maps)
+        tree = _path_tree(pair, pair.require_vertex(arg), forward=False)
+        maps = _empty_maps(pair, tree.dims)
+        for k in range(1, len(tree.paths)):
+            maps[tree.paths[k][0]][tree.local[k]][tree.local[tree.up[k]]] = 1
+        return Representation(dict(tree.dims), maps)
 
     raise ValueError(f"unknown module kind {kind!r}")
 
@@ -142,8 +163,7 @@ def rep_of(pair: AlmostGentlePair, kind: str, arg) -> Representation:
 def check_relations(pair: AlmostGentlePair, rep: Representation) -> bool:
     """Every relation pair composes to zero."""
     for a, b in pair.relations:
-        prod = linalg.mat_mul(rep.maps[a], rep.maps[b])
-        if any(x for row in prod for x in row):
+        if any(linalg.mat_mul(rep.maps[a], rep.maps[b])):
             return False
     return True
 
@@ -157,7 +177,7 @@ def top(pair: AlmostGentlePair, rep: Representation, pivot: str = "first") -> di
         rows: linalg.Matrix = []
         for a in pair.in_arrows(v):
             rows.extend(rep.maps[a.name])
-        mult = rep.dims[v] - (linalg.rank(rows, pivot) if rows else 0)
+        mult = rep.dims[v] - linalg.rank(rows, pivot)
         if mult:
             out[v] = mult
     return out
@@ -178,17 +198,9 @@ class RepMorphism:
 
     def commutes(self, pair: AlmostGentlePair, src: Representation,
                  dst: Representation) -> bool:
-        for a in pair.quiver.arrows:
-            s, t = a.source, a.target
-            for i in range(src.dims[s]):
-                for j in range(dst.dims[t]):
-                    lhs = sum((src.maps[a.name][i][k] * self.blocks[t][k][j]
-                               for k in range(src.dims[t])), Fraction(0))
-                    rhs = sum((self.blocks[s][i][k] * dst.maps[a.name][k][j]
-                               for k in range(dst.dims[s])), Fraction(0))
-                    if lhs != rhs:
-                        return False
-        return True
+        return all(linalg.mat_mul(src.maps[a.name], self.blocks[a.target])
+                   == linalg.mat_mul(self.blocks[a.source], dst.maps[a.name])
+                   for a in pair.quiver.arrows)
 
 
 def _cover_data(pair: AlmostGentlePair, rep: Representation, pivot: str):
@@ -197,30 +209,21 @@ def _cover_data(pair: AlmostGentlePair, rep: Representation, pivot: str):
     for v in pair.quiver.vertices:
         if rep.dims[v] == 0:
             continue
-        rows: linalg.Matrix = []
-        for a in pair.in_arrows(v):
-            rows.extend(rep.maps[a.name])
-        pivots = linalg.rref(rows, pivot)[1] if rows else []
-        pivot_set = set(pivots)
+        rows = [row for a in pair.in_arrows(v) for row in rep.maps[a.name]]
+        pivot_set = set(linalg.rref(rows, pivot)[1]) if any(rows) else set()
         gens.extend((v, j) for j in range(rep.dims[v]) if j not in pivot_set)
 
-    slot_list: dict[str, list[tuple[int, tuple[str, ...]]]] = {w: [] for w in pair.quiver.vertices}
+    slot_list: dict[str, list[Slot]] = {w: [] for w in pair.quiver.vertices}
     images: dict[str, linalg.Matrix] = {w: [] for w in pair.quiver.vertices}
-    paths_cache: dict[str, list[tuple[str, ...]]] = {}
-    for gi, (v, j) in enumerate(gens):
-        if v not in paths_cache:
-            paths_cache[v] = _paths_from(pair, v)
-        vec = [Fraction(0)] * rep.dims[v]
-        vec[j] = ONE
-        vec_by_path: dict[tuple[str, ...], list[Fraction]] = {(): vec}
-        for p in paths_cache[v]:
-            if p:
-                prev = vec_by_path[p[:-1]]
-                vec_by_path[p] = linalg.row_times(
-                    rep.maps[p[-1]], prev, rep.dims[pair.arrow(p[-1]).target])
-            w = _path_target(pair, v, p)
-            slot_list[w].append((gi, p))
-            images[w].append(vec_by_path[p])
+    for g, (v, j) in enumerate(gens):
+        tree = _path_tree(pair, v)
+        vecs: list[linalg.Row] = [{j: 1}]
+        for k in range(1, len(tree.paths)):
+            prev = vecs[tree.up[k]]
+            vecs.append(linalg.row_times(rep.maps[tree.paths[k][-1]], prev) if prev else {})
+        for k, w in enumerate(tree.ends):
+            slot_list[w].append((g, k))
+            images[w].append(vecs[k])
     return gens, slot_list, images
 
 
@@ -228,20 +231,8 @@ def cover_morphism(pair: AlmostGentlePair, rep: Representation,
                    pivot: str = "first") -> tuple[Representation, RepMorphism]:
     """The cover representation alongside the covering map's blocks."""
     pair.require_valid()
-    gens, slot_list, images = _cover_data(pair, rep, pivot)
-    dims = {w: len(slot_list[w]) for w in pair.quiver.vertices}
-    slot_index = {w: {sl: i for i, sl in enumerate(slot_list[w])} for w in pair.quiver.vertices}
-    maps = _empty_maps(pair, dims)
-    for a in pair.quiver.arrows:
-        mat = maps[a.name]
-        for i, (gi, p) in enumerate(slot_list[a.source]):
-            gv = gens[gi][0]
-            ok = (not p and a.source == gv) or (p and (p[-1], a.name) not in pair.relations)
-            if ok:
-                j = slot_index[a.target].get((gi, p + (a.name,)))
-                if j is not None:
-                    mat[i][j] = ONE
-    return Representation(dims, maps), RepMorphism({w: images[w] for w in pair.quiver.vertices})
+    gens, _slots, images = _cover_data(pair, rep, pivot)
+    return _free_module(pair, [v for v, _j in gens]), RepMorphism(images)
 
 
 def projective_cover_kernel(pair: AlmostGentlePair, rep: Representation,
@@ -250,8 +241,9 @@ def projective_cover_kernel(pair: AlmostGentlePair, rep: Representation,
 
     Generators are standard basis vectors completing the radical at each
     vertex; the cover map extends them along path actions; the kernel is the
-    per-vertex left nullspace with the induced arrow action.  Exactness
-    checks: dimension additivity and kernel inside the radical of the cover.
+    per-vertex left nullspace with the induced arrow action, built from the
+    nonzero kernel coordinates only.  Exactness checks: dimension additivity
+    and kernel inside the radical of the cover.
     """
     pair.require_valid()
     gens, slot_list, images = _cover_data(pair, rep, pivot)
@@ -262,45 +254,44 @@ def projective_cover_kernel(pair: AlmostGentlePair, rep: Representation,
     cover = tuple((v, cover_counts[v]) for v in pair.quiver.vertices if v in cover_counts)
     cover_dims = {w: len(slot_list[w]) for w in pair.quiver.vertices}
 
-    null_basis: dict[str, linalg.Matrix] = {}
-    null_free: dict[str, list[int]] = {}
+    null_basis: dict[str, linalg.Matrix] = {}  # vertices where the kernel is nonzero
+    free_pos: dict[str, dict[int, int]] = {}
     for w in pair.quiver.vertices:
-        basis, free = linalg.left_nullspace(images[w], len(slot_list[w]), pivot)
-        null_basis[w] = basis
-        null_free[w] = free
+        if cover_dims[w]:
+            basis, free = linalg.left_nullspace(images[w], cover_dims[w], rep.dims[w], pivot)
+            if basis:
+                null_basis[w] = basis
+                free_pos[w] = {f: k for k, f in enumerate(free)}
 
-    kdims = {w: len(null_basis[w]) for w in pair.quiver.vertices}
-    slot_index = {w: {sl: i for i, sl in enumerate(slot_list[w])} for w in pair.quiver.vertices}
-    kmaps: dict[str, linalg.Matrix] = {}
-    for a in pair.quiver.arrows:
-        src, tgt = a.source, a.target
-        mat = linalg.zeros(kdims[src], kdims[tgt])
-        if kdims[src] and cover_dims[tgt]:
-            for r, kvec in enumerate(null_basis[src]):
-                image = [Fraction(0)] * cover_dims[tgt]
-                for ci, x in enumerate(kvec):
-                    if not x:
-                        continue
-                    gi, p = slot_list[src][ci]
-                    gv = gens[gi][0]
-                    q = p + (a.name,)
-                    ok = (not p and src == gv) or (p and (p[-1], a.name) not in pair.relations)
-                    if ok:
-                        j = slot_index[tgt].get((gi, q))
-                        if j is not None:
-                            image[j] += x
-                mat[r] = linalg.coords_in_nullbasis(null_free[tgt], image)
-        kmaps[a.name] = mat
+    kdims = {w: len(null_basis.get(w, ())) for w in pair.quiver.vertices}
+    kmaps = _empty_maps(pair, kdims)
+    trees = [_path_tree(pair, v) for v, _j in gens]
+    slot_index = {w: {sl: i for i, sl in enumerate(slot_list[w])} for w in null_basis}
+    for w, basis in null_basis.items():
+        for a in pair.out_arrows(w):
+            if a.target not in null_basis:
+                continue
+            index, rows = slot_index[a.target], kmaps[a.name]
+            for r, kvec in enumerate(basis):
+                # the cover's arrow action is injective on slots: no entries collide
+                image: linalg.Row = {}
+                for ci, x in kvec.items():
+                    g, k = slot_list[w][ci]
+                    k2 = trees[g].ext.get((k, a.name))
+                    if k2 is not None:
+                        image[index[(g, k2)]] = x
+                if image:
+                    rows[r] = linalg.coords_in_nullbasis(free_pos[a.target], image)
     kernel = Representation(kdims, kmaps)
 
     for w in pair.quiver.vertices:
         # rank-nullity: equality here certifies the cover map is onto at w
         if cover_dims[w] != rep.dims[w] + kdims[w]:
             raise AssertionError(f"cover/kernel dimension mismatch at {w}")
-        for kvec in null_basis[w]:
-            for ci, x in enumerate(kvec):
-                if x and not slot_list[w][ci][1]:
-                    raise AssertionError("cover is not minimal: kernel meets a generator slot")
+    for w, basis in null_basis.items():
+        for kvec in basis:
+            if any(slot_list[w][ci][1] == 0 for ci in kvec):  # path 0: a generator slot
+                raise AssertionError("cover is not minimal: kernel meets a generator slot")
     return CoverKernel(cover, cover_dims, kernel)
 
 
@@ -315,46 +306,59 @@ class PdimResult:
         return str(self.value) if self.finite else f">={self.value}"
 
 
-def _components(pair: AlmostGentlePair, rep: Representation) -> list[Representation]:
-    """Split along the support graph of the chosen basis (a direct sum)."""
-    slots = [(v, i) for v in pair.quiver.vertices for i in range(rep.dims[v])]
-    if not slots:
-        return []
-    parent = {s: s for s in slots}
+def _slot_offsets(pair: AlmostGentlePair, rep: Representation) -> tuple[dict[str, int], int]:
+    """Global number of the first basis slot at each vertex, and the slot count."""
+    offset: dict[str, int] = {}
+    n = 0
+    for v in pair.quiver.vertices:
+        offset[v] = n
+        n += rep.dims[v]
+    return offset, n
 
-    def find(x):
+
+def _components(pair: AlmostGentlePair, rep: Representation) -> list[Representation]:
+    """Split along the support graph of the chosen basis (a direct sum).
+
+    A module with one component is returned as itself, not copied.
+    """
+    offset, n = _slot_offsets(pair, rep)
+    if not n:
+        return []
+    parent = list(range(n))
+
+    def find(x: int) -> int:
         while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
         return x
 
     for a in pair.quiver.arrows:
-        mat = rep.maps[a.name]
-        for i in range(rep.dims[a.source]):
-            for j in range(rep.dims[a.target]):
-                if mat[i][j]:
-                    parent[find((a.source, i))] = find((a.target, j))
-    groups: dict[tuple[str, int], list[tuple[str, int]]] = {}
-    for s in slots:
-        groups.setdefault(find(s), []).append(s)
-    comps = []
-    vidx = pair.quiver.vertex_index
-    for members in groups.values():
-        members.sort(key=lambda s: (vidx[s[0]], s[1]))
-        pos = {s: k for k, s in enumerate(members)}
-        local: dict[str, list[int]] = {}
-        for v, i in members:
-            local.setdefault(v, []).append(i)
-        dims = {v: len(local.get(v, ())) for v in pair.quiver.vertices}
-        maps = {}
-        for a in pair.quiver.arrows:
-            mat = rep.maps[a.name]
-            sub = linalg.zeros(dims[a.source], dims[a.target])
-            for r, i in enumerate(local.get(a.source, ())):
-                for c, j in enumerate(local.get(a.target, ())):
-                    sub[r][c] = mat[i][j]
-            maps[a.name] = sub
-        comps.append(Representation(dims, maps))
+        s, t = offset[a.source], offset[a.target]
+        for i, row in enumerate(rep.maps[a.name]):
+            for j in row:
+                parent[find(s + i)] = find(t + j)
+    roots = [find(x) for x in range(n)]
+    number = {r: c for c, r in enumerate(dict.fromkeys(roots))}  # by first slot
+    if len(number) == 1:
+        return [rep]
+    # component and local index of each slot
+    comp_of = [number[r] for r in roots]
+    local: list[int] = []
+    comp_dims = [dict.fromkeys(pair.quiver.vertices, 0) for _c in number]
+    for v in pair.quiver.vertices:
+        for x in range(offset[v], offset[v] + rep.dims[v]):
+            dims = comp_dims[comp_of[x]]
+            local.append(dims[v])
+            dims[v] += 1
+    comp_maps = [_empty_maps(pair, dims) for dims in comp_dims]
+    for a in pair.quiver.arrows:
+        s, t = offset[a.source], offset[a.target]
+        for i, row in enumerate(rep.maps[a.name]):
+            if row:
+                sub = comp_maps[comp_of[s + i]][a.name][local[s + i]]
+                for j, x in row.items():
+                    sub[local[t + j]] = x
+    comps = [Representation(dims, maps) for dims, maps in zip(comp_dims, comp_maps)]
     comps.sort(key=lambda r: (r.total_dim(), sorted(r.dim_vector().items())))
     return comps
 
@@ -369,31 +373,27 @@ def _component_key(pair: AlmostGentlePair, rep: Representation):
     of the two end-to-end encodings.  Covers every string module, vertex
     revisits included.
     """
-    slots = [(v, i) for v in pair.quiver.vertices for i in range(rep.dims[v])]
-    n = len(slots)
-    pos = {s: k for k, s in enumerate(slots)}
+    offset, n = _slot_offsets(pair, rep)
+    label = [v for v in pair.quiver.vertices for _i in range(rep.dims[v])]
     edges: list[tuple[int, int, str]] = []
     for a in pair.quiver.arrows:
-        mat = rep.maps[a.name]
-        for i in range(rep.dims[a.source]):
-            row = mat[i]
-            for j in range(rep.dims[a.target]):
-                if row[j]:
-                    edges.append((pos[(a.source, i)], pos[(a.target, j)], a.name))
+        s, t = offset[a.source], offset[a.target]
+        for i, row in enumerate(rep.maps[a.name]):
+            edges.extend((s + i, t + j, a.name) for j in row)
     if len(edges) != n - 1:
         return None
-    adj: dict[int, list[tuple[int, str, int]]] = {k: [] for k in range(n)}
+    adj: list[list[tuple[int, str, int]]] = [[] for _k in range(n)]
     for u, w, a in edges:
         adj[u].append((w, a, 1))
         adj[w].append((u, a, -1))
-    if any(len(nbrs) > 2 for nbrs in adj.values()):
+    if any(len(nbrs) > 2 for nbrs in adj):
         return None  # a tree but not a path; resolved without memoization
     if n == 1:
-        return ((slots[0][0],), ())
+        return ((label[0],), ())
     ends = [k for k in range(n) if len(adj[k]) == 1]
     best = None
     for start in ends:
-        verts = [slots[start][0]]
+        verts = [label[start]]
         steps: list[tuple[str, int]] = []
         prev, cur = -1, start
         while True:
@@ -402,7 +402,7 @@ def _component_key(pair: AlmostGentlePair, rep: Representation):
                 break
             nxt, aname, direction = nbrs[0]
             steps.append((aname, direction))
-            verts.append(slots[nxt][0])
+            verts.append(label[nxt])
             prev, cur = cur, nxt
         enc = (tuple(verts), tuple(steps))
         if best is None or enc < best:

@@ -38,6 +38,37 @@ def test_duplicate_arrow_rejected():
     assert "line 2" in str(err.value)
 
 
+def test_duplicate_arrow_column_is_the_name():
+    # the name also occurs inside the keyword "arrow"
+    with pytest.raises(ParseError) as err:
+        parse_agq("arrow r : 1 -> 2\narrow r : 2 -> 1\n")
+    assert (err.value.line, err.value.column) == (2, 7)
+
+
+def test_duplicate_vertex_column_is_the_name():
+    with pytest.raises(ParseError) as err:
+        parse_agq("vertex r\nvertex r\n")
+    assert (err.value.line, err.value.column) == (2, 8)
+    with pytest.raises(ParseError) as err:
+        parse_agq("vertex e1 e\nvertex  e\n")
+    assert (err.value.line, err.value.column) == (2, 9)
+
+
+def test_bad_vertex_name_column():
+    with pytest.raises(ParseError) as err:
+        parse_agq("vertex v v-w\n")
+    assert (err.value.line, err.value.column) == (1, 10)
+
+
+def test_undeclared_vertex_column_is_on_the_arrow_line():
+    with pytest.raises(ParseError) as err:
+        parse_agq("vertex 1\narrow a : 1 -> 2\n")
+    assert (err.value.line, err.value.column) == (2, 16)
+    with pytest.raises(ParseError) as err:
+        parse_agq("vertex 2\n  arrow a:1->2 # c\n")
+    assert (err.value.line, err.value.column) == (2, 11)
+
+
 def test_unknown_declaration_rejected():
     with pytest.raises(ParseError):
         parse_agq("edge a : 1 -> 2\n")
