@@ -45,11 +45,19 @@ def _load(path: str):
     return doc, pair
 
 
-def _require_valid(pair) -> None:
+def _load_valid(path: str):
+    doc, pair = _load(path)
     if not pair.validated:
         for v in pair.report.violations:
             print(f"invalid: {v.kind} at {', '.join(v.location)}: {v.message}", file=sys.stderr)
         raise SystemExit(1)
+    return doc, pair
+
+
+def _print_report_json(doc, pair) -> int:
+    """The full JSON report, which ``gldim``, ``injdim`` and ``gorenstein`` share."""
+    sys.stdout.write(emit_json(report_json(pair, doc.name)))
+    return 0
 
 
 def _walk_text(walk) -> str:
@@ -82,21 +90,17 @@ def cmd_validate(args) -> int:
 
 
 def cmd_gldim(args) -> int:
-    doc, pair = _load(args.file)
-    _require_valid(pair)
+    doc, pair = _load_valid(args.file)
     if args.json:
-        sys.stdout.write(emit_json(report_json(pair, doc.name)))
-        return 0
+        return _print_report_json(doc, pair)
     _print_dim(global_dimension(pair), args)
     return 0
 
 
 def cmd_injdim(args) -> int:
-    doc, pair = _load(args.file)
-    _require_valid(pair)
+    doc, pair = _load_valid(args.file)
     if args.json:
-        sys.stdout.write(emit_json(report_json(pair, doc.name)))
-        return 0
+        return _print_report_json(doc, pair)
     rep = self_injective_dimension(pair)
     _print_dim(rep, args)
     if rep.attained_at is not None:
@@ -104,20 +108,22 @@ def cmd_injdim(args) -> int:
     return 0
 
 
-def _string_arg(text: str) -> DirectedString:
-    return DirectedString.of(tuple(s for s in text.split(",") if s))
+def _module_arg(args) -> tuple[str, object]:
+    """The module named by --simple, --injective or --string, as (kind, arg)."""
+    if args.simple:
+        return "simple", args.simple
+    if args.injective:
+        return "injective", args.injective
+    return "string", DirectedString.of(tuple(s for s in args.string.split(",") if s))
 
 
 def cmd_pdim(args) -> int:
-    doc, pair = _load(args.file)
-    _require_valid(pair)
+    doc, pair = _load_valid(args.file)
     try:
-        if args.simple:
-            rep = pdim_simple(pair, args.simple)
-        elif args.injective:
-            rep = pdim_injective(pair, args.injective)
-        else:
-            rep = pdim_directed_string(pair, _string_arg(args.string))
+        kind, arg = _module_arg(args)
+        pdim = {"simple": pdim_simple, "injective": pdim_injective,
+                "string": pdim_directed_string}[kind]
+        rep = pdim(pair, arg)
     except AgqError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -126,8 +132,7 @@ def cmd_pdim(args) -> int:
 
 
 def cmd_forbidden(args) -> int:
-    doc, pair = _load(args.file)
-    _require_valid(pair)
+    doc, pair = _load_valid(args.file)
     if args.cycles:
         cycles, truncated = forbidden_cycles(pair)
         for cyc in cycles:
@@ -147,15 +152,9 @@ def cmd_forbidden(args) -> int:
 
 
 def cmd_resolve(args) -> int:
-    doc, pair = _load(args.file)
-    _require_valid(pair)
+    doc, pair = _load_valid(args.file)
     try:
-        if args.simple:
-            kind, arg = "simple", args.simple
-        elif args.injective:
-            kind, arg = "injective", args.injective
-        else:
-            kind, arg = "string", _string_arg(args.string)
+        kind, arg = _module_arg(args)
         res = resolve_symbolic(pair, kind, arg, max_steps=args.max_steps)
     except AgqError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -182,11 +181,9 @@ def cmd_resolve(args) -> int:
 
 
 def cmd_gorenstein(args) -> int:
-    doc, pair = _load(args.file)
-    _require_valid(pair)
+    doc, pair = _load_valid(args.file)
     if args.json:
-        sys.stdout.write(emit_json(report_json(pair, doc.name)))
-        return 0
+        return _print_report_json(doc, pair)
     g = gorenstein_report(pair)
     print(f"global dimension: {g.gldim.value}")
     print(f"self-injective dimension: {g.injdim.value}")
@@ -198,8 +195,7 @@ def cmd_gorenstein(args) -> int:
 
 
 def cmd_check(args) -> int:
-    doc, pair = _load(args.file)
-    _require_valid(pair)
+    doc, pair = _load_valid(args.file)
     report = check_against_formulas(pair, cutoff=args.cutoff)
     if report.ok:
         print(_color(f"ok: {report.checked} quantities agree with the oracle", "32"))
@@ -211,14 +207,13 @@ def cmd_check(args) -> int:
 
 
 def cmd_random(args) -> int:
-    import os as _os
     for k in range(args.count):
         params = GeneratorParams(seed=args.seed + k, max_vertices=args.max_vertices,
                                  max_arrows=args.max_arrows)
         pair, text = random_ag_pair(params)
         if args.emit:
-            _os.makedirs(args.emit, exist_ok=True)
-            path = _os.path.join(args.emit, f"random_{args.seed + k}.agq")
+            os.makedirs(args.emit, exist_ok=True)
+            path = os.path.join(args.emit, f"random_{args.seed + k}.agq")
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
             print(path)

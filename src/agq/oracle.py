@@ -3,10 +3,12 @@ kernels, and brute-force projective dimensions.
 
 Everything here is plain linear algebra over the rationals; the only
 combinatorial input is the basis-path structure of the projectives.  Kernels
-are split into support components (a basis-level direct sum decomposition);
-thin tree-shaped components are memoized by a sound canonical key so that
-repeating syzygies are detected: a module isomorphic to a summand of one of
-its own higher syzygies has infinite projective dimension.
+are split into support components (a basis-level direct sum decomposition).
+Only a path-shaped component (every string module is one) has a sound
+canonical iso key.  Each syzygy step and each finite projective dimension is
+stored per pair and pivot under it, and repeating syzygies are detected by
+it: a module isomorphic to a summand of one of its own higher syzygies has
+infinite projective dimension.
 """
 
 from __future__ import annotations
@@ -364,7 +366,7 @@ def _components(pair: AlmostGentlePair, rep: Representation) -> list[Representat
 
 
 def _component_key(pair: AlmostGentlePair, rep: Representation):
-    """Canonical iso key for a connected path-shaped component, else None.
+    """Canonical iso key for a connected path-shaped module, else None.
 
     When the slot graph (one node per basis slot, one edge per nonzero
     entry) is a path, every scalar normalizes to 1 over the rationals, so
@@ -387,7 +389,7 @@ def _component_key(pair: AlmostGentlePair, rep: Representation):
         adj[u].append((w, a, 1))
         adj[w].append((u, a, -1))
     if any(len(nbrs) > 2 for nbrs in adj):
-        return None  # a tree but not a path; resolved without memoization
+        return None  # a tree but not a path, or not connected
     if n == 1:
         return ((label[0],), ())
     ends = [k for k in range(n) if len(adj[k]) == 1]
@@ -404,54 +406,75 @@ def _component_key(pair: AlmostGentlePair, rep: Representation):
             steps.append((aname, direction))
             verts.append(label[nxt])
             prev, cur = cur, nxt
+        if len(verts) < n:
+            return None  # a path plus cycles elsewhere: not connected
         enc = (tuple(verts), tuple(steps))
         if best is None or enc < best:
             best = enc
     return best
 
 
-class _PdimEngine:
-    def __init__(self, pair: AlmostGentlePair, pivot: str, hardcap: int):
-        self.pair = pair
-        self.pivot = pivot
-        self.hardcap = hardcap
-        self.memo: dict[object, int | None] = {}  # None encodes infinity
-        self.budget_dim = 200_000
+BUDGET_DIM = 200_000  # the largest module the oracle covers
 
-    def pdim(self, rep: Representation) -> int | None:
-        if rep.total_dim() == 0:
-            return 0
-        return self._pdim(rep, frozenset(), 0)
 
-    def _pdim(self, rep: Representation, stack: frozenset, depth: int) -> int | None:
-        key = _component_key(self.pair, rep)
-        if key is not None:
-            if key in self.memo:
-                return self.memo[key]
-            if key in stack:
-                # the module recurs inside its own syzygy chain: infinite
-                return None
-            stack = stack | {key}
-        if depth > self.hardcap:
+def _syzygy(pair: AlmostGentlePair, rep: Representation,
+            pivot: str = "first") -> tuple[tuple[tuple[str, int], ...], tuple[Representation, ...]]:
+    """One syzygy step: the minimal cover of rep and its kernel's components.
+
+    Stored per pair under the pivot and rep's iso key, or, for a module
+    without one, its exact entries.  Every caller gets the same stored
+    components, so none may modify them.
+    """
+    def compute():
+        ck = projective_cover_kernel(pair, rep, pivot)
+        return ck.cover, tuple(_components(pair, ck.kernel))
+
+    key = _component_key(pair, rep)
+    if key is None:
+        key = ("entries", tuple(rep.dims[v] for v in pair.quiver.vertices),
+               tuple(tuple(tuple(row.items()) for row in rep.maps[a.name])
+                     for a in pair.quiver.arrows))
+    return pair.memo(("syzygy", pivot, key), compute)
+
+
+def _dim_sum(comps) -> dict[str, int]:
+    """The dimension vector of the direct sum of comps."""
+    total: dict[str, int] = {}
+    for comp in comps:
+        for w, n in comp.dim_vector().items():
+            total[w] = total.get(w, 0) + n
+    return total
+
+
+def _pdim(pair: AlmostGentlePair, rep: Representation, pivot: str, hardcap: int,
+          stack: frozenset = frozenset(), depth: int = 0) -> int | None:
+    """Projective dimension of a nonzero rep; None encodes infinity.
+
+    Finite values are stored per pair and pivot under the iso key.  A key
+    met again below itself is a syzygy recurrence, hence infinite; so is
+    going deeper than hardcap.
+    """
+    memo = pair.memo(("pdim", pivot), dict)
+    key = _component_key(pair, rep)
+    if key is not None:
+        if key in memo:
+            return memo[key]
+        if key in stack:
             return None
-        if rep.total_dim() > self.budget_dim:
-            raise AssertionError("oracle dimension budget exceeded")
-        kernel = projective_cover_kernel(self.pair, rep, self.pivot).kernel
-        if kernel.total_dim() == 0:
-            val: int | None = 0
-        else:
-            val = 0
-            for comp in _components(self.pair, kernel):
-                sub = self._pdim(comp, stack, depth + 1)
-                if sub is None:
-                    val = None
-                    break
-                val = max(val, sub)
-            if val is not None:
-                val += 1
-        if key is not None and val is not None:
-            self.memo[key] = val
-        return val
+        stack = stack | {key}
+    if depth > hardcap:
+        return None
+    if rep.total_dim() > BUDGET_DIM:
+        raise AssertionError("oracle dimension budget exceeded")
+    val = 0
+    for comp in _syzygy(pair, rep, pivot)[1]:
+        sub = _pdim(pair, comp, pivot, hardcap, stack, depth + 1)
+        if sub is None:
+            return None
+        val = max(val, sub + 1)
+    if key is not None:
+        memo[key] = val
+    return val
 
 
 def oracle_pdim(pair: AlmostGentlePair, rep: Representation, cutoff: int | None = None,
@@ -468,7 +491,7 @@ def oracle_pdim(pair: AlmostGentlePair, rep: Representation, cutoff: int | None 
     if cutoff < 1:
         raise ValueError("cutoff must be at least 1")
     hardcap = max(cutoff, len(pair.quiver.vertices) + len(pair.quiver.arrows) + 4)
-    val = _PdimEngine(pair, pivot, hardcap).pdim(rep)
+    val = _pdim(pair, rep, pivot, hardcap) if rep.total_dim() else 0
     if val is None:
         return PdimResult(False, cutoff)
     return PdimResult(True, val)
@@ -549,8 +572,8 @@ def check_against_formulas(pair: AlmostGentlePair, cutoff: int = 40,
     return AgreementReport(tuple(mismatches), checked)
 
 
-def _cover_kernel_componentwise(pair: AlmostGentlePair, comps: list[Representation],
-                                pivot: str = "first") -> tuple[dict[str, int], list[Representation]]:
+def _cover_kernel_componentwise(pair: AlmostGentlePair,
+                                comps) -> tuple[dict[str, int], list[Representation]]:
     """Cover multiset and kernel components, one small cover per component.
 
     Minimal covers are additive over direct sums, so this agrees with
@@ -560,11 +583,10 @@ def _cover_kernel_componentwise(pair: AlmostGentlePair, comps: list[Representati
     cover_counts: dict[str, int] = {}
     kernel_comps: list[Representation] = []
     for comp in comps:
-        ck = projective_cover_kernel(pair, comp, pivot)
-        for w, m in ck.cover:
+        cover, kcomps = _syzygy(pair, comp)
+        for w, m in cover:
             cover_counts[w] = cover_counts.get(w, 0) + m
-        if ck.kernel.total_dim():
-            kernel_comps.extend(_components(pair, ck.kernel))
+        kernel_comps.extend(kcomps)
     return cover_counts, kernel_comps
 
 
@@ -577,19 +599,14 @@ def _oracle_psi0_projective(pair: AlmostGentlePair, v: str) -> bool:
     """
     from .syzygy import omega1_injective
 
-    first = projective_cover_kernel(pair, rep_of(pair, "injective", v))
-    _cover, kcomps = _cover_kernel_componentwise(pair, _components(pair, first.kernel))
-    lhs: dict[str, int] = {}
-    for comp in kcomps:
-        for w, n in comp.dim_vector().items():
-            lhs[w] = lhs.get(w, 0) + n
-    rhs: dict[str, int] = {}
+    omega1 = _syzygy(pair, rep_of(pair, "injective", v))[1]
+    _cover, omega2 = _cover_kernel_componentwise(pair, omega1)
+    leftovers: list[Representation] = []
     for s in omega1_injective(pair, v)[1]:
         piece = (rep_of(pair, "simple", s.vertex) if s.kind == "simple"
                  else rep_of(pair, "string", DirectedString.of(s.arrows)))
-        for w, n in projective_cover_kernel(pair, piece).kernel.dim_vector().items():
-            rhs[w] = rhs.get(w, 0) + n
-    return lhs == rhs
+        leftovers.extend(_syzygy(pair, piece)[1])
+    return _dim_sum(omega2) == _dim_sum(leftovers)
 
 
 def _compare_levels(pair: AlmostGentlePair, v: str, kind: str,
@@ -597,8 +614,7 @@ def _compare_levels(pair: AlmostGentlePair, v: str, kind: str,
     from .syzygy import resolve_symbolic
 
     res = resolve_symbolic(pair, kind, v, max_steps=levels_cap)
-    rep = rep_of(pair, kind, v)
-    comps = _components(pair, rep) if rep.total_dim() else []
+    comps = _components(pair, rep_of(pair, kind, v))
     for k, level in enumerate(res.levels):
         if sum(c.total_dim() for c in comps) > budget:
             return
@@ -608,10 +624,7 @@ def _compare_levels(pair: AlmostGentlePair, v: str, kind: str,
             yield Mismatch(v, f"{kind}-resolution-cover-level-{k}",
                            str(sorted(sym_cover.items())), str(sorted(cover_counts.items())))
             return
-        kernel_dims: dict[str, int] = {}
-        for comp in comps:
-            for w, n in comp.dim_vector().items():
-                kernel_dims[w] = kernel_dims.get(w, 0) + n
+        kernel_dims = _dim_sum(comps)
         sym_dims = level.syzygy.dim_vector(pair)
         if sym_dims != kernel_dims:
             yield Mismatch(v, f"{kind}-resolution-kernel-level-{k}",

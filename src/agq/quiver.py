@@ -302,15 +302,6 @@ def crossing_nonzero_count(pair: AlmostGentlePair, v: str) -> int:
                if (a.name, b.name) not in pair.relations)
 
 
-def path_is_nonzero(pair: AlmostGentlePair, arrows: tuple[str, ...]) -> bool:
-    for x, y in zip(arrows, arrows[1:]):
-        if pair.arrow(x).target != pair.arrow(y).source:
-            return False
-        if (x, y) in pair.relations:
-            return False
-    return True
-
-
 def basis_paths(pair: AlmostGentlePair) -> list[NonzeroPath]:
     """All nonzero paths, the stationary paths included.
 

@@ -223,9 +223,6 @@ class Psi0Descriptor:
     def flagged(self) -> list[DirectedString]:
         return [s for s, f in self.tails if f]
 
-    def unflagged(self) -> list[DirectedString]:
-        return [s for s, f in self.tails if not f]
-
 
 def psi0_descriptor(pair: AlmostGentlePair, v: str) -> Psi0Descriptor:
     pair.require_valid()
@@ -448,7 +445,8 @@ def resolve_symbolic(pair: AlmostGentlePair, kind: str, arg, max_steps: int = 64
             block = [(s, n) for s, n in psi0_decompose(pair, v).items]  # type: ignore[union-attr]
         else:
             block = [(Summand.psi0(v), 1)]
-        syz = [(_normalize(pair, s), n) for s, n in list(mlist_counted(pair, mlist)) + block]
+        syz = [(_normalize(pair, s), 1) for s in mlist]
+        syz += [(_normalize(pair, s), n) for s, n in block]
         dec = SyzygyDecomposition.of(pair, syz)
         levels.append(ResolutionLevel(cover, dec))
         if not dec:
@@ -468,10 +466,3 @@ def resolve_symbolic(pair: AlmostGentlePair, kind: str, arg, max_steps: int = 64
         if len(levels) > max_steps:
             return Resolution(tuple(levels), "cutoff")
         current = list(dec.items)
-
-
-def mlist_counted(pair: AlmostGentlePair, mlist: list[Summand]) -> list[tuple[Summand, int]]:
-    counts: dict[Summand, int] = {}
-    for s in mlist:
-        counts[s] = counts.get(s, 0) + 1
-    return sorted(counts.items(), key=lambda kv: summand_sort_key(pair, kv[0]))

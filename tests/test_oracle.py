@@ -1,6 +1,11 @@
+import gc
+import weakref
+
+import agq.oracle
 from agq.linalg import identity, left_nullspace, mat_mul, rank, rref
 from agq.oracle import (
     PdimResult,
+    Representation,
     check_against_formulas,
     check_relations,
     default_cutoff,
@@ -147,3 +152,50 @@ def test_oracle_default_cutoff_used(cyc2):
     # AtLeast carries the computed default when no cutoff is given
     result = oracle_pdim(cyc2, rep_of(cyc2, "simple", "1"))
     assert result == PdimResult(False, default_cutoff(cyc2))
+
+
+def test_syzygy_steps_are_stored_on_the_pair_only(monkeypatch):
+    from conftest import FIG1_ARROWS, FIG1_RELS, FIG1_VERTICES, make_pair
+    covers = [0]
+    cover = agq.oracle.projective_cover_kernel
+
+    def counted(*args, **kwargs):
+        covers[0] += 1
+        return cover(*args, **kwargs)
+
+    monkeypatch.setattr(agq.oracle, "projective_cover_kernel", counted)
+    pair = make_pair(FIG1_VERTICES, FIG1_ARROWS, FIG1_RELS)
+    report = check_against_formulas(pair)
+    made = covers[0]
+    assert made and check_against_formulas(pair) == report
+    assert covers[0] == made  # the second check covers nothing again
+
+    # the check stored every pivot-"first" answer; pivot "largest" computes afresh
+    for v in pair.quiver.vertices:
+        for kind in ("simple", "injective"):
+            rep = rep_of(pair, kind, v)
+            assert oracle_pdim(pair, rep, 40) == oracle_pdim(pair, rep, 40, pivot="largest")
+    assert covers[0] > made
+    first_only = covers[0]
+    assert oracle_pdim(pair, rep_of(pair, "simple", "1"), 40) == PdimResult(True, 4)
+    assert covers[0] == first_only
+
+    ref = weakref.ref(pair)
+    del pair
+    gc.collect()
+    assert ref() is None  # no module-level cache keeps the pair alive
+
+
+def test_path_plus_cycle_is_not_taken_for_the_path(fig1):
+    # K (one slot at 4L sent to one slot at 5 by both parallel arrows) plus
+    # P(3L): n slots, n - 1 nonzero entries and two ends, like a path
+    dims = dict.fromkeys(fig1.quiver.vertices, 0) | {"3L": 1, "4L": 2, "5": 2}
+    maps = {a.name: [{} for _i in range(dims[a.source])] for a in fig1.quiver.arrows}
+    maps["a_3L_4L"][0][1] = 1
+    maps["a_4L_5"][0][0] = maps["a_4L_5"][1][1] = 1
+    maps["b_4L_5"][0][0] = 1
+    rep = Representation(dims, maps)
+    assert check_relations(fig1, rep)
+    assert oracle_pdim(fig1, rep_of(fig1, "projective", "3L"), 10) == PdimResult(True, 0)
+    assert oracle_pdim(fig1, rep, 10) == PdimResult(True, 1)  # pdim K = 1
+    assert dict(projective_cover_kernel(fig1, rep).cover) == {"3L": 1, "4L": 1}
