@@ -222,27 +222,37 @@ def sup_forbidden_from_vertex(pair: AlmostGentlePair, v: str) -> tuple[LengthOrI
     """Sup over all forbidden paths starting at v; Finite(0) for sinks."""
     pair.require_vertex(v)
     pair.require_valid()
-    best: tuple[LengthOrInf, ForbiddenWalk | None] = (ZERO, None)
-    for arr in pair.out_arrows(v):
-        best = better_witnessed(pair, best, sup_forbidden_from_arrow(pair, arr.name))
-    return best
-
-
-def _witness_key(pair: AlmostGentlePair, w: ForbiddenWalk | None) -> tuple:
-    if w is None:
-        return (1,)
-    idx = pair.quiver.arrow_index
-    return (0, tuple(idx[x] for x in w.stem + w.cycle))
+    return best_witnessed(pair, (sup_forbidden_from_arrow(pair, arr.name)
+                                 for arr in pair.out_arrows(v)))
 
 
 def better_witnessed(pair: AlmostGentlePair,
             cur: tuple[LengthOrInf, ForbiddenWalk | None],
             cand: tuple[LengthOrInf, ForbiddenWalk | None]) -> tuple[LengthOrInf, ForbiddenWalk | None]:
-    if cand[0] > cur[0]:
-        return cand
-    if cand[0] == cur[0] and _witness_key(pair, cand[1]) < _witness_key(pair, cur[1]):
-        return cand
-    return cur
+    """The larger sup; on a tie the least witness, cur if they are equal.
+
+    Witnesses compare at the first arrow where they differ, by declaration
+    index; a prefix comes before its extensions and any walk before None.
+    """
+    if cand[0] != cur[0]:
+        return cand if cand[0] > cur[0] else cur
+    new, old = cand[1], cur[1]
+    if new is None or old is None or new is old:
+        return cand if old is None and new is not None else cur
+    idx = pair.quiver.arrow_index
+    seq, ref = new.stem + new.cycle, old.stem + old.cycle
+    for x, y in zip(seq, ref):
+        if x != y:
+            return cand if idx[x] < idx[y] else cur
+    return cand if len(seq) < len(ref) else cur
+
+
+def best_witnessed(pair: AlmostGentlePair, candidates) -> tuple[LengthOrInf, ForbiddenWalk | None]:
+    """The best candidate by ``better_witnessed``; (Finite(0), None) if none."""
+    best: tuple[LengthOrInf, ForbiddenWalk | None] = (ZERO, None)
+    for cand in candidates:
+        best = better_witnessed(pair, best, cand)
+    return best
 
 
 def zero_length_forbidden(pair: AlmostGentlePair, v: str) -> bool:
@@ -306,10 +316,8 @@ def delta_forbidden_sup(pair: AlmostGentlePair, delta: DirectedString) -> tuple[
     For a length-zero string this is the plain from-vertex sup at the anchor.
     """
     pair.require_valid()
-    best: tuple[LengthOrInf, ForbiddenWalk | None] = (ZERO, None)
-    for a in delta_start_arrows(pair, delta):
-        best = better_witnessed(pair, best, sup_forbidden_from_arrow(pair, a))
-    return best
+    return best_witnessed(pair, (sup_forbidden_from_arrow(pair, a)
+                                 for a in delta_start_arrows(pair, delta)))
 
 
 def forbidden_cycles(pair: AlmostGentlePair, cap: int = 10_000) -> tuple[list[tuple[str, ...]], bool]:

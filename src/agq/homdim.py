@@ -15,6 +15,7 @@ from .forbidden import (
     ZERO,
     ForbiddenWalk,
     LengthOrInf,
+    best_witnessed,
     better_witnessed,
     delta_forbidden_sup,
     digraph_data,
@@ -44,10 +45,23 @@ class GorensteinReport:
     auslander_note: str
 
 
+def _stored(pair: AlmostGentlePair, key: tuple[str, str], compute) -> DimReport:
+    """One entry of the pair's dimension table, computed on first request.
+
+    Callers check the pair and the vertex first, so every key names a vertex.
+    """
+    table = pair.memo("dimensions", dict)
+    if key not in table:
+        table[key] = compute()
+    return table[key]
+
+
 def pdim_simple(pair: AlmostGentlePair, v: str) -> DimReport:
     """proj.dim S(v) = sup of forbidden-path lengths out of v."""
-    value, witness = sup_forbidden_from_vertex(pair, v)
-    return DimReport(value, witness, "forbidden-from-vertex")
+    pair.require_vertex(v)
+    pair.require_valid()
+    return _stored(pair, ("simple", v), lambda: DimReport(
+        *sup_forbidden_from_vertex(pair, v), "forbidden-from-vertex"))
 
 
 def global_dimension(pair: AlmostGentlePair) -> DimReport:
@@ -56,10 +70,10 @@ def global_dimension(pair: AlmostGentlePair) -> DimReport:
     best: tuple[LengthOrInf, ForbiddenWalk | None] = (ZERO, None)
     at = None  # the first vertex attaining the sup
     for v in pair.quiver.vertices:
-        cand = sup_forbidden_from_vertex(pair, v)
-        if at is None or cand[0] > best[0]:
+        rep = pdim_simple(pair, v)
+        if at is None or rep.value > best[0]:
             at = v
-        best = better_witnessed(pair, best, cand)
+        best = better_witnessed(pair, best, (rep.value, rep.witness))
     return DimReport(best[0], best[1], "forbidden-global", at)
 
 
@@ -97,6 +111,11 @@ def pdim_injective(pair: AlmostGentlePair, v: str) -> DimReport:
     at least two in-arrows restarts from its surviving tails.
     """
     pair.require_valid()
+    pair.require_vertex(v)
+    return _stored(pair, ("injective", v), lambda: _pdim_injective(pair, v))
+
+
+def _pdim_injective(pair: AlmostGentlePair, v: str) -> DimReport:
     c, d = vertex_type(pair, v)
     if c == 0:
         rep = pdim_simple(pair, v)
@@ -123,17 +142,14 @@ def pdim_injective(pair: AlmostGentlePair, v: str) -> DimReport:
             unmatched_ins.append(a.name)
 
     def sup_excluding(skip: str) -> tuple[LengthOrInf, ForbiddenWalk | None]:
-        best: tuple[LengthOrInf, ForbiddenWalk | None] = (ZERO, None)
-        for b in pair.out_arrows(v):
-            if b.name != skip:
-                best = better_witnessed(pair, best, sup_forbidden_from_arrow(pair, b.name))
-        return best
+        return best_witnessed(pair, (sup_forbidden_from_arrow(pair, b.name)
+                                     for b in pair.out_arrows(v) if b.name != skip))
 
     t = desc.t
     if t < c:
         if c - 1 - t >= 1:
-            inner = sup_forbidden_from_vertex(pair, v)
-            candidates.append((inner[0].plus(1), _prefixed(inner[1], unmatched_ins[0])))
+            rep = pdim_simple(pair, v)
+            candidates.append((rep.value.plus(1), _prefixed(rep.witness, unmatched_ins[0])))
         for a_name, b_name in matched_partner.items():
             inner = sup_excluding(b_name)
             candidates.append((inner[0].plus(1), _prefixed(inner[1], a_name)))
@@ -155,10 +171,8 @@ def pdim_injective(pair: AlmostGentlePair, v: str) -> DimReport:
                 inner = sup_forbidden_from_arrow(pair, b0)
                 candidates.append((inner[0].plus(1), _prefixed(inner[1], alpha)))
 
-    best: tuple[LengthOrInf, ForbiddenWalk | None] = (ZERO, None)
-    for cand in candidates:
-        best = better_witnessed(pair, best, cand)
-    return DimReport(best[0], best[1], "injective-syzygy")
+    value, witness = best_witnessed(pair, candidates)
+    return DimReport(value, witness, "injective-syzygy")
 
 
 def self_injective_dimension(pair: AlmostGentlePair) -> DimReport:

@@ -1,9 +1,14 @@
 import gc
 import weakref
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from agq.forbidden import (
     INF,
+    ForbiddenWalk,
     LengthOrInf,
+    better_witnessed,
     delta_forbidden_sup,
     forbidden_cycles,
     is_down_relational,
@@ -16,6 +21,7 @@ from agq.forbidden import (
 from agq.strings import DirectedString
 from agq.generator import GeneratorParams, random_ag_pair
 from agq.homdim import global_dimension
+from conftest import make_pair
 
 
 def test_sup_from_arrow_fig1(fig1):
@@ -159,3 +165,58 @@ def test_forbidden_cycles_truncation_keeps_representatives():
     capped, trunc = forbidden_cycles(pair, cap=1)
     assert trunc
     assert {cyc[0] for cyc in capped} == {"a", "c"}  # one per component
+
+
+def _reference_key(pair, walk):
+    if walk is None:
+        return (1,)
+    idx = pair.quiver.arrow_index
+    return (0, tuple(idx[x] for x in walk.stem + walk.cycle))
+
+
+def _reference_better(pair, cur, cand):
+    if cand[0] > cur[0]:
+        return cand
+    if cand[0] == cur[0] and _reference_key(pair, cand[1]) < _reference_key(pair, cur[1]):
+        return cand
+    return cur
+
+
+@st.composite
+def _candidate_pairs(draw):
+    """Two (sup, witness) candidates: equal walks, prefixes, lassos and None."""
+    names = st.sampled_from(["a", "b", "c", "d"])
+    arrows = st.lists(names, max_size=5).map(tuple)
+    first = ForbiddenWalk(draw(arrows), draw(arrows))
+    second = draw(st.sampled_from(["equal", "prefix", "extension", "resplit", "other"]))
+    seq = first.stem + first.cycle
+    cut = draw(st.integers(0, len(seq)))
+    if second == "equal":
+        other = ForbiddenWalk(first.stem, first.cycle)
+    elif second == "prefix":
+        other = ForbiddenWalk(seq[:cut])
+    elif second == "extension":
+        other = ForbiddenWalk(first.stem, first.cycle + draw(arrows))
+    elif second == "resplit":  # the same arrows, stem and cycle cut elsewhere
+        other = ForbiddenWalk(seq[:cut], seq[cut:])
+    else:
+        other = ForbiddenWalk(draw(arrows), draw(arrows))
+    walks = [draw(st.sampled_from([first, None])), draw(st.sampled_from([other, None]))]
+    if draw(st.booleans()):
+        walks.reverse()
+    sups = st.sampled_from([LengthOrInf.finite(1), LengthOrInf.finite(2), INF])
+    tied = draw(st.booleans())
+    s0 = draw(sups)
+    return (s0, walks[0]), (s0 if tied else draw(sups), walks[1])
+
+
+# Only the arrow declaration order matters here (d, b, a, c, unlike the
+# names' own order); the tie-break does not ask for a valid pair.
+_LOOPS = make_pair(["1"], [(x, "1", "1") for x in "dbac"], [])
+
+
+@settings(max_examples=500, deadline=None)
+@given(_candidate_pairs())
+def test_better_witnessed_matches_the_arrow_index_key(cands):
+    cur, cand = cands
+    assert better_witnessed(_LOOPS, cur, cand) is _reference_better(_LOOPS, cur, cand)

@@ -1,3 +1,11 @@
+import gc
+import weakref
+
+import pytest
+
+import agq.homdim
+from agq.agqfile import parse_agq
+from agq.emitters import emit_json, report_json
 from agq.forbidden import INF, LengthOrInf
 from agq.homdim import (
     global_dimension,
@@ -12,7 +20,8 @@ from agq.homdim import (
 )
 from agq.strings import DirectedString
 from agq.generator import GeneratorParams, random_ag_pair
-from agq.quiver import opposite
+from agq.quiver import NotValidatedError, UnknownVertexError, opposite
+from conftest import FIG1_ARROWS, FIG1_RELS, FIG1_VERTICES, FIXTURES, make_pair
 
 
 def fin(n):
@@ -192,3 +201,60 @@ def test_witness_invariants_on_corpus():
                 assert len(rep.witness.stem) == rep.value.value
             else:
                 assert rep.witness.is_lasso
+
+
+def test_dimension_table_is_stored_on_the_pair_only(monkeypatch):
+    pair = make_pair(FIG1_VERTICES, FIG1_ARROWS, FIG1_RELS)
+    computed: dict[str, int] = {}
+    anticlaw_of = agq.homdim.anticlaw_of
+
+    def counting(p, v):
+        computed[v] = computed.get(v, 0) + 1
+        return anticlaw_of(p, v)
+
+    monkeypatch.setattr(agq.homdim, "anticlaw_of", counting)
+    report_json(pair)
+    assert computed and max(computed.values()) == 1  # each E(v) computed once
+    for v in pair.quiver.vertices:
+        assert pdim_injective(pair, v) is pdim_injective(pair, v)
+        assert pdim_simple(pair, v) is pdim_simple(pair, v)
+    ref = weakref.ref(pair)
+    del pair
+    gc.collect()
+    assert ref() is None  # no module-level table keeps the pair alive
+
+
+def test_dimension_table_checks_run_before_the_lookup(fig1):
+    report_json(fig1)
+    for fn in (pdim_simple, pdim_injective):
+        with pytest.raises(UnknownVertexError):
+            fn(fig1, "zz")
+    assert not any("zz" in key for key in fig1.memo("dimensions", dict))
+    bad = parse_agq((FIXTURES / "loop_norel.agq").read_text()).pair()
+    for fn in (pdim_simple, pdim_injective):
+        with pytest.raises(NotValidatedError):
+            fn(bad, "1")
+
+
+def test_dimension_table_query_order_does_not_matter():
+    texts = [f.read_text() for f in sorted(FIXTURES.glob("*.agq"))]
+    pairs = [(lambda t=t: parse_agq(t).pair()) for t in texts]
+    pairs += [(lambda s=s: random_ag_pair(GeneratorParams(seed=s))[0]) for s in range(1, 51)]
+    checked = 0
+    for make in pairs:
+        reverse, fresh = make(), make()
+        if not fresh.validated:
+            continue
+        vertices = fresh.quiver.vertices
+        for v in reversed(vertices):
+            pdim_injective(reverse, v)
+            pdim_simple(reverse, v)
+        global_dimension(reverse)
+        assert emit_json(report_json(reverse)) == emit_json(report_json(fresh))
+        for v in vertices:
+            assert pdim_injective(reverse, v) == pdim_injective(fresh, v)
+            assert pdim_simple(reverse, v) == pdim_simple(fresh, v)
+        assert global_dimension(reverse) == global_dimension(fresh)
+        assert self_injective_dimension(reverse) == self_injective_dimension(fresh)
+        checked += 1
+    assert checked == 58  # 8 valid fixtures and 50 corpus seeds
