@@ -58,8 +58,8 @@ def _stored(pair: AlmostGentlePair, key: tuple[str, str], compute) -> DimReport:
 
 def pdim_simple(pair: AlmostGentlePair, v: str) -> DimReport:
     """proj.dim S(v) = sup of forbidden-path lengths out of v."""
-    pair.require_vertex(v)
     pair.require_valid()
+    pair.require_vertex(v)
     return _stored(pair, ("simple", v), lambda: DimReport(
         *sup_forbidden_from_vertex(pair, v), "forbidden-from-vertex"))
 

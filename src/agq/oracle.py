@@ -5,10 +5,13 @@ Everything here is plain linear algebra over the rationals; the only
 combinatorial input is the basis-path structure of the projectives.  Kernels
 are split into support components (a basis-level direct sum decomposition).
 Only a path-shaped component (every string module is one) has a sound
-canonical iso key.  Each syzygy step and each finite projective dimension is
-stored per pair and pivot under it, and repeating syzygies are detected by
-it: a module isomorphic to a summand of one of its own higher syzygies has
-infinite projective dimension.
+canonical iso key.  Each component is keyed once, when it is made: a stored
+syzygy step hands out its kernel's components paired with their keys.  Each
+syzygy step and each finite projective dimension is stored per pair and
+pivot under the key, and repeating syzygies are detected by it: a module
+isomorphic to a summand of one of its own higher syzygies has infinite
+projective dimension.  The level comparison walks each resolution level as
+a multiset of iso classes, covering and summing each class once.
 """
 
 from __future__ import annotations
@@ -417,19 +420,24 @@ def _component_key(pair: AlmostGentlePair, rep: Representation):
 BUDGET_DIM = 200_000  # the largest module the oracle covers
 
 
-def _syzygy(pair: AlmostGentlePair, rep: Representation,
-            pivot: str = "first") -> tuple[tuple[tuple[str, int], ...], tuple[Representation, ...]]:
+KeyedComponent = tuple[object, Representation]  # (iso key or None, component)
+
+
+def _syzygy(pair: AlmostGentlePair, rep: Representation, key, pivot: str = "first"
+            ) -> tuple[tuple[tuple[str, int], ...], tuple[KeyedComponent, ...]]:
     """One syzygy step: the minimal cover of rep and its kernel's components.
 
-    Stored per pair under the pivot and rep's iso key, or, for a module
-    without one, its exact entries.  Every caller gets the same stored
+    key is rep's iso key, or None for a module without one.  The step is
+    stored per pair under the pivot and the key, or, without a key, rep's
+    exact entries.  Each kernel component is keyed once, when it is made,
+    and comes paired with its key.  Every caller gets the same stored
     components, so none may modify them.
     """
     def compute():
         ck = projective_cover_kernel(pair, rep, pivot)
-        return ck.cover, tuple(_components(pair, ck.kernel))
+        return ck.cover, tuple((_component_key(pair, comp), comp)
+                               for comp in _components(pair, ck.kernel))
 
-    key = _component_key(pair, rep)
     if key is None:
         key = ("entries", tuple(rep.dims[v] for v in pair.quiver.vertices),
                tuple(tuple(tuple(row.items()) for row in rep.maps[a.name])
@@ -437,25 +445,15 @@ def _syzygy(pair: AlmostGentlePair, rep: Representation,
     return pair.memo(("syzygy", pivot, key), compute)
 
 
-def _dim_sum(comps) -> dict[str, int]:
-    """The dimension vector of the direct sum of comps."""
-    total: dict[str, int] = {}
-    for comp in comps:
-        for w, n in comp.dim_vector().items():
-            total[w] = total.get(w, 0) + n
-    return total
-
-
-def _pdim(pair: AlmostGentlePair, rep: Representation, pivot: str, hardcap: int,
+def _pdim(pair: AlmostGentlePair, rep: Representation, key, pivot: str, hardcap: int,
           stack: frozenset = frozenset(), depth: int = 0) -> int | None:
-    """Projective dimension of a nonzero rep; None encodes infinity.
+    """Projective dimension of a nonzero rep (iso key: key); None encodes infinity.
 
     Finite values are stored per pair and pivot under the iso key.  A key
     met again below itself is a syzygy recurrence, hence infinite; so is
     going deeper than hardcap.
     """
     memo = pair.memo(("pdim", pivot), dict)
-    key = _component_key(pair, rep)
     if key is not None:
         if key in memo:
             return memo[key]
@@ -467,8 +465,8 @@ def _pdim(pair: AlmostGentlePair, rep: Representation, pivot: str, hardcap: int,
     if rep.total_dim() > BUDGET_DIM:
         raise AssertionError("oracle dimension budget exceeded")
     val = 0
-    for comp in _syzygy(pair, rep, pivot)[1]:
-        sub = _pdim(pair, comp, pivot, hardcap, stack, depth + 1)
+    for sub_key, comp in _syzygy(pair, rep, key, pivot)[1]:
+        sub = _pdim(pair, comp, sub_key, pivot, hardcap, stack, depth + 1)
         if sub is None:
             return None
         val = max(val, sub + 1)
@@ -491,7 +489,7 @@ def oracle_pdim(pair: AlmostGentlePair, rep: Representation, cutoff: int | None 
     if cutoff < 1:
         raise ValueError("cutoff must be at least 1")
     hardcap = max(cutoff, len(pair.quiver.vertices) + len(pair.quiver.arrows) + 4)
-    val = _pdim(pair, rep, pivot, hardcap) if rep.total_dim() else 0
+    val = _pdim(pair, rep, _component_key(pair, rep), pivot, hardcap) if rep.total_dim() else 0
     if val is None:
         return PdimResult(False, cutoff)
     return PdimResult(True, val)
@@ -572,22 +570,51 @@ def check_against_formulas(pair: AlmostGentlePair, cutoff: int = 40,
     return AgreementReport(tuple(mismatches), checked)
 
 
+# A resolution level is a multiset of modules: iso class -> [representative,
+# multiplicity].  The class of a path-shaped component is its iso key; a
+# component without one is a class of its own, numbered by its position.
+Level = dict
+
+
+def _add(level: Level, key, comp: Representation, mult: int = 1) -> None:
+    level.setdefault(key if key is not None else len(level), [comp, 0])[1] += mult
+
+
+def _level(pair: AlmostGentlePair, reps) -> Level:
+    """Fresh modules as a level, each keyed once, here."""
+    level: Level = {}
+    for rep in reps:
+        _add(level, _component_key(pair, rep), rep)
+    return level
+
+
 def _cover_kernel_componentwise(pair: AlmostGentlePair,
-                                comps) -> tuple[dict[str, int], list[Representation]]:
-    """Cover multiset and kernel components, one small cover per component.
+                                level: Level) -> tuple[dict[str, int], Level]:
+    """Cover multiset and kernel level, one small cover per class.
 
     Minimal covers are additive over direct sums, so this agrees with
     covering the whole module at once while keeping the elimination sizes
-    bounded by component sizes.
+    bounded by component sizes; a class of multiplicity m counts m times.
     """
     cover_counts: dict[str, int] = {}
-    kernel_comps: list[Representation] = []
-    for comp in comps:
-        cover, kcomps = _syzygy(pair, comp)
+    kernel: Level = {}
+    for cls, (comp, mult) in level.items():
+        cover, kcomps = _syzygy(pair, comp, cls if isinstance(cls, tuple) else None)
         for w, m in cover:
-            cover_counts[w] = cover_counts.get(w, 0) + m
-        kernel_comps.extend(kcomps)
-    return cover_counts, kernel_comps
+            cover_counts[w] = cover_counts.get(w, 0) + m * mult
+        for key, kcomp in kcomps:
+            _add(kernel, key, kcomp, mult)
+    return cover_counts, kernel
+
+
+def _dim_sum(level: Level) -> dict[str, int]:
+    """The dimension vector of the direct sum of a level."""
+    total: dict[str, int] = {}
+    for comp, mult in level.values():
+        for w, n in comp.dims.items():
+            if n:
+                total[w] = total.get(w, 0) + n * mult
+    return total
 
 
 def _oracle_psi0_projective(pair: AlmostGentlePair, v: str) -> bool:
@@ -599,13 +626,12 @@ def _oracle_psi0_projective(pair: AlmostGentlePair, v: str) -> bool:
     """
     from .syzygy import omega1_injective
 
-    omega1 = _syzygy(pair, rep_of(pair, "injective", v))[1]
-    _cover, omega2 = _cover_kernel_componentwise(pair, omega1)
-    leftovers: list[Representation] = []
-    for s in omega1_injective(pair, v)[1]:
-        piece = (rep_of(pair, "simple", s.vertex) if s.kind == "simple"
-                 else rep_of(pair, "string", DirectedString.of(s.arrows)))
-        leftovers.extend(_syzygy(pair, piece)[1])
+    omega1 = _cover_kernel_componentwise(pair, _level(pair, [rep_of(pair, "injective", v)]))[1]
+    omega2 = _cover_kernel_componentwise(pair, omega1)[1]
+    pieces = [rep_of(pair, "simple", s.vertex) if s.kind == "simple"
+              else rep_of(pair, "string", DirectedString.of(s.arrows))
+              for s in omega1_injective(pair, v)[1]]
+    leftovers = _cover_kernel_componentwise(pair, _level(pair, pieces))[1]
     return _dim_sum(omega2) == _dim_sum(leftovers)
 
 
@@ -614,18 +640,18 @@ def _compare_levels(pair: AlmostGentlePair, v: str, kind: str,
     from .syzygy import resolve_symbolic
 
     res = resolve_symbolic(pair, kind, v, max_steps=levels_cap)
-    comps = _components(pair, rep_of(pair, kind, v))
-    for k, level in enumerate(res.levels):
-        if sum(c.total_dim() for c in comps) > budget:
+    level = _level(pair, _components(pair, rep_of(pair, kind, v)))
+    for k, sym in enumerate(res.levels):
+        if sum(comp.total_dim() * mult for comp, mult in level.values()) > budget:
             return
-        cover_counts, comps = _cover_kernel_componentwise(pair, comps)
-        sym_cover = dict(level.cover)
+        cover_counts, level = _cover_kernel_componentwise(pair, level)
+        sym_cover = dict(sym.cover)
         if cover_counts != sym_cover:
             yield Mismatch(v, f"{kind}-resolution-cover-level-{k}",
                            str(sorted(sym_cover.items())), str(sorted(cover_counts.items())))
             return
-        kernel_dims = _dim_sum(comps)
-        sym_dims = level.syzygy.dim_vector(pair)
+        kernel_dims = _dim_sum(level)
+        sym_dims = sym.syzygy.dim_vector(pair)
         if sym_dims != kernel_dims:
             yield Mismatch(v, f"{kind}-resolution-kernel-level-{k}",
                            str(sorted(sym_dims.items())), str(sorted(kernel_dims.items())))

@@ -225,16 +225,21 @@ class Psi0Descriptor:
 
 
 def psi0_descriptor(pair: AlmostGentlePair, v: str) -> Psi0Descriptor:
+    """The socle-block shape of E(v), computed once per pair and vertex."""
     pair.require_valid()
     c, d = vertex_type(pair, v)
-    ins = pair.in_arrows(v)
-    tails = []
-    for b in pair.out_arrows(v):
-        tail = right_maximal_extension(pair, string_of(pair, (b.name,)))
-        flag = any((a.name, b.name) not in pair.relations for a in ins)
-        tails.append((tail, flag))
-    t = sum(1 for _, f in tails if f)
-    return Psi0Descriptor(v, c, d, t, tuple(tails))
+
+    def compute() -> Psi0Descriptor:
+        ins = pair.in_arrows(v)
+        tails = []
+        for b in pair.out_arrows(v):
+            tail = right_maximal_extension(pair, string_of(pair, (b.name,)))
+            flag = any((a.name, b.name) not in pair.relations for a in ins)
+            tails.append((tail, flag))
+        t = sum(1 for _, f in tails if f)
+        return Psi0Descriptor(v, c, d, t, tuple(tails))
+
+    return pair.memo(("psi0", v), compute)
 
 
 def psi0_dim_vector(pair: AlmostGentlePair, v: str) -> dict[str, int]:

@@ -1,6 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agq.agqfile import ParseError, document_of, emit_agq, load_pair, parse_agq
+from agq.quiver import AgqError
 from conftest import FIXTURES
 from agq.generator import GeneratorParams, random_ag_pair
 
@@ -129,3 +132,39 @@ def test_parse_empty_text():
     doc = parse_agq("")
     assert doc.vertices == [] and doc.arrows == []
     assert doc.pair().validated
+
+
+_NAMES = st.sampled_from(["1", "2", "3", "a", "b", "x'", "v_1"])
+_WORDS = st.one_of(_NAMES, st.sampled_from(
+    ["algebra", "vertex", "arrow", "rel", ":", "->", "-", ">", "#", "\u00e9", "?"]))
+_GAPS = st.sampled_from(["", " ", "  ", "\t", "\r", "\x0b", "\x0c", "\u00a0", "\u2028", "\u3000"])
+_LINES = st.one_of(
+    st.lists(st.tuples(_GAPS, _WORDS), max_size=7).map(lambda ws: "".join(g + w for g, w in ws)),
+    st.builds("vertex {} {}".format, _NAMES, _NAMES),
+    st.builds("arrow {} : {} -> {}".format, _NAMES, _NAMES, _NAMES),
+    st.builds("rel {} {}".format, _NAMES, _NAMES),
+)
+
+
+def _parses_or_raises_agq_errors(text):
+    """parse_agq gives a document or a ParseError; doc.pair() a pair or an AgqError."""
+    try:
+        doc = parse_agq(text)
+    except ParseError:
+        return
+    try:
+        doc.pair()
+    except AgqError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text())
+def test_arbitrary_text_raises_only_agq_errors(text):
+    _parses_or_raises_agq_errors(text)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_LINES, max_size=8).map("\n".join))
+def test_grammar_token_text_raises_only_agq_errors(text):
+    _parses_or_raises_agq_errors(text)

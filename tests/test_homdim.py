@@ -234,6 +234,8 @@ def test_dimension_table_checks_run_before_the_lookup(fig1):
     for fn in (pdim_simple, pdim_injective):
         with pytest.raises(NotValidatedError):
             fn(bad, "1")
+        with pytest.raises(NotValidatedError):  # the pair is checked before the vertex
+            fn(bad, "zz")
 
 
 def test_dimension_table_query_order_does_not_matter():

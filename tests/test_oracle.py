@@ -2,6 +2,7 @@ import gc
 import weakref
 
 import agq.oracle
+import agq.syzygy
 from agq.linalg import identity, left_nullspace, mat_mul, rank, rref
 from agq.oracle import (
     PdimResult,
@@ -199,3 +200,115 @@ def test_path_plus_cycle_is_not_taken_for_the_path(fig1):
     assert oracle_pdim(fig1, rep_of(fig1, "projective", "3L"), 10) == PdimResult(True, 0)
     assert oracle_pdim(fig1, rep, 10) == PdimResult(True, 1)  # pdim K = 1
     assert dict(projective_cover_kernel(fig1, rep).cover) == {"3L": 1, "4L": 1}
+
+
+def _valid_pairs(seeds):
+    """Fresh pairs: the valid fixtures, then default-generator seeds."""
+    from conftest import FIXTURES
+    from agq.agqfile import parse_agq
+    pairs = [parse_agq(f.read_text()).pair() for f in sorted(FIXTURES.glob("*.agq"))]
+    pairs += [random_ag_pair(GeneratorParams(seed=s))[0] for s in seeds]
+    return [p for p in pairs if p.validated]
+
+
+def test_each_component_is_keyed_once(monkeypatch):
+    from conftest import FIG1_ARROWS, FIG1_RELS, FIG1_VERTICES, make_pair
+    walks: dict[int, list] = {}
+    key = agq.oracle._component_key
+
+    def counted(pair, rep):
+        walks.setdefault(id(rep), [rep, 0])[1] += 1  # holds rep, so no id is reused
+        return key(pair, rep)
+
+    monkeypatch.setattr(agq.oracle, "_component_key", counted)
+    pairs = [make_pair(FIG1_VERTICES, FIG1_ARROWS, FIG1_RELS)]
+    pairs += [random_ag_pair(GeneratorParams(seed=s))[0] for s in range(1, 21)]
+    for pair in pairs:
+        check_against_formulas(pair)
+    assert len(walks) > 1000
+    assert max(n for _rep, n in walks.values()) == 1
+
+
+def _reference_levels(pair, v, kind, repeats, levels_cap=6, budget=120):
+    """The oracle's level comparison, one component at a time over plain lists.
+
+    Nothing is stored: every component of every level is covered afresh.
+    repeats counts the levels where two components are isomorphic strings.
+    """
+    from agq.oracle import Mismatch, _component_key, _components
+
+    res = agq.syzygy.resolve_symbolic(pair, kind, v, max_steps=levels_cap)
+    comps = _components(pair, rep_of(pair, kind, v))
+    for k, level in enumerate(res.levels):
+        if sum(c.total_dim() for c in comps) > budget:
+            return []
+        cover: dict[str, int] = {}
+        kernel = []
+        for comp in comps:
+            ck = projective_cover_kernel(pair, comp)
+            for w, m in ck.cover:
+                cover[w] = cover.get(w, 0) + m
+            kernel.extend(_components(pair, ck.kernel))
+        comps = kernel
+        keys = [key for key in (_component_key(pair, c) for c in comps) if key is not None]
+        repeats[0] += len(set(keys)) < len(keys)
+        sym_cover = dict(level.cover)
+        if cover != sym_cover:
+            return [Mismatch(v, f"{kind}-resolution-cover-level-{k}",
+                             str(sorted(sym_cover.items())), str(sorted(cover.items())))]
+        dims: dict[str, int] = {}
+        for comp in comps:
+            for w, n in comp.dim_vector().items():
+                dims[w] = dims.get(w, 0) + n
+        sym_dims = level.syzygy.dim_vector(pair)
+        if sym_dims != dims:
+            return [Mismatch(v, f"{kind}-resolution-kernel-level-{k}",
+                             str(sorted(sym_dims.items())), str(sorted(dims.items())))]
+    return []
+
+
+def _level_mismatches_agree(pair, repeats):
+    report = check_against_formulas(pair)
+    ours = [m for m in report.mismatches if "resolution" in m.quantity]
+    ref = [m for v in pair.quiver.vertices for kind in ("simple", "injective")
+           for m in _reference_levels(pair, v, kind, repeats)]
+    assert ours == ref
+    return ours
+
+
+def test_level_multisets_match_a_plain_list_walk():
+    repeats = [0]
+    pairs = _valid_pairs(range(1, 51))
+    assert len(pairs) == 58
+    for pair in pairs:
+        assert _level_mismatches_agree(pair, repeats) == []
+    assert repeats[0]  # some walked level holds a class with multiplicity > 1
+
+
+def test_level_multisets_report_a_perturbed_level_like_a_plain_list_walk(monkeypatch):
+    import dataclasses
+    from agq.syzygy import Summand, SyzygyDecomposition
+    resolve = agq.syzygy.resolve_symbolic
+
+    def perturb(part):
+        def perturbed(pair, kind, v, max_steps=64):
+            res = resolve(pair, kind, v, max_steps=max_steps)
+            k = min(1, len(res.levels) - 1)
+            level = res.levels[k]
+            if part == "cover":
+                cover = dict(level.cover)
+                cover[v] = cover.get(v, 0) + 1
+                level = dataclasses.replace(level, cover=tuple(cover.items()))
+            else:
+                extra = list(level.syzygy.items) + [(Summand.simple(v), 2)]
+                level = dataclasses.replace(level, syzygy=SyzygyDecomposition.of(pair, extra))
+            return dataclasses.replace(res, levels=res.levels[:k] + (level,) + res.levels[k + 1:])
+        return perturbed
+
+    repeats = [0]
+    for part in ("cover", "kernel"):
+        monkeypatch.setattr(agq.syzygy, "resolve_symbolic", perturb(part))
+        for pair in _valid_pairs(range(1, 21)):
+            found = _level_mismatches_agree(pair, repeats)
+            assert found and all(f"-{part}-level-" in m.quantity for m in found)
+    assert repeats[0]
