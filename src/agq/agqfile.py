@@ -75,7 +75,7 @@ def parse_agq(text: str) -> AgqDocument:
                 if name in doc.line_of and explicit_vertices:
                     raise ParseError(lineno, col + 1,
                                      f"vertex {name!r} already declared on line {doc.line_of[name]}")
-                if name not in doc.vertices:
+                if name not in doc.line_of:
                     doc.vertices.append(name)
                     doc.line_of[name] = lineno
                 col += len(name)
@@ -108,15 +108,12 @@ def parse_agq(text: str) -> AgqDocument:
             if n not in arrow_names:
                 raise ParseError(lineno, col, f"relation mentions unknown arrow {n!r}")
     if not explicit_vertices:
-        for a in doc.arrows:
-            for v in (a.source, a.target):
-                if v not in doc.vertices:
-                    doc.vertices.append(v)
+        doc.vertices = list(dict.fromkeys(v for a in doc.arrows for v in (a.source, a.target)))
     else:
         for a in doc.arrows:
             lineno, col_src, col_tgt = arrow_at[a.name]
             for v, col in ((a.source, col_src), (a.target, col_tgt)):
-                if v not in doc.vertices:
+                if v not in doc.line_of:
                     raise ParseError(lineno, col, f"arrow {a.name!r} uses undeclared vertex {v!r}")
     return doc
 

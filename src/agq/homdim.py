@@ -22,7 +22,7 @@ from .forbidden import (
     sup_forbidden_from_arrow,
     sup_forbidden_from_vertex,
 )
-from .quiver import AlmostGentlePair, vertex_type
+from .quiver import AlmostGentlePair, nonzero_successor, vertex_type
 from .strings import DirectedString, anticlaw_of, socle_supports, string_of, string_source
 from .syzygy import is_invalid_vertex, psi0_descriptor
 
@@ -134,10 +134,9 @@ def _pdim_injective(pair: AlmostGentlePair, v: str) -> DimReport:
     matched_partner: dict[str, str] = {}
     unmatched_ins: list[str] = []
     for a in ins:
-        hits = [b.name for b in pair.out_arrows(v)
-                if (a.name, b.name) not in pair.relations]
-        if hits:
-            matched_partner[a.name] = hits[0]
+        b = nonzero_successor(pair, a.name)
+        if b is not None:
+            matched_partner[a.name] = b
         else:
             unmatched_ins.append(a.name)
 

@@ -484,12 +484,19 @@ def oracle_pdim(pair: AlmostGentlePair, rep: Representation, cutoff: int | None 
     cutoff is twice the number of nonzero basis paths plus four.
     """
     pair.require_valid()
+    return _keyed_pdim(pair, (_component_key(pair, rep), rep), cutoff, pivot)
+
+
+def _keyed_pdim(pair: AlmostGentlePair, module: KeyedComponent, cutoff: int | None,
+                pivot: str = "first") -> PdimResult:
+    """oracle_pdim of a module that comes with its iso key (or None)."""
+    key, rep = module
     if cutoff is None:
         cutoff = default_cutoff(pair)
     if cutoff < 1:
         raise ValueError("cutoff must be at least 1")
     hardcap = max(cutoff, len(pair.quiver.vertices) + len(pair.quiver.arrows) + 4)
-    val = _pdim(pair, rep, _component_key(pair, rep), pivot, hardcap) if rep.total_dim() else 0
+    val = _pdim(pair, rep, key, pivot, hardcap) if rep.total_dim() else 0
     if val is None:
         return PdimResult(False, cutoff)
     return PdimResult(True, val)
@@ -542,14 +549,20 @@ def check_against_formulas(pair: AlmostGentlePair, cutoff: int = 40,
     checked = 0
 
     for v in pair.quiver.vertices:
+        # S(v) and E(v) are built and keyed once here, for every check below
+        modules = {}
+        for kind in ("simple", "injective"):
+            rep = rep_of(pair, kind, v)
+            modules[kind] = (_component_key(pair, rep), rep)
+
         frm = pdim_simple(pair, v).value
-        orc = oracle_pdim(pair, rep_of(pair, "simple", v), cutoff)
+        orc = _keyed_pdim(pair, modules["simple"], cutoff)
         checked += 1
         if not _agrees(frm, orc):
             mismatches.append(Mismatch(v, "pdim_simple", str(frm), str(orc)))
 
         frm = pdim_injective(pair, v).value
-        orc = oracle_pdim(pair, rep_of(pair, "injective", v), cutoff)
+        orc = _keyed_pdim(pair, modules["injective"], cutoff)
         checked += 1
         if not _agrees(frm, orc):
             mismatches.append(Mismatch(v, "pdim_injective", str(frm), str(orc)))
@@ -557,13 +570,13 @@ def check_against_formulas(pair: AlmostGentlePair, cutoff: int = 40,
         c, _d = vertex_type(pair, v)
         if c >= 1:
             invalid = is_invalid_vertex(pair, v)[0]
-            proj = _oracle_psi0_projective(pair, v)
+            proj = _oracle_psi0_projective(pair, v, modules["injective"])
             checked += 1
             if invalid != proj:
                 mismatches.append(Mismatch(v, "psi0_projective", str(invalid), str(proj)))
 
         for kind in ("simple", "injective"):
-            for m in _compare_levels(pair, v, kind, levels_cap, level_dim_budget):
+            for m in _compare_levels(pair, v, kind, modules[kind], levels_cap, level_dim_budget):
                 mismatches.append(m)
             checked += 1
 
@@ -617,16 +630,24 @@ def _dim_sum(level: Level) -> dict[str, int]:
     return total
 
 
-def _oracle_psi0_projective(pair: AlmostGentlePair, v: str) -> bool:
-    """Projectivity of the socle block by pure dimension bookkeeping.
+def _module_level(module: KeyedComponent) -> Level:
+    """An indecomposable module with its iso key, as a level of its own."""
+    level: Level = {}
+    _add(level, *module)
+    return level
 
-    Omega_2(E(v)) equals the first syzygy of the per-branch leftovers alone
-    exactly when the block is projective; minimal covers are additive over
-    direct sums, so dimension vectors decide this.
+
+def _oracle_psi0_projective(pair: AlmostGentlePair, v: str, injective: KeyedComponent) -> bool:
+    """Projectivity of the socle block of E(v) by pure dimension bookkeeping.
+
+    injective is E(v) with its iso key.  Omega_2(E(v)) equals the first
+    syzygy of the per-branch leftovers alone exactly when the block is
+    projective; minimal covers are additive over direct sums, so dimension
+    vectors decide this.
     """
     from .syzygy import omega1_injective
 
-    omega1 = _cover_kernel_componentwise(pair, _level(pair, [rep_of(pair, "injective", v)]))[1]
+    omega1 = _cover_kernel_componentwise(pair, _module_level(injective))[1]
     omega2 = _cover_kernel_componentwise(pair, omega1)[1]
     pieces = [rep_of(pair, "simple", s.vertex) if s.kind == "simple"
               else rep_of(pair, "string", DirectedString.of(s.arrows))
@@ -635,12 +656,13 @@ def _oracle_psi0_projective(pair: AlmostGentlePair, v: str) -> bool:
     return _dim_sum(omega2) == _dim_sum(leftovers)
 
 
-def _compare_levels(pair: AlmostGentlePair, v: str, kind: str,
+def _compare_levels(pair: AlmostGentlePair, v: str, kind: str, module: KeyedComponent,
                     levels_cap: int, budget: int):
+    """Symbolic resolution levels of module, S(v) or E(v) with its iso key, against the oracle's."""
     from .syzygy import resolve_symbolic
 
     res = resolve_symbolic(pair, kind, v, max_steps=levels_cap)
-    level = _level(pair, _components(pair, rep_of(pair, kind, v)))
+    level = _module_level(module)
     for k, sym in enumerate(res.levels):
         if sum(comp.total_dim() * mult for comp, mult in level.values()) > budget:
             return

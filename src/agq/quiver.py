@@ -103,7 +103,7 @@ class ValidationReport:
     warnings: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NonzeroPath:
     """A path avoiding every relation pair; length zero carries its vertex."""
 

@@ -21,7 +21,7 @@ from .quiver import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DirectedString:
     """A nonzero directed path; length zero carries its anchor vertex."""
 
@@ -62,6 +62,33 @@ def string_target(pair: AlmostGentlePair, ds: DirectedString) -> str:
     return path_target(pair, ds.path)
 
 
+def _maximal_strings(pair: AlmostGentlePair, right: bool) -> dict[str, DirectedString]:
+    """The right maximal string starting with each arrow, or the left maximal
+    string ending with it; stored once per pair and direction.
+
+    One pass along the nonzero successor (predecessor) map: each chain is
+    walked until it meets an arrow already in the table, whose entry is then
+    extended back along the chain.  Admissibility makes every walk finite.
+    """
+    step = nonzero_successor if right else nonzero_predecessor
+
+    def compute() -> dict[str, DirectedString]:
+        table: dict[str, DirectedString] = {}
+        for a in pair.quiver.arrows:
+            chain: list[str] = []
+            x: str | None = a.name
+            while x is not None and x not in table:
+                chain.append(x)
+                x = step(pair, x)
+            arrows = table[x].arrows if x is not None else ()
+            for y in reversed(chain):
+                arrows = (y,) + arrows if right else arrows + (y,)
+                table[y] = DirectedString(NonzeroPath(arrows))
+        return table
+
+    return pair.memo(("maximal", right), compute)
+
+
 def right_maximal_extension(pair: AlmostGentlePair, ds: DirectedString) -> DirectedString:
     """Extend by the unique nonzero successor of the last arrow until stuck.
 
@@ -72,24 +99,18 @@ def right_maximal_extension(pair: AlmostGentlePair, ds: DirectedString) -> Direc
     pair.require_valid()
     if not ds.arrows:
         return ds
-    arrows = list(string_of(pair, ds.arrows).arrows)
-    while True:
-        nxt = nonzero_successor(pair, arrows[-1])
-        if nxt is None:
-            return DirectedString(NonzeroPath(tuple(arrows)))
-        arrows.append(nxt)
+    arrows = string_of(pair, ds.arrows).arrows
+    tail = _maximal_strings(pair, True)[arrows[-1]].arrows
+    return DirectedString(NonzeroPath(arrows[:-1] + tail))
 
 
 def left_maximal_extension(pair: AlmostGentlePair, ds: DirectedString) -> DirectedString:
     pair.require_valid()
     if not ds.arrows:
         return ds
-    arrows = list(string_of(pair, ds.arrows).arrows)
-    while True:
-        prv = nonzero_predecessor(pair, arrows[0])
-        if prv is None:
-            return DirectedString(NonzeroPath(tuple(arrows)))
-        arrows.insert(0, prv)
+    arrows = string_of(pair, ds.arrows).arrows
+    head = _maximal_strings(pair, False)[arrows[0]].arrows
+    return DirectedString(NonzeroPath(head + arrows[1:]))
 
 
 def is_right_maximal(pair: AlmostGentlePair, ds: DirectedString) -> bool:
@@ -117,17 +138,17 @@ class AntiClaw:
 def claw_of(pair: AlmostGentlePair, v: str) -> Claw:
     pair.require_valid()
     pair.require_vertex(v)
+    table = _maximal_strings(pair, True)
     return pair.memo(("claw", v), lambda: Claw(v, tuple(
-        right_maximal_extension(pair, DirectedString.of((a.name,)))
-        for a in pair.out_arrows(v))))
+        table[a.name] for a in pair.out_arrows(v))))
 
 
 def anticlaw_of(pair: AlmostGentlePair, v: str) -> AntiClaw:
     pair.require_valid()
     pair.require_vertex(v)
+    table = _maximal_strings(pair, False)
     return pair.memo(("anticlaw", v), lambda: AntiClaw(v, tuple(
-        left_maximal_extension(pair, DirectedString.of((a.name,)))
-        for a in pair.in_arrows(v))))
+        table[a.name] for a in pair.in_arrows(v))))
 
 
 def string_dim_vector(pair: AlmostGentlePair, ds: DirectedString) -> dict[str, int]:

@@ -22,13 +22,12 @@ from .strings import (
     claw_of,
     is_right_maximal,
     module_dims,
-    right_maximal_extension,
     string_dim_vector,
     string_of,
     string_source,
     string_target,
 )
-from .quiver import nonzero_successor, vertex_type
+from .quiver import nonzero_predecessor, nonzero_successor, vertex_type
 from .forbidden import is_down_relational
 
 
@@ -205,13 +204,14 @@ def is_gentle_vertex(pair: AlmostGentlePair, v: str) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Psi0Descriptor:
     """Shape of the socle block of Omega_1(E(apex)).
 
     tails lists the right maximal strings out of the apex in declaration
-    order, flagged when some in-arrow composes with them nonzero; the flag
-    count is the crossing count t.
+    order (the claw's branches), flagged when their first arrow has a
+    nonzero predecessor, i.e. some in-arrow composes with it nonzero; the
+    flag count is the crossing count t.
     """
 
     apex: str
@@ -227,17 +227,13 @@ class Psi0Descriptor:
 def psi0_descriptor(pair: AlmostGentlePair, v: str) -> Psi0Descriptor:
     """The socle-block shape of E(v), computed once per pair and vertex."""
     pair.require_valid()
-    c, d = vertex_type(pair, v)
 
     def compute() -> Psi0Descriptor:
-        ins = pair.in_arrows(v)
-        tails = []
-        for b in pair.out_arrows(v):
-            tail = right_maximal_extension(pair, string_of(pair, (b.name,)))
-            flag = any((a.name, b.name) not in pair.relations for a in ins)
-            tails.append((tail, flag))
+        c, d = vertex_type(pair, v)
+        tails = tuple((tail, nonzero_predecessor(pair, tail.arrows[0]) is not None)
+                      for tail in claw_of(pair, v).branches)
         t = sum(1 for _, f in tails if f)
-        return Psi0Descriptor(v, c, d, t, tuple(tails))
+        return Psi0Descriptor(v, c, d, t, tails)
 
     return pair.memo(("psi0", v), compute)
 

@@ -1,15 +1,28 @@
+import importlib.util
 import pathlib
+import sys
 
 import pytest
 
+from agq.agqfile import parse_agq
 from agq.quiver import AlmostGentlePair, Arrow, Quiver
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+BENCH_INPUTS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
 
 
 def make_pair(vertices, arrows, rels) -> AlmostGentlePair:
     quiver = Quiver(tuple(vertices), tuple(Arrow(*a) for a in arrows))
     return AlmostGentlePair.build(quiver, frozenset(rels))
+
+
+def bench_cyclic_pairs(count: int) -> list[AlmostGentlePair]:
+    """The first count instances of the benchmark's closed_cyclic set at seed 301."""
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", BENCH_INPUTS)
+    inputs = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = inputs  # dataclasses look their module up here
+    spec.loader.exec_module(inputs)
+    return [parse_agq(item.text).pair() for item in inputs.cyclic_items(301, count)]
 
 
 FIG1_VERTICES = ["1", "2", "3", "3'", "4", "5", "2L", "3L", "4L", "2R", "3R", "4R"]

@@ -1,5 +1,7 @@
+import time
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from agq.agqfile import ParseError, document_of, emit_agq, load_pair, parse_agq
@@ -168,3 +170,72 @@ def test_arbitrary_text_raises_only_agq_errors(text):
 @given(st.lists(_LINES, max_size=8).map("\n".join))
 def test_grammar_token_text_raises_only_agq_errors(text):
     _parses_or_raises_agq_errors(text)
+
+
+_PARAMS = st.builds(
+    GeneratorParams,
+    seed=st.integers(0, 10**6),
+    max_vertices=st.sampled_from([1, 2, 5, 12]),
+    max_arrows=st.sampled_from([0, 3, 14, 30]),
+    loop_allowed=st.booleans(),
+    relation_density=st.sampled_from([0.0, 0.5, 1.0]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_PARAMS)
+@example(GeneratorParams(seed=3, max_vertices=1, max_arrows=40, relation_density=0.0))
+@example(GeneratorParams(seed=3, max_vertices=1, max_arrows=40, relation_density=1.0))
+def test_emit_parse_roundtrip_of_generated_pairs(params):
+    pair, _ = random_ag_pair(params)
+    doc = parse_agq(emit_agq(document_of(pair)))
+    assert doc.vertices == list(pair.quiver.vertices)
+    assert doc.pair() == pair
+
+
+@settings(max_examples=100, deadline=None)
+@given(_PARAMS)
+def test_implicit_vertices_keep_first_appearance_order(params):
+    pair, text = random_ag_pair(params)
+    implicit = "".join(line for line in text.splitlines(keepends=True)
+                       if not line.startswith("vertex "))
+    order = []
+    for a in pair.quiver.arrows:
+        for v in (a.source, a.target):
+            if v not in order:
+                order.append(v)
+    assert parse_agq(implicit).vertices == order
+
+
+@settings(max_examples=100, deadline=None)
+@given(_PARAMS)
+def test_undeclared_vertex_reported_at_its_first_arrow(params):
+    pair, _ = random_ag_pair(params)
+    if not pair.quiver.arrows:
+        return
+    missing = pair.quiver.arrows[-1].target
+    doc = document_of(pair)
+    doc.vertices.remove(missing)
+    text = emit_agq(doc) if doc.vertices else "vertex zz\n" + emit_agq(doc)
+    with pytest.raises(ParseError) as err:
+        parse_agq(text)
+    first = next(a for a in pair.quiver.arrows if missing in (a.source, a.target))
+    line = text.splitlines().index(f"arrow {first.name} : {first.source} -> {first.target}") + 1
+    column = len(f"arrow {first.name} : ") + 1
+    if first.source != missing:
+        column += len(f"{first.source} -> ")
+    assert (err.value.line, err.value.column) == (line, column)
+    assert err.value.message.endswith(f"uses undeclared vertex {missing!r}")
+
+
+@pytest.mark.parametrize("explicit", [True, False])
+def test_large_document_parses_in_linear_time(explicit):
+    n = 10_000
+    lines = ["vertex " + " ".join(f"v{i}" for i in range(n))] if explicit else []
+    lines += [f"arrow a{k} : v{k % n} -> v{(7 * k + 1) % n}" for k in range(2 * n)]
+    text = "\n".join(lines) + "\n"
+    start = time.perf_counter()
+    doc = parse_agq(text)
+    elapsed = time.perf_counter() - start
+    assert len(doc.vertices) == n and len(doc.arrows) == 2 * n
+    assert elapsed < 1.0, elapsed

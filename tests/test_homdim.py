@@ -18,10 +18,11 @@ from agq.homdim import (
     self_injective_dimension,
     self_injective_infinite_by_cycle,
 )
-from agq.strings import DirectedString
+from agq.strings import DirectedString, claw_of
 from agq.generator import GeneratorParams, random_ag_pair
-from agq.quiver import NotValidatedError, UnknownVertexError, opposite
-from conftest import FIG1_ARROWS, FIG1_RELS, FIG1_VERTICES, FIXTURES, make_pair
+from agq.quiver import AlmostGentlePair, NotValidatedError, UnknownVertexError, opposite
+from agq.syzygy import psi0_descriptor
+from conftest import FIG1_ARROWS, FIG1_RELS, FIG1_VERTICES, FIXTURES, bench_cyclic_pairs, make_pair
 
 
 def fin(n):
@@ -260,3 +261,27 @@ def test_dimension_table_query_order_does_not_matter():
         assert self_injective_dimension(reverse) == self_injective_dimension(fresh)
         checked += 1
     assert checked == 58  # 8 valid fixtures and 50 corpus seeds
+
+
+def test_maximal_strings_are_built_once_per_pair_and_direction(monkeypatch):
+    built: list[tuple] = []
+    memo = AlmostGentlePair.memo
+
+    def counting(self, key, compute):
+        def counted():
+            built.append(key)
+            return compute()
+        return memo(self, key, counted)
+
+    monkeypatch.setattr(AlmostGentlePair, "memo", counting)
+    for pair in (make_pair(FIG1_VERTICES, FIG1_ARROWS, FIG1_RELS), bench_cyclic_pairs(1)[0]):
+        built.clear()
+        report_json(pair)
+        assert built.count(("maximal", True)) == 1
+        assert built.count(("maximal", False)) == 1
+        for v in pair.quiver.vertices:
+            desc = psi0_descriptor(pair, v)
+            branches = claw_of(pair, v).branches
+            assert len(desc.tails) == len(branches)
+            assert all(tail is br for (tail, _flag), br in zip(desc.tails, branches))
+        assert built.count(("maximal", True)) == 1

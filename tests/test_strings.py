@@ -13,7 +13,11 @@ from agq.strings import (
     socle_supports,
     string_of,
 )
+from agq.agqfile import parse_agq
 from agq.generator import GeneratorParams, random_ag_pair
+from agq.quiver import nonzero_predecessor, nonzero_successor
+from agq.strings import _maximal_strings
+from conftest import FIXTURES, bench_cyclic_pairs
 
 
 def test_right_maximal_extension_fig1(fig1):
@@ -110,3 +114,55 @@ def test_socle_supports_small(a2, cyc2):
 
 def test_socle_supports_fig1(fig1):
     assert socle_supports(fig1).count("5") >= 3
+
+
+def _reference_maximal_string(pair, a, right):
+    """Walk the nonzero successors (right) or predecessors (left) of a."""
+    arrows = [a]
+    while True:
+        if right:
+            nxt = nonzero_successor(pair, arrows[-1])
+        else:
+            nxt = nonzero_predecessor(pair, arrows[0])
+        if nxt is None:
+            return tuple(arrows)
+        if right:
+            arrows.append(nxt)
+        else:
+            arrows.insert(0, nxt)
+
+
+def test_maximal_string_tables_match_a_reference_walk():
+    pairs = [parse_agq(f.read_text()).pair() for f in sorted(FIXTURES.glob("*.agq"))]
+    pairs += [random_ag_pair(GeneratorParams(seed=s))[0] for s in range(1, 201)]
+    pairs += bench_cyclic_pairs(10)
+    checked = 0
+    for pair in pairs:
+        if not pair.validated:
+            continue
+        for right in (True, False):
+            table = _maximal_strings(pair, right)
+            assert set(table) == {a.name for a in pair.quiver.arrows}
+            for a in pair.quiver.arrows:
+                assert table[a.name].arrows == _reference_maximal_string(pair, a.name, right)
+        right_table, left_table = _maximal_strings(pair, True), _maximal_strings(pair, False)
+        for v in pair.quiver.vertices:
+            assert claw_of(pair, v).branches == \
+                tuple(right_table[a.name] for a in pair.out_arrows(v))
+            assert anticlaw_of(pair, v).branches == \
+                tuple(left_table[a.name] for a in pair.in_arrows(v))
+        checked += 1
+    assert checked == 218  # 8 valid fixtures, 200 corpus seeds, 10 benchmark instances
+
+
+def test_maximal_extensions_splice_the_table_entry(fig1):
+    # a string that already runs along a chain: its last (first) arrow's entry is spliced on
+    assert right_maximal_extension(fig1, DirectedString.of(("a_1_2R", "a_2R_3R"))).arrows == \
+        ("a_1_2R", "a_2R_3R", "a_3R_4R")
+    assert left_maximal_extension(fig1, DirectedString.of(("a_2R_3R", "a_3R_4R"))).arrows == \
+        ("a_1_2R", "a_2R_3R", "a_3R_4R")
+    from agq.quiver import InvalidStringError
+    for extend in (right_maximal_extension, left_maximal_extension):
+        with pytest.raises(InvalidStringError):
+            extend(fig1, DirectedString.of(("a_1_2", "a_2_3")))
+        assert extend(fig1, DirectedString.of((), "3")).arrows == ()
