@@ -17,8 +17,6 @@ from .quiver import (
     UnknownVertexError,
     ValidationReport,
     Violation,
-    basis_paths,
-    crossing_nonzero_count,
     nonzero_predecessor,
     nonzero_successor,
     opposite,
@@ -43,28 +41,23 @@ from .forbidden import (
     delta_forbidden_sup,
     forbidden_cycles,
     is_down_relational,
-    is_relational_vertex,
-    is_up_relational,
     sup_forbidden_from_arrow,
     sup_forbidden_from_vertex,
     zero_length_forbidden,
 )
 from .syzygy import (
     NotInjectiveCaseError,
-    NotRightMaximalError,
     Psi0Descriptor,
     Resolution,
     Summand,
     SyzygyDecomposition,
     is_gentle_vertex,
     is_invalid_vertex,
-    is_omega1_projective_dirstring,
     omega1_directed_string,
     omega1_injective,
     psi0_decompose,
     psi0_descriptor,
     psi0_dim_vector,
-    psi0_is_projective,
     resolve_symbolic,
 )
 from .homdim import (
@@ -92,7 +85,6 @@ from .oracle import (
     oracle_pdim,
     projective_cover_kernel,
     rep_of,
-    top,
 )
 
 __version__ = "0.1.0"

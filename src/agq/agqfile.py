@@ -143,6 +143,13 @@ def document_of(pair: AlmostGentlePair, name: str | None = None) -> AgqDocument:
 
 
 def load_pair(path: str) -> tuple[AgqDocument, AlmostGentlePair]:
-    with open(path, encoding="utf-8") as fh:
-        doc = parse_agq(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # "?" stands for the first undecodable byte, so it ends the last line
+        lines = (data[:exc.start].decode("utf-8") + "?").splitlines()
+        raise ParseError(len(lines), len(lines[-1]), "file is not valid UTF-8") from None
+    doc = parse_agq(text)
     return doc, doc.pair()

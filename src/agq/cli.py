@@ -1,6 +1,7 @@
 """Command line interface.
 
-Exit codes: 0 success, 1 parse or validation failure, 2 formula-vs-oracle
+Exit codes: 0 success, 1 parse, validation or usage failure or any other
+``AgqError`` (one ``error:`` line, no traceback), 2 formula-vs-oracle
 mismatch (``check``).  Reports go to stdout, diagnostics to stderr.  The
 only environment variable honored is AGQ_COLOR=0|1 (pass/fail coloring in
 ``check``).
@@ -12,7 +13,7 @@ import argparse
 import os
 import sys
 
-from .agqfile import ParseError, load_pair
+from .agqfile import load_pair
 from .emitters import emit_dot, emit_json, report_json
 from .forbidden import forbidden_cycles, sup_forbidden_from_vertex, zero_length_forbidden
 from .generator import GeneratorParams, random_ag_pair
@@ -36,17 +37,8 @@ def _color(text: str, code: str) -> str:
     return text
 
 
-def _load(path: str):
-    try:
-        doc, pair = load_pair(path)
-    except (ParseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(1)
-    return doc, pair
-
-
 def _load_valid(path: str):
-    doc, pair = _load(path)
+    doc, pair = load_pair(path)
     if not pair.validated:
         for v in pair.report.violations:
             print(f"invalid: {v.kind} at {', '.join(v.location)}: {v.message}", file=sys.stderr)
@@ -75,7 +67,7 @@ def _print_dim(report, args) -> None:
 
 
 def cmd_validate(args) -> int:
-    doc, pair = _load(args.file)
+    doc, pair = load_pair(args.file)
     for warning in pair.report.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     if pair.validated:
@@ -119,15 +111,10 @@ def _module_arg(args) -> tuple[str, object]:
 
 def cmd_pdim(args) -> int:
     doc, pair = _load_valid(args.file)
-    try:
-        kind, arg = _module_arg(args)
-        pdim = {"simple": pdim_simple, "injective": pdim_injective,
-                "string": pdim_directed_string}[kind]
-        rep = pdim(pair, arg)
-    except AgqError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    _print_dim(rep, args)
+    kind, arg = _module_arg(args)
+    pdim = {"simple": pdim_simple, "injective": pdim_injective,
+            "string": pdim_directed_string}[kind]
+    _print_dim(pdim(pair, arg), args)
     return 0
 
 
@@ -153,12 +140,8 @@ def cmd_forbidden(args) -> int:
 
 def cmd_resolve(args) -> int:
     doc, pair = _load_valid(args.file)
-    try:
-        kind, arg = _module_arg(args)
-        res = resolve_symbolic(pair, kind, arg, max_steps=args.max_steps)
-    except AgqError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    kind, arg = _module_arg(args)
+    res = resolve_symbolic(pair, kind, arg, max_steps=args.max_steps)
     for k, level in enumerate(res.levels):
         cover = " + ".join(f"P({v})" + (f"^{m}" if m > 1 else "") for v, m in level.cover) or "0"
         parts = []
@@ -223,9 +206,22 @@ def cmd_random(args) -> int:
 
 
 def cmd_dot(args) -> int:
-    doc, pair = _load(args.file)
+    doc, pair = load_pair(args.file)
     sys.stdout.write(emit_dot(pair, doc.name))
     return 0
+
+
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than low."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
 
 
 class _Parser(argparse.ArgumentParser):
@@ -284,13 +280,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="cross-validate formulas against the oracle")
     p.add_argument("file")
-    p.add_argument("--cutoff", type=int, default=40)
+    p.add_argument("--cutoff", type=_at_least(1), default=40)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("random", help="generate seeded random almost gentle pairs")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--max-vertices", type=int, default=8)
-    p.add_argument("--max-arrows", type=int, default=14)
+    p.add_argument("--max-vertices", type=_at_least(1), default=8)
+    p.add_argument("--max-arrows", type=_at_least(0), default=14)
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--emit", metavar="DIR")
     p.set_defaults(func=cmd_random)
@@ -310,6 +306,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     except BrokenPipeError:
         return 0
+    except (AgqError, OSError) as exc:  # a bad file, vertex, arrow or string
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return code
 
 

@@ -281,18 +281,6 @@ def is_down_relational(pair: AlmostGentlePair, alpha: str) -> bool:
     return any((alpha, b.name) in pair.relations for b in pair.out_arrows(arr.target))
 
 
-def is_up_relational(pair: AlmostGentlePair, alpha: str) -> bool:
-    pair.require_valid()
-    arr = pair.arrow(alpha)
-    return any((b.name, alpha) in pair.relations for b in pair.in_arrows(arr.source))
-
-
-def is_relational_vertex(pair: AlmostGentlePair, v: str) -> bool:
-    pair.require_valid()
-    return any((a.name, b.name) in pair.relations
-               for a in pair.in_arrows(v) for b in pair.out_arrows(v))
-
-
 def delta_start_arrows(pair: AlmostGentlePair, delta: DirectedString) -> list[str]:
     """First arrows of the forbidden paths counted against the string delta.
 
@@ -330,18 +318,17 @@ def forbidden_cycles(pair: AlmostGentlePair, cap: int = 10_000) -> tuple[list[tu
     pair.require_valid()
     data = digraph_data(pair)
     idx = pair.quiver.arrow_index
-    nodes = sorted(data.succ, key=lambda a: idx[a])
     cycles: list[tuple[str, ...]] = []
     truncated = False
 
     # Johnson-style enumeration restricted to one root at a time: find all
     # elementary cycles whose least node (by declaration) is the root.
-    for root in nodes:
+    for root in data.succ:  # succ and its lists are in arrow declaration order
         if root not in data.cyclic_node:
             continue
         if truncated:
             break
-        stack = [(root, iter(sorted(data.succ[root], key=lambda x: idx[x])))]
+        stack = [(root, iter(data.succ[root]))]
         path = [root]
         onpath = {root}
         while stack:
@@ -360,7 +347,7 @@ def forbidden_cycles(pair: AlmostGentlePair, cap: int = 10_000) -> tuple[list[tu
                     continue
                 if ch in onpath:
                     continue
-                stack.append((ch, iter(sorted(data.succ[ch], key=lambda x: idx[x]))))
+                stack.append((ch, iter(data.succ[ch])))
                 path.append(ch)
                 onpath.add(ch)
                 advanced = True
@@ -370,7 +357,7 @@ def forbidden_cycles(pair: AlmostGentlePair, cap: int = 10_000) -> tuple[list[tu
                 onpath.discard(path.pop())
     if truncated:
         covered = {frozenset(data.scc[x] for x in cyc) for cyc in cycles}
-        for node in nodes:
+        for node in data.succ:
             if node in data.cyclic_node and frozenset({data.scc[node]}) not in covered:
                 cycles.append(data.sup[node][1].cycle)
                 covered.add(frozenset({data.scc[node]}))

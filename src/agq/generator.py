@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .agqfile import AgqDocument, emit_agq
+from .agqfile import document_of, emit_agq
 from .quiver import AlmostGentlePair, Arrow, Quiver, successor_cycles
 
 
@@ -72,7 +72,4 @@ def random_ag_pair(params: GeneratorParams) -> tuple[AlmostGentlePair, str]:
     pair = AlmostGentlePair.build(quiver, relations)
     if not pair.validated:  # pragma: no cover - construction guarantees validity
         raise AssertionError(f"generator produced an invalid pair: {pair.report.violations}")
-    idx = pair.quiver.arrow_index
-    doc = AgqDocument(f"random_{params.seed}", list(vertices), list(arrows),
-                      sorted(pair.relations, key=lambda e: (idx[e[0]], idx[e[1]])))
-    return pair, emit_agq(doc)
+    return pair, emit_agq(document_of(pair, f"random_{params.seed}"))

@@ -9,6 +9,7 @@ whose loop is a forbidden cycle.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from .forbidden import (
@@ -223,7 +224,6 @@ def _cycle_through_edge(pair: AlmostGentlePair, x: str, y: str) -> tuple[str, ..
     if x == y:
         return (x,)
     # walk y -> ... -> x inside the component, shortest first for determinism
-    from collections import deque
     prev: dict[str, str] = {}
     dq = deque([y])
     while dq:

@@ -79,10 +79,6 @@ def rref(mat: Matrix, pivot: str = "first") -> tuple[Matrix, list[int]]:
     return m, pivots
 
 
-def rank(mat: Matrix, pivot: str = "first") -> int:
-    return len(rref(mat, pivot)[1])
-
-
 def left_nullspace(mat: Matrix, nrows: int, ncols: int,
                    pivot: str = "first") -> tuple[Matrix, list[int]]:
     """Basis of {x row vector : x @ mat = 0} plus its free coordinate list.

@@ -173,21 +173,6 @@ def check_relations(pair: AlmostGentlePair, rep: Representation) -> bool:
     return True
 
 
-def top(pair: AlmostGentlePair, rep: Representation, pivot: str = "first") -> dict[str, int]:
-    """Multiplicity of each simple in the top (radical = sum of arrow images)."""
-    out: dict[str, int] = {}
-    for v in pair.quiver.vertices:
-        if rep.dims[v] == 0:
-            continue
-        rows: linalg.Matrix = []
-        for a in pair.in_arrows(v):
-            rows.extend(rep.maps[a.name])
-        mult = rep.dims[v] - linalg.rank(rows, pivot)
-        if mult:
-            out[v] = mult
-    return out
-
-
 @dataclass
 class CoverKernel:
     cover: tuple[tuple[str, int], ...]  # (vertex, multiplicity) in declaration order
@@ -503,8 +488,8 @@ def _keyed_pdim(pair: AlmostGentlePair, module: KeyedComponent, cutoff: int | No
 
 
 def default_cutoff(pair: AlmostGentlePair) -> int:
-    from .quiver import basis_paths
-    return 2 * len(basis_paths(pair)) + 4
+    pair.require_valid()
+    return 2 * sum(len(_path_tree(pair, v).paths) for v in pair.quiver.vertices) + 4
 
 
 @dataclass(frozen=True)

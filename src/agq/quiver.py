@@ -295,37 +295,6 @@ def vertex_type(pair: AlmostGentlePair, v: str) -> tuple[int, int]:
     return len(pair.in_arrows(v)), len(pair.out_arrows(v))
 
 
-def crossing_nonzero_count(pair: AlmostGentlePair, v: str) -> int:
-    """Number of length-two nonzero paths through v; at most min(c, d)."""
-    pair.require_vertex(v)
-    return sum(1 for a in pair.in_arrows(v) for b in pair.out_arrows(v)
-               if (a.name, b.name) not in pair.relations)
-
-
-def basis_paths(pair: AlmostGentlePair) -> list[NonzeroPath]:
-    """All nonzero paths, the stationary paths included.
-
-    Sorted by (length, lexicographic arrow declaration order); finite by
-    admissibility.
-    """
-    pair.require_valid()
-    idx = pair.quiver.arrow_index
-    out: list[NonzeroPath] = [NonzeroPath((), v) for v in pair.quiver.vertices]
-    frontier = [(a.name,) for a in pair.quiver.arrows]
-    while frontier:
-        out.extend(NonzeroPath(p) for p in frontier)
-        nxt = []
-        for p in frontier:
-            b = nonzero_successor(pair, p[-1])
-            if b is not None:
-                nxt.append(p + (b,))
-        frontier = nxt
-    vidx = pair.quiver.vertex_index
-    out.sort(key=lambda p: (len(p), tuple(idx[a] for a in p.arrows) if p.arrows else (-1,),
-                            vidx[p.vertex] if p.vertex is not None else -1))
-    return out
-
-
 def path_source(pair: AlmostGentlePair, p: NonzeroPath) -> str:
     return p.vertex if not p.arrows else pair.arrow(p.arrows[0]).source
 

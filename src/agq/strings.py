@@ -13,7 +13,6 @@ from .quiver import (
     AlmostGentlePair,
     InvalidStringError,
     NonzeroPath,
-    basis_paths,
     nonzero_predecessor,
     nonzero_successor,
     path_source,
@@ -113,12 +112,6 @@ def left_maximal_extension(pair: AlmostGentlePair, ds: DirectedString) -> Direct
     return DirectedString(NonzeroPath(head + arrows[1:]))
 
 
-def is_right_maximal(pair: AlmostGentlePair, ds: DirectedString) -> bool:
-    if not ds.arrows:
-        return True
-    return nonzero_successor(pair, ds.arrows[-1]) is None
-
-
 @dataclass(frozen=True)
 class Claw:
     """One right maximal branch per outgoing arrow of the apex; P(apex)."""
@@ -208,10 +201,3 @@ def socle_supports(pair: AlmostGentlePair) -> list[str]:
             supports.extend(string_target(pair, br) for br in claw.branches)
     return supports
 
-
-def count_basis_paths_from(pair: AlmostGentlePair, v: str) -> int:
-    return sum(1 for p in basis_paths(pair) if path_source(pair, p) == v)
-
-
-def count_basis_paths_to(pair: AlmostGentlePair, v: str) -> int:
-    return sum(1 for p in basis_paths(pair) if path_target(pair, p) == v)

@@ -20,7 +20,6 @@ from .strings import (
     DirectedString,
     anticlaw_of,
     claw_of,
-    is_right_maximal,
     module_dims,
     string_dim_vector,
     string_of,
@@ -29,10 +28,6 @@ from .strings import (
 )
 from .quiver import nonzero_predecessor, nonzero_successor, vertex_type
 from .forbidden import is_down_relational
-
-
-class NotRightMaximalError(AgqError):
-    pass
 
 
 class NotInjectiveCaseError(AgqError):
@@ -110,9 +105,6 @@ class SyzygyDecomposition:
         ordered = sorted(counts, key=lambda s: summand_sort_key(pair, s))
         return cls(tuple((s, counts[s]) for s in ordered))
 
-    def total(self) -> int:
-        return sum(n for _, n in self.items)
-
     def dim_vector(self, pair: AlmostGentlePair) -> dict[str, int]:
         dims: dict[str, int] = {}
         for s, n in self.items:
@@ -161,27 +153,6 @@ def omega1_directed_string(pair: AlmostGentlePair, delta: DirectedString) -> Syz
     if not own_seen:
         raise InvalidStringError("string does not start with an arrow of its source")
     return SyzygyDecomposition.of(pair, pieces)
-
-
-def is_omega1_projective_dirstring(pair: AlmostGentlePair, delta: DirectedString) -> bool:
-    """Projectivity of the first syzygy of M(delta) by the relational test.
-
-    Requires delta right maximal when of positive length; a branch target is
-    disqualifying exactly when some arrow composes to zero after the
-    branch's first arrow.
-    """
-    pair.require_valid()
-    if delta.arrows:
-        delta = string_of(pair, delta.arrows)
-        if not is_right_maximal(pair, delta):
-            raise NotRightMaximalError(" ".join(delta.arrows))
-        src = string_source(pair, delta)
-        skip = delta.arrows[0]
-    else:
-        src = pair.require_vertex(delta.path.vertex)  # type: ignore[arg-type]
-        skip = None
-    return all(not is_down_relational(pair, br.arrows[0])
-               for br in claw_of(pair, src).branches if br.arrows[0] != skip)
 
 
 def is_gentle_vertex(pair: AlmostGentlePair, v: str) -> bool:
@@ -298,13 +269,6 @@ def is_invalid_vertex(pair: AlmostGentlePair, v: str) -> tuple[bool, int | None]
     if c == 1 and desc.t == 0 and d >= 1:
         return True, 5
     return False, None
-
-
-def psi0_is_projective(pair: AlmostGentlePair, v: str) -> bool:
-    c, _ = vertex_type(pair, v)
-    if c == 0:
-        raise NotInjectiveCaseError(f"E({v}) is simple; no socle block")
-    return is_invalid_vertex(pair, v)[0]
 
 
 def psi0_decompose(pair: AlmostGentlePair, v: str) -> SyzygyDecomposition | None:

@@ -163,3 +163,35 @@ def test_unknown_flag_exits_one():
     assert "usage" in out.stderr
     out = run("frobnicate")
     assert out.returncode == 1
+
+
+def assert_clean_error(out):
+    assert out.returncode == 1
+    assert "error" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+def test_forbidden_unknown_vertex_is_an_error():
+    out = run("forbidden", FIXTURES / "fig1.agq", "--from", "zz")
+    assert_clean_error(out)
+    assert out.stderr == "error: zz\n"
+
+
+def test_check_cutoff_below_one_is_a_usage_error():
+    assert_clean_error(run("check", FIXTURES / "fig1.agq", "--cutoff", "0"))
+
+
+def test_random_max_vertices_below_one_is_a_usage_error():
+    assert_clean_error(run("random", "--seed", "1", "--max-vertices", "0"))
+
+
+def test_random_negative_max_arrows_is_a_usage_error():
+    assert_clean_error(run("random", "--seed", "1", "--max-arrows", "-1"))
+
+
+def test_file_not_utf8_is_a_parse_error(tmp_path):
+    bad = tmp_path / "latin1.agq"
+    bad.write_bytes("algebra x\nvertex 1 2\n# café\n".encode("latin-1"))
+    out = run("gldim", bad)
+    assert_clean_error(out)
+    assert out.stderr == "error: line 3, column 6: file is not valid UTF-8\n"

@@ -1,3 +1,5 @@
+import hashlib
+
 from agq.generator import GeneratorParams, random_ag_pair
 
 
@@ -39,3 +41,13 @@ def test_density_extremes():
             for b in pair.quiver.arrows:
                 if a.target == b.source:
                     assert (a.name, b.name) in pair.relations
+
+
+def test_texts_are_pinned():
+    # every acceptance count reads this corpus: its bytes must not drift
+    corpus = "".join(random_ag_pair(GeneratorParams(seed=seed))[1] for seed in range(1, 201))
+    assert hashlib.sha256(corpus.encode()).hexdigest() == \
+        "ffb6204fbca6902e647de28b3ca42a9053c2fd04ae3758a9883426c1a31a187c"
+    _pair, large = random_ag_pair(GeneratorParams(seed=7, max_vertices=1000, max_arrows=2000))
+    assert hashlib.sha256(large.encode()).hexdigest() == \
+        "c97e15e1e81b935cd182ff76f47dc630a890ef9a378d865c66efae262f447ec2"

@@ -5,7 +5,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agq.linalg import left_nullspace, rank, rref
+from agq.linalg import left_nullspace, rref
 from agq.oracle import projective_cover_kernel, rep_of
 
 
@@ -55,7 +55,7 @@ def test_cover_kernels_stay_integral(fig1, cyc2e):
 def test_pivot_modes_agree():
     # "largest" picks row 1 (entry 3) where "first" picks row 0
     m = sparse([[1, 0, 2], [3, 1, 0], [4, 1, 2]])
-    assert rank(m, "first") == rank(m, "largest") == dense_rank([[1, 0, 2], [3, 1, 0], [4, 1, 2]], 3)
+    assert len(rref(m, "first")[1]) == len(rref(m, "largest")[1]) == dense_rank([[1, 0, 2], [3, 1, 0], [4, 1, 2]], 3)
     assert rref(m, "first") == rref(m, "largest")
     assert m == sparse([[1, 0, 2], [3, 1, 0], [4, 1, 2]])  # input left untouched
 

@@ -3,7 +3,7 @@ import weakref
 
 import agq.oracle
 import agq.syzygy
-from agq.linalg import identity, left_nullspace, mat_mul, rank, rref
+from agq.linalg import identity, left_nullspace, mat_mul, rref
 from agq.oracle import (
     PdimResult,
     Representation,
@@ -13,7 +13,6 @@ from agq.oracle import (
     oracle_pdim,
     projective_cover_kernel,
     rep_of,
-    top,
 )
 from agq.strings import DirectedString
 from agq.generator import GeneratorParams, random_ag_pair
@@ -43,10 +42,16 @@ def test_string_rep_with_vertex_revisit(loop_rel):
     assert check_relations(loop_rel, rep)
 
 
+def top(pair, rep):
+    """Multiplicity of each simple in the top: the generators of the minimal cover."""
+    return dict(projective_cover_kernel(pair, rep).cover)
+
+
 def test_top(fig1):
     assert top(fig1, rep_of(fig1, "injective", "4")) == {"3": 1, "2": 1, "3'": 1}
     for v in fig1.quiver.vertices:
         assert top(fig1, rep_of(fig1, "projective", v)) == {v: 1}
+        assert top(fig1, rep_of(fig1, "simple", v)) == {v: 1}
 
 
 def test_cover_kernel_examples(fig1):
@@ -121,7 +126,7 @@ def test_socle_block_top_count(fig1, cyc2e, gate):
 
 def test_linalg_basics():
     m = [{0: 1, 1: 1}, {0: 1, 1: 1}]
-    assert rank(m) == 1
+    assert len(rref(m)[1]) == 1
     red, pivots = rref([{0: 1, 1: 2}, {0: 2, 1: 4}])
     assert pivots == [0]
     basis, free = left_nullspace([{0: 1}, {0: 1}], 2, 1)

@@ -5,17 +5,22 @@ from agq.quiver import (
     NonzeroPath,
     Quiver,
     UnknownArrowError,
-    basis_paths,
-    crossing_nonzero_count,
     nonzero_predecessor,
     nonzero_successor,
     opposite,
-    path_source,
     validate_bound_quiver,
     vertex_type,
 )
 from conftest import make_pair
 from agq.generator import GeneratorParams, random_ag_pair
+from agq.oracle import _path_tree, default_cutoff
+from agq.syzygy import psi0_descriptor
+
+
+def crossing_count(pair, v):
+    """Length-two nonzero paths through v, counted over all arrow pairs."""
+    return sum(1 for a in pair.quiver.arrows for b in pair.quiver.arrows
+               if a.target == v == b.source and (a.name, b.name) not in pair.relations)
 
 
 def test_fig1_validates(fig1):
@@ -83,27 +88,24 @@ def test_vertex_type_fig1(fig1):
 
 
 def test_crossing_nonzero_count_fig1(fig1):
-    assert crossing_nonzero_count(fig1, "4") == 1
-    assert crossing_nonzero_count(fig1, "2R") == 1
-    assert crossing_nonzero_count(fig1, "2") == 0
+    for v, t in (("4", 1), ("2R", 1), ("2", 0)):
+        assert psi0_descriptor(fig1, v).t == crossing_count(fig1, v) == t
 
 
 def test_basis_paths_a2(a2):
-    paths = basis_paths(a2)
-    assert [(p.arrows, p.vertex) for p in paths] == [((), "1"), ((), "2"), (("a",), None)]
+    assert {v: _path_tree(a2, v).paths for v in a2.quiver.vertices} == \
+        {"1": [(), ("a",)], "2": [()]}
 
 
 def test_basis_paths_fig1_from_1(fig1):
-    from_1 = [p for p in basis_paths(fig1) if path_source(fig1, p) == "1"]
+    from_1 = _path_tree(fig1, "1").paths
     assert len(from_1) == 7
-    longest = max(from_1, key=len)
-    assert longest.arrows == ("a_1_2R", "a_2R_3R", "a_3R_4R")
+    assert max(from_1, key=len) == ("a_1_2R", "a_2R_3R", "a_3R_4R")
 
 
 def test_basis_paths_cyc2(cyc2):
-    paths = basis_paths(cyc2)
-    assert [(p.arrows, p.vertex) for p in paths] == \
-        [((), "1"), ((), "2"), (("a",), None), (("b",), None)]
+    assert {v: _path_tree(cyc2, v).paths for v in cyc2.quiver.vertices} == \
+        {"1": [(), ("a",)], "2": [(), ("b",)]}
 
 
 def test_opposite_a2(a2):
@@ -151,7 +153,9 @@ def test_crossing_bounded_by_degree_on_corpus():
         pair, _ = random_ag_pair(GeneratorParams(seed=seed))
         for v in pair.quiver.vertices:
             c, d = vertex_type(pair, v)
-            assert crossing_nonzero_count(pair, v) <= min(c, d)
+            t = psi0_descriptor(pair, v).t
+            assert t == crossing_count(pair, v)
+            assert t <= min(c, d)
 
 
 def test_operations_require_validation():
@@ -159,4 +163,6 @@ def test_operations_require_validation():
     bad = make_pair(["1"], [("x", "1", "1")], [])
     assert not bad.validated
     with pytest.raises(NotValidatedError):
-        basis_paths(bad)
+        default_cutoff(bad)
+    with pytest.raises(NotValidatedError):
+        nonzero_successor(bad, "x")
