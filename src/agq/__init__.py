@@ -24,8 +24,6 @@ from .quiver import (
     vertex_type,
 )
 from .strings import (
-    AntiClaw,
-    Claw,
     DirectedString,
     anticlaw_of,
     claw_of,
@@ -81,7 +79,6 @@ from .oracle import (
     check_against_formulas,
     check_relations,
     cover_morphism,
-    default_cutoff,
     oracle_pdim,
     projective_cover_kernel,
     rep_of,

@@ -269,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     grp.add_argument("--simple", metavar="V")
     grp.add_argument("--injective", metavar="V")
     grp.add_argument("--string", metavar="a1,a2,...")
-    p.add_argument("--max-steps", type=int, default=64)
+    p.add_argument("--max-steps", type=_at_least(1), default=64)
     p.add_argument("--oracle", action="store_true")
     p.set_defaults(func=cmd_resolve)
 
@@ -287,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--max-vertices", type=_at_least(1), default=8)
     p.add_argument("--max-arrows", type=_at_least(0), default=14)
-    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--count", type=_at_least(1), default=1)
     p.add_argument("--emit", metavar="DIR")
     p.set_defaults(func=cmd_random)
 

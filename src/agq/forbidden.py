@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import total_ordering
 
-from .quiver import AlmostGentlePair, UnknownArrowError, nonzero_successor
+from .quiver import AlmostGentlePair, nonzero_successor
 from .strings import DirectedString, string_source
 
 
@@ -213,8 +213,7 @@ def sup_forbidden_from_arrow(pair: AlmostGentlePair, a: str) -> tuple[LengthOrIn
     Always at least Finite(1): a single arrow is vacuously forbidden.
     """
     pair.require_valid()
-    if a not in pair.quiver.arrow_index:
-        raise UnknownArrowError(a)
+    pair.arrow(a)
     return digraph_data(pair).sup[a]
 
 

@@ -46,22 +46,11 @@ class GorensteinReport:
     auslander_note: str
 
 
-def _stored(pair: AlmostGentlePair, key: tuple[str, str], compute) -> DimReport:
-    """One entry of the pair's dimension table, computed on first request.
-
-    Callers check the pair and the vertex first, so every key names a vertex.
-    """
-    table = pair.memo("dimensions", dict)
-    if key not in table:
-        table[key] = compute()
-    return table[key]
-
-
 def pdim_simple(pair: AlmostGentlePair, v: str) -> DimReport:
     """proj.dim S(v) = sup of forbidden-path lengths out of v."""
     pair.require_valid()
     pair.require_vertex(v)
-    return _stored(pair, ("simple", v), lambda: DimReport(
+    return pair.memo(("simple", v), lambda: DimReport(
         *sup_forbidden_from_vertex(pair, v), "forbidden-from-vertex"))
 
 
@@ -113,7 +102,7 @@ def pdim_injective(pair: AlmostGentlePair, v: str) -> DimReport:
     """
     pair.require_valid()
     pair.require_vertex(v)
-    return _stored(pair, ("injective", v), lambda: _pdim_injective(pair, v))
+    return pair.memo(("injective", v), lambda: _pdim_injective(pair, v))
 
 
 def _pdim_injective(pair: AlmostGentlePair, v: str) -> DimReport:
@@ -124,7 +113,7 @@ def _pdim_injective(pair: AlmostGentlePair, v: str) -> DimReport:
 
     candidates: list[tuple[LengthOrInf, ForbiddenWalk | None]] = []
 
-    for branch in anticlaw_of(pair, v).branches:
+    for branch in anticlaw_of(pair, v):
         x = string_source(pair, branch)
         for b in pair.out_arrows(x):
             if b.name != branch.arrows[0]:

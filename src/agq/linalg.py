@@ -45,23 +45,21 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return [row_times(b, row) for row in a]
 
 
-def rref(mat: Matrix, pivot: str = "first") -> tuple[Matrix, list[int]]:
+def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and pivot columns.
 
-    pivot picks the pivot row among candidates: "first" takes the first
-    nonzero, "largest" the entry of largest absolute value (elimination
-    results must agree; tested).  All-zero rows keep their places, so the
-    pivot sequence is that of the dense elimination.
+    The reduced form is unique, so the choice of pivot row cannot change the
+    answer; the first row with a nonzero entry in the column is taken.
+    All-zero rows are kept, last, so the output has the input's row count.
     """
     m = [{k: x for k, x in row.items() if x} for row in mat]
     nrows = len(m)
     pivots: list[int] = []
     r = 0
     for c in sorted({k for row in m for k in row}):
-        cand = [i for i in range(r, nrows) if c in m[i]]
-        if not cand:
+        i = next((i for i in range(r, nrows) if c in m[i]), None)
+        if i is None:
             continue
-        i = cand[0] if pivot == "first" else max(cand, key=lambda i: abs(m[i][c]))
         m[r], m[i] = m[i], m[r]
         row = m[r]
         pv = row[c]
@@ -79,8 +77,7 @@ def rref(mat: Matrix, pivot: str = "first") -> tuple[Matrix, list[int]]:
     return m, pivots
 
 
-def left_nullspace(mat: Matrix, nrows: int, ncols: int,
-                   pivot: str = "first") -> tuple[Matrix, list[int]]:
+def left_nullspace(mat: Matrix, nrows: int, ncols: int) -> tuple[Matrix, list[int]]:
     """Basis of {x row vector : x @ mat = 0} plus its free coordinate list.
 
     mat has nrows rows and ncols columns.  Each basis vector has a 1 in its
@@ -96,7 +93,7 @@ def left_nullspace(mat: Matrix, nrows: int, ncols: int,
     for i, row in enumerate(mat):
         for j, x in row.items():
             tr[j][i] = x
-    red, pivots = rref(tr, pivot)
+    red, pivots = rref(tr)
     pivot_set = set(pivots)
     free = [j for j in range(nrows) if j not in pivot_set]
     basis: dict[int, Row] = {f: {f: 1} for f in free}

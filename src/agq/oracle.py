@@ -7,8 +7,8 @@ are split into support components (a basis-level direct sum decomposition).
 Only a path-shaped component (every string module is one) has a sound
 canonical iso key.  Each component is keyed once, when it is made: a stored
 syzygy step hands out its kernel's components paired with their keys.  Each
-syzygy step and each finite projective dimension is stored per pair and
-pivot under the key, and repeating syzygies are detected by it: a module
+syzygy step and each finite projective dimension is stored per pair
+under the key, and repeating syzygies are detected by it: a module
 isomorphic to a summand of one of its own higher syzygies has infinite
 projective dimension.  The level comparison walks each resolution level as
 a multiset of iso classes, covering and summing each class once.
@@ -135,7 +135,7 @@ def rep_of(pair: AlmostGentlePair, kind: str, arg) -> Representation:
         return Representation(dims, _empty_maps(pair, dims))
 
     if kind == "string":
-        ds: DirectedString = arg if isinstance(arg, DirectedString) else DirectedString.of(tuple(arg))
+        ds: DirectedString = arg
         if not ds.arrows:
             return rep_of(pair, "simple", ds.path.vertex)
         string_of(pair, ds.arrows)
@@ -193,14 +193,14 @@ class RepMorphism:
                    for a in pair.quiver.arrows)
 
 
-def _cover_data(pair: AlmostGentlePair, rep: Representation, pivot: str):
+def _cover_data(pair: AlmostGentlePair, rep: Representation):
     """Generators, cover slots, and per-vertex image rows of the cover map."""
     gens: list[tuple[str, int]] = []  # (vertex, coordinate)
     for v in pair.quiver.vertices:
         if rep.dims[v] == 0:
             continue
         rows = [row for a in pair.in_arrows(v) for row in rep.maps[a.name]]
-        pivot_set = set(linalg.rref(rows, pivot)[1]) if any(rows) else set()
+        pivot_set = set(linalg.rref(rows)[1]) if any(rows) else set()
         gens.extend((v, j) for j in range(rep.dims[v]) if j not in pivot_set)
 
     slot_list: dict[str, list[Slot]] = {w: [] for w in pair.quiver.vertices}
@@ -217,16 +217,14 @@ def _cover_data(pair: AlmostGentlePair, rep: Representation, pivot: str):
     return gens, slot_list, images
 
 
-def cover_morphism(pair: AlmostGentlePair, rep: Representation,
-                   pivot: str = "first") -> tuple[Representation, RepMorphism]:
+def cover_morphism(pair: AlmostGentlePair, rep: Representation) -> tuple[Representation, RepMorphism]:
     """The cover representation alongside the covering map's blocks."""
     pair.require_valid()
-    gens, _slots, images = _cover_data(pair, rep, pivot)
+    gens, _slots, images = _cover_data(pair, rep)
     return _free_module(pair, [v for v, _j in gens]), RepMorphism(images)
 
 
-def projective_cover_kernel(pair: AlmostGentlePair, rep: Representation,
-                            pivot: str = "first") -> CoverKernel:
+def projective_cover_kernel(pair: AlmostGentlePair, rep: Representation) -> CoverKernel:
     """Minimal projective cover of rep and the kernel of the covering map.
 
     Generators are standard basis vectors completing the radical at each
@@ -236,7 +234,7 @@ def projective_cover_kernel(pair: AlmostGentlePair, rep: Representation,
     and kernel inside the radical of the cover.
     """
     pair.require_valid()
-    gens, slot_list, images = _cover_data(pair, rep, pivot)
+    gens, slot_list, images = _cover_data(pair, rep)
 
     cover_counts: dict[str, int] = {}
     for v, _j in gens:
@@ -248,7 +246,7 @@ def projective_cover_kernel(pair: AlmostGentlePair, rep: Representation,
     free_pos: dict[str, dict[int, int]] = {}
     for w in pair.quiver.vertices:
         if cover_dims[w]:
-            basis, free = linalg.left_nullspace(images[w], cover_dims[w], rep.dims[w], pivot)
+            basis, free = linalg.left_nullspace(images[w], cover_dims[w], rep.dims[w])
             if basis:
                 null_basis[w] = basis
                 free_pos[w] = {f: k for k, f in enumerate(free)}
@@ -408,18 +406,18 @@ BUDGET_DIM = 200_000  # the largest module the oracle covers
 KeyedComponent = tuple[object, Representation]  # (iso key or None, component)
 
 
-def _syzygy(pair: AlmostGentlePair, rep: Representation, key, pivot: str = "first"
+def _syzygy(pair: AlmostGentlePair, rep: Representation, key
             ) -> tuple[tuple[tuple[str, int], ...], tuple[KeyedComponent, ...]]:
     """One syzygy step: the minimal cover of rep and its kernel's components.
 
     key is rep's iso key, or None for a module without one.  The step is
-    stored per pair under the pivot and the key, or, without a key, rep's
+    stored per pair under the key, or, without a key, rep's
     exact entries.  Each kernel component is keyed once, when it is made,
     and comes paired with its key.  Every caller gets the same stored
     components, so none may modify them.
     """
     def compute():
-        ck = projective_cover_kernel(pair, rep, pivot)
+        ck = projective_cover_kernel(pair, rep)
         return ck.cover, tuple((_component_key(pair, comp), comp)
                                for comp in _components(pair, ck.kernel))
 
@@ -427,18 +425,18 @@ def _syzygy(pair: AlmostGentlePair, rep: Representation, key, pivot: str = "firs
         key = ("entries", tuple(rep.dims[v] for v in pair.quiver.vertices),
                tuple(tuple(tuple(row.items()) for row in rep.maps[a.name])
                      for a in pair.quiver.arrows))
-    return pair.memo(("syzygy", pivot, key), compute)
+    return pair.memo(("syzygy", key), compute)
 
 
-def _pdim(pair: AlmostGentlePair, rep: Representation, key, pivot: str, hardcap: int,
+def _pdim(pair: AlmostGentlePair, rep: Representation, key, hardcap: int,
           stack: frozenset = frozenset(), depth: int = 0) -> int | None:
     """Projective dimension of a nonzero rep (iso key: key); None encodes infinity.
 
-    Finite values are stored per pair and pivot under the iso key.  A key
+    Finite values are stored per pair under the iso key.  A key
     met again below itself is a syzygy recurrence, hence infinite; so is
     going deeper than hardcap.
     """
-    memo = pair.memo(("pdim", pivot), dict)
+    memo = pair.memo("pdim", dict)
     if key is not None:
         if key in memo:
             return memo[key]
@@ -450,8 +448,8 @@ def _pdim(pair: AlmostGentlePair, rep: Representation, key, pivot: str, hardcap:
     if rep.total_dim() > BUDGET_DIM:
         raise AssertionError("oracle dimension budget exceeded")
     val = 0
-    for sub_key, comp in _syzygy(pair, rep, key, pivot)[1]:
-        sub = _pdim(pair, comp, sub_key, pivot, hardcap, stack, depth + 1)
+    for sub_key, comp in _syzygy(pair, rep, key)[1]:
+        sub = _pdim(pair, comp, sub_key, hardcap, stack, depth + 1)
         if sub is None:
             return None
         val = max(val, sub + 1)
@@ -460,36 +458,26 @@ def _pdim(pair: AlmostGentlePair, rep: Representation, key, pivot: str, hardcap:
     return val
 
 
-def oracle_pdim(pair: AlmostGentlePair, rep: Representation, cutoff: int | None = None,
-                pivot: str = "first") -> PdimResult:
+def oracle_pdim(pair: AlmostGentlePair, rep: Representation, cutoff: int) -> PdimResult:
     """Iterated minimal covers: Finite(n) when the n-th kernel vanishes.
 
     Infinitude is detected by syzygy recurrence (with a depth backstop), and
-    reported as AtLeast(cutoff) per the agreement convention.  The default
-    cutoff is twice the number of nonzero basis paths plus four.
+    reported as AtLeast(cutoff) per the agreement convention.
     """
     pair.require_valid()
-    return _keyed_pdim(pair, (_component_key(pair, rep), rep), cutoff, pivot)
+    return _keyed_pdim(pair, (_component_key(pair, rep), rep), cutoff)
 
 
-def _keyed_pdim(pair: AlmostGentlePair, module: KeyedComponent, cutoff: int | None,
-                pivot: str = "first") -> PdimResult:
+def _keyed_pdim(pair: AlmostGentlePair, module: KeyedComponent, cutoff: int) -> PdimResult:
     """oracle_pdim of a module that comes with its iso key (or None)."""
     key, rep = module
-    if cutoff is None:
-        cutoff = default_cutoff(pair)
     if cutoff < 1:
         raise ValueError("cutoff must be at least 1")
     hardcap = max(cutoff, len(pair.quiver.vertices) + len(pair.quiver.arrows) + 4)
-    val = _pdim(pair, rep, key, pivot, hardcap) if rep.total_dim() else 0
+    val = _pdim(pair, rep, key, hardcap) if rep.total_dim() else 0
     if val is None:
         return PdimResult(False, cutoff)
     return PdimResult(True, val)
-
-
-def default_cutoff(pair: AlmostGentlePair) -> int:
-    pair.require_valid()
-    return 2 * sum(len(_path_tree(pair, v).paths) for v in pair.quiver.vertices) + 4
 
 
 @dataclass(frozen=True)
@@ -516,14 +504,18 @@ def _agrees(formula: LengthOrInf, orc: PdimResult) -> bool:
     return not orc.finite
 
 
-def check_against_formulas(pair: AlmostGentlePair, cutoff: int = 40,
-                           levels_cap: int = 6, level_dim_budget: int = 120) -> AgreementReport:
+LEVELS_CAP = 6  # resolution levels compared per module
+LEVEL_DIM_BUDGET = 120  # the largest level the comparison covers
+
+
+def check_against_formulas(pair: AlmostGentlePair, cutoff: int = 40) -> AgreementReport:
     """Cross-validate every closed-form dimension against the oracle.
 
     Per vertex: projective dimensions of the simple and the injective, the
     invalid-vertex test against oracle projectivity of the injective's socle
     block, and the per-level dimension vectors of the symbolic resolutions
-    against oracle kernels (until levels_cap or the dimension budget).
+    against oracle kernels (until LEVELS_CAP levels or a level above
+    LEVEL_DIM_BUDGET).
     """
     from .homdim import pdim_injective, pdim_simple
     from .syzygy import is_invalid_vertex
@@ -561,7 +553,7 @@ def check_against_formulas(pair: AlmostGentlePair, cutoff: int = 40,
                 mismatches.append(Mismatch(v, "psi0_projective", str(invalid), str(proj)))
 
         for kind in ("simple", "injective"):
-            for m in _compare_levels(pair, v, kind, modules[kind], levels_cap, level_dim_budget):
+            for m in _compare_levels(pair, v, kind, modules[kind]):
                 mismatches.append(m)
             checked += 1
 
@@ -641,15 +633,14 @@ def _oracle_psi0_projective(pair: AlmostGentlePair, v: str, injective: KeyedComp
     return _dim_sum(omega2) == _dim_sum(leftovers)
 
 
-def _compare_levels(pair: AlmostGentlePair, v: str, kind: str, module: KeyedComponent,
-                    levels_cap: int, budget: int):
+def _compare_levels(pair: AlmostGentlePair, v: str, kind: str, module: KeyedComponent):
     """Symbolic resolution levels of module, S(v) or E(v) with its iso key, against the oracle's."""
     from .syzygy import resolve_symbolic
 
-    res = resolve_symbolic(pair, kind, v, max_steps=levels_cap)
+    res = resolve_symbolic(pair, kind, v, max_steps=LEVELS_CAP)
     level = _module_level(module)
     for k, sym in enumerate(res.levels):
-        if sum(comp.total_dim() * mult for comp, mult in level.values()) > budget:
+        if sum(comp.total_dim() * mult for comp, mult in level.values()) > LEVEL_DIM_BUDGET:
             return
         cover_counts, level = _cover_kernel_componentwise(pair, level)
         sym_cover = dict(sym.cover)

@@ -260,11 +260,11 @@ class AlmostGentlePair:
         try:
             return self.quiver._by_name[name]  # type: ignore[attr-defined]
         except KeyError:
-            raise UnknownArrowError(name) from None
+            raise UnknownArrowError(f"unknown arrow {name!r}") from None
 
     def require_vertex(self, v: str) -> str:
         if v not in self.quiver.vertex_index:
-            raise UnknownVertexError(v)
+            raise UnknownVertexError(f"unknown vertex {v!r}")
         return v
 
     def out_arrows(self, v: str) -> tuple[Arrow, ...]:

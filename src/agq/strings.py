@@ -38,13 +38,12 @@ class DirectedString:
         return len(self.path)
 
 
-def string_of(pair: AlmostGentlePair, arrows: tuple[str, ...], vertex: str | None = None) -> DirectedString:
-    """Build a directed string, checking it is a nonzero path of the pair."""
-    if not arrows:
-        if vertex is None:
-            raise InvalidStringError("length-zero string needs an anchor vertex")
-        pair.require_vertex(vertex)
-        return DirectedString(NonzeroPath((), vertex))
+def string_of(pair: AlmostGentlePair, arrows: tuple[str, ...]) -> DirectedString:
+    """Build a directed string, checking it is a nonzero path of the pair.
+
+    An empty arrows tuple raises InvalidStringError: a length-zero string
+    needs its anchor vertex, and callers build those with DirectedString.of.
+    """
     for x, y in zip(arrows, arrows[1:]):
         if pair.arrow(x).target != pair.arrow(y).source:
             raise InvalidStringError(f"{x} and {y} are not composable")
@@ -112,36 +111,20 @@ def left_maximal_extension(pair: AlmostGentlePair, ds: DirectedString) -> Direct
     return DirectedString(NonzeroPath(head + arrows[1:]))
 
 
-@dataclass(frozen=True)
-class Claw:
-    """One right maximal branch per outgoing arrow of the apex; P(apex)."""
-
-    apex: str
-    branches: tuple[DirectedString, ...]
-
-
-@dataclass(frozen=True)
-class AntiClaw:
-    """One left maximal branch per incoming arrow of the apex; E(apex)."""
-
-    apex: str
-    branches: tuple[DirectedString, ...]
-
-
-def claw_of(pair: AlmostGentlePair, v: str) -> Claw:
+def claw_of(pair: AlmostGentlePair, v: str) -> tuple[DirectedString, ...]:
+    """The claw of v: one right maximal branch per outgoing arrow; P(v)."""
     pair.require_valid()
     pair.require_vertex(v)
     table = _maximal_strings(pair, True)
-    return pair.memo(("claw", v), lambda: Claw(v, tuple(
-        table[a.name] for a in pair.out_arrows(v))))
+    return pair.memo(("claw", v), lambda: tuple(table[a.name] for a in pair.out_arrows(v)))
 
 
-def anticlaw_of(pair: AlmostGentlePair, v: str) -> AntiClaw:
+def anticlaw_of(pair: AlmostGentlePair, v: str) -> tuple[DirectedString, ...]:
+    """The anti-claw of v: one left maximal branch per incoming arrow; E(v)."""
     pair.require_valid()
     pair.require_vertex(v)
     table = _maximal_strings(pair, False)
-    return pair.memo(("anticlaw", v), lambda: AntiClaw(v, tuple(
-        table[a.name] for a in pair.in_arrows(v))))
+    return pair.memo(("anticlaw", v), lambda: tuple(table[a.name] for a in pair.in_arrows(v)))
 
 
 def string_dim_vector(pair: AlmostGentlePair, ds: DirectedString) -> dict[str, int]:
@@ -169,14 +152,14 @@ def module_dims(pair: AlmostGentlePair, kind: str, arg) -> dict[str, int]:
         return string_dim_vector(pair, arg)
     if kind == "projective":
         dims = {pair.require_vertex(arg): 1}
-        for br in claw_of(pair, arg).branches:
+        for br in claw_of(pair, arg):
             for a in br.arrows:
                 t = pair.arrow(a).target
                 dims[t] = dims.get(t, 0) + 1
         return dims
     if kind == "injective":
         dims = {pair.require_vertex(arg): 1}
-        for br in anticlaw_of(pair, arg).branches:
+        for br in anticlaw_of(pair, arg):
             dims[string_source(pair, br)] = dims.get(string_source(pair, br), 0) + 1
             for a in br.arrows[1:]:
                 s = pair.arrow(a).source
@@ -195,9 +178,9 @@ def socle_supports(pair: AlmostGentlePair) -> list[str]:
     supports: list[str] = []
     for v in pair.quiver.vertices:
         claw = claw_of(pair, v)
-        if not claw.branches:
+        if not claw:
             supports.append(v)
         else:
-            supports.extend(string_target(pair, br) for br in claw.branches)
+            supports.extend(string_target(pair, br) for br in claw)
     return supports
 

@@ -96,10 +96,9 @@ class SyzygyDecomposition:
 
     @classmethod
     def of(cls, pair: AlmostGentlePair,
-           summands: "list[Summand] | list[tuple[Summand, int]]") -> "SyzygyDecomposition":
+           summands: list[tuple[Summand, int]]) -> "SyzygyDecomposition":
         counts: dict[Summand, int] = {}
-        for entry in summands:
-            s, n = entry if isinstance(entry, tuple) else (entry, 1)
+        for s, n in summands:
             if n:
                 counts[s] = counts.get(s, 0) + n
         ordered = sorted(counts, key=lambda s: summand_sort_key(pair, s))
@@ -135,21 +134,21 @@ def omega1_directed_string(pair: AlmostGentlePair, delta: DirectedString) -> Syz
         v = delta.path.vertex
         pair.require_vertex(v)  # type: ignore[arg-type]
         return SyzygyDecomposition.of(
-            pair, [_branch_minus_first(pair, br) for br in claw_of(pair, v).branches])
+            pair, [(_branch_minus_first(pair, br), 1) for br in claw_of(pair, v)])
     delta = string_of(pair, delta.arrows)
     src = string_source(pair, delta)
-    pieces: list[Summand] = []
+    pieces: list[tuple[Summand, int]] = []
     own_seen = False
-    for br in claw_of(pair, src).branches:
+    for br in claw_of(pair, src):
         if br.arrows[0] == delta.arrows[0]:
             own_seen = True
             if br.arrows[:len(delta.arrows)] != delta.arrows:
                 raise InvalidStringError("string is not a nonzero-successor chain")
             tail = br.arrows[len(delta.arrows):]
             if tail:
-                pieces.append(Summand.string(tail[1:], pair.arrow(tail[0]).target))
+                pieces.append((Summand.string(tail[1:], pair.arrow(tail[0]).target), 1))
         else:
-            pieces.append(_branch_minus_first(pair, br))
+            pieces.append((_branch_minus_first(pair, br), 1))
     if not own_seen:
         raise InvalidStringError("string does not start with an arrow of its source")
     return SyzygyDecomposition.of(pair, pieces)
@@ -202,7 +201,7 @@ def psi0_descriptor(pair: AlmostGentlePair, v: str) -> Psi0Descriptor:
     def compute() -> Psi0Descriptor:
         c, d = vertex_type(pair, v)
         tails = tuple((tail, nonzero_predecessor(pair, tail.arrows[0]) is not None)
-                      for tail in claw_of(pair, v).branches)
+                      for tail in claw_of(pair, v))
         t = sum(1 for _, f in tails if f)
         return Psi0Descriptor(v, c, d, t, tails)
 
@@ -235,10 +234,10 @@ def omega1_injective(pair: AlmostGentlePair, v: str) -> tuple[Psi0Descriptor, li
         raise NotInjectiveCaseError(f"E({v}) is the simple at the source {v}")
     desc = psi0_descriptor(pair, v)
     mlist: list[Summand] = []
-    for branch in anticlaw_of(pair, v).branches:
+    for branch in anticlaw_of(pair, v):
         x = string_source(pair, branch)
         first = branch.arrows[0]
-        for br in claw_of(pair, x).branches:
+        for br in claw_of(pair, x):
             if br.arrows[0] != first:
                 mlist.append(_branch_minus_first(pair, br))
     return desc, sorted(mlist, key=lambda s: summand_sort_key(pair, s))
@@ -285,13 +284,13 @@ def psi0_decompose(pair: AlmostGentlePair, v: str) -> SyzygyDecomposition | None
     if desc.c == 0:
         raise NotInjectiveCaseError(f"E({v}) is simple; no socle block")
     if desc.t < desc.c:
-        pieces = [Summand.string(tail.arrows) for tail in desc.flagged()]
-        pieces.extend(Summand.simple(v) for _ in range(desc.c - 1 - desc.t))
+        pieces = [(Summand.string(tail.arrows), 1) for tail in desc.flagged()]
+        pieces.append((Summand.simple(v), desc.c - 1 - desc.t))
         return SyzygyDecomposition.of(pair, pieces)
     if desc.c == 1:
         tail = desc.flagged()[0]
         return SyzygyDecomposition.of(
-            pair, [Summand.string(tail.arrows[1:], pair.arrow(tail.arrows[0]).target)])
+            pair, [(Summand.string(tail.arrows[1:], pair.arrow(tail.arrows[0]).target), 1)])
     return None
 
 
@@ -394,7 +393,7 @@ def resolve_symbolic(pair: AlmostGentlePair, kind: str, arg, max_steps: int = 64
     if kind == "simple":
         current = [(_normalize(pair, Summand.simple(pair.require_vertex(arg))), 1)]
     elif kind == "string":
-        ds = arg if isinstance(arg, DirectedString) else DirectedString.of(tuple(arg))
+        ds: DirectedString = arg
         if ds.arrows:
             string_of(pair, ds.arrows)
             current = [(_normalize(pair, Summand.string(ds.arrows)), 1)]
@@ -405,7 +404,7 @@ def resolve_symbolic(pair: AlmostGentlePair, kind: str, arg, max_steps: int = 64
         desc, mlist = omega1_injective(pair, v)
         cover = _cover_multiset(
             pair, [(Summand.simple(string_source(pair, br)), 1)
-                   for br in anticlaw_of(pair, v).branches])
+                   for br in anticlaw_of(pair, v)])
         if desc.t < desc.c or desc.c == 1:
             block = [(s, n) for s, n in psi0_decompose(pair, v).items]  # type: ignore[union-attr]
         else:

@@ -174,7 +174,7 @@ def assert_clean_error(out):
 def test_forbidden_unknown_vertex_is_an_error():
     out = run("forbidden", FIXTURES / "fig1.agq", "--from", "zz")
     assert_clean_error(out)
-    assert out.stderr == "error: zz\n"
+    assert out.stderr == "error: unknown vertex 'zz'\n"
 
 
 def test_check_cutoff_below_one_is_a_usage_error():
@@ -187,6 +187,20 @@ def test_random_max_vertices_below_one_is_a_usage_error():
 
 def test_random_negative_max_arrows_is_a_usage_error():
     assert_clean_error(run("random", "--seed", "1", "--max-arrows", "-1"))
+
+
+def test_resolve_max_steps_below_one_is_a_usage_error():
+    out = run("resolve", FIXTURES / "cyc2.agq", "--simple", "1", "--max-steps", "0")
+    assert_clean_error(out)
+    assert out.stderr.startswith("usage: agq resolve")
+    assert out.stdout == ""
+
+
+def test_random_count_below_one_is_a_usage_error():
+    out = run("random", "--seed", "1", "--count", "-1")
+    assert_clean_error(out)
+    assert out.stderr.startswith("usage: agq random")
+    assert out.stdout == ""
 
 
 def test_file_not_utf8_is_a_parse_error(tmp_path):

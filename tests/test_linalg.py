@@ -53,10 +53,10 @@ def test_cover_kernels_stay_integral(fig1, cyc2e):
 
 
 def test_pivot_modes_agree():
-    # "largest" picks row 1 (entry 3) where "first" picks row 0
+    # the first pivot row is row 0 here and row 1 (entry 3) once it comes first
     m = sparse([[1, 0, 2], [3, 1, 0], [4, 1, 2]])
-    assert len(rref(m, "first")[1]) == len(rref(m, "largest")[1]) == dense_rank([[1, 0, 2], [3, 1, 0], [4, 1, 2]], 3)
-    assert rref(m, "first") == rref(m, "largest")
+    assert len(rref(m)[1]) == dense_rank([[1, 0, 2], [3, 1, 0], [4, 1, 2]], 3)
+    assert rref(m) == rref([m[1], m[0], m[2]])
     assert m == sparse([[1, 0, 2], [3, 1, 0], [4, 1, 2]])  # input left untouched
 
 
@@ -66,11 +66,22 @@ matrices = st.integers(0, 5).flatmap(lambda ncols: st.lists(
 
 
 @settings(max_examples=300, deadline=None)
-@given(matrices, st.sampled_from(["first", "largest"]))
-def test_left_nullspace_property(shape, pivot):
+@given(matrices.flatmap(lambda shape: st.permutations(range(len(shape[0]))).map(
+    lambda order: (shape[0], order))))
+def test_rref_ignores_row_order(case):
+    # the reduced form is unique, so no choice of pivot row can change it
+    rows, order = case
+    m, permuted = sparse(rows), sparse([rows[i] for i in order])
+    assert rref(m) == rref(permuted)
+    assert m == sparse(rows) and permuted == sparse([rows[i] for i in order])  # inputs untouched
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices)
+def test_left_nullspace_property(shape):
     rows, ncols = shape
     nrows = len(rows)
-    basis, free = left_nullspace(sparse(rows), nrows, ncols, pivot)
+    basis, free = left_nullspace(sparse(rows), nrows, ncols)
     assert len(basis) == len(free) == nrows - dense_rank(rows, ncols)
     for f, x in zip(free, basis):
         for j in range(ncols):

@@ -13,7 +13,7 @@ from agq.quiver import (
 )
 from conftest import make_pair
 from agq.generator import GeneratorParams, random_ag_pair
-from agq.oracle import _path_tree, default_cutoff
+from agq.oracle import _path_tree, rep_of
 from agq.syzygy import psi0_descriptor
 
 
@@ -163,6 +163,6 @@ def test_operations_require_validation():
     bad = make_pair(["1"], [("x", "1", "1")], [])
     assert not bad.validated
     with pytest.raises(NotValidatedError):
-        default_cutoff(bad)
+        rep_of(bad, "simple", "1")
     with pytest.raises(NotValidatedError):
         nonzero_successor(bad, "x")

@@ -50,32 +50,32 @@ def test_string_of_rejects_relations(fig1):
 
 def test_claw_of_fig1(fig1):
     claw = claw_of(fig1, "1")
-    assert {br.arrows for br in claw.branches} == {
+    assert {br.arrows for br in claw} == {
         ("a_1_2L",), ("a_1_2",), ("b_1_2R",), ("a_1_2R", "a_2R_3R", "a_3R_4R")}
     claw2 = claw_of(fig1, "2")
-    assert {br.arrows for br in claw2.branches} == {
+    assert {br.arrows for br in claw2} == {
         ("a_2_3",), ("a_2_4", "a_4_5"), ("a_2_3'",)}
-    assert claw_of(fig1, "5").branches == ()
+    assert claw_of(fig1, "5") == ()
 
 
 def test_claw_branches_are_unique_successor_chains(fig1):
     from agq.quiver import nonzero_successor
     for v in fig1.quiver.vertices:
-        for br in claw_of(fig1, v).branches:
+        for br in claw_of(fig1, v):
             for x, y in zip(br.arrows, br.arrows[1:]):
                 assert nonzero_successor(fig1, x) == y
             assert nonzero_successor(fig1, br.arrows[-1]) is None
 
 
 def test_anticlaw_of_fig1(fig1):
-    assert {br.arrows for br in anticlaw_of(fig1, "2R").branches} == \
+    assert {br.arrows for br in anticlaw_of(fig1, "2R")} == \
         {("a_1_2R",), ("b_1_2R",)}
-    assert {br.arrows for br in anticlaw_of(fig1, "4").branches} == \
+    assert {br.arrows for br in anticlaw_of(fig1, "4")} == \
         {("a_3_4",), ("a_2_4",), ("a_3'_4",)}
 
 
 def test_anticlaw_source(a2):
-    assert anticlaw_of(a2, "1").branches == ()
+    assert anticlaw_of(a2, "1") == ()
 
 
 def test_module_dims_fig1(fig1):
@@ -144,9 +144,9 @@ def test_maximal_string_tables_match_a_reference_walk():
                 assert table[a.name].arrows == _reference_maximal_string(pair, a.name, right)
         right_table, left_table = _maximal_strings(pair, True), _maximal_strings(pair, False)
         for v in pair.quiver.vertices:
-            assert claw_of(pair, v).branches == \
+            assert claw_of(pair, v) == \
                 tuple(right_table[a.name] for a in pair.out_arrows(v))
-            assert anticlaw_of(pair, v).branches == \
+            assert anticlaw_of(pair, v) == \
                 tuple(left_table[a.name] for a in pair.in_arrows(v))
         checked += 1
     assert checked == 218  # 8 valid fixtures, 200 corpus seeds, 10 benchmark instances

@@ -1,4 +1,5 @@
-"""Repository tooling: the benchmark's traced names, and the package's imports."""
+"""Repository tooling: the benchmark's traced names, the package's imports,
+and that every public name and defaulted parameter serves the package."""
 
 import ast
 import importlib
@@ -72,3 +73,48 @@ def test_every_public_name_has_a_caller_in_the_package():
                 referenced.add(name)
     unreferenced = set(defined) - referenced
     assert unreferenced == set(UNREFERENCED_ALLOWED), sorted(unreferenced ^ set(UNREFERENCED_ALLOWED))
+
+
+# Defaulted parameters that no call in the package passes, kept on purpose.
+UNPASSED_DEFAULTS_ALLOWED = {
+    ("forbidden_cycles", "cap"): "bounds the output on quivers with many forbidden cycles",
+    ("main", "argv"): "tests and the benchmark run the CLI in process",
+}
+
+
+def test_every_defaulted_parameter_is_passed_by_the_package():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "agq"
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(src.glob("*.py"))]
+    defaults = {}  # (function, parameter) -> its position in a call, None if keyword-only
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                functions, method = node.body, True
+            else:
+                functions, method = [node], False
+            for fn in functions:
+                if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
+                    continue
+                params = fn.args.posonlyargs + fn.args.args
+                first = len(params) - len(fn.args.defaults)
+                for i, param in enumerate(params[first:], start=first):
+                    defaults[(fn.name, param.arg)] = i - method
+                for param, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+                    if default is not None:
+                        defaults[(fn.name, param.arg)] = None
+    passed = set()
+    for tree in trees:
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            starred = any(isinstance(arg, ast.Starred) for arg in call.args)
+            for (fname, param), pos in defaults.items():
+                if fname != name:
+                    continue
+                if (any(kw.arg in (param, None) for kw in call.keywords) or starred
+                        or (pos is not None and len(call.args) > pos)):
+                    passed.add((fname, param))
+    unpassed = set(defaults) - passed
+    assert unpassed == set(UNPASSED_DEFAULTS_ALLOWED), sorted(unpassed ^ set(UNPASSED_DEFAULTS_ALLOWED))
