@@ -17,7 +17,6 @@ from .quiver import (
     UnknownVertexError,
     ValidationReport,
     Violation,
-    nonzero_predecessor,
     nonzero_successor,
     opposite,
     validate_bound_quiver,

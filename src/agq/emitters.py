@@ -9,6 +9,7 @@ midpoints of its two arrows (labeled ``a.b``).
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 
 from .forbidden import LengthOrInf
 from .homdim import gorenstein_report, pdim_injective, pdim_simple
@@ -53,7 +54,58 @@ def report_json(pair: AlmostGentlePair, name: str | None = None) -> dict:
 
 
 def emit_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(report, indent=2, sort_keys=True) + "\\n"``, byte for byte.
+
+    With an indent the standard library leaves its C encoder for a pure
+    Python one; this writer covers only what a report holds (dicts with str
+    keys, lists, str, bool, int and None) and raises TypeError on the rest.
+    """
+    out: list[str] = []
+    _write_json(report, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(value, newline: str, out: list[str]) -> None:
+    """Append value's JSON text; newline starts a line at its own depth."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(sep)
+            out.append(encode_basestring_ascii(key))
+            out.append(": ")
+            _write_json(value[key], inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, list):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def emit_dot(pair: AlmostGentlePair, name: str | None = None) -> str:

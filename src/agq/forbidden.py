@@ -14,13 +14,11 @@ Finite(0) throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import total_ordering
 
 from .quiver import AlmostGentlePair, nonzero_successor
 from .strings import DirectedString, string_source
 
 
-@total_ordering
 @dataclass(frozen=True)
 class LengthOrInf:
     """A value in N united with infinity, ordered with Infinite on top."""
@@ -45,11 +43,16 @@ class LengthOrInf:
         return self if self.value is None else LengthOrInf(self.value + n)
 
     def __lt__(self, other: "LengthOrInf") -> bool:
-        if self.value is None:
-            return False
-        if other.value is None:
-            return True
-        return self.value < other.value
+        return self.value is not None and (other.value is None or self.value < other.value)
+
+    def __le__(self, other: "LengthOrInf") -> bool:
+        return other.value is None or (self.value is not None and self.value <= other.value)
+
+    def __gt__(self, other: "LengthOrInf") -> bool:
+        return other.value is not None and (self.value is None or self.value > other.value)
+
+    def __ge__(self, other: "LengthOrInf") -> bool:
+        return self.value is None or (other.value is not None and self.value >= other.value)
 
     def __str__(self) -> str:
         return "infinite" if self.value is None else str(self.value)
@@ -221,8 +224,12 @@ def sup_forbidden_from_vertex(pair: AlmostGentlePair, v: str) -> tuple[LengthOrI
     """Sup over all forbidden paths starting at v; Finite(0) for sinks."""
     pair.require_vertex(v)
     pair.require_valid()
-    return best_witnessed(pair, (sup_forbidden_from_arrow(pair, arr.name)
-                                 for arr in pair.out_arrows(v)))
+    return _sup_from_vertex(pair, v)
+
+
+def _sup_from_vertex(pair: AlmostGentlePair, v: str) -> tuple[LengthOrInf, ForbiddenWalk | None]:
+    sup = digraph_data(pair).sup
+    return best_witnessed(pair, (sup[b.name] for b in pair.quiver._out[v]))  # type: ignore[attr-defined]
 
 
 def better_witnessed(pair: AlmostGentlePair,
@@ -233,8 +240,9 @@ def better_witnessed(pair: AlmostGentlePair,
     Witnesses compare at the first arrow where they differ, by declaration
     index; a prefix comes before its extensions and any walk before None.
     """
-    if cand[0] != cur[0]:
-        return cand if cand[0] > cur[0] else cur
+    new_len, old_len = cand[0].value, cur[0].value  # None is infinite
+    if new_len != old_len:
+        return cand if old_len is not None and (new_len is None or new_len > old_len) else cur
     new, old = cand[1], cur[1]
     if new is None or old is None or new is old:
         return cand if old is None and new is not None else cur
@@ -250,6 +258,9 @@ def best_witnessed(pair: AlmostGentlePair, candidates) -> tuple[LengthOrInf, For
     """The best candidate by ``better_witnessed``; (Finite(0), None) if none."""
     best: tuple[LengthOrInf, ForbiddenWalk | None] = (ZERO, None)
     for cand in candidates:
+        new_len, old_len = cand[0].value, best[0].value
+        if new_len is not None and (old_len is None or new_len < old_len):
+            continue  # a shorter sup never wins; skip the call
         best = better_witnessed(pair, best, cand)
     return best
 
@@ -277,7 +288,8 @@ def is_down_relational(pair: AlmostGentlePair, alpha: str) -> bool:
     """Whether t(alpha) carries some beta with alpha.beta in the ideal."""
     pair.require_valid()
     arr = pair.arrow(alpha)
-    return any((alpha, b.name) in pair.relations for b in pair.out_arrows(arr.target))
+    return any((alpha, b.name) in pair.relations
+               for b in pair.quiver._out[arr.target])  # type: ignore[attr-defined]
 
 
 def delta_start_arrows(pair: AlmostGentlePair, delta: DirectedString) -> list[str]:

@@ -16,16 +16,15 @@ from .forbidden import (
     ZERO,
     ForbiddenWalk,
     LengthOrInf,
+    _sup_from_vertex,
     best_witnessed,
     better_witnessed,
     delta_forbidden_sup,
     digraph_data,
-    sup_forbidden_from_arrow,
-    sup_forbidden_from_vertex,
 )
-from .quiver import AlmostGentlePair, nonzero_successor, vertex_type
-from .strings import DirectedString, anticlaw_of, socle_supports, string_of, string_source
-from .syzygy import is_invalid_vertex, psi0_descriptor
+from .quiver import AlmostGentlePair
+from .strings import DirectedString, _branches, socle_supports, string_of
+from .syzygy import _is_invalid_vertex, _psi0_descriptor, is_invalid_vertex
 
 
 @dataclass(frozen=True)
@@ -50,8 +49,12 @@ def pdim_simple(pair: AlmostGentlePair, v: str) -> DimReport:
     """proj.dim S(v) = sup of forbidden-path lengths out of v."""
     pair.require_valid()
     pair.require_vertex(v)
+    return _pdim_simple(pair, v)
+
+
+def _pdim_simple(pair: AlmostGentlePair, v: str) -> DimReport:
     return pair.memo(("simple", v), lambda: DimReport(
-        *sup_forbidden_from_vertex(pair, v), "forbidden-from-vertex"))
+        *_sup_from_vertex(pair, v), "forbidden-from-vertex"))
 
 
 def global_dimension(pair: AlmostGentlePair) -> DimReport:
@@ -106,46 +109,49 @@ def pdim_injective(pair: AlmostGentlePair, v: str) -> DimReport:
 
 
 def _pdim_injective(pair: AlmostGentlePair, v: str) -> DimReport:
-    c, d = vertex_type(pair, v)
+    outs = pair.quiver._out  # type: ignore[attr-defined]
+    ins = pair.quiver._in[v]  # type: ignore[attr-defined]
+    c = len(ins)
     if c == 0:
-        rep = pdim_simple(pair, v)
+        rep = _pdim_simple(pair, v)
         return DimReport(rep.value, rep.witness, "injective-as-simple")
 
+    sup = digraph_data(pair).sup
+    by_name = pair.quiver._by_name  # type: ignore[attr-defined]
     candidates: list[tuple[LengthOrInf, ForbiddenWalk | None]] = []
 
-    for branch in anticlaw_of(pair, v):
-        x = string_source(pair, branch)
-        for b in pair.out_arrows(x):
-            if b.name != branch.arrows[0]:
-                candidates.append(sup_forbidden_from_arrow(pair, b.name))
+    for branch in _branches(pair, v, False):
+        first = branch.arrows[0]
+        for b in outs[by_name[first].source]:
+            if b.name != first:
+                candidates.append(sup[b.name])
 
-    desc = psi0_descriptor(pair, v)
-    ins = pair.in_arrows(v)
+    desc = _psi0_descriptor(pair, v)
+    succ = pair._succ  # type: ignore[attr-defined]
     matched_partner: dict[str, str] = {}
     unmatched_ins: list[str] = []
     for a in ins:
-        b = nonzero_successor(pair, a.name)
+        b = succ[a.name]
         if b is not None:
             matched_partner[a.name] = b
         else:
             unmatched_ins.append(a.name)
 
     def sup_excluding(skip: str) -> tuple[LengthOrInf, ForbiddenWalk | None]:
-        return best_witnessed(pair, (sup_forbidden_from_arrow(pair, b.name)
-                                     for b in pair.out_arrows(v) if b.name != skip))
+        return best_witnessed(pair, (sup[b.name] for b in outs[v] if b.name != skip))
 
     t = desc.t
     if t < c:
         if c - 1 - t >= 1:
-            rep = pdim_simple(pair, v)
+            rep = _pdim_simple(pair, v)
             candidates.append((rep.value.plus(1), _prefixed(rep.witness, unmatched_ins[0])))
         for a_name, b_name in matched_partner.items():
             inner = sup_excluding(b_name)
             candidates.append((inner[0].plus(1), _prefixed(inner[1], a_name)))
     elif c == 1:
-        candidates.append(sup_forbidden_from_arrow(pair, matched_partner[ins[0].name]))
+        candidates.append(sup[matched_partner[ins[0].name]])
     else:
-        invalid, _cond = is_invalid_vertex(pair, v)
+        invalid, _cond = _is_invalid_vertex(pair, v)
         if invalid:
             candidates.append((LengthOrInf.finite(1), ForbiddenWalk((desc.tails[0][0].arrows[0],))))
         else:
@@ -157,7 +163,7 @@ def _pdim_injective(pair: AlmostGentlePair, v: str) -> DimReport:
                     alpha = next(a.name for a in ins if matched_partner.get(a.name) != b0)
                 else:
                     alpha = ins[0].name
-                inner = sup_forbidden_from_arrow(pair, b0)
+                inner = sup[b0]
                 candidates.append((inner[0].plus(1), _prefixed(inner[1], alpha)))
 
     value, witness = best_witnessed(pair, candidates)
@@ -188,18 +194,16 @@ def self_injective_infinite_by_cycle(pair: AlmostGentlePair) \
     """
     pair.require_valid()
     data = digraph_data(pair)
-    for x, y in sorted(pair.relations,
-                       key=lambda e: (data.idx[e[0]], data.idx[e[1]])):
-        if x not in data.cyclic_node or y not in data.cyclic_node:
-            continue
-        if data.scc[x] != data.scc[y]:
-            continue
-        v = pair.arrow(y).source
-        for alpha in pair.in_arrows(v):
+    cyclic, scc = data.cyclic_node, data.scc
+    cycle_edges = [(x, y) for x, y in pair.relations
+                   if x in cyclic and y in cyclic and scc[x] == scc[y]]
+    for x, y in sorted(cycle_edges, key=lambda e: (data.idx[e[0]], data.idx[e[1]])):
+        v = pair.quiver._by_name[y].source  # type: ignore[attr-defined]
+        for alpha in pair.quiver._in[v]:  # type: ignore[attr-defined]
             if alpha.name != x and (alpha.name, y) in pair.relations:
                 cycle = _cycle_through_edge(pair, x, y)
                 return True, (cycle, v, "A", alpha.name)
-        for beta in pair.out_arrows(v):
+        for beta in pair.quiver._out[v]:  # type: ignore[attr-defined]
             if beta.name != y and (x, beta.name) in pair.relations:
                 cycle = _cycle_through_edge(pair, x, y)
                 return True, (cycle, v, "B", beta.name)

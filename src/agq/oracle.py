@@ -70,9 +70,9 @@ def _path_tree(pair: AlmostGentlePair, v: str, forward: bool = True) -> _PathTre
     """Paths out of v (forward) or into v, enumerated once per pair."""
     def grow(p: tuple[str, ...]) -> list[tuple[str, ...]]:
         if forward:
-            arrows = pair.out_arrows(pair.arrow(p[-1]).target if p else v)
+            arrows = pair.quiver._out[pair.arrow(p[-1]).target if p else v]  # type: ignore[attr-defined]
             return [p + (b.name,) for b in arrows if not p or (p[-1], b.name) not in pair.relations]
-        arrows = pair.in_arrows(pair.arrow(p[0]).source if p else v)
+        arrows = pair.quiver._in[pair.arrow(p[0]).source if p else v]  # type: ignore[attr-defined]
         return [(b.name,) + p for b in arrows if not p or (b.name, p[0]) not in pair.relations]
 
     def compute() -> _PathTree:
@@ -199,7 +199,7 @@ def _cover_data(pair: AlmostGentlePair, rep: Representation):
     for v in pair.quiver.vertices:
         if rep.dims[v] == 0:
             continue
-        rows = [row for a in pair.in_arrows(v) for row in rep.maps[a.name]]
+        rows = [row for a in pair.quiver._in[v] for row in rep.maps[a.name]]  # type: ignore[attr-defined]
         pivot_set = set(linalg.rref(rows)[1]) if any(rows) else set()
         gens.extend((v, j) for j in range(rep.dims[v]) if j not in pivot_set)
 

@@ -98,9 +98,15 @@ class Violation:
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """Violations and warnings, plus the nonzero successor and predecessor of
+    every arrow (None where there is none), which the validation computes
+    anyway; the two maps are complete only when the report is valid."""
+
     valid: bool
     violations: tuple[Violation, ...]
-    warnings: tuple[str, ...] = ()
+    warnings: tuple[str, ...]
+    succ: Mapping[str, str | None] = field(repr=False, compare=False)
+    pred: Mapping[str, str | None] = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -127,8 +133,8 @@ def validate_bound_quiver(quiver: Quiver, relations: frozenset[tuple[str, str]])
     """
     violations: list[Violation] = []
     warnings: list[str] = []
-    arrow_by_name = {a.name: a for a in quiver.arrows}
-    vset = set(quiver.vertices)
+    arrow_by_name = quiver._by_name  # type: ignore[attr-defined]
+    vset = quiver.vertex_index
 
     for a in quiver.arrows:
         if a.source not in vset or a.target not in vset:
@@ -143,10 +149,11 @@ def validate_bound_quiver(quiver: Quiver, relations: frozenset[tuple[str, str]])
                                         f"relation ({a},{b}) is not composable: "
                                         f"t({a})={arrow_by_name[a].target} != s({b})={arrow_by_name[b].source}"))
     if violations:
-        return ValidationReport(False, tuple(violations), tuple(warnings))
+        return ValidationReport(False, tuple(violations), tuple(warnings), {}, {})
 
     # Both endpoints of every arrow are vertices from here on.
     succ: dict[str, str | None] = {}
+    pred: dict[str, str | None] = {}
     for a in quiver.arrows:
         nonzero_out = [b.name for b in quiver._out[a.target]  # type: ignore[attr-defined]
                        if (a.name, b.name) not in relations]
@@ -159,6 +166,7 @@ def validate_bound_quiver(quiver: Quiver, relations: frozenset[tuple[str, str]])
             violations.append(Violation("TooManyNonzeroPredecessors", (a.name,),
                                         f"arrow {a.name} has nonzero predecessors {', '.join(nonzero_in)}"))
         succ[a.name] = nonzero_out[0] if len(nonzero_out) == 1 else None
+        pred[a.name] = nonzero_in[0] if len(nonzero_in) == 1 else None
 
     # Admissibility: the nonzero-successor functional graph must be acyclic
     # (nonzero extensions are unique, so any arbitrarily long nonzero path
@@ -171,7 +179,7 @@ def validate_bound_quiver(quiver: Quiver, relations: frozenset[tuple[str, str]])
         warnings.append("quiver is disconnected; all computations are componentwise")
 
     violations.sort(key=lambda v: (v.kind, v.location))
-    return ValidationReport(not violations, tuple(violations), tuple(warnings))
+    return ValidationReport(not violations, tuple(violations), tuple(warnings), succ, pred)
 
 
 def successor_cycles(succ: Mapping[str, str | None]) -> list[list[str]]:
@@ -222,16 +230,9 @@ class AlmostGentlePair:
     report: ValidationReport = field(compare=False)
 
     def __post_init__(self) -> None:
-        succ: dict[str, str | None] = {}
-        pred: dict[str, str | None] = {}
-        if self.report.valid:
-            for a in self.quiver.arrows:
-                succ[a.name] = next((b.name for b in self.quiver._out[a.target]  # type: ignore[attr-defined]
-                                     if (a.name, b.name) not in self.relations), None)
-                pred[a.name] = next((c.name for c in self.quiver._in[a.source]  # type: ignore[attr-defined]
-                                     if (c.name, a.name) not in self.relations), None)
-        object.__setattr__(self, "_succ", succ)
-        object.__setattr__(self, "_pred", pred)
+        # Read only behind require_valid, so a partial map is never seen.
+        object.__setattr__(self, "_succ", self.report.succ)
+        object.__setattr__(self, "_pred", self.report.pred)
         object.__setattr__(self, "_memo", {})
 
     @classmethod
@@ -281,13 +282,6 @@ def nonzero_successor(pair: AlmostGentlePair, a: str) -> str | None:
     pair.require_valid()
     pair.arrow(a)
     return pair._succ[a]  # type: ignore[attr-defined]
-
-
-def nonzero_predecessor(pair: AlmostGentlePair, a: str) -> str | None:
-    """The unique arrow c with t(c)=s(a) and ca not in the ideal, if any."""
-    pair.require_valid()
-    pair.arrow(a)
-    return pair._pred[a]  # type: ignore[attr-defined]
 
 
 def vertex_type(pair: AlmostGentlePair, v: str) -> tuple[int, int]:

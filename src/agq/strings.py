@@ -9,15 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .quiver import (
-    AlmostGentlePair,
-    InvalidStringError,
-    NonzeroPath,
-    nonzero_predecessor,
-    nonzero_successor,
-    path_source,
-    path_target,
-)
+from .quiver import AlmostGentlePair, InvalidStringError, NonzeroPath, path_source, path_target
 
 
 @dataclass(frozen=True, slots=True)
@@ -41,14 +33,19 @@ class DirectedString:
 def string_of(pair: AlmostGentlePair, arrows: tuple[str, ...]) -> DirectedString:
     """Build a directed string, checking it is a nonzero path of the pair.
 
+    Every arrow is looked up, so an unknown one raises UnknownArrowError.
     An empty arrows tuple raises InvalidStringError: a length-zero string
     needs its anchor vertex, and callers build those with DirectedString.of.
     """
-    for x, y in zip(arrows, arrows[1:]):
-        if pair.arrow(x).target != pair.arrow(y).source:
-            raise InvalidStringError(f"{x} and {y} are not composable")
-        if (x, y) in pair.relations:
-            raise InvalidStringError(f"{x}{y} lies in the ideal")
+    prev = None
+    for name in arrows:
+        arrow = pair.arrow(name)
+        if prev is not None:
+            if prev.target != arrow.source:
+                raise InvalidStringError(f"{prev.name} and {name} are not composable")
+            if (prev.name, name) in pair.relations:
+                raise InvalidStringError(f"{prev.name}{name} lies in the ideal")
+        prev = arrow
     return DirectedString(NonzeroPath(tuple(arrows)))
 
 
@@ -68,16 +65,15 @@ def _maximal_strings(pair: AlmostGentlePair, right: bool) -> dict[str, DirectedS
     walked until it meets an arrow already in the table, whose entry is then
     extended back along the chain.  Admissibility makes every walk finite.
     """
-    step = nonzero_successor if right else nonzero_predecessor
-
     def compute() -> dict[str, DirectedString]:
+        step = pair._succ if right else pair._pred  # type: ignore[attr-defined]
         table: dict[str, DirectedString] = {}
         for a in pair.quiver.arrows:
             chain: list[str] = []
             x: str | None = a.name
             while x is not None and x not in table:
                 chain.append(x)
-                x = step(pair, x)
+                x = step[x]
             arrows = table[x].arrows if x is not None else ()
             for y in reversed(chain):
                 arrows = (y,) + arrows if right else arrows + (y,)
@@ -115,16 +111,21 @@ def claw_of(pair: AlmostGentlePair, v: str) -> tuple[DirectedString, ...]:
     """The claw of v: one right maximal branch per outgoing arrow; P(v)."""
     pair.require_valid()
     pair.require_vertex(v)
-    table = _maximal_strings(pair, True)
-    return pair.memo(("claw", v), lambda: tuple(table[a.name] for a in pair.out_arrows(v)))
+    return _branches(pair, v, True)
 
 
 def anticlaw_of(pair: AlmostGentlePair, v: str) -> tuple[DirectedString, ...]:
     """The anti-claw of v: one left maximal branch per incoming arrow; E(v)."""
     pair.require_valid()
     pair.require_vertex(v)
-    table = _maximal_strings(pair, False)
-    return pair.memo(("anticlaw", v), lambda: tuple(table[a.name] for a in pair.in_arrows(v)))
+    return _branches(pair, v, False)
+
+
+def _branches(pair: AlmostGentlePair, v: str, right: bool) -> tuple[DirectedString, ...]:
+    """The claw (right) or anti-claw of a vertex of a valid pair, unchecked."""
+    table = _maximal_strings(pair, right)
+    arrows = pair.quiver._out[v] if right else pair.quiver._in[v]  # type: ignore[attr-defined]
+    return tuple(table[a.name] for a in arrows)
 
 
 def string_dim_vector(pair: AlmostGentlePair, ds: DirectedString) -> dict[str, int]:
@@ -175,12 +176,13 @@ def socle_supports(pair: AlmostGentlePair) -> list[str]:
     This indexes the injective envelope of the algebra.
     """
     pair.require_valid()
+    by_name = pair.quiver._by_name  # type: ignore[attr-defined]
     supports: list[str] = []
     for v in pair.quiver.vertices:
-        claw = claw_of(pair, v)
+        claw = _branches(pair, v, True)
         if not claw:
             supports.append(v)
         else:
-            supports.extend(string_target(pair, br) for br in claw)
+            supports.extend(by_name[br.arrows[-1]].target for br in claw)
     return supports
 

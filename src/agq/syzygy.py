@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from .quiver import AgqError, AlmostGentlePair, InvalidStringError
 from .strings import (
     DirectedString,
+    _branches,
     anticlaw_of,
     claw_of,
     module_dims,
@@ -26,7 +27,7 @@ from .strings import (
     string_source,
     string_target,
 )
-from .quiver import nonzero_predecessor, nonzero_successor, vertex_type
+from .quiver import vertex_type
 from .forbidden import is_down_relational
 
 
@@ -134,12 +135,12 @@ def omega1_directed_string(pair: AlmostGentlePair, delta: DirectedString) -> Syz
         v = delta.path.vertex
         pair.require_vertex(v)  # type: ignore[arg-type]
         return SyzygyDecomposition.of(
-            pair, [(_branch_minus_first(pair, br), 1) for br in claw_of(pair, v)])
-    delta = string_of(pair, delta.arrows)
-    src = string_source(pair, delta)
+            pair, [(_branch_minus_first(pair, br), 1) for br in _branches(pair, v, True)])
+    string_of(pair, delta.arrows)
+    src = pair.quiver._by_name[delta.arrows[0]].source  # type: ignore[attr-defined]
     pieces: list[tuple[Summand, int]] = []
     own_seen = False
-    for br in claw_of(pair, src):
+    for br in _branches(pair, src, True):
         if br.arrows[0] == delta.arrows[0]:
             own_seen = True
             if br.arrows[:len(delta.arrows)] != delta.arrows:
@@ -162,7 +163,12 @@ def is_gentle_vertex(pair: AlmostGentlePair, v: str) -> bool:
     validation).
     """
     pair.require_valid()
-    ins, outs = pair.in_arrows(v), pair.out_arrows(v)
+    pair.require_vertex(v)
+    return _is_gentle_vertex(pair, v)
+
+
+def _is_gentle_vertex(pair: AlmostGentlePair, v: str) -> bool:
+    ins, outs = pair.quiver._in[v], pair.quiver._out[v]  # type: ignore[attr-defined]
     if len(ins) > 2 or len(outs) > 2:
         return False
     for a in ins:
@@ -197,13 +203,17 @@ class Psi0Descriptor:
 def psi0_descriptor(pair: AlmostGentlePair, v: str) -> Psi0Descriptor:
     """The socle-block shape of E(v), computed once per pair and vertex."""
     pair.require_valid()
+    pair.require_vertex(v)
+    return _psi0_descriptor(pair, v)
 
+
+def _psi0_descriptor(pair: AlmostGentlePair, v: str) -> Psi0Descriptor:
     def compute() -> Psi0Descriptor:
-        c, d = vertex_type(pair, v)
-        tails = tuple((tail, nonzero_predecessor(pair, tail.arrows[0]) is not None)
-                      for tail in claw_of(pair, v))
+        pred = pair._pred  # type: ignore[attr-defined]
+        claw = _branches(pair, v, True)
+        tails = tuple((tail, pred[tail.arrows[0]] is not None) for tail in claw)
         t = sum(1 for _, f in tails if f)
-        return Psi0Descriptor(v, c, d, t, tails)
+        return Psi0Descriptor(v, len(pair.quiver._in[v]), len(claw), t, tails)  # type: ignore[attr-defined]
 
     return pair.memo(("psi0", v), compute)
 
@@ -253,15 +263,20 @@ def is_invalid_vertex(pair: AlmostGentlePair, v: str) -> tuple[bool, int | None]
     out-arrow.
     """
     pair.require_valid()
-    c, d = vertex_type(pair, v)
-    desc = psi0_descriptor(pair, v)
-    if c == 2 and is_gentle_vertex(pair, v):
+    pair.require_vertex(v)
+    return _is_invalid_vertex(pair, v)
+
+
+def _is_invalid_vertex(pair: AlmostGentlePair, v: str) -> tuple[bool, int | None]:
+    desc = _psi0_descriptor(pair, v)
+    c, d = desc.c, desc.d
+    if c == 2 and _is_gentle_vertex(pair, v):
         return True, 1
     if d == 0:
         return True, 2
     if c == 1 and desc.t == 1:
         tail = desc.flagged()[0]
-        if len(tail.arrows) == 1 and not pair.out_arrows(string_target(pair, tail)):
+        if len(tail.arrows) == 1 and not pair.quiver._out[string_target(pair, tail)]:  # type: ignore[attr-defined]
             return True, 3
         if len(tail.arrows) >= 2 and not is_down_relational(pair, tail.arrows[0]):
             return True, 4
@@ -333,7 +348,7 @@ def _cover_multiset(pair: AlmostGentlePair,
     counts: dict[str, int] = {}
     for s, n in items:
         if s.kind == "psi0":
-            c = psi0_descriptor(pair, s.vertex).c  # type: ignore[arg-type]
+            c = _psi0_descriptor(pair, s.vertex).c  # type: ignore[arg-type]
             counts[s.vertex] = counts.get(s.vertex, 0) + n * (c - 1)  # type: ignore[index]
         else:
             apex = s.vertex if s.vertex is not None else pair.arrow(s.arrows[0]).source
@@ -343,17 +358,18 @@ def _cover_multiset(pair: AlmostGentlePair,
 
 def _normalize(pair: AlmostGentlePair, s: Summand) -> Summand:
     """Recognize projective summands; symbolic termination needs no oracle."""
+    outs = pair.quiver._out  # type: ignore[attr-defined]
     if s.kind == "simple":
-        if not pair.out_arrows(s.vertex):  # type: ignore[arg-type]
+        if not outs[s.vertex]:
             return Summand.projective(s.vertex)  # type: ignore[arg-type]
         return s
     if s.kind == "string":
-        src = pair.arrow(s.arrows[0]).source
-        if len(pair.out_arrows(src)) == 1 and nonzero_successor(pair, s.arrows[-1]) is None:
+        src = pair.quiver._by_name[s.arrows[0]].source  # type: ignore[attr-defined]
+        if len(outs[src]) == 1 and pair._succ[s.arrows[-1]] is None:  # type: ignore[attr-defined]
             return Summand.projective(src)
         return s
     if s.kind == "psi0":
-        if is_invalid_vertex(pair, s.vertex)[0]:  # type: ignore[arg-type]
+        if _is_invalid_vertex(pair, s.vertex)[0]:  # type: ignore[arg-type]
             # t = c = 2 and gentle: the block is the two-branch claw P(apex)
             return Summand.projective(s.vertex)  # type: ignore[arg-type]
         return s
@@ -369,7 +385,7 @@ def _omega1_of_summand(pair: AlmostGentlePair, s: Summand) -> list[tuple[Summand
         if s.kind == "string":
             return list(omega1_directed_string(pair, DirectedString.of(s.arrows)).items)
         if s.kind == "psi0":
-            return psi0_omega1(pair, psi0_descriptor(pair, s.vertex))  # type: ignore[arg-type]
+            return psi0_omega1(pair, _psi0_descriptor(pair, s.vertex))  # type: ignore[arg-type]
         raise ValueError(s.kind)
 
     return pair.memo(("omega1", s), compute)
@@ -398,7 +414,7 @@ def resolve_symbolic(pair: AlmostGentlePair, kind: str, arg, max_steps: int = 64
             string_of(pair, ds.arrows)
             current = [(_normalize(pair, Summand.string(ds.arrows)), 1)]
         else:
-            current = [(_normalize(pair, Summand.simple(ds.path.vertex)), 1)]  # type: ignore[arg-type]
+            current = [(_normalize(pair, Summand.simple(pair.require_vertex(ds.path.vertex))), 1)]  # type: ignore[arg-type]
     elif kind == "injective":
         v = arg
         desc, mlist = omega1_injective(pair, v)

@@ -1,0 +1,27 @@
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from agq.emitters import emit_json
+
+_TEXT = st.text(st.sampled_from('ab"\\/\n\t\x00\x1f\x7fé€\U0001f600 '), max_size=8)
+_SCALARS = (_TEXT | st.booleans() | st.none()
+            | st.integers() | st.sampled_from([0, -1, 2**63, -(2**63) - 1, 10**30]))
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(_TEXT, _VALUES, max_size=5) | _VALUES)
+def test_emit_json_matches_the_stdlib_encoder(value):
+    assert emit_json(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("value", [1.5, (1, 2), {1: "a"}, {"a": [{2: None}]}, {"a": {1, 2}}])
+def test_emit_json_rejects_what_a_report_never_holds(value):
+    with pytest.raises(TypeError):
+        emit_json(value)

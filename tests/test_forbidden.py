@@ -149,9 +149,21 @@ def test_forbidden_cycles_match_infinity_on_corpus():
 
 
 def test_length_ordering():
-    assert LengthOrInf.finite(3) < INF
-    assert LengthOrInf.finite(2) < LengthOrInf.finite(3)
-    assert max(LengthOrInf.finite(5), INF) == INF
+    lengths = [LengthOrInf.finite(n) for n in (0, 1, 2, 5)] + [INF]
+
+    def key(x):
+        return (x.value is None, x.value or 0)
+
+    for x in lengths:
+        for y in lengths:
+            assert (x < y) == (key(x) < key(y))
+            assert (x <= y) == (key(x) <= key(y))
+            assert (x > y) == (key(x) > key(y))
+            assert (x >= y) == (key(x) >= key(y))
+            assert (x == y) == (key(x) == key(y))
+            assert max(x, y) == max(x, y, key=key)
+            assert sorted([x, y]) == sorted([x, y], key=key)
+    assert sorted(reversed(lengths)) == lengths
     assert INF.plus(1) == INF
     assert LengthOrInf.finite(1).plus(2) == LengthOrInf.finite(3)
 
@@ -221,3 +233,20 @@ _LOOPS = make_pair(["1"], [(x, "1", "1") for x in "dbac"], [])
 def test_better_witnessed_matches_the_arrow_index_key(cands):
     cur, cand = cands
     assert better_witnessed(_LOOPS, cur, cand) is _reference_better(_LOOPS, cur, cand)
+
+
+def test_better_witnessed_tie_breaks():
+    two = LengthOrInf.finite(2)
+    walk = ForbiddenWalk(("b", "a"))
+    # declaration order is d, b, a, c: the first differing arrow decides
+    assert better_witnessed(_LOOPS, (two, walk), (two, ForbiddenWalk(("b", "c")))) == (two, walk)
+    assert better_witnessed(_LOOPS, (two, walk), (two, ForbiddenWalk(("d", "c"))))[1].stem == ("d", "c")
+    # a prefix before its extension, whichever side it is on
+    prefix = ForbiddenWalk(("b",))
+    assert better_witnessed(_LOOPS, (two, walk), (two, prefix))[1] is prefix
+    assert better_witnessed(_LOOPS, (two, prefix), (two, walk))[1] is prefix
+    # any walk before None; a larger sup wins over any witness
+    assert better_witnessed(_LOOPS, (two, None), (two, walk))[1] is walk
+    assert better_witnessed(_LOOPS, (two, walk), (two, None))[1] is walk
+    assert better_witnessed(_LOOPS, (two, walk), (INF, None)) == (INF, None)
+    assert better_witnessed(_LOOPS, (INF, None), (two, walk)) == (INF, None)

@@ -5,7 +5,6 @@ from agq.quiver import (
     NonzeroPath,
     Quiver,
     UnknownArrowError,
-    nonzero_predecessor,
     nonzero_successor,
     opposite,
     validate_bound_quiver,
@@ -73,12 +72,12 @@ def test_nonzero_successor_sink(a2):
 
 
 def test_nonzero_predecessor_fig1(fig1):
-    assert nonzero_predecessor(fig1, "a_4_5") == "a_2_4"
-    assert nonzero_predecessor(fig1, "a_2R_3R") == "a_1_2R"
+    assert fig1.report.pred["a_4_5"] == "a_2_4"
+    assert fig1.report.pred["a_2R_3R"] == "a_1_2R"
 
 
 def test_nonzero_predecessor_source(a2):
-    assert nonzero_predecessor(a2, "a") is None
+    assert a2.report.pred["a"] is None
 
 
 def test_vertex_type_fig1(fig1):
@@ -145,7 +144,8 @@ def test_ag_conditions_brute_force_on_corpus():
                    if c.target == a.source and (c.name, a.name) not in pair.relations]
             assert len(nxt) <= 1 and len(prv) <= 1
             assert nonzero_successor(pair, a.name) == (nxt[0] if nxt else None)
-            assert nonzero_predecessor(pair, a.name) == (prv[0] if prv else None)
+            assert pair.report.succ[a.name] == (nxt[0] if nxt else None)
+            assert pair.report.pred[a.name] == (prv[0] if prv else None)
 
 
 def test_crossing_bounded_by_degree_on_corpus():
@@ -166,3 +166,39 @@ def test_operations_require_validation():
         rep_of(bad, "simple", "1")
     with pytest.raises(NotValidatedError):
         nonzero_successor(bad, "x")
+
+
+def test_public_entry_points_reject_unknown_names(fig1):
+    # Internal helpers read the pair's tables unchecked, so every public entry
+    # point must check the names it is given itself.
+    from agq.forbidden import (delta_forbidden_sup, is_down_relational, sup_forbidden_from_arrow,
+                               sup_forbidden_from_vertex, zero_length_forbidden)
+    from agq.homdim import pdim_directed_string, pdim_injective, pdim_simple
+    from agq.quiver import UnknownVertexError
+    from agq.strings import (DirectedString, anticlaw_of, claw_of, left_maximal_extension,
+                             module_dims, right_maximal_extension)
+    from agq.syzygy import (is_gentle_vertex, is_invalid_vertex, omega1_directed_string,
+                            omega1_injective, psi0_decompose, psi0_descriptor, psi0_dim_vector,
+                            resolve_symbolic)
+    vertex_zz, arrow_zz = DirectedString.of((), "zz"), DirectedString.of(("zz",))
+    by_vertex = [pdim_simple, pdim_injective, sup_forbidden_from_vertex, zero_length_forbidden,
+                 claw_of, anticlaw_of, is_gentle_vertex, is_invalid_vertex, psi0_descriptor,
+                 psi0_dim_vector, psi0_decompose, omega1_injective,
+                 lambda p, v: module_dims(p, "projective", v),
+                 lambda p, v: module_dims(p, "injective", v),
+                 lambda p, v: omega1_directed_string(p, vertex_zz),
+                 lambda p, v: pdim_directed_string(p, vertex_zz),
+                 lambda p, v: rep_of(p, "injective", v)]
+    by_vertex += [lambda p, v, k=kind: resolve_symbolic(p, k, v) for kind in ("simple", "injective")]
+    by_vertex.append(lambda p, v: resolve_symbolic(p, "string", vertex_zz))
+    for fn in by_vertex:
+        with pytest.raises(UnknownVertexError):
+            fn(fig1, "zz")
+    by_arrow = [sup_forbidden_from_arrow, is_down_relational, nonzero_successor]
+    by_arrow += [lambda p, a, f=f: f(p, arrow_zz)
+                 for f in (right_maximal_extension, left_maximal_extension, omega1_directed_string,
+                           pdim_directed_string, delta_forbidden_sup)]
+    by_arrow.append(lambda p, a: resolve_symbolic(p, "string", arrow_zz))
+    for fn in by_arrow:
+        with pytest.raises(UnknownArrowError):
+            fn(fig1, "zz")

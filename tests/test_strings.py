@@ -13,7 +13,7 @@ from agq.strings import (
 from agq.agqfile import parse_agq
 from agq.generator import GeneratorParams, random_ag_pair
 from agq.oracle import rep_of
-from agq.quiver import nonzero_predecessor, nonzero_successor
+from agq.quiver import nonzero_successor
 from agq.strings import _maximal_strings
 from conftest import FIXTURES, bench_cyclic_pairs
 
@@ -120,7 +120,7 @@ def _reference_maximal_string(pair, a, right):
         if right:
             nxt = nonzero_successor(pair, arrows[-1])
         else:
-            nxt = nonzero_predecessor(pair, arrows[0])
+            nxt = pair.report.pred[arrows[0]]
         if nxt is None:
             return tuple(arrows)
         if right:
@@ -163,3 +163,11 @@ def test_maximal_extensions_splice_the_table_entry(fig1):
         with pytest.raises(InvalidStringError):
             extend(fig1, DirectedString.of(("a_1_2", "a_2_3")))
         assert extend(fig1, DirectedString.of((), "3")).arrows == ()
+
+
+def test_maximal_extensions_reject_an_unknown_arrow(fig1):
+    from agq.quiver import UnknownArrowError
+    for extend in (right_maximal_extension, left_maximal_extension):
+        for arrows in (("zz",), ("a_1_2R", "zz"), ("zz", "a_2R_3R")):
+            with pytest.raises(UnknownArrowError, match="unknown arrow 'zz'"):
+                extend(fig1, DirectedString.of(arrows))

@@ -1,11 +1,17 @@
 """Repository tooling: the benchmark's traced names, the package's imports,
-and that every public name and defaulted parameter serves the package."""
+that every public name and defaulted parameter serves the package, and a
+hash that pins the JSON report byte for byte."""
 
 import ast
+import hashlib
 import importlib
 import importlib.util
 import pathlib
 import sys
+
+from agq.agqfile import parse_agq
+from agq.emitters import emit_json, report_json
+from agq.generator import GeneratorParams, random_ag_pair
 
 TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -118,3 +124,27 @@ def test_every_defaulted_parameter_is_passed_by_the_package():
                     passed.add((fname, param))
     unpassed = set(defaults) - passed
     assert unpassed == set(UNPASSED_DEFAULTS_ALLOWED), sorted(unpassed ^ set(UNPASSED_DEFAULTS_ALLOWED))
+
+
+# SHA-256 of every emit_json(report_json(...)) below, concatenated.  A change
+# that alters the report on purpose updates it and says so in CHANGES.md.
+REPORT_SHA256 = "e5844c641aa5f88626867e9a9cce7eb54bd9be834dac5866c51491a4f1fe2223"
+
+
+def test_json_reports_are_byte_identical_to_the_recorded_hash():
+    digest = hashlib.sha256()
+    fixtures = pathlib.Path(__file__).resolve().parent / "fixtures"
+    valid = 0
+    for path in sorted(fixtures.glob("*.agq")):
+        doc = parse_agq(path.read_text(encoding="utf-8"))
+        pair = doc.pair()
+        if pair.validated:  # loop_norel is the one invalid fixture
+            digest.update(emit_json(report_json(pair, doc.name)).encode())
+            valid += 1
+    params = [GeneratorParams(seed=s) for s in range(1, 201)]
+    params.append(GeneratorParams(seed=7, max_vertices=1000, max_arrows=2000))
+    for p in params:
+        pair, _text = random_ag_pair(p)
+        digest.update(emit_json(report_json(pair, f"random_{p.seed}")).encode())
+    assert valid == 8
+    assert digest.hexdigest() == REPORT_SHA256
