@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 from .quiver import AgqError, AlmostGentlePair, Arrow, Quiver
 
 _TOKEN = r"[A-Za-z0-9_']+"
-_ARROW_RE = re.compile(rf"({_TOKEN})\s*:\s*({_TOKEN})\s*->\s*({_TOKEN})\s*\Z")
+# a whole arrow line without its comment, so group k starts at column start(k) + 1
+_ARROW_RE = re.compile(rf"\s*arrow\s+({_TOKEN})\s*:\s*({_TOKEN})\s*->\s*({_TOKEN})\s*\Z")
 _TOKEN_RE = re.compile(_TOKEN + r"\Z")
 
 
@@ -49,73 +50,87 @@ class AgqDocument:
 
 
 def parse_agq(text: str) -> AgqDocument:
+    """One pass over the lines; only line numbers are kept, and the column of
+    a diagnostic is worked out from its line when it is raised."""
     doc = AgqDocument()
+    lines = text.splitlines()
     explicit_vertices = False
-    arrow_at: dict[str, tuple[int, int, int]] = {}  # line, columns of source and target
-    rel_names_at: list[tuple[int, int, int]] = []  # line, columns of the two names
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    arrow_line: dict[str, int] = {}
+    unresolved: list[tuple[int, str, str]] = []  # relations naming a not yet declared arrow
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw[:raw.index("#")] if "#" in raw else raw
+        words = line.split()
+        if not words:
             continue
-        parts = line.split(None, 1)
-        head, rest = parts[0], (parts[1] if len(parts) > 1 else "")
-        if head == "algebra":
-            if not _TOKEN_RE.match(rest.strip()):
-                raise ParseError(lineno, len(head) + 2, f"bad algebra name {rest.strip()!r}")
-            doc.name = rest.strip()
+        head = words[0]
+        if head == "rel":
+            if len(words) != 3:
+                raise ParseError(lineno, 5, "expected 'rel A B' (the path A then B)")
+            a, b = words[1], words[2]
+            if a not in arrow_line or b not in arrow_line:
+                if not (_TOKEN_RE.match(a) and _TOKEN_RE.match(b)):
+                    raise ParseError(lineno, 5, "expected 'rel A B' (the path A then B)")
+                unresolved.append((lineno, a, b))
+            doc.relations.append((a, b))
+        elif head == "arrow":
+            m = _ARROW_RE.match(line)
+            if not m:
+                raise ParseError(lineno, 7, "expected 'arrow NAME : SRC -> TGT'")
+            name, src, tgt = m.groups()
+            if name in arrow_line:
+                raise ParseError(lineno, m.start(1) + 1,
+                                 f"arrow {name!r} already declared on line {arrow_line[name]}")
+            arrow_line[name] = lineno
+            doc.arrows.append(Arrow(name, src, tgt))
         elif head == "vertex":
-            names = rest.split()
-            if not names:
-                raise ParseError(lineno, len(head) + 1, "vertex line needs at least one name")
-            col = raw.index(head) + len(head)
-            for name in names:
-                col = raw.index(name, col)
+            if len(words) == 1:
+                raise ParseError(lineno, 7, "vertex line needs at least one name")
+            for k in range(1, len(words)):
+                name = words[k]
                 if not _TOKEN_RE.match(name):
-                    raise ParseError(lineno, col + 1, f"bad vertex name {name!r}")
-                if name in doc.line_of and explicit_vertices:
-                    raise ParseError(lineno, col + 1,
-                                     f"vertex {name!r} already declared on line {doc.line_of[name]}")
-                if name not in doc.line_of:
+                    raise ParseError(lineno, _word_column(raw, k), f"bad vertex name {name!r}")
+                if name in doc.line_of:
+                    if explicit_vertices:
+                        raise ParseError(lineno, _word_column(raw, k),
+                                         f"vertex {name!r} already declared on line {doc.line_of[name]}")
+                else:
                     doc.vertices.append(name)
                     doc.line_of[name] = lineno
-                col += len(name)
             explicit_vertices = True
-        elif head == "arrow":
-            m = _ARROW_RE.match(rest)
-            if not m:
-                raise ParseError(lineno, len(head) + 2, "expected 'arrow NAME : SRC -> TGT'")
-            name, src, tgt = m.groups()
-            at = raw.index(rest, raw.index(head) + len(head)) + 1  # column where rest starts
-            if name in arrow_at:
-                raise ParseError(lineno, at + m.start(1),
-                                 f"arrow {name!r} already declared on line {arrow_at[name][0]}")
-            arrow_at[name] = (lineno, at + m.start(2), at + m.start(3))
-            doc.arrows.append(Arrow(name, src, tgt))
-        elif head == "rel":
-            names = rest.split()
-            if len(names) != 2 or not all(_TOKEN_RE.match(n) for n in names):
-                raise ParseError(lineno, len(head) + 2, "expected 'rel A B' (the path A then B)")
-            first = raw.index(names[0], raw.index(head) + len(head))
-            second = raw.index(names[1], first + len(names[0]))
-            doc.relations.append((names[0], names[1]))
-            rel_names_at.append((lineno, first + 1, second + 1))
+        elif head == "algebra":
+            if len(words) != 2 or not _TOKEN_RE.match(words[1]):
+                rest = line.strip()[len(head):].strip()
+                raise ParseError(lineno, 9, f"bad algebra name {rest!r}")
+            doc.name = words[1]
         else:
             raise ParseError(lineno, 1, f"unknown declaration {head!r}")
 
-    arrow_names = {a.name for a in doc.arrows}
-    for (a, b), (lineno, col_a, col_b) in zip(doc.relations, rel_names_at):
-        for n, col in ((a, col_a), (b, col_b)):
-            if n not in arrow_names:
-                raise ParseError(lineno, col, f"relation mentions unknown arrow {n!r}")
+    for lineno, a, b in unresolved:
+        for k, n in ((1, a), (2, b)):
+            if n not in arrow_line:
+                raise ParseError(lineno, _word_column(lines[lineno - 1], k),
+                                 f"relation mentions unknown arrow {n!r}")
     if not explicit_vertices:
         doc.vertices = list(dict.fromkeys(v for a in doc.arrows for v in (a.source, a.target)))
     else:
         for a in doc.arrows:
-            lineno, col_src, col_tgt = arrow_at[a.name]
-            for v, col in ((a.source, col_src), (a.target, col_tgt)):
+            for k, v in ((2, a.source), (3, a.target)):
                 if v not in doc.line_of:
-                    raise ParseError(lineno, col, f"arrow {a.name!r} uses undeclared vertex {v!r}")
+                    lineno = arrow_line[a.name]
+                    m = _ARROW_RE.match(lines[lineno - 1].split("#", 1)[0])
+                    raise ParseError(lineno, m.start(k) + 1,  # type: ignore[union-attr]
+                                     f"arrow {a.name!r} uses undeclared vertex {v!r}")
     return doc
+
+
+def _word_column(raw: str, k: int) -> int:
+    """Column of the k-th word of a line (the keyword is word 0), each word
+    found after the one before it."""
+    words = raw.split("#", 1)[0].split()
+    col = 0
+    for word in words[:k]:
+        col = raw.index(word, col) + len(word)
+    return raw.index(words[k], col) + 1
 
 
 def emit_agq(doc: AgqDocument) -> str:

@@ -13,6 +13,7 @@ Finite(0) throughout.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .quiver import AlmostGentlePair, nonzero_successor
@@ -99,11 +100,8 @@ class _DigraphData:
 
     def __init__(self, pair: AlmostGentlePair):
         self.idx = pair.quiver.arrow_index
-        self.succ: dict[str, list[str]] = {a.name: [] for a in pair.quiver.arrows}
-        for a, b in pair.relations:
-            self.succ[a].append(b)
-        for a in self.succ:
-            self.succ[a].sort(key=lambda b: self.idx[b])
+        # every arrow's relation successors, in declaration order
+        self.succ: Mapping[str, list[str]] = pair.report.rel_succ
         self.scc, order = self._tarjan()
         sizes: dict[int, int] = {}
         for node, comp in self.scc.items():
@@ -287,9 +285,8 @@ def zero_length_forbidden(pair: AlmostGentlePair, v: str) -> bool:
 def is_down_relational(pair: AlmostGentlePair, alpha: str) -> bool:
     """Whether t(alpha) carries some beta with alpha.beta in the ideal."""
     pair.require_valid()
-    arr = pair.arrow(alpha)
-    return any((alpha, b.name) in pair.relations
-               for b in pair.quiver._out[arr.target])  # type: ignore[attr-defined]
+    pair.arrow(alpha)
+    return bool(pair.report.rel_succ[alpha])
 
 
 def delta_start_arrows(pair: AlmostGentlePair, delta: DirectedString) -> list[str]:
@@ -332,40 +329,57 @@ def forbidden_cycles(pair: AlmostGentlePair, cap: int = 10_000) -> tuple[list[tu
     cycles: list[tuple[str, ...]] = []
     truncated = False
 
-    # Johnson-style enumeration restricted to one root at a time: find all
-    # elementary cycles whose least node (by declaration) is the root.
+    # Johnson's algorithm (Johnson 1975), one root at a time in declaration
+    # order: the elementary cycles whose least node (by declaration) is the
+    # root.  A node stays blocked while every path from it back to the root
+    # meets the current path, so only subtrees without a cycle are skipped
+    # and the cycles come out in plain depth-first order.
     for root in data.succ:  # succ and its lists are in arrow declaration order
         if root not in data.cyclic_node:
             continue
         if truncated:
             break
-        stack = [(root, iter(data.succ[root]))]
+        low = idx[root]
+        blocked = {root}
+        blocked_by: dict[str, set[str]] = {}  # node -> blocked nodes it unblocks
         path = [root]
-        onpath = {root}
+        stack = [iter(data.succ[root])]
+        found = [False]  # whether each node on the path has closed a cycle
         while stack:
-            node, it = stack[-1]
-            advanced = False
-            for ch in it:
-                if idx[ch] < idx[root]:
+            for ch in stack[-1]:
+                if idx[ch] < low:
                     continue
                 if ch == root:
                     cycles.append(tuple(path))
+                    found[-1] = True
                     if len(cycles) >= cap:
                         truncated = True
-                        stack.clear()
-                        advanced = True
                         break
-                    continue
-                if ch in onpath:
-                    continue
-                stack.append((ch, iter(data.succ[ch])))
-                path.append(ch)
-                onpath.add(ch)
-                advanced = True
-                break
-            if not advanced and stack:
+                elif ch not in blocked:
+                    blocked.add(ch)
+                    path.append(ch)
+                    stack.append(iter(data.succ[ch]))
+                    found.append(False)
+                    break
+            else:
                 stack.pop()
-                onpath.discard(path.pop())
+                node = path.pop()
+                if found.pop():
+                    if found:
+                        found[-1] = True
+                    todo = [node]
+                    while todo:
+                        u = todo.pop()
+                        if u in blocked:
+                            blocked.discard(u)
+                            todo.extend(blocked_by.pop(u, ()))
+                else:
+                    for ch in data.succ[node]:
+                        if idx[ch] >= low:
+                            blocked_by.setdefault(ch, set()).add(node)
+                continue
+            if truncated:
+                break
     if truncated:
         covered = {frozenset(data.scc[x] for x in cyc) for cyc in cycles}
         for node in data.succ:

@@ -69,15 +69,15 @@ class Quiver:
 
         object.__setattr__(self, "_vidx", {v: i for i, v in enumerate(self.vertices)})
         object.__setattr__(self, "_aidx", {a.name: i for i, a in enumerate(self.arrows)})
-        out: dict[str, tuple[Arrow, ...]] = {v: () for v in self.vertices}
-        inc: dict[str, tuple[Arrow, ...]] = {v: () for v in self.vertices}
+        out: dict[str, list[Arrow]] = {v: [] for v in self.vertices}
+        inc: dict[str, list[Arrow]] = {v: [] for v in self.vertices}
         for a in self.arrows:
             if a.source in out:
-                out[a.source] += (a,)
+                out[a.source].append(a)
             if a.target in inc:
-                inc[a.target] += (a,)
-        object.__setattr__(self, "_out", out)
-        object.__setattr__(self, "_in", inc)
+                inc[a.target].append(a)
+        object.__setattr__(self, "_out", {v: tuple(arrows) for v, arrows in out.items()})
+        object.__setattr__(self, "_in", {v: tuple(arrows) for v, arrows in inc.items()})
         object.__setattr__(self, "_by_name", {a.name: a for a in self.arrows})
 
     @property
@@ -98,15 +98,18 @@ class Violation:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Violations and warnings, plus the nonzero successor and predecessor of
-    every arrow (None where there is none), which the validation computes
-    anyway; the two maps are complete only when the report is valid."""
+    """Violations and warnings, plus what the validation computes anyway: the
+    nonzero successor and predecessor of every arrow (None where there is
+    none) and its relation successors, the arrows b with ab in the ideal in
+    declaration order.  The three maps are complete only when the report is
+    valid."""
 
     valid: bool
     violations: tuple[Violation, ...]
     warnings: tuple[str, ...]
     succ: Mapping[str, str | None] = field(repr=False, compare=False)
     pred: Mapping[str, str | None] = field(repr=False, compare=False)
+    rel_succ: Mapping[str, list[str]] = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,40 +136,61 @@ def validate_bound_quiver(quiver: Quiver, relations: frozenset[tuple[str, str]])
     """
     violations: list[Violation] = []
     warnings: list[str] = []
-    arrow_by_name = quiver._by_name  # type: ignore[attr-defined]
     vset = quiver.vertex_index
+    out = quiver._out  # type: ignore[attr-defined]
 
-    for a in quiver.arrows:
-        if a.source not in vset or a.target not in vset:
-            violations.append(Violation("DanglingEndpoint", (a.name,),
-                                        f"arrow {a.name} has an endpoint outside the vertex set"))
-    for a, b in sorted(relations):
-        if a not in arrow_by_name or b not in arrow_by_name:
-            violations.append(Violation("DanglingEndpoint", (a, b),
-                                        f"relation ({a},{b}) names an unknown arrow"))
-        elif arrow_by_name[a].target != arrow_by_name[b].source:
-            violations.append(Violation("NonComposableRelation", (a, b),
-                                        f"relation ({a},{b}) is not composable: "
-                                        f"t({a})={arrow_by_name[a].target} != s({b})={arrow_by_name[b].source}"))
-    if violations:
-        return ValidationReport(False, tuple(violations), tuple(warnings), {}, {})
-
-    # Both endpoints of every arrow are vertices from here on.
+    # One scan of t(a)'s out-arrows per arrow a sorts each b into a nonzero
+    # successor of a or a relation successor of a; the nonzero pairs give the
+    # predecessors too.  Counting the relations met checks that every
+    # relation is composable.
     succ: dict[str, str | None] = {}
-    pred: dict[str, str | None] = {}
+    pred: dict[str, str | None] = dict.fromkeys(quiver.arrow_index)
+    more_pred: dict[str, list[str]] = {}  # the nonzero predecessors after the first
+    rel_succ: dict[str, list[str]] = {}
+    met = 0
+    malformed: list[Violation] = []  # found here, they end the validation early
     for a in quiver.arrows:
-        nonzero_out = [b.name for b in quiver._out[a.target]  # type: ignore[attr-defined]
-                       if (a.name, b.name) not in relations]
-        nonzero_in = [c.name for c in quiver._in[a.source]  # type: ignore[attr-defined]
-                      if (c.name, a.name) not in relations]
-        if len(nonzero_out) > 1:
-            violations.append(Violation("TooManyNonzeroSuccessors", (a.name,),
-                                        f"arrow {a.name} has nonzero successors {', '.join(nonzero_out)}"))
-        if len(nonzero_in) > 1:
-            violations.append(Violation("TooManyNonzeroPredecessors", (a.name,),
-                                        f"arrow {a.name} has nonzero predecessors {', '.join(nonzero_in)}"))
-        succ[a.name] = nonzero_out[0] if len(nonzero_out) == 1 else None
-        pred[a.name] = nonzero_in[0] if len(nonzero_in) == 1 else None
+        name = a.name
+        if a.source not in vset or a.target not in vset:
+            malformed.append(Violation("DanglingEndpoint", (name,),
+                                       f"arrow {name} has an endpoint outside the vertex set"))
+            continue
+        nonzero: list[str] = []
+        zero: list[str] = []
+        for b in out[a.target]:
+            if (name, b.name) in relations:
+                zero.append(b.name)
+            else:
+                nonzero.append(b.name)
+                if pred[b.name] is None:
+                    pred[b.name] = name
+                else:
+                    more_pred.setdefault(b.name, []).append(name)
+        met += len(zero)
+        rel_succ[name] = zero
+        if len(nonzero) == 1:
+            succ[name] = nonzero[0]
+        else:
+            succ[name] = None
+            if nonzero:
+                violations.append(Violation("TooManyNonzeroSuccessors", (name,),
+                                            f"arrow {name} has nonzero successors {', '.join(nonzero)}"))
+
+    if malformed or met != len(relations):
+        arrow_by_name = quiver._by_name  # type: ignore[attr-defined]
+        for a, b in sorted(relations):
+            if a not in arrow_by_name or b not in arrow_by_name:
+                malformed.append(Violation("DanglingEndpoint", (a, b),
+                                           f"relation ({a},{b}) names an unknown arrow"))
+            elif arrow_by_name[a].target != arrow_by_name[b].source:
+                malformed.append(Violation("NonComposableRelation", (a, b),
+                                           f"relation ({a},{b}) is not composable: "
+                                           f"t({a})={arrow_by_name[a].target} != s({b})={arrow_by_name[b].source}"))
+        return ValidationReport(False, tuple(malformed), tuple(warnings), {}, {}, {})
+    for b, rest in more_pred.items():
+        violations.append(Violation("TooManyNonzeroPredecessors", (b,),
+                                    f"arrow {b} has nonzero predecessors {', '.join([pred[b], *rest])}"))
+        pred[b] = None
 
     # Admissibility: the nonzero-successor functional graph must be acyclic
     # (nonzero extensions are unique, so any arbitrarily long nonzero path
@@ -175,11 +199,11 @@ def validate_bound_quiver(quiver: Quiver, relations: frozenset[tuple[str, str]])
         violations.append(Violation("NonzeroCycle", tuple(cycle),
                                     "nonzero cycle " + " ".join(cycle)))
 
-    if quiver.vertices and _component_count(quiver) > 1:
+    if quiver.vertices and not _connected(quiver):
         warnings.append("quiver is disconnected; all computations are componentwise")
 
     violations.sort(key=lambda v: (v.kind, v.location))
-    return ValidationReport(not violations, tuple(violations), tuple(warnings), succ, pred)
+    return ValidationReport(not violations, tuple(violations), tuple(warnings), succ, pred, rel_succ)
 
 
 def successor_cycles(succ: Mapping[str, str | None]) -> list[list[str]]:
@@ -206,19 +230,21 @@ def successor_cycles(succ: Mapping[str, str | None]) -> list[list[str]]:
     return cycles
 
 
-def _component_count(quiver: Quiver) -> int:
-    parent = {v: v for v in quiver.vertices}
-
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a in quiver.arrows:
-        if a.source in parent and a.target in parent:
-            parent[find(a.source)] = find(a.target)
-    return len({find(v) for v in quiver.vertices})
+def _connected(quiver: Quiver) -> bool:
+    """Whether one walk along arrows, either way, reaches every vertex."""
+    first = quiver.vertices[0]
+    seen, todo = {first}, [first]
+    while todo:
+        v = todo.pop()
+        for a in quiver._out[v]:  # type: ignore[attr-defined]
+            if a.target not in seen:
+                seen.add(a.target)
+                todo.append(a.target)
+        for a in quiver._in[v]:  # type: ignore[attr-defined]
+            if a.source not in seen:
+                seen.add(a.source)
+                todo.append(a.source)
+    return len(seen) == len(quiver.vertices)
 
 
 @dataclass(frozen=True)

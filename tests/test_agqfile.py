@@ -74,6 +74,47 @@ def test_undeclared_vertex_column_is_on_the_arrow_line():
     assert (err.value.line, err.value.column) == (2, 11)
 
 
+# Every ParseError kind, with its line, column and message in five layouts
+# of the same declarations.  "\udcff" stands for the byte 0xff.
+_LAYOUTS = {
+    "plain": lambda ls: "\n".join(ls) + "\n",
+    "tab": lambda ls: "\n".join("\t" + ln.replace(" ", "\t") for ln in ls) + "\n",
+    "spaces": lambda ls: "\n".join("  " + ln.replace(" ", "   ") for ln in ls) + "\n",
+    "comment": lambda ls: "\n".join(ln + "  # e r l w v-w" for ln in ls) + "\n",
+    "crlf": lambda ls: "\r\n".join(ls) + "\r\n",
+}
+_DIAGNOSTICS = [
+    # declarations, error line, columns in the layouts above (in order), message
+    (["algebra a-b"], 1, (9, 9, 9, 9, 9), "bad algebra name 'a-b'"),
+    (["vertex 1", "vertex"], 2, (7, 7, 7, 7, 7), "vertex line needs at least one name"),
+    (["vertex v v-w"], 1, (10, 11, 16, 10, 10), "bad vertex name 'v-w'"),
+    (["vertex e1 e", "vertex e"], 2, (8, 9, 12, 8, 8), "vertex 'e' already declared on line 1"),
+    (["arrow a 1 -> 2"], 1, (7, 7, 7, 7, 7), "expected 'arrow NAME : SRC -> TGT'"),
+    (["arrow r : 1 -> 2", "arrow r : 2 -> 1"], 2, (7, 8, 11, 7, 7),
+     "arrow 'r' already declared on line 1"),
+    (["arrow a : 1 -> 1", "rel a"], 2, (5, 5, 5, 5, 5), "expected 'rel A B' (the path A then B)"),
+    (["arrow a : 1 -> 2", "rel a l"], 2, (7, 8, 13, 7, 7), "relation mentions unknown arrow 'l'"),
+    (["vertex w", "arrow a : r -> w"], 2, (11, 12, 19, 11, 11),
+     "arrow 'a' uses undeclared vertex 'r'"),
+    (["vertex r", "arrow a : r -> w"], 2, (16, 17, 28, 16, 16),
+     "arrow 'a' uses undeclared vertex 'w'"),
+    (["edge a : 1 -> 2"], 1, (1, 1, 1, 1, 1), "unknown declaration 'edge'"),
+    (["vertex 1", "arrow a : 1 -> \udcff"], 2, (16, 17, 28, 16, 16), "file is not valid UTF-8"),
+]
+
+
+@pytest.mark.parametrize("layout", list(_LAYOUTS))
+@pytest.mark.parametrize("decls, line, columns, message", _DIAGNOSTICS)
+def test_parse_error_positions_and_messages(tmp_path, decls, line, columns, message, layout):
+    path = tmp_path / "bad.agq"
+    path.write_bytes(_LAYOUTS[layout](decls).encode("utf-8", "surrogateescape"))
+    with pytest.raises(ParseError) as err:
+        load_pair(str(path))
+    column = columns[list(_LAYOUTS).index(layout)]
+    assert (err.value.line, err.value.column, err.value.message) == (line, column, message)
+    assert str(err.value) == f"line {line}, column {column}: {message}"
+
+
 def test_unknown_declaration_rejected():
     with pytest.raises(ParseError):
         parse_agq("edge a : 1 -> 2\n")

@@ -1,15 +1,19 @@
 import gc
+import time
 import weakref
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from agq.agqfile import load_pair
 from agq.forbidden import (
     INF,
     ForbiddenWalk,
     LengthOrInf,
     better_witnessed,
     delta_forbidden_sup,
+    digraph_data,
     forbidden_cycles,
     is_down_relational,
     sup_forbidden_from_arrow,
@@ -19,7 +23,8 @@ from agq.forbidden import (
 from agq.strings import DirectedString
 from agq.generator import GeneratorParams, random_ag_pair
 from agq.homdim import global_dimension
-from conftest import make_pair
+from agq.quiver import NotValidatedError
+from conftest import FIXTURES, make_pair
 
 
 def test_sup_from_arrow_fig1(fig1):
@@ -178,6 +183,94 @@ def test_forbidden_cycles_truncation_keeps_representatives():
     capped, trunc = forbidden_cycles(pair, cap=1)
     assert trunc
     assert {cyc[0] for cyc in capped} == {"a", "c"}  # one per component
+
+
+def _reference_forbidden_cycles(pair, cap):
+    """forbidden_cycles as it was before blocking sets: a plain depth-first
+    search per root, whose work the cap does not bound."""
+    pair.require_valid()
+    data = digraph_data(pair)
+    idx = pair.quiver.arrow_index
+    cycles = []
+    truncated = False
+    for root in data.succ:
+        if root not in data.cyclic_node:
+            continue
+        if truncated:
+            break
+        stack = [(root, iter(data.succ[root]))]
+        path = [root]
+        onpath = {root}
+        while stack:
+            node, it = stack[-1]
+            advanced = False
+            for ch in it:
+                if idx[ch] < idx[root]:
+                    continue
+                if ch == root:
+                    cycles.append(tuple(path))
+                    if len(cycles) >= cap:
+                        truncated = True
+                        stack.clear()
+                        advanced = True
+                        break
+                    continue
+                if ch in onpath:
+                    continue
+                stack.append((ch, iter(data.succ[ch])))
+                path.append(ch)
+                onpath.add(ch)
+                advanced = True
+                break
+            if not advanced and stack:
+                stack.pop()
+                onpath.discard(path.pop())
+    if truncated:
+        covered = {frozenset(data.scc[x] for x in cyc) for cyc in cycles}
+        for node in data.succ:
+            if node in data.cyclic_node and frozenset({data.scc[node]}) not in covered:
+                cycles.append(data.sup[node][1].cycle)
+                covered.add(frozenset({data.scc[node]}))
+    canon = []
+    for cyc in cycles:
+        k = min(range(len(cyc)), key=lambda i: idx[cyc[i]])
+        canon.append(cyc[k:] + cyc[:k])
+    canon = sorted(set(canon), key=lambda c: (len(c), tuple(idx[x] for x in c)))
+    return canon, truncated
+
+
+def _fixture_and_corpus_pairs():
+    for path in sorted(FIXTURES.glob("*.agq")):
+        yield load_pair(str(path))[1]
+    for seed in range(1, 201):
+        yield random_ag_pair(GeneratorParams(seed=seed))[0]
+
+
+@pytest.mark.parametrize("cap", [1, 2, 5, 20, 10_000])
+def test_forbidden_cycles_match_the_plain_search(cap):
+    pairs = list(_fixture_and_corpus_pairs())
+    assert len(pairs) == 209
+    for pair in pairs:
+        if not pair.validated:  # loop_norel
+            with pytest.raises(NotValidatedError):
+                forbidden_cycles(pair, cap)
+            continue
+        assert forbidden_cycles(pair, cap) == _reference_forbidden_cycles(pair, cap)
+
+
+def test_forbidden_cycles_work_is_bounded_by_the_cap():
+    # closed_cyclic seed-301 instance #31 (A=237): the plain search did not
+    # return within 60 s at cap 1
+    pair, _ = random_ag_pair(GeneratorParams(seed=273909678, max_vertices=150, max_arrows=300))
+    assert len(pair.quiver.arrows) == 237
+    start = time.perf_counter()
+    cycles, truncated = forbidden_cycles(pair, 20)
+    elapsed = time.perf_counter() - start
+    assert truncated and len(cycles) >= 20
+    for cyc in cycles:
+        seq = cyc + cyc[:1]
+        assert all((x, y) in pair.relations for x, y in zip(seq, seq[1:]))
+    assert elapsed < 1.0, elapsed
 
 
 def _reference_key(pair, walk):

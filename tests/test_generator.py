@@ -1,5 +1,10 @@
 import hashlib
 
+import pytest
+
+from agq.agqfile import document_of, emit_agq, parse_agq
+from agq.emitters import emit_json, report_json
+from agq.forbidden import digraph_data
 from agq.generator import GeneratorParams, random_ag_pair
 
 
@@ -51,3 +56,38 @@ def test_texts_are_pinned():
     _pair, large = random_ag_pair(GeneratorParams(seed=7, max_vertices=1000, max_arrows=2000))
     assert hashlib.sha256(large.encode()).hexdigest() == \
         "c97e15e1e81b935cd182ff76f47dc630a890ef9a378d865c66efae262f447ec2"
+
+
+_DISCONNECTED = "quiver is disconnected; all computations are componentwise"
+# name -> parameters, and what the draw must look like
+_EXTREMES = {
+    "density 0": (GeneratorParams(seed=5, relation_density=0.0), lambda p: len(p.quiver.arrows) == 11),
+    "density 1": (GeneratorParams(seed=5, relation_density=1.0),
+                  lambda p: len(p.relations) == sum(len(p.out_arrows(a.target)) for a in p.quiver.arrows)),
+    "40 loops": (GeneratorParams(seed=33, max_vertices=1, max_arrows=40),
+                 lambda p: len(p.quiver.vertices) == 1 and len(p.quiver.arrows) == 40),
+    "no loops": (GeneratorParams(seed=5, loop_allowed=False),
+                 lambda p: len(p.quiver.arrows) == 11 and all(a.source != a.target for a in p.quiver.arrows)),
+    "no loops, one vertex": (GeneratorParams(seed=1, max_vertices=1, loop_allowed=False),
+                             lambda p: not p.quiver.arrows),
+    "no arrows": (GeneratorParams(seed=1, max_arrows=0),
+                  lambda p: not p.quiver.arrows and len(p.quiver.vertices) == 3),
+    "disconnected": (GeneratorParams(seed=0, max_vertices=12, max_arrows=8),
+                     lambda p: len(p.quiver.arrows) == 6 and p.report.warnings == (_DISCONNECTED,)),
+}
+
+
+@pytest.mark.parametrize("case", list(_EXTREMES))
+def test_extreme_parameters_round_trip(case):
+    params, shape = _EXTREMES[case]
+    pair, _ = random_ag_pair(params)
+    assert pair.validated and shape(pair)
+    doc = document_of(pair, "extreme")
+    again = parse_agq(emit_agq(doc))
+    assert (again.name, again.vertices, again.arrows, again.relations) == \
+        (doc.name, doc.vertices, doc.arrows, doc.relations)
+    idx = pair.quiver.arrow_index
+    succ = digraph_data(pair).succ
+    for a in pair.quiver.arrows:
+        assert succ[a.name] == sorted((b for x, b in pair.relations if x == a.name), key=idx.__getitem__)
+    assert emit_json(report_json(again.pair(), "extreme")) == emit_json(report_json(pair, "extreme"))

@@ -6,7 +6,9 @@ import ast
 import hashlib
 import importlib
 import importlib.util
+import os
 import pathlib
+import subprocess
 import sys
 
 from agq.agqfile import parse_agq
@@ -25,6 +27,20 @@ def test_traced_functions_exist():
         modname, fname = qual.split(".")
         module = importlib.import_module(f"agq.{modname}")
         assert callable(getattr(module, fname, None)), qual
+
+
+def test_cli_import_loads_every_traced_module():
+    # the tracer wraps functions it finds in sys.modules, so a module that
+    # "import agq, agq.cli" leaves unloaded would be missing from a trace
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, agq, agq.cli; print(*sorted(sys.modules))"],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": str(src)}).stdout.split()
+    needed = {"agq." + qual.split(".")[0] for qual in tracer.FUNCTIONS}
+    assert needed - set(loaded) == set()
 
 
 def test_package_imports_only_the_standard_library():
