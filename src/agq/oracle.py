@@ -362,6 +362,11 @@ def _component_key(pair: AlmostGentlePair, rep: Representation):
     revisits included.
     """
     offset, n = _slot_offsets(pair, rep)
+    if n == 1:  # a simple, unless a loop acts by a nonzero scalar
+        v = next(w for w, d in rep.dims.items() if d)
+        if any(row for a in pair.quiver._out[v] for row in rep.maps[a.name]):  # type: ignore[attr-defined]
+            return None
+        return ((v,), ())
     label = [v for v in pair.quiver.vertices for _i in range(rep.dims[v])]
     edges: list[tuple[int, int, str]] = []
     for a in pair.quiver.arrows:
@@ -376,8 +381,6 @@ def _component_key(pair: AlmostGentlePair, rep: Representation):
         adj[w].append((u, a, -1))
     if any(len(nbrs) > 2 for nbrs in adj):
         return None  # a tree but not a path, or not connected
-    if n == 1:
-        return ((label[0],), ())
     ends = [k for k in range(n) if len(adj[k]) == 1]
     best = None
     for start in ends:

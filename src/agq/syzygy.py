@@ -13,6 +13,7 @@ genuine tree module handled by its own exact kernel formula.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from .quiver import AgqError, AlmostGentlePair, InvalidStringError
@@ -106,9 +107,10 @@ class SyzygyDecomposition:
         return cls(tuple((s, counts[s]) for s in ordered))
 
     def dim_vector(self, pair: AlmostGentlePair) -> dict[str, int]:
+        graph = _summand_graph(pair)
         dims: dict[str, int] = {}
         for s, n in self.items:
-            for v, m in summand_dims(pair, s).items():
+            for v, m in graph.dims[graph.node(pair, s)].items():
                 dims[v] = dims.get(v, 0) + n * m
         return {v: n for v, n in dims.items() if n}
 
@@ -343,19 +345,6 @@ class Resolution:
         return len(self.levels) - 1
 
 
-def _cover_multiset(pair: AlmostGentlePair,
-                    items: list[tuple[Summand, int]]) -> tuple[tuple[str, int], ...]:
-    counts: dict[str, int] = {}
-    for s, n in items:
-        if s.kind == "psi0":
-            c = _psi0_descriptor(pair, s.vertex).c  # type: ignore[arg-type]
-            counts[s.vertex] = counts.get(s.vertex, 0) + n * (c - 1)  # type: ignore[index]
-        else:
-            apex = s.vertex if s.vertex is not None else pair.arrow(s.arrows[0]).source
-            counts[apex] = counts.get(apex, 0) + n
-    return tuple((v, counts[v]) for v in pair.quiver.vertices if v in counts)
-
-
 def _normalize(pair: AlmostGentlePair, s: Summand) -> Summand:
     """Recognize projective summands; symbolic termination needs no oracle."""
     outs = pair.quiver._out  # type: ignore[attr-defined]
@@ -376,19 +365,77 @@ def _normalize(pair: AlmostGentlePair, s: Summand) -> Summand:
     return s
 
 
-def _omega1_of_summand(pair: AlmostGentlePair, s: Summand) -> list[tuple[Summand, int]]:
-    def compute() -> list[tuple[Summand, int]]:
-        if s.kind == "projective":
-            return []
-        if s.kind == "simple":
-            return list(omega1_directed_string(pair, DirectedString.of((), s.vertex)).items)
-        if s.kind == "string":
-            return list(omega1_directed_string(pair, DirectedString.of(s.arrows)).items)
-        if s.kind == "psi0":
-            return psi0_omega1(pair, _psi0_descriptor(pair, s.vertex))  # type: ignore[arg-type]
-        raise ValueError(s.kind)
+def _omega1_of_summand(pair: AlmostGentlePair, s: Summand) -> Sequence[tuple[Summand, int]]:
+    if s.kind == "projective":
+        return ()
+    if s.kind == "simple":
+        return omega1_directed_string(pair, DirectedString.of((), s.vertex)).items
+    if s.kind == "string":
+        return omega1_directed_string(pair, DirectedString.of(s.arrows)).items
+    if s.kind == "psi0":
+        return psi0_omega1(pair, _psi0_descriptor(pair, s.vertex))  # type: ignore[arg-type]
+    raise ValueError(s.kind)
 
-    return pair.memo(("omega1", s), compute)
+
+class _SummandGraph:
+    """The summands met on one pair, numbered in the order they are met.
+
+    Node n stores its summand, its sort key, its cover contribution (apex
+    index, copies: c - 1 for a socle block, else 1), its dimension vector
+    and, once asked for, its successors: the normalized first syzygy as
+    [(node, multiplicity)].  The pair is passed in, never stored, so the
+    pair's memo holds no cycle back to the pair.
+    """
+
+    def __init__(self) -> None:
+        self.nodes: dict[Summand, int] = {}
+        self.summands: list[Summand] = []
+        self.keys: list[tuple] = []
+        self.covers: list[tuple[int, int]] = []
+        self.dims: list[dict[str, int]] = []
+        self.succ: list[list[tuple[int, int]] | None] = []
+
+    def node(self, pair: AlmostGentlePair, s: Summand) -> int:
+        n = self.nodes.get(s)
+        if n is None:
+            n = self.nodes[s] = len(self.summands)
+            key = summand_sort_key(pair, s)
+            copies = _psi0_descriptor(pair, s.vertex).c - 1 if s.kind == "psi0" else 1  # type: ignore[arg-type]
+            self.summands.append(s)
+            self.keys.append(key)
+            self.covers.append((key[1], copies))
+            self.dims.append(summand_dims(pair, s))
+            self.succ.append(None)
+        return n
+
+    def count(self, pair: AlmostGentlePair, pieces: Iterable[tuple[Summand, int]]) -> dict[int, int]:
+        """Multiplicity per node of the normalized pieces."""
+        counts: dict[int, int] = {}
+        for s, m in pieces:
+            k = self.node(pair, _normalize(pair, s))
+            counts[k] = counts.get(k, 0) + m
+        return counts
+
+    def successors(self, pair: AlmostGentlePair, n: int) -> list[tuple[int, int]]:
+        succ = self.succ[n]
+        if succ is None:
+            pieces = _omega1_of_summand(pair, self.summands[n])
+            succ = self.succ[n] = list(self.count(pair, pieces).items())
+        return succ
+
+
+def _summand_graph(pair: AlmostGentlePair) -> _SummandGraph:
+    return pair.memo("summand_graph", _SummandGraph)
+
+
+def _level(pair: AlmostGentlePair, graph: _SummandGraph,
+           cover: dict[int, int], syzygy: dict[int, int]) -> ResolutionLevel:
+    """A level from cover counts per vertex index and syzygy counts per node."""
+    vertices = pair.quiver.vertices
+    return ResolutionLevel(
+        tuple((vertices[i], cover[i]) for i in sorted(cover)),
+        SyzygyDecomposition(tuple((graph.summands[n], syzygy[n])
+                                  for n in sorted(syzygy, key=graph.keys.__getitem__))))
 
 
 def resolve_symbolic(pair: AlmostGentlePair, kind: str, arg, max_steps: int = 64) -> Resolution:
@@ -397,8 +444,10 @@ def resolve_symbolic(pair: AlmostGentlePair, kind: str, arg, max_steps: int = 64
     kind is "simple", "string", or "injective".  Levels carry the cover of
     the current module and its syzygy; iteration stops when every summand
     is recognized projective, else after max_steps with a cutoff marker.
+    Each level is a sum over the pair's summand graph.
     """
     pair.require_valid()
+    graph = _summand_graph(pair)
     levels: list[ResolutionLevel] = []
 
     if kind == "injective":
@@ -407,42 +456,44 @@ def resolve_symbolic(pair: AlmostGentlePair, kind: str, arg, max_steps: int = 64
         if c == 0:
             kind, arg = "simple", v
     if kind == "simple":
-        current = [(_normalize(pair, Summand.simple(pair.require_vertex(arg))), 1)]
+        current = graph.count(pair, [(Summand.simple(pair.require_vertex(arg)), 1)])
     elif kind == "string":
         ds: DirectedString = arg
         if ds.arrows:
             string_of(pair, ds.arrows)
-            current = [(_normalize(pair, Summand.string(ds.arrows)), 1)]
+            start = Summand.string(ds.arrows)
         else:
-            current = [(_normalize(pair, Summand.simple(pair.require_vertex(ds.path.vertex))), 1)]  # type: ignore[arg-type]
+            start = Summand.simple(pair.require_vertex(ds.path.vertex))  # type: ignore[arg-type]
+        current = graph.count(pair, [(start, 1)])
     elif kind == "injective":
         v = arg
         desc, mlist = omega1_injective(pair, v)
-        cover = _cover_multiset(
-            pair, [(Summand.simple(string_source(pair, br)), 1)
-                   for br in anticlaw_of(pair, v)])
+        vidx = pair.quiver.vertex_index
+        cover: dict[int, int] = {}
+        for br in anticlaw_of(pair, v):
+            x = vidx[string_source(pair, br)]
+            cover[x] = cover.get(x, 0) + 1
         if desc.t < desc.c or desc.c == 1:
-            block = [(s, n) for s, n in psi0_decompose(pair, v).items]  # type: ignore[union-attr]
+            block = psi0_decompose(pair, v).items  # type: ignore[union-attr]
         else:
-            block = [(Summand.psi0(v), 1)]
-        syz = [(_normalize(pair, s), 1) for s in mlist]
-        syz += [(_normalize(pair, s), n) for s, n in block]
-        dec = SyzygyDecomposition.of(pair, syz)
-        levels.append(ResolutionLevel(cover, dec))
-        if not dec:
+            block = ((Summand.psi0(v), 1),)
+        current = graph.count(pair, [(s, 1) for s in mlist] + list(block))
+        levels.append(_level(pair, graph, cover, current))
+        if not current:
             return Resolution(tuple(levels), "projective")
-        current = list(dec.items)
     else:
         raise ValueError(f"unknown module kind {kind!r}")
 
     while True:
-        cover = _cover_multiset(pair, current)
-        nxt = [(_normalize(pair, t), n * m)
-               for s, n in current for t, m in _omega1_of_summand(pair, s)]
-        dec = SyzygyDecomposition.of(pair, nxt)
-        levels.append(ResolutionLevel(cover, dec))
-        if not dec:
+        cover, nxt = {}, {}
+        for n, count in current.items():
+            x, copies = graph.covers[n]
+            cover[x] = cover.get(x, 0) + count * copies
+            for k, m in graph.successors(pair, n):
+                nxt[k] = nxt.get(k, 0) + count * m
+        levels.append(_level(pair, graph, cover, nxt))
+        if not nxt:
             return Resolution(tuple(levels), "projective")
         if len(levels) > max_steps:
             return Resolution(tuple(levels), "cutoff")
-        current = list(dec.items)
+        current = nxt

@@ -200,6 +200,27 @@ def test_each_component_is_keyed_once(monkeypatch):
     assert max(n for _rep, n in walks.values()) == 1
 
 
+def test_one_dimensional_modules_key_to_their_vertex_unless_a_loop_acts(loop_rel):
+    from agq.oracle import _component_key
+    for pair in _valid_pairs(range(1, 21)):
+        for v in pair.quiver.vertices:
+            assert _component_key(pair, rep_of(pair, "simple", v)) == ((v,), ())
+    loop_acts = Representation({"1": 1}, {"x": [{0: 1}]})
+    assert _component_key(loop_rel, loop_acts) is None
+
+
+def test_one_summand_graph_per_pair():
+    from conftest import FIG1_ARROWS, FIG1_RELS, FIG1_VERTICES, make_pair
+    from agq.syzygy import _SummandGraph
+    pairs = [make_pair(FIG1_VERTICES, FIG1_ARROWS, FIG1_RELS)]
+    pairs += [random_ag_pair(GeneratorParams(seed=s))[0] for s in range(1, 21)]
+    for pair in pairs:
+        check_against_formulas(pair)
+        memo = pair._memo
+        assert not [k for k in memo if isinstance(k, tuple) and k[0] == "omega1"]
+        assert sum(isinstance(value, _SummandGraph) for value in memo.values()) == 1
+
+
 def _reference_levels(pair, v, kind, repeats):
     """The oracle's level comparison, one component at a time over plain lists.
 

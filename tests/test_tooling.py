@@ -1,19 +1,29 @@
 """Repository tooling: the benchmark's traced names, the package's imports,
-that every public name and defaulted parameter serves the package, and a
-hash that pins the JSON report byte for byte."""
+that every public name and defaulted parameter serves the package, hashes
+that pin the JSON report and the symbolic resolutions byte for byte, and
+that a pair is freed without the cycle collector."""
 
 import ast
+import contextlib
+import gc
 import hashlib
+import io
 import importlib
 import importlib.util
 import os
 import pathlib
 import subprocess
 import sys
+import weakref
 
 from agq.agqfile import parse_agq
+from agq.cli import main
 from agq.emitters import emit_json, report_json
 from agq.generator import GeneratorParams, random_ag_pair
+from agq.oracle import check_against_formulas
+from agq.syzygy import resolve_symbolic
+
+FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 
 TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -149,9 +159,8 @@ REPORT_SHA256 = "e5844c641aa5f88626867e9a9cce7eb54bd9be834dac5866c51491a4f1fe222
 
 def test_json_reports_are_byte_identical_to_the_recorded_hash():
     digest = hashlib.sha256()
-    fixtures = pathlib.Path(__file__).resolve().parent / "fixtures"
     valid = 0
-    for path in sorted(fixtures.glob("*.agq")):
+    for path in sorted(FIXTURES.glob("*.agq")):
         doc = parse_agq(path.read_text(encoding="utf-8"))
         pair = doc.pair()
         if pair.validated:  # loop_norel is the one invalid fixture
@@ -164,3 +173,55 @@ def test_json_reports_are_byte_identical_to_the_recorded_hash():
         digest.update(emit_json(report_json(pair, f"random_{p.seed}")).encode())
     assert valid == 8
     assert digest.hexdigest() == REPORT_SHA256
+
+
+def _valid_fixtures():
+    for path in sorted(FIXTURES.glob("*.agq")):
+        pair = parse_agq(path.read_text(encoding="utf-8")).pair()
+        if pair.validated:  # loop_norel is the one invalid fixture
+            yield path, pair
+
+
+# SHA-256 of the repr of every resolve_symbolic(...) below, then of the
+# stdout of every in-process "agq resolve" on the fixtures.
+RESOLUTION_SHA256 = "5fd10587efa097a9d0ab5112122cd996aaa905b4ad26b70cd8e671e002b8841f"
+
+
+def test_symbolic_resolutions_are_identical_to_the_recorded_hash():
+    digest = hashlib.sha256()
+    fixtures = list(_valid_fixtures())
+    pairs = [pair for _path, pair in fixtures]
+    pairs += [random_ag_pair(GeneratorParams(seed=s))[0] for s in range(1, 201)]
+    for pair in pairs:
+        for kind in ("simple", "injective"):
+            for v in pair.quiver.vertices:
+                digest.update(repr(resolve_symbolic(pair, kind, v, max_steps=64)).encode())
+    for path, pair in fixtures:
+        for flag in ("--simple", "--injective"):
+            for v in pair.quiver.vertices:
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    assert main(["resolve", str(path), flag, v]) == 0
+                digest.update(out.getvalue().encode())
+    assert len(fixtures) == 8
+    assert digest.hexdigest() == RESOLUTION_SHA256
+
+
+def test_pairs_are_freed_by_reference_counting_alone():
+    pairs = [pair for _path, pair in _valid_fixtures()]
+    pairs += [random_ag_pair(GeneratorParams(seed=s))[0] for s in range(1, 41)]
+    refs = []
+    gc.disable()
+    try:
+        while pairs:
+            pair = pairs.pop()
+            report_json(pair, "pair")
+            check_against_formulas(pair)
+            for kind in ("simple", "injective"):
+                for v in pair.quiver.vertices:
+                    resolve_symbolic(pair, kind, v)
+            refs.append(weakref.ref(pair))
+            del pair
+        assert [ref() for ref in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
