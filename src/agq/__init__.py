@@ -37,7 +37,6 @@ from .forbidden import (
     LengthOrInf,
     delta_forbidden_sup,
     forbidden_cycles,
-    is_down_relational,
     sup_forbidden_from_arrow,
     sup_forbidden_from_vertex,
     zero_length_forbidden,

@@ -282,13 +282,6 @@ def zero_length_forbidden(pair: AlmostGentlePair, v: str) -> bool:
     return False
 
 
-def is_down_relational(pair: AlmostGentlePair, alpha: str) -> bool:
-    """Whether t(alpha) carries some beta with alpha.beta in the ideal."""
-    pair.require_valid()
-    pair.arrow(alpha)
-    return bool(pair.report.rel_succ[alpha])
-
-
 def delta_start_arrows(pair: AlmostGentlePair, delta: DirectedString) -> list[str]:
     """First arrows of the forbidden paths counted against the string delta.
 

@@ -23,8 +23,8 @@ from .forbidden import (
     digraph_data,
 )
 from .quiver import AlmostGentlePair
-from .strings import DirectedString, _branches, socle_supports, string_of
-from .syzygy import _is_invalid_vertex, _psi0_descriptor, is_invalid_vertex
+from .strings import DirectedString, _chains, socle_supports, string_of
+from .syzygy import _is_invalid_vertex, is_invalid_vertex
 
 
 @dataclass(frozen=True)
@@ -109,6 +109,7 @@ def pdim_injective(pair: AlmostGentlePair, v: str) -> DimReport:
 
 
 def _pdim_injective(pair: AlmostGentlePair, v: str) -> DimReport:
+    """pdim_injective read off chain ends, the successor maps and the sup table."""
     outs = pair.quiver._out  # type: ignore[attr-defined]
     ins = pair.quiver._in[v]  # type: ignore[attr-defined]
     c = len(ins)
@@ -118,29 +119,27 @@ def _pdim_injective(pair: AlmostGentlePair, v: str) -> DimReport:
 
     sup = digraph_data(pair).sup
     by_name = pair.quiver._by_name  # type: ignore[attr-defined]
+    chains = _chains(pair)
     candidates: list[tuple[LengthOrInf, ForbiddenWalk | None]] = []
 
-    for branch in _branches(pair, v, False):
-        first = branch.arrows[0]
-        for b in outs[by_name[first].source]:
-            if b.name != first:
-                candidates.append(sup[b.name])
-
-    desc = _psi0_descriptor(pair, v)
-    succ = pair._succ  # type: ignore[attr-defined]
+    succ, pred = pair._succ, pair._pred  # type: ignore[attr-defined]
     matched_partner: dict[str, str] = {}
     unmatched_ins: list[str] = []
     for a in ins:
-        b = succ[a.name]
-        if b is not None:
-            matched_partner[a.name] = b
+        first = chains[a.name][0][0]  # the head of a's anti-claw branch
+        for b in outs[by_name[first].source]:
+            if b.name != first:
+                candidates.append(sup[b.name])
+        partner = succ[a.name]
+        if partner is not None:
+            matched_partner[a.name] = partner
         else:
             unmatched_ins.append(a.name)
 
     def sup_excluding(skip: str) -> tuple[LengthOrInf, ForbiddenWalk | None]:
         return best_witnessed(pair, (sup[b.name] for b in outs[v] if b.name != skip))
 
-    t = desc.t
+    t = len(matched_partner)  # the socle block's crossing count
     if t < c:
         if c - 1 - t >= 1:
             rep = _pdim_simple(pair, v)
@@ -153,10 +152,11 @@ def _pdim_injective(pair: AlmostGentlePair, v: str) -> DimReport:
     else:
         invalid, _cond = _is_invalid_vertex(pair, v)
         if invalid:
-            candidates.append((LengthOrInf.finite(1), ForbiddenWalk((desc.tails[0][0].arrows[0],))))
+            candidates.append((LengthOrInf.finite(1), ForbiddenWalk((outs[v][0].name,))))
         else:
-            for tail, flag in desc.tails:
-                b0 = tail.arrows[0]
+            for b in outs[v]:
+                b0 = b.name
+                flag = pred[b0] is not None  # some in-arrow composes with b nonzero
                 if flag and c == 2:
                     continue  # multiplicity c-2 = 0 in the block's syzygy
                 if flag:

@@ -625,13 +625,13 @@ def _oracle_psi0_projective(pair: AlmostGentlePair, v: str, injective: KeyedComp
     projective; minimal covers are additive over direct sums, so dimension
     vectors decide this.
     """
-    from .syzygy import omega1_injective
+    from .syzygy import _summand_graph
 
     omega1 = _cover_kernel_componentwise(pair, _module_level(injective))[1]
     omega2 = _cover_kernel_componentwise(pair, omega1)[1]
     pieces = [rep_of(pair, "simple", s.vertex) if s.kind == "simple"
               else rep_of(pair, "string", DirectedString.of(s.arrows))
-              for s in omega1_injective(pair, v)[1]]
+              for s in _summand_graph(pair).injective(pair, v)[1]]
     leftovers = _cover_kernel_componentwise(pair, _level(pair, pieces))[1]
     return _dim_sum(omega2) == _dim_sum(leftovers)
 

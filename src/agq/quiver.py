@@ -319,10 +319,6 @@ def path_source(pair: AlmostGentlePair, p: NonzeroPath) -> str:
     return p.vertex if not p.arrows else pair.arrow(p.arrows[0]).source
 
 
-def path_target(pair: AlmostGentlePair, p: NonzeroPath) -> str:
-    return p.vertex if not p.arrows else pair.arrow(p.arrows[-1]).target
-
-
 def opposite(pair: AlmostGentlePair) -> AlmostGentlePair:
     """Reverse every arrow and every relation; the result validates."""
     pair.require_valid()

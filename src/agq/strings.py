@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .quiver import AlmostGentlePair, InvalidStringError, NonzeroPath, path_source, path_target
+from .quiver import AlmostGentlePair, InvalidStringError, NonzeroPath, path_source
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,32 +53,40 @@ def string_source(pair: AlmostGentlePair, ds: DirectedString) -> str:
     return path_source(pair, ds.path)
 
 
-def string_target(pair: AlmostGentlePair, ds: DirectedString) -> str:
-    return path_target(pair, ds.path)
+def _chains(pair: AlmostGentlePair) -> dict[str, tuple[tuple[str, ...], int]]:
+    """Each arrow's chain and its position in it; stored once per pair.
+
+    A chain is a maximal run of arrows linked by the nonzero successor map.
+    On a valid pair the chains partition the arrows: one pass starts at
+    every arrow without a nonzero predecessor and follows the successors,
+    which admissibility keeps finite.
+    """
+    def compute() -> dict[str, tuple[tuple[str, ...], int]]:
+        succ, pred = pair._succ, pair._pred  # type: ignore[attr-defined]
+        table: dict[str, tuple[tuple[str, ...], int]] = {}
+        for a in pair.quiver.arrows:
+            if pred[a.name] is None:
+                run: list[str] = []
+                x: str | None = a.name
+                while x is not None:
+                    run.append(x)
+                    x = succ[x]
+                chain = tuple(run)
+                for i, y in enumerate(chain):
+                    table[y] = (chain, i)
+        return table
+
+    return pair.memo("chains", compute)
 
 
 def _maximal_strings(pair: AlmostGentlePair, right: bool) -> dict[str, DirectedString]:
     """The right maximal string starting with each arrow, or the left maximal
-    string ending with it; stored once per pair and direction.
-
-    One pass along the nonzero successor (predecessor) map: each chain is
-    walked until it meets an arrow already in the table, whose entry is then
-    extended back along the chain.  Admissibility makes every walk finite.
+    string ending with it; stored once per pair and direction, each entry
+    sliced out of the arrow's chain.
     """
     def compute() -> dict[str, DirectedString]:
-        step = pair._succ if right else pair._pred  # type: ignore[attr-defined]
-        table: dict[str, DirectedString] = {}
-        for a in pair.quiver.arrows:
-            chain: list[str] = []
-            x: str | None = a.name
-            while x is not None and x not in table:
-                chain.append(x)
-                x = step[x]
-            arrows = table[x].arrows if x is not None else ()
-            for y in reversed(chain):
-                arrows = (y,) + arrows if right else arrows + (y,)
-                table[y] = DirectedString(NonzeroPath(arrows))
-        return table
+        return {a: DirectedString(NonzeroPath(chain[i:] if right else chain[:i + 1]))
+                for a, (chain, i) in _chains(pair).items()}
 
     return pair.memo(("maximal", right), compute)
 
@@ -177,12 +185,13 @@ def socle_supports(pair: AlmostGentlePair) -> list[str]:
     """
     pair.require_valid()
     by_name = pair.quiver._by_name  # type: ignore[attr-defined]
+    outs = pair.quiver._out  # type: ignore[attr-defined]
+    chains = _chains(pair)
     supports: list[str] = []
     for v in pair.quiver.vertices:
-        claw = _branches(pair, v, True)
-        if not claw:
+        if not outs[v]:
             supports.append(v)
         else:
-            supports.extend(by_name[br.arrows[-1]].target for br in claw)
+            supports.extend(by_name[chains[b.name][0][-1]].target for b in outs[v])
     return supports
 

@@ -26,10 +26,8 @@ from .strings import (
     string_dim_vector,
     string_of,
     string_source,
-    string_target,
 )
 from .quiver import vertex_type
-from .forbidden import is_down_relational
 
 
 class NotInjectiveCaseError(AgqError):
@@ -270,20 +268,24 @@ def is_invalid_vertex(pair: AlmostGentlePair, v: str) -> tuple[bool, int | None]
 
 
 def _is_invalid_vertex(pair: AlmostGentlePair, v: str) -> tuple[bool, int | None]:
-    desc = _psi0_descriptor(pair, v)
-    c, d = desc.c, desc.d
+    quiver = pair.quiver
+    ins, outs = quiver._in[v], quiver._out[v]  # type: ignore[attr-defined]
+    c, d = len(ins), len(outs)
     if c == 2 and _is_gentle_vertex(pair, v):
         return True, 1
     if d == 0:
         return True, 2
-    if c == 1 and desc.t == 1:
-        tail = desc.flagged()[0]
-        if len(tail.arrows) == 1 and not pair.quiver._out[string_target(pair, tail)]:  # type: ignore[attr-defined]
-            return True, 3
-        if len(tail.arrows) >= 2 and not is_down_relational(pair, tail.arrows[0]):
+    if c == 1:
+        # the flagged tail, if any, is the chain from the in-arrow's nonzero successor b
+        succ = pair._succ  # type: ignore[attr-defined]
+        b = succ[ins[0].name]
+        if b is None:
+            return True, 5
+        if succ[b] is None:
+            if not quiver._out[quiver._by_name[b].target]:  # type: ignore[attr-defined]
+                return True, 3
+        elif not pair.report.rel_succ[b]:
             return True, 4
-    if c == 1 and desc.t == 0 and d >= 1:
-        return True, 5
     return False, None
 
 
@@ -383,8 +385,10 @@ class _SummandGraph:
     Node n stores its summand, its sort key, its cover contribution (apex
     index, copies: c - 1 for a socle block, else 1), its dimension vector
     and, once asked for, its successors: the normalized first syzygy as
-    [(node, multiplicity)].  The pair is passed in, never stored, so the
-    pair's memo holds no cycle back to the pair.
+    [(node, multiplicity)].  An injective E(v) that is not simple enters
+    the graph through its first syzygy, stored per vertex once asked for.
+    The pair is passed in, never stored, so the pair's memo holds no cycle
+    back to the pair.
     """
 
     def __init__(self) -> None:
@@ -394,6 +398,7 @@ class _SummandGraph:
         self.covers: list[tuple[int, int]] = []
         self.dims: list[dict[str, int]] = []
         self.succ: list[list[tuple[int, int]] | None] = []
+        self.injectives: dict[str, tuple[dict[int, int], tuple[Summand, ...], dict[int, int]]] = {}
 
     def node(self, pair: AlmostGentlePair, s: Summand) -> int:
         n = self.nodes.get(s)
@@ -422,6 +427,26 @@ class _SummandGraph:
             pieces = _omega1_of_summand(pair, self.summands[n])
             succ = self.succ[n] = list(self.count(pair, pieces).items())
         return succ
+
+    def injective(self, pair: AlmostGentlePair, v: str
+                  ) -> tuple[dict[int, int], tuple[Summand, ...], dict[int, int]]:
+        """E(v) at a vertex with in-arrows: its cover per vertex index, its
+        per-branch leftovers, and its first syzygy as counts per node."""
+        entry = self.injectives.get(v)
+        if entry is None:
+            desc, mlist = omega1_injective(pair, v)
+            vidx = pair.quiver.vertex_index
+            cover: dict[int, int] = {}
+            for br in anticlaw_of(pair, v):
+                x = vidx[string_source(pair, br)]
+                cover[x] = cover.get(x, 0) + 1
+            if desc.t < desc.c or desc.c == 1:
+                block = psi0_decompose(pair, v).items  # type: ignore[union-attr]
+            else:
+                block = ((Summand.psi0(v), 1),)
+            syzygy = self.count(pair, [(s, 1) for s in mlist] + list(block))
+            entry = self.injectives[v] = (cover, tuple(mlist), syzygy)
+        return entry
 
 
 def _summand_graph(pair: AlmostGentlePair) -> _SummandGraph:
@@ -466,18 +491,7 @@ def resolve_symbolic(pair: AlmostGentlePair, kind: str, arg, max_steps: int = 64
             start = Summand.simple(pair.require_vertex(ds.path.vertex))  # type: ignore[arg-type]
         current = graph.count(pair, [(start, 1)])
     elif kind == "injective":
-        v = arg
-        desc, mlist = omega1_injective(pair, v)
-        vidx = pair.quiver.vertex_index
-        cover: dict[int, int] = {}
-        for br in anticlaw_of(pair, v):
-            x = vidx[string_source(pair, br)]
-            cover[x] = cover.get(x, 0) + 1
-        if desc.t < desc.c or desc.c == 1:
-            block = psi0_decompose(pair, v).items  # type: ignore[union-attr]
-        else:
-            block = ((Summand.psi0(v), 1),)
-        current = graph.count(pair, [(s, 1) for s in mlist] + list(block))
+        cover, _leftovers, current = graph.injective(pair, arg)
         levels.append(_level(pair, graph, cover, current))
         if not current:
             return Resolution(tuple(levels), "projective")

@@ -1,10 +1,12 @@
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agq.emitters import emit_json
+from agq.agqfile import parse_agq
+from agq.emitters import emit_json, report_json
 
 _TEXT = st.text(st.sampled_from('ab"\\/\n\t\x00\x1f\x7fé€\U0001f600 '), max_size=8)
 _SCALARS = (_TEXT | st.booleans() | st.none()
@@ -25,3 +27,18 @@ def test_emit_json_matches_the_stdlib_encoder(value):
 def test_emit_json_rejects_what_a_report_never_holds(value):
     with pytest.raises(TypeError):
         emit_json(value)
+
+
+def test_report_on_a_long_chain_takes_bounded_work():
+    # A_n without relations is one chain of n arrows: a walk per arrow, or a
+    # string per arrow, makes this quadratic
+    n = 10_000
+    lines = [f"arrow a{k} : v{k} -> v{k + 1}" for k in range(n)]
+    text = "\n".join(lines) + "\n"
+    start = time.perf_counter()
+    out = emit_json(report_json(parse_agq(text).pair()))
+    elapsed = time.perf_counter() - start
+    report = json.loads(out)
+    assert report["global_dimension"]["value"] == 1
+    assert report["self_injective_dimension"]["value"] == 1
+    assert elapsed < 2.0, elapsed

@@ -15,7 +15,6 @@ from agq.forbidden import (
     delta_forbidden_sup,
     digraph_data,
     forbidden_cycles,
-    is_down_relational,
     sup_forbidden_from_arrow,
     sup_forbidden_from_vertex,
     zero_length_forbidden,
@@ -109,14 +108,15 @@ def test_zero_length_forbidden(a3r, a2, fig1):
 
 
 def test_relational_predicates(fig1, a2):
-    assert is_down_relational(fig1, "a_1_2")
-    assert not is_down_relational(fig1, "a_1_2R")
+    # down-relational: some arrow out of the target composes to zero with it
+    assert fig1.report.rel_succ["a_1_2"]
+    assert not fig1.report.rel_succ["a_1_2R"]
     # up-relational: some arrow into the source composes to zero with it
     assert any((c.name, "a_2R_3R") in fig1.relations for c in fig1.in_arrows("2R"))
     # relational vertex: some in-arrow composes to zero with some out-arrow
     assert any((a.name, b.name) in fig1.relations
                for a in fig1.in_arrows("2") for b in fig1.out_arrows("2"))
-    assert not is_down_relational(a2, "a")
+    assert not a2.report.rel_succ["a"]
 
 
 def test_delta_forbidden_fig1(fig1):

@@ -20,8 +20,8 @@ from agq.homdim import (
 )
 from agq.strings import DirectedString, claw_of
 from agq.generator import GeneratorParams, random_ag_pair
-from agq.quiver import AlmostGentlePair, NotValidatedError, UnknownVertexError, opposite
-from agq.syzygy import psi0_descriptor
+from agq.quiver import AlmostGentlePair, NonzeroPath, NotValidatedError, UnknownVertexError, opposite
+from agq.syzygy import Psi0Descriptor, psi0_descriptor
 from conftest import FIG1_ARROWS, FIG1_RELS, FIG1_VERTICES, FIXTURES, bench_cyclic_pairs, make_pair
 
 
@@ -274,14 +274,26 @@ def test_maximal_strings_are_built_once_per_pair_and_direction(monkeypatch):
         return memo(self, key, counted)
 
     monkeypatch.setattr(AlmostGentlePair, "memo", counting)
+    made: list[str] = []
+    for cls in (NonzeroPath, DirectedString, Psi0Descriptor):
+        def init(self, *args, _init=cls.__init__, **kwargs):
+            made.append(type(self).__name__)
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", init)
     for pair in (make_pair(FIG1_VERTICES, FIG1_ARROWS, FIG1_RELS), bench_cyclic_pairs(1)[0]):
         built.clear()
+        made.clear()
         report_json(pair)
-        assert built.count(("maximal", True)) == 1
-        assert built.count(("maximal", False)) == 1
+        # the report reads chain ends only: no string table, no socle-block descriptor
+        assert built.count("chains") == 1
+        assert not [key for key in built
+                    if isinstance(key, tuple) and key[0] in ("maximal", "psi0")]
+        assert made == []
         for v in pair.quiver.vertices:
             desc = psi0_descriptor(pair, v)
             branches = claw_of(pair, v)
             assert len(desc.tails) == len(branches)
             assert all(tail is br for (tail, _flag), br in zip(desc.tails, branches))
         assert built.count(("maximal", True)) == 1
+        assert built.count("chains") == 1
+        assert {"DirectedString", "Psi0Descriptor"} <= set(made)

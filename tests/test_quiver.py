@@ -171,7 +171,7 @@ def test_operations_require_validation():
 def test_public_entry_points_reject_unknown_names(fig1):
     # Internal helpers read the pair's tables unchecked, so every public entry
     # point must check the names it is given itself.
-    from agq.forbidden import (delta_forbidden_sup, is_down_relational, sup_forbidden_from_arrow,
+    from agq.forbidden import (delta_forbidden_sup, sup_forbidden_from_arrow,
                                sup_forbidden_from_vertex, zero_length_forbidden)
     from agq.homdim import pdim_directed_string, pdim_injective, pdim_simple
     from agq.quiver import UnknownVertexError
@@ -194,7 +194,7 @@ def test_public_entry_points_reject_unknown_names(fig1):
     for fn in by_vertex:
         with pytest.raises(UnknownVertexError):
             fn(fig1, "zz")
-    by_arrow = [sup_forbidden_from_arrow, is_down_relational, nonzero_successor]
+    by_arrow = [sup_forbidden_from_arrow, nonzero_successor]
     by_arrow += [lambda p, a, f=f: f(p, arrow_zz)
                  for f in (right_maximal_extension, left_maximal_extension, omega1_directed_string,
                            pdim_directed_string, delta_forbidden_sup)]

@@ -14,6 +14,7 @@ from agq.agqfile import parse_agq
 from agq.generator import GeneratorParams, random_ag_pair
 from agq.oracle import rep_of
 from agq.quiver import nonzero_successor
+from agq.syzygy import is_gentle_vertex, is_invalid_vertex, psi0_descriptor
 from agq.strings import _maximal_strings
 from conftest import FIXTURES, bench_cyclic_pairs
 
@@ -129,14 +130,17 @@ def _reference_maximal_string(pair, a, right):
             arrows.insert(0, nxt)
 
 
-def test_maximal_string_tables_match_a_reference_walk():
+def _valid_corpus_pairs():
+    """The valid fixtures, corpus seeds 1-200 and ten benchmark instances."""
     pairs = [parse_agq(f.read_text()).pair() for f in sorted(FIXTURES.glob("*.agq"))]
     pairs += [random_ag_pair(GeneratorParams(seed=s))[0] for s in range(1, 201)]
     pairs += bench_cyclic_pairs(10)
+    return [pair for pair in pairs if pair.validated]
+
+
+def test_maximal_string_tables_match_a_reference_walk():
     checked = 0
-    for pair in pairs:
-        if not pair.validated:
-            continue
+    for pair in _valid_corpus_pairs():
         for right in (True, False):
             table = _maximal_strings(pair, right)
             assert set(table) == {a.name for a in pair.quiver.arrows}
@@ -171,3 +175,49 @@ def test_maximal_extensions_reject_an_unknown_arrow(fig1):
         for arrows in (("zz",), ("a_1_2R", "zz"), ("zz", "a_2R_3R")):
             with pytest.raises(UnknownArrowError, match="unknown arrow 'zz'"):
                 extend(fig1, DirectedString.of(arrows))
+
+
+def _reference_invalid_vertex(pair, v):
+    """The five invalid-vertex conditions read off the socle-block descriptor."""
+    desc = psi0_descriptor(pair, v)
+    if desc.c == 2 and is_gentle_vertex(pair, v):
+        return True, 1
+    if desc.d == 0:
+        return True, 2
+    if desc.c == 1 and desc.t == 1:
+        tail = desc.flagged()[0]
+        if len(tail) == 1 and not pair.out_arrows(pair.arrow(tail.arrows[-1]).target):
+            return True, 3
+        if len(tail) >= 2 and not pair.report.rel_succ[tail.arrows[0]]:
+            return True, 4
+    if desc.c == 1 and desc.t == 0 and desc.d >= 1:
+        return True, 5
+    return False, None
+
+
+def test_chain_end_readings_agree_with_the_string_tables():
+    # is_invalid_vertex and socle_supports read chain ends and the successor
+    # maps; the references build the claws, anti-claws and descriptors
+    conditions = set()
+    checked = 0
+    for pair in _valid_corpus_pairs():
+        supports = []
+        for v in pair.quiver.vertices:
+            verdict = is_invalid_vertex(pair, v)
+            assert verdict == _reference_invalid_vertex(pair, v), v
+            conditions.add(verdict[1])
+            # an anti-claw branch is the start of the claw branch out of its head
+            for a, branch in zip(pair.in_arrows(v), anticlaw_of(pair, v)):
+                head = branch.arrows[0]
+                assert branch.arrows[-1] == a.name
+                assert pair.report.pred[head] is None
+                from_head = [br for br in claw_of(pair, pair.arrow(head).source)
+                             if br.arrows[0] == head]
+                assert len(from_head) == 1
+                assert from_head[0].arrows[:len(branch)] == branch.arrows
+            claw = claw_of(pair, v)
+            supports += [pair.arrow(br.arrows[-1]).target for br in claw] if claw else [v]
+        assert socle_supports(pair) == supports
+        checked += 1
+    assert checked == 218
+    assert conditions == {None, 1, 2, 3, 4, 5}
