@@ -10,7 +10,6 @@ from .quiver import (
     AlmostGentlePair,
     Arrow,
     InvalidStringError,
-    NonzeroPath,
     NotValidatedError,
     Quiver,
     UnknownArrowError,

@@ -106,7 +106,7 @@ def _module_arg(args) -> tuple[str, object]:
         return "simple", args.simple
     if args.injective:
         return "injective", args.injective
-    return "string", DirectedString.of(tuple(s for s in args.string.split(",") if s))
+    return "string", DirectedString(tuple(s for s in args.string.split(",") if s))
 
 
 def cmd_pdim(args) -> int:

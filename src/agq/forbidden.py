@@ -17,7 +17,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .quiver import AlmostGentlePair, nonzero_successor
-from .strings import DirectedString, string_source
+from .strings import DirectedString, _check_string, string_source
 
 
 @dataclass(frozen=True)
@@ -220,8 +220,8 @@ def sup_forbidden_from_arrow(pair: AlmostGentlePair, a: str) -> tuple[LengthOrIn
 
 def sup_forbidden_from_vertex(pair: AlmostGentlePair, v: str) -> tuple[LengthOrInf, ForbiddenWalk | None]:
     """Sup over all forbidden paths starting at v; Finite(0) for sinks."""
-    pair.require_vertex(v)
     pair.require_valid()
+    pair.require_vertex(v)
     return _sup_from_vertex(pair, v)
 
 
@@ -282,31 +282,20 @@ def zero_length_forbidden(pair: AlmostGentlePair, v: str) -> bool:
     return False
 
 
-def delta_start_arrows(pair: AlmostGentlePair, delta: DirectedString) -> list[str]:
-    """First arrows of the forbidden paths counted against the string delta.
-
-    Continuations past the sink (the nonzero successor of the last arrow)
-    plus every arrow at the source other than the first arrow of delta.
-    """
-    if not delta.arrows:
-        return [a.name for a in pair.out_arrows(delta.path.vertex)]  # type: ignore[arg-type]
-    starts: list[str] = []
-    nxt = nonzero_successor(pair, delta.arrows[-1])
-    if nxt is not None:
-        starts.append(nxt)
-    src = string_source(pair, delta)
-    starts.extend(a.name for a in pair.out_arrows(src) if a.name != delta.arrows[0])
-    return starts
-
-
 def delta_forbidden_sup(pair: AlmostGentlePair, delta: DirectedString) -> tuple[LengthOrInf, ForbiddenWalk | None]:
     """Sup over the forbidden paths counted against delta; Finite(0) if none.
 
-    For a length-zero string this is the plain from-vertex sup at the anchor.
+    They start with the continuation past the sink (the nonzero successor of
+    the last arrow) or with an arrow at the source other than the first
+    arrow of delta.  For a length-zero string this is the plain from-vertex
+    sup at the anchor.
     """
     pair.require_valid()
-    return best_witnessed(pair, (sup_forbidden_from_arrow(pair, a)
-                                 for a in delta_start_arrows(pair, delta)))
+    arrows = _check_string(pair, delta).arrows
+    starts = [nonzero_successor(pair, arrows[-1])] if arrows else []
+    starts += [b.name for b in pair.quiver._out[string_source(pair, delta)]  # type: ignore[attr-defined]
+               if b.name not in arrows[:1]]
+    return best_witnessed(pair, (sup_forbidden_from_arrow(pair, a) for a in starts if a is not None))
 
 
 def forbidden_cycles(pair: AlmostGentlePair, cap: int = 10_000) -> tuple[list[tuple[str, ...]], bool]:

@@ -23,7 +23,7 @@ from .forbidden import (
     digraph_data,
 )
 from .quiver import AlmostGentlePair
-from .strings import DirectedString, _chains, socle_supports, string_of
+from .strings import DirectedString, _chains, socle_supports
 from .syzygy import _is_invalid_vertex, is_invalid_vertex
 
 
@@ -77,12 +77,7 @@ def pdim_directed_string(pair: AlmostGentlePair, delta: DirectedString) -> DimRe
     its source with a different first arrow; this is exactly one syzygy step
     unrolled, so no right-maximality is needed.
     """
-    pair.require_valid()
-    if not delta.arrows:
-        rep = pdim_simple(pair, delta.path.vertex)  # type: ignore[arg-type]
-        return DimReport(rep.value, rep.witness, "delta-forbidden")
-    value, witness = delta_forbidden_sup(pair, string_of(pair, delta.arrows))
-    return DimReport(value, witness, "delta-forbidden")
+    return DimReport(*delta_forbidden_sup(pair, delta), "delta-forbidden")
 
 
 def _prefixed(walk: ForbiddenWalk | None, alpha: str) -> ForbiddenWalk:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from . import linalg
 from .forbidden import LengthOrInf
 from .quiver import AlmostGentlePair
-from .strings import DirectedString, string_of
+from .strings import DirectedString, _check_string, string_source
 
 
 @dataclass
@@ -135,12 +135,9 @@ def rep_of(pair: AlmostGentlePair, kind: str, arg) -> Representation:
         return Representation(dims, _empty_maps(pair, dims))
 
     if kind == "string":
-        ds: DirectedString = arg
-        if not ds.arrows:
-            return rep_of(pair, "simple", ds.path.vertex)
-        string_of(pair, ds.arrows)
+        ds: DirectedString = _check_string(pair, arg)
         # a vertex may repeat (zero-wraparound cycles); arrows never do
-        verts = [pair.arrow(ds.arrows[0]).source] + [pair.arrow(a).target for a in ds.arrows]
+        verts = [string_source(pair, ds)] + [pair.arrow(a).target for a in ds.arrows]
         slot_of: list[int] = []
         counts: dict[str, int] = {}
         for w in verts:
@@ -629,8 +626,7 @@ def _oracle_psi0_projective(pair: AlmostGentlePair, v: str, injective: KeyedComp
 
     omega1 = _cover_kernel_componentwise(pair, _module_level(injective))[1]
     omega2 = _cover_kernel_componentwise(pair, omega1)[1]
-    pieces = [rep_of(pair, "simple", s.vertex) if s.kind == "simple"
-              else rep_of(pair, "string", DirectedString.of(s.arrows))
+    pieces = [rep_of(pair, "string", DirectedString(s.arrows, s.vertex))
               for s in _summand_graph(pair).injective(pair, v)[1]]
     leftovers = _cover_kernel_componentwise(pair, _level(pair, pieces))[1]
     return _dim_sum(omega2) == _dim_sum(leftovers)

@@ -112,21 +112,6 @@ class ValidationReport:
     rel_succ: Mapping[str, list[str]] = field(repr=False, compare=False)
 
 
-@dataclass(frozen=True, slots=True)
-class NonzeroPath:
-    """A path avoiding every relation pair; length zero carries its vertex."""
-
-    arrows: tuple[str, ...]
-    vertex: str | None = None
-
-    def __post_init__(self) -> None:
-        if not self.arrows and self.vertex is None:
-            raise InvalidStringError("length-zero path needs an anchor vertex")
-
-    def __len__(self) -> int:
-        return len(self.arrows)
-
-
 def validate_bound_quiver(quiver: Quiver, relations: frozenset[tuple[str, str]]) -> ValidationReport:
     """Check composability, the almost gentle conditions, and admissibility.
 
@@ -313,10 +298,6 @@ def nonzero_successor(pair: AlmostGentlePair, a: str) -> str | None:
 def vertex_type(pair: AlmostGentlePair, v: str) -> tuple[int, int]:
     """(in-degree, out-degree) of v."""
     return len(pair.in_arrows(v)), len(pair.out_arrows(v))
-
-
-def path_source(pair: AlmostGentlePair, p: NonzeroPath) -> str:
-    return p.vertex if not p.arrows else pair.arrow(p.arrows[0]).source
 
 
 def opposite(pair: AlmostGentlePair) -> AlmostGentlePair:

@@ -2,32 +2,32 @@
 
 Only directed strings (all arrows pointing the same way) enter any
 computation here; the claw of a vertex bundles the right maximal strings out
-of it and describes P(v), the anti-claw dually describes E(v).
+of it and describes P(v), the anti-claw dually describes E(v).  Every
+nonzero directed path is a slice of one chain, so the pair's chain table is
+the only string cache: claws, anti-claws and maximal extensions slice it
+when asked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .quiver import AlmostGentlePair, InvalidStringError, NonzeroPath, path_source
+from .quiver import AlmostGentlePair, InvalidStringError
 
 
 @dataclass(frozen=True, slots=True)
 class DirectedString:
-    """A nonzero directed path; length zero carries its anchor vertex."""
+    """A nonzero directed path; vertex anchors a length-zero string."""
 
-    path: NonzeroPath
+    arrows: tuple[str, ...]
+    vertex: str | None = None
 
-    @classmethod
-    def of(cls, arrows: tuple[str, ...], vertex: str | None = None) -> "DirectedString":
-        return cls(NonzeroPath(tuple(arrows), vertex))
-
-    @property
-    def arrows(self) -> tuple[str, ...]:
-        return self.path.arrows
+    def __post_init__(self) -> None:
+        if not self.arrows and self.vertex is None:
+            raise InvalidStringError("length-zero path needs an anchor vertex")
 
     def __len__(self) -> int:
-        return len(self.path)
+        return len(self.arrows)
 
 
 def string_of(pair: AlmostGentlePair, arrows: tuple[str, ...]) -> DirectedString:
@@ -35,7 +35,7 @@ def string_of(pair: AlmostGentlePair, arrows: tuple[str, ...]) -> DirectedString
 
     Every arrow is looked up, so an unknown one raises UnknownArrowError.
     An empty arrows tuple raises InvalidStringError: a length-zero string
-    needs its anchor vertex, and callers build those with DirectedString.of.
+    needs its anchor vertex, and callers build those with DirectedString.
     """
     prev = None
     for name in arrows:
@@ -46,11 +46,24 @@ def string_of(pair: AlmostGentlePair, arrows: tuple[str, ...]) -> DirectedString
             if (prev.name, name) in pair.relations:
                 raise InvalidStringError(f"{prev.name}{name} lies in the ideal")
         prev = arrow
-    return DirectedString(NonzeroPath(tuple(arrows)))
+    return DirectedString(tuple(arrows))
+
+
+def _check_string(pair: AlmostGentlePair, ds: DirectedString) -> DirectedString:
+    """ds, once its arrows are a nonzero path of the pair or its anchor a vertex.
+
+    Every public function that takes a directed string calls this first.
+    On a valid pair a checked string with arrows is a slice of its chain.
+    """
+    if ds.arrows:
+        string_of(pair, ds.arrows)
+    else:
+        pair.require_vertex(ds.vertex)  # type: ignore[arg-type]
+    return ds
 
 
 def string_source(pair: AlmostGentlePair, ds: DirectedString) -> str:
-    return path_source(pair, ds.path)
+    return ds.vertex if not ds.arrows else pair.arrow(ds.arrows[0]).source  # type: ignore[return-value]
 
 
 def _chains(pair: AlmostGentlePair) -> dict[str, tuple[tuple[str, ...], int]]:
@@ -79,18 +92,6 @@ def _chains(pair: AlmostGentlePair) -> dict[str, tuple[tuple[str, ...], int]]:
     return pair.memo("chains", compute)
 
 
-def _maximal_strings(pair: AlmostGentlePair, right: bool) -> dict[str, DirectedString]:
-    """The right maximal string starting with each arrow, or the left maximal
-    string ending with it; stored once per pair and direction, each entry
-    sliced out of the arrow's chain.
-    """
-    def compute() -> dict[str, DirectedString]:
-        return {a: DirectedString(NonzeroPath(chain[i:] if right else chain[:i + 1]))
-                for a, (chain, i) in _chains(pair).items()}
-
-    return pair.memo(("maximal", right), compute)
-
-
 def right_maximal_extension(pair: AlmostGentlePair, ds: DirectedString) -> DirectedString:
     """Extend by the unique nonzero successor of the last arrow until stuck.
 
@@ -99,20 +100,18 @@ def right_maximal_extension(pair: AlmostGentlePair, ds: DirectedString) -> Direc
     starts a different string).
     """
     pair.require_valid()
-    if not ds.arrows:
+    if not _check_string(pair, ds).arrows:
         return ds
-    arrows = string_of(pair, ds.arrows).arrows
-    tail = _maximal_strings(pair, True)[arrows[-1]].arrows
-    return DirectedString(NonzeroPath(arrows[:-1] + tail))
+    chain, i = _chains(pair)[ds.arrows[-1]]
+    return DirectedString(ds.arrows + chain[i + 1:])
 
 
 def left_maximal_extension(pair: AlmostGentlePair, ds: DirectedString) -> DirectedString:
     pair.require_valid()
-    if not ds.arrows:
+    if not _check_string(pair, ds).arrows:
         return ds
-    arrows = string_of(pair, ds.arrows).arrows
-    head = _maximal_strings(pair, False)[arrows[0]].arrows
-    return DirectedString(NonzeroPath(head + arrows[1:]))
+    chain, i = _chains(pair)[ds.arrows[0]]
+    return DirectedString(chain[:i] + ds.arrows)
 
 
 def claw_of(pair: AlmostGentlePair, v: str) -> tuple[DirectedString, ...]:
@@ -130,51 +129,42 @@ def anticlaw_of(pair: AlmostGentlePair, v: str) -> tuple[DirectedString, ...]:
 
 
 def _branches(pair: AlmostGentlePair, v: str, right: bool) -> tuple[DirectedString, ...]:
-    """The claw (right) or anti-claw of a vertex of a valid pair, unchecked."""
-    table = _maximal_strings(pair, right)
-    arrows = pair.quiver._out[v] if right else pair.quiver._in[v]  # type: ignore[attr-defined]
-    return tuple(table[a.name] for a in arrows)
-
-
-def string_dim_vector(pair: AlmostGentlePair, ds: DirectedString) -> dict[str, int]:
-    """Dimension vector of the string module M(ds): visit multiplicities.
-
-    A vertex may repeat when the quiver has a cycle whose wraparound
-    composition is a relation; the arrow sequence itself never repeats.
-    """
-    if not ds.arrows:
-        return {ds.path.vertex: 1}  # type: ignore[dict-item]
-    dims: dict[str, int] = {pair.arrow(ds.arrows[0]).source: 1}
-    for a in ds.arrows:
-        t = pair.arrow(a).target
-        dims[t] = dims.get(t, 0) + 1
-    return dims
+    """The claw (right) or anti-claw of a vertex of a valid pair, unchecked:
+    each out-arrow's chain from it on, or each in-arrow's chain up to it."""
+    chains = _chains(pair)
+    if right:
+        return tuple(DirectedString(chain[i:]) for chain, i in
+                     (chains[a.name] for a in pair.quiver._out[v]))  # type: ignore[attr-defined]
+    return tuple(DirectedString(chain[:i + 1]) for chain, i in
+                 (chains[a.name] for a in pair.quiver._in[v]))  # type: ignore[attr-defined]
 
 
 def module_dims(pair: AlmostGentlePair, kind: str, arg) -> dict[str, int]:
-    """Dimension vector of Simple(v) | DirString(ds) | Projective(v) | Injective(v)."""
+    """Dimension vector of Simple(v) | DirString(ds) | Projective(v) | Injective(v).
+
+    Counts a basis vertex by vertex: a string visits its source and the
+    target of each arrow, and a vertex may repeat when the quiver has a cycle
+    whose wraparound composition is a relation (the arrows never repeat).
+    """
     pair.require_valid()
+    by_name = pair.quiver._by_name  # type: ignore[attr-defined]
     if kind == "simple":
-        pair.require_vertex(arg)
-        return {arg: 1}
-    if kind == "string":
-        return string_dim_vector(pair, arg)
-    if kind == "projective":
-        dims = {pair.require_vertex(arg): 1}
-        for br in claw_of(pair, arg):
-            for a in br.arrows:
-                t = pair.arrow(a).target
-                dims[t] = dims.get(t, 0) + 1
-        return dims
-    if kind == "injective":
-        dims = {pair.require_vertex(arg): 1}
-        for br in anticlaw_of(pair, arg):
-            dims[string_source(pair, br)] = dims.get(string_source(pair, br), 0) + 1
-            for a in br.arrows[1:]:
-                s = pair.arrow(a).source
-                dims[s] = dims.get(s, 0) + 1
-        return dims
-    raise ValueError(f"unknown module kind {kind!r}")
+        basis = [pair.require_vertex(arg)]
+    elif kind == "string":
+        basis = [string_source(pair, _check_string(pair, arg))]
+        basis += [by_name[a].target for a in arg.arrows]
+    elif kind == "projective":
+        basis = [pair.require_vertex(arg)]
+        basis += [by_name[a].target for br in _branches(pair, arg, True) for a in br.arrows]
+    elif kind == "injective":
+        basis = [pair.require_vertex(arg)]
+        basis += [by_name[a].source for br in _branches(pair, arg, False) for a in br.arrows]
+    else:
+        raise ValueError(f"unknown module kind {kind!r}")
+    dims: dict[str, int] = {}
+    for w in basis:
+        dims[w] = dims.get(w, 0) + 1
+    return dims
 
 
 def socle_supports(pair: AlmostGentlePair) -> list[str]:

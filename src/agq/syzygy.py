@@ -16,15 +16,14 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
-from .quiver import AgqError, AlmostGentlePair, InvalidStringError
+from .quiver import AgqError, AlmostGentlePair
 from .strings import (
     DirectedString,
     _branches,
+    _check_string,
     anticlaw_of,
     claw_of,
     module_dims,
-    string_dim_vector,
-    string_of,
     string_source,
 )
 from .quiver import vertex_type
@@ -80,7 +79,7 @@ def summand_dims(pair: AlmostGentlePair, s: Summand) -> dict[str, int]:
     if s.kind == "simple":
         return {s.vertex: 1}  # type: ignore[dict-item]
     if s.kind == "string":
-        return string_dim_vector(pair, DirectedString.of(s.arrows))
+        return module_dims(pair, "string", DirectedString(s.arrows))
     if s.kind == "projective":
         return module_dims(pair, "projective", s.vertex)
     if s.kind == "psi0":
@@ -116,42 +115,28 @@ class SyzygyDecomposition:
         return bool(self.items)
 
 
-def _branch_minus_first(pair: AlmostGentlePair, branch: DirectedString) -> Summand:
-    first = pair.arrow(branch.arrows[0])
-    return Summand.string(branch.arrows[1:], first.target)
+def _after(pair: AlmostGentlePair, arrows: tuple[str, ...], k: int) -> Summand:
+    """The string arrows[k+1:]; the simple at the target of arrows[k] if empty."""
+    return Summand.string(arrows[k + 1:], pair.arrow(arrows[k]).target)
 
 
 def omega1_directed_string(pair: AlmostGentlePair, delta: DirectedString) -> SyzygyDecomposition:
     """First syzygy of the directed string module M(delta).
 
-    Length zero means the simple at the anchor; then every claw branch
-    contributes its first-arrow-removed remainder.  For longer strings the
-    module's own branch contributes the part beyond delta minus one more
-    arrow (nothing if delta is the whole branch), the other branches their
-    first-arrow-removed remainders.
+    Every claw branch at the source contributes what is left after its
+    first arrow, except the branch that delta starts: a checked string is a
+    slice of its chain, so that branch is delta followed by its
+    continuation, which contributes what is left after one more arrow
+    (nothing if delta is the whole branch).  A length-zero string is the
+    simple at its anchor, and every branch there contributes.
     """
     pair.require_valid()
-    if not delta.arrows:
-        v = delta.path.vertex
-        pair.require_vertex(v)  # type: ignore[arg-type]
-        return SyzygyDecomposition.of(
-            pair, [(_branch_minus_first(pair, br), 1) for br in _branches(pair, v, True)])
-    string_of(pair, delta.arrows)
-    src = pair.quiver._by_name[delta.arrows[0]].source  # type: ignore[attr-defined]
+    n = len(_check_string(pair, delta))
     pieces: list[tuple[Summand, int]] = []
-    own_seen = False
-    for br in _branches(pair, src, True):
-        if br.arrows[0] == delta.arrows[0]:
-            own_seen = True
-            if br.arrows[:len(delta.arrows)] != delta.arrows:
-                raise InvalidStringError("string is not a nonzero-successor chain")
-            tail = br.arrows[len(delta.arrows):]
-            if tail:
-                pieces.append((Summand.string(tail[1:], pair.arrow(tail[0]).target), 1))
-        else:
-            pieces.append((_branch_minus_first(pair, br), 1))
-    if not own_seen:
-        raise InvalidStringError("string does not start with an arrow of its source")
+    for br in _branches(pair, string_source(pair, delta), True):
+        k = n if br.arrows[:1] == delta.arrows[:1] else 0
+        if k < len(br):
+            pieces.append((_after(pair, br.arrows, k), 1))
     return SyzygyDecomposition.of(pair, pieces)
 
 
@@ -201,21 +186,18 @@ class Psi0Descriptor:
 
 
 def psi0_descriptor(pair: AlmostGentlePair, v: str) -> Psi0Descriptor:
-    """The socle-block shape of E(v), computed once per pair and vertex."""
+    """The socle-block shape of E(v), built from the claw of v when asked."""
     pair.require_valid()
     pair.require_vertex(v)
     return _psi0_descriptor(pair, v)
 
 
 def _psi0_descriptor(pair: AlmostGentlePair, v: str) -> Psi0Descriptor:
-    def compute() -> Psi0Descriptor:
-        pred = pair._pred  # type: ignore[attr-defined]
-        claw = _branches(pair, v, True)
-        tails = tuple((tail, pred[tail.arrows[0]] is not None) for tail in claw)
-        t = sum(1 for _, f in tails if f)
-        return Psi0Descriptor(v, len(pair.quiver._in[v]), len(claw), t, tails)  # type: ignore[attr-defined]
-
-    return pair.memo(("psi0", v), compute)
+    pred = pair._pred  # type: ignore[attr-defined]
+    claw = _branches(pair, v, True)
+    tails = tuple((tail, pred[tail.arrows[0]] is not None) for tail in claw)
+    t = sum(1 for _, f in tails if f)
+    return Psi0Descriptor(v, len(pair.quiver._in[v]), len(claw), t, tails)  # type: ignore[attr-defined]
 
 
 def psi0_dim_vector(pair: AlmostGentlePair, v: str) -> dict[str, int]:
@@ -249,7 +231,7 @@ def omega1_injective(pair: AlmostGentlePair, v: str) -> tuple[Psi0Descriptor, li
         first = branch.arrows[0]
         for br in claw_of(pair, x):
             if br.arrows[0] != first:
-                mlist.append(_branch_minus_first(pair, br))
+                mlist.append(_after(pair, br.arrows, 0))
     return desc, sorted(mlist, key=lambda s: summand_sort_key(pair, s))
 
 
@@ -308,8 +290,7 @@ def psi0_decompose(pair: AlmostGentlePair, v: str) -> SyzygyDecomposition | None
         return SyzygyDecomposition.of(pair, pieces)
     if desc.c == 1:
         tail = desc.flagged()[0]
-        return SyzygyDecomposition.of(
-            pair, [(Summand.string(tail.arrows[1:], pair.arrow(tail.arrows[0]).target), 1)])
+        return SyzygyDecomposition.of(pair, [(_after(pair, tail.arrows, 0), 1)])
     return None
 
 
@@ -326,7 +307,7 @@ def psi0_omega1(pair: AlmostGentlePair, desc: Psi0Descriptor) -> list[tuple[Summ
         mult = c - 2 if flag else c - 1
         if mult <= 0:
             continue
-        pieces.append((Summand.string(tail.arrows[1:], pair.arrow(tail.arrows[0]).target), mult))
+        pieces.append((_after(pair, tail.arrows, 0), mult))
     return pieces
 
 
@@ -370,10 +351,8 @@ def _normalize(pair: AlmostGentlePair, s: Summand) -> Summand:
 def _omega1_of_summand(pair: AlmostGentlePair, s: Summand) -> Sequence[tuple[Summand, int]]:
     if s.kind == "projective":
         return ()
-    if s.kind == "simple":
-        return omega1_directed_string(pair, DirectedString.of((), s.vertex)).items
-    if s.kind == "string":
-        return omega1_directed_string(pair, DirectedString.of(s.arrows)).items
+    if s.kind in ("simple", "string"):
+        return omega1_directed_string(pair, DirectedString(s.arrows, s.vertex)).items
     if s.kind == "psi0":
         return psi0_omega1(pair, _psi0_descriptor(pair, s.vertex))  # type: ignore[arg-type]
     raise ValueError(s.kind)
@@ -483,13 +462,8 @@ def resolve_symbolic(pair: AlmostGentlePair, kind: str, arg, max_steps: int = 64
     if kind == "simple":
         current = graph.count(pair, [(Summand.simple(pair.require_vertex(arg)), 1)])
     elif kind == "string":
-        ds: DirectedString = arg
-        if ds.arrows:
-            string_of(pair, ds.arrows)
-            start = Summand.string(ds.arrows)
-        else:
-            start = Summand.simple(pair.require_vertex(ds.path.vertex))  # type: ignore[arg-type]
-        current = graph.count(pair, [(start, 1)])
+        ds: DirectedString = _check_string(pair, arg)
+        current = graph.count(pair, [(Summand.string(ds.arrows, ds.vertex), 1)])
     elif kind == "injective":
         cover, _leftovers, current = graph.injective(pair, arg)
         levels.append(_level(pair, graph, cover, current))

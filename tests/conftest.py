@@ -81,6 +81,12 @@ def loop_rel() -> AlmostGentlePair:
     return make_pair(["1"], [("x", "1", "1")], [("x", "x")])
 
 
+# No relation on the loop: a nonzero cycle, so the pair does not validate.
+@pytest.fixture(scope="session")
+def loop_norel() -> AlmostGentlePair:
+    return make_pair(["1"], [("x", "1", "1")], [])
+
+
 # A 2-cycle with a pendant continuation: the vertex x on the cycle is not
 # invalid, yet every dimension stays finite.
 @pytest.fixture(scope="session")

@@ -107,7 +107,7 @@ def test_criterion_4_fig1_omega1_injective_4(fig1):
 
 
 def test_criterion_5_fig1_resolution_of_string(fig1):
-    res = resolve_symbolic(fig1, "string", DirectedString.of(("a_1_2",)))
+    res = resolve_symbolic(fig1, "string", DirectedString(("a_1_2",)))
     crit(5, "fig1 resolution of M(a_1_2): length 2 with P2 = P(3L) + P(3R)",
          res.terminated == "projective" and res.length == 2
          and dict(res.levels[2].cover) == {"3L": 1, "3R": 1}

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from agq.agqfile import parse_agq
 from agq.emitters import emit_json, report_json
+from agq.strings import DirectedString, anticlaw_of, claw_of, right_maximal_extension
+from agq.syzygy import psi0_descriptor, resolve_symbolic
 
 _TEXT = st.text(st.sampled_from('ab"\\/\n\t\x00\x1f\x7fé€\U0001f600 '), max_size=8)
 _SCALARS = (_TEXT | st.booleans() | st.none()
@@ -42,3 +44,21 @@ def test_report_on_a_long_chain_takes_bounded_work():
     assert report["global_dimension"]["value"] == 1
     assert report["self_injective_dimension"]["value"] == 1
     assert elapsed < 2.0, elapsed
+
+
+def test_string_queries_on_a_long_chain_take_bounded_work():
+    # every claw, anti-claw, descriptor and extension slices the one chain
+    # of A_n: a table of a string per arrow makes this quadratic
+    n = 10_000
+    lines = [f"arrow a{k} : v{k} -> v{k + 1}" for k in range(n)]
+    pair = parse_agq("\n".join(lines) + "\n").pair()
+    last = f"v{n}"
+    start = time.perf_counter()
+    assert len(claw_of(pair, "v0")[0]) == n
+    assert len(anticlaw_of(pair, last)[0]) == n
+    assert len(psi0_descriptor(pair, "v1").tails[0][0]) == n - 1
+    assert len(right_maximal_extension(pair, DirectedString(("a0",)))) == n
+    assert resolve_symbolic(pair, "injective", last).length == 0
+    assert resolve_symbolic(pair, "simple", "v0").length == 1
+    elapsed = time.perf_counter() - start
+    assert elapsed < 0.5, elapsed

@@ -120,19 +120,19 @@ def test_relational_predicates(fig1, a2):
 
 
 def test_delta_forbidden_fig1(fig1):
-    value, walk = delta_forbidden_sup(fig1, DirectedString.of(("a_1_2",)))
+    value, walk = delta_forbidden_sup(fig1, DirectedString(("a_1_2",)))
     assert value == LengthOrInf.finite(2)
     assert walk.stem in {("a_1_2L", "a_2L_3L"), ("b_1_2R", "a_2R_3R")}
 
 
 def test_delta_forbidden_gate(gate):
-    value, walk = delta_forbidden_sup(gate, DirectedString.of(("a", "b")))
+    value, walk = delta_forbidden_sup(gate, DirectedString(("a", "b")))
     assert value == LengthOrInf.finite(0)
     assert walk is None
 
 
 def test_delta_forbidden_trivial(a2):
-    assert delta_forbidden_sup(a2, DirectedString.of(("a",)))[0] == LengthOrInf.finite(0)
+    assert delta_forbidden_sup(a2, DirectedString(("a",)))[0] == LengthOrInf.finite(0)
 
 
 def test_forbidden_cycles(cyc2, fig1, loop_rel):

@@ -18,10 +18,10 @@ from agq.homdim import (
     self_injective_dimension,
     self_injective_infinite_by_cycle,
 )
-from agq.strings import DirectedString, claw_of
+from agq.strings import DirectedString, anticlaw_of, claw_of
 from agq.generator import GeneratorParams, random_ag_pair
-from agq.quiver import AlmostGentlePair, NonzeroPath, NotValidatedError, UnknownVertexError, opposite
-from agq.syzygy import Psi0Descriptor, psi0_descriptor
+from agq.quiver import AlmostGentlePair, NotValidatedError, UnknownVertexError, opposite
+from agq.syzygy import Psi0Descriptor, psi0_descriptor, resolve_symbolic
 from conftest import FIG1_ARROWS, FIG1_RELS, FIG1_VERTICES, FIXTURES, bench_cyclic_pairs, make_pair
 
 
@@ -45,24 +45,24 @@ def test_global_dimension(fig1, a2, loop_rel):
 
 
 def test_pdim_directed_string(fig1, gate, cyc2, cyc2e):
-    assert pdim_directed_string(fig1, DirectedString.of(("a_1_2",))).value == fin(2)
-    assert pdim_directed_string(gate, DirectedString.of(("a", "b"))).value == fin(0)
+    assert pdim_directed_string(fig1, DirectedString(("a_1_2",))).value == fin(2)
+    assert pdim_directed_string(gate, DirectedString(("a", "b"))).value == fin(0)
     # over cyc2 the string module of a single arrow IS the projective at its
     # source (the oracle confirms; E(2) = M(a) = P(1))
-    assert pdim_directed_string(cyc2, DirectedString.of(("a",))).value == fin(0)
-    assert pdim_directed_string(cyc2e, DirectedString.of(("e",))).value == INF
+    assert pdim_directed_string(cyc2, DirectedString(("a",))).value == fin(0)
+    assert pdim_directed_string(cyc2e, DirectedString(("e",))).value == INF
 
 
 def test_pdim_directed_string_non_right_maximal(fig1):
     # one syzygy step unrolled agrees with the closed form
     from agq.syzygy import omega1_directed_string
-    delta = DirectedString.of(("a_1_2R",))
+    delta = DirectedString(("a_1_2R",))
     rep = pdim_directed_string(fig1, delta)
     dec = omega1_directed_string(fig1, delta)
     stepped = fin(0)
     for s, _n in dec.items:
         sub = (pdim_simple(fig1, s.vertex) if s.kind == "simple"
-               else pdim_directed_string(fig1, DirectedString.of(s.arrows)))
+               else pdim_directed_string(fig1, DirectedString(s.arrows)))
         stepped = max(stepped, sub.value.plus(1))
     assert rep.value == stepped
 
@@ -263,7 +263,7 @@ def test_dimension_table_query_order_does_not_matter():
     assert checked == 58  # 8 valid fixtures and 50 corpus seeds
 
 
-def test_maximal_strings_are_built_once_per_pair_and_direction(monkeypatch):
+def test_the_chain_table_is_the_only_string_cache(monkeypatch):
     built: list[tuple] = []
     memo = AlmostGentlePair.memo
 
@@ -275,7 +275,7 @@ def test_maximal_strings_are_built_once_per_pair_and_direction(monkeypatch):
 
     monkeypatch.setattr(AlmostGentlePair, "memo", counting)
     made: list[str] = []
-    for cls in (NonzeroPath, DirectedString, Psi0Descriptor):
+    for cls in (DirectedString, Psi0Descriptor):
         def init(self, *args, _init=cls.__init__, **kwargs):
             made.append(type(self).__name__)
             _init(self, *args, **kwargs)
@@ -284,16 +284,15 @@ def test_maximal_strings_are_built_once_per_pair_and_direction(monkeypatch):
         built.clear()
         made.clear()
         report_json(pair)
-        # the report reads chain ends only: no string table, no socle-block descriptor
-        assert built.count("chains") == 1
-        assert not [key for key in built
-                    if isinstance(key, tuple) and key[0] in ("maximal", "psi0")]
+        # the report reads chain ends only: no directed string, no socle-block descriptor
         assert made == []
         for v in pair.quiver.vertices:
             desc = psi0_descriptor(pair, v)
             branches = claw_of(pair, v)
-            assert len(desc.tails) == len(branches)
-            assert all(tail is br for (tail, _flag), br in zip(desc.tails, branches))
-        assert built.count(("maximal", True)) == 1
+            anticlaw_of(pair, v)
+            assert [tail for tail, _flag in desc.tails] == list(branches)
+            resolve_symbolic(pair, "injective", v, max_steps=8)
         assert built.count("chains") == 1
+        assert not [key for key in built
+                    if isinstance(key, tuple) and key[0] in ("maximal", "psi0")]
         assert {"DirectedString", "Psi0Descriptor"} <= set(made)

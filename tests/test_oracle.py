@@ -35,7 +35,7 @@ def test_reps_annihilate_relations(fig1, cyc2e, gate):
 
 
 def test_string_rep_with_vertex_revisit(loop_rel):
-    rep = rep_of(loop_rel, "string", DirectedString.of(("x",)))
+    rep = rep_of(loop_rel, "string", DirectedString(("x",)))
     assert rep.dims["1"] == 2
     assert rep.maps["x"][0][1] == 1 and rep.maps["x"][1].get(0, 0) == 0
     assert check_relations(loop_rel, rep)
@@ -58,7 +58,7 @@ def test_cover_kernel_examples(fig1):
     assert dict(ck.cover) == {"3": 1, "2": 1, "3'": 1}
     assert ck.kernel.dim_vector() == {"3": 1, "3'": 1, "4": 2, "5": 1}
 
-    ck2 = projective_cover_kernel(fig1, rep_of(fig1, "string", DirectedString.of(("a_1_2",))))
+    ck2 = projective_cover_kernel(fig1, rep_of(fig1, "string", DirectedString(("a_1_2",))))
     assert ck2.kernel.dim_vector() == {"2L": 1, "2R": 2, "3R": 1, "4R": 1}
 
     for v in fig1.quiver.vertices:

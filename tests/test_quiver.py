@@ -2,7 +2,6 @@ import pytest
 
 from agq.quiver import (
     Arrow,
-    NonzeroPath,
     Quiver,
     UnknownArrowError,
     nonzero_successor,
@@ -13,6 +12,7 @@ from agq.quiver import (
 from conftest import make_pair
 from agq.generator import GeneratorParams, random_ag_pair
 from agq.oracle import _path_tree, rep_of
+from agq.strings import DirectedString
 from agq.syzygy import psi0_descriptor
 
 
@@ -130,7 +130,7 @@ def test_opposite_fig1_validates(fig1):
 def test_nonzero_path_requires_anchor():
     from agq.quiver import InvalidStringError
     with pytest.raises(InvalidStringError):
-        NonzeroPath(())
+        DirectedString(())
 
 
 def test_ag_conditions_brute_force_on_corpus():
@@ -168,37 +168,44 @@ def test_operations_require_validation():
         nonzero_successor(bad, "x")
 
 
-def test_public_entry_points_reject_unknown_names(fig1):
+def test_public_entry_points_reject_unknown_names(fig1, loop_norel):
     # Internal helpers read the pair's tables unchecked, so every public entry
-    # point must check the names it is given itself.
+    # point must check the pair, then the names and strings it is given.
     from agq.forbidden import (delta_forbidden_sup, sup_forbidden_from_arrow,
                                sup_forbidden_from_vertex, zero_length_forbidden)
     from agq.homdim import pdim_directed_string, pdim_injective, pdim_simple
-    from agq.quiver import UnknownVertexError
-    from agq.strings import (DirectedString, anticlaw_of, claw_of, left_maximal_extension,
-                             module_dims, right_maximal_extension)
+    from agq.quiver import InvalidStringError, NotValidatedError, UnknownVertexError
+    from agq.strings import (anticlaw_of, claw_of, left_maximal_extension, module_dims,
+                             right_maximal_extension, string_of)
     from agq.syzygy import (is_gentle_vertex, is_invalid_vertex, omega1_directed_string,
                             omega1_injective, psi0_decompose, psi0_descriptor, psi0_dim_vector,
                             resolve_symbolic)
-    vertex_zz, arrow_zz = DirectedString.of((), "zz"), DirectedString.of(("zz",))
+    vertex_zz, arrow_zz = DirectedString((), "zz"), DirectedString(("zz",))
+    by_string = [right_maximal_extension, left_maximal_extension, omega1_directed_string,
+                 pdim_directed_string, delta_forbidden_sup,
+                 lambda p, ds: module_dims(p, "string", ds),
+                 lambda p, ds: rep_of(p, "string", ds),
+                 lambda p, ds: resolve_symbolic(p, "string", ds)]
     by_vertex = [pdim_simple, pdim_injective, sup_forbidden_from_vertex, zero_length_forbidden,
                  claw_of, anticlaw_of, is_gentle_vertex, is_invalid_vertex, psi0_descriptor,
                  psi0_dim_vector, psi0_decompose, omega1_injective,
                  lambda p, v: module_dims(p, "projective", v),
                  lambda p, v: module_dims(p, "injective", v),
-                 lambda p, v: omega1_directed_string(p, vertex_zz),
-                 lambda p, v: pdim_directed_string(p, vertex_zz),
                  lambda p, v: rep_of(p, "injective", v)]
     by_vertex += [lambda p, v, k=kind: resolve_symbolic(p, k, v) for kind in ("simple", "injective")]
-    by_vertex.append(lambda p, v: resolve_symbolic(p, "string", vertex_zz))
+    by_vertex += [lambda p, v, f=f: f(p, vertex_zz) for f in by_string]
     for fn in by_vertex:
         with pytest.raises(UnknownVertexError):
             fn(fig1, "zz")
+        with pytest.raises(NotValidatedError):
+            fn(loop_norel, "zz")
     by_arrow = [sup_forbidden_from_arrow, nonzero_successor]
-    by_arrow += [lambda p, a, f=f: f(p, arrow_zz)
-                 for f in (right_maximal_extension, left_maximal_extension, omega1_directed_string,
-                           pdim_directed_string, delta_forbidden_sup)]
-    by_arrow.append(lambda p, a: resolve_symbolic(p, "string", arrow_zz))
+    by_arrow += [lambda p, a, f=f: f(p, arrow_zz) for f in by_string]
     for fn in by_arrow:
         with pytest.raises(UnknownArrowError):
             fn(fig1, "zz")
+    # a_1_2 ends at 2 and a_3L_4L starts at 3L: not a path
+    broken = DirectedString(("a_1_2", "a_3L_4L"))
+    for fn in [lambda p: string_of(p, broken.arrows)] + [lambda p, f=f: f(p, broken) for f in by_string]:
+        with pytest.raises(InvalidStringError, match="not composable"):
+            fn(fig1)

@@ -15,30 +15,29 @@ from agq.generator import GeneratorParams, random_ag_pair
 from agq.oracle import rep_of
 from agq.quiver import nonzero_successor
 from agq.syzygy import is_gentle_vertex, is_invalid_vertex, psi0_descriptor
-from agq.strings import _maximal_strings
 from conftest import FIXTURES, bench_cyclic_pairs
 
 
 def test_right_maximal_extension_fig1(fig1):
-    ext = right_maximal_extension(fig1, DirectedString.of(("a_1_2R",)))
+    ext = right_maximal_extension(fig1, DirectedString(("a_1_2R",)))
     assert ext.arrows == ("a_1_2R", "a_2R_3R", "a_3R_4R")
-    assert right_maximal_extension(fig1, DirectedString.of(("a_1_2",))).arrows == ("a_1_2",)
+    assert right_maximal_extension(fig1, DirectedString(("a_1_2",))).arrows == ("a_1_2",)
 
 
 def test_right_maximal_extension_idempotent(fig1):
-    once = right_maximal_extension(fig1, DirectedString.of(("a_1_2R",)))
+    once = right_maximal_extension(fig1, DirectedString(("a_1_2R",)))
     assert right_maximal_extension(fig1, once) == once
     assert nonzero_successor(fig1, once.arrows[-1]) is None
 
 
 def test_right_maximal_extension_sink(a2):
-    assert right_maximal_extension(a2, DirectedString.of(("a",))).arrows == ("a",)
+    assert right_maximal_extension(a2, DirectedString(("a",))).arrows == ("a",)
 
 
 def test_left_maximal_extension_fig1(fig1):
-    assert left_maximal_extension(fig1, DirectedString.of(("a_2R_3R",))).arrows == \
+    assert left_maximal_extension(fig1, DirectedString(("a_2R_3R",))).arrows == \
         ("a_1_2R", "a_2R_3R")
-    assert left_maximal_extension(fig1, DirectedString.of(("a_3_4",))).arrows == ("a_3_4",)
+    assert left_maximal_extension(fig1, DirectedString(("a_3_4",))).arrows == ("a_3_4",)
 
 
 def test_string_of_rejects_relations(fig1):
@@ -138,35 +137,36 @@ def _valid_corpus_pairs():
     return [pair for pair in pairs if pair.validated]
 
 
-def test_maximal_string_tables_match_a_reference_walk():
+def test_claws_and_extensions_match_a_reference_walk():
+    # claws, anti-claws and both maximal extensions slice the chain table
     checked = 0
     for pair in _valid_corpus_pairs():
-        for right in (True, False):
-            table = _maximal_strings(pair, right)
-            assert set(table) == {a.name for a in pair.quiver.arrows}
-            for a in pair.quiver.arrows:
-                assert table[a.name].arrows == _reference_maximal_string(pair, a.name, right)
-        right_table, left_table = _maximal_strings(pair, True), _maximal_strings(pair, False)
         for v in pair.quiver.vertices:
-            assert claw_of(pair, v) == \
-                tuple(right_table[a.name] for a in pair.out_arrows(v))
-            assert anticlaw_of(pair, v) == \
-                tuple(left_table[a.name] for a in pair.in_arrows(v))
+            assert [br.arrows for br in claw_of(pair, v)] == \
+                [_reference_maximal_string(pair, a.name, True) for a in pair.out_arrows(v)]
+            assert [br.arrows for br in anticlaw_of(pair, v)] == \
+                [_reference_maximal_string(pair, a.name, False) for a in pair.in_arrows(v)]
+        for a in pair.quiver.arrows:
+            one = DirectedString((a.name,))
+            assert right_maximal_extension(pair, one).arrows == \
+                _reference_maximal_string(pair, a.name, True)
+            assert left_maximal_extension(pair, one).arrows == \
+                _reference_maximal_string(pair, a.name, False)
         checked += 1
     assert checked == 218  # 8 valid fixtures, 200 corpus seeds, 10 benchmark instances
 
 
 def test_maximal_extensions_splice_the_table_entry(fig1):
     # a string that already runs along a chain: its last (first) arrow's entry is spliced on
-    assert right_maximal_extension(fig1, DirectedString.of(("a_1_2R", "a_2R_3R"))).arrows == \
+    assert right_maximal_extension(fig1, DirectedString(("a_1_2R", "a_2R_3R"))).arrows == \
         ("a_1_2R", "a_2R_3R", "a_3R_4R")
-    assert left_maximal_extension(fig1, DirectedString.of(("a_2R_3R", "a_3R_4R"))).arrows == \
+    assert left_maximal_extension(fig1, DirectedString(("a_2R_3R", "a_3R_4R"))).arrows == \
         ("a_1_2R", "a_2R_3R", "a_3R_4R")
     from agq.quiver import InvalidStringError
     for extend in (right_maximal_extension, left_maximal_extension):
         with pytest.raises(InvalidStringError):
-            extend(fig1, DirectedString.of(("a_1_2", "a_2_3")))
-        assert extend(fig1, DirectedString.of((), "3")).arrows == ()
+            extend(fig1, DirectedString(("a_1_2", "a_2_3")))
+        assert extend(fig1, DirectedString((), "3")).arrows == ()
 
 
 def test_maximal_extensions_reject_an_unknown_arrow(fig1):
@@ -174,7 +174,7 @@ def test_maximal_extensions_reject_an_unknown_arrow(fig1):
     for extend in (right_maximal_extension, left_maximal_extension):
         for arrows in (("zz",), ("a_1_2R", "zz"), ("zz", "a_2R_3R")):
             with pytest.raises(UnknownArrowError, match="unknown arrow 'zz'"):
-                extend(fig1, DirectedString.of(arrows))
+                extend(fig1, DirectedString(arrows))
 
 
 def _reference_invalid_vertex(pair, v):

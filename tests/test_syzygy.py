@@ -29,7 +29,7 @@ def omega1_projective(pair, delta):
 
 
 def test_omega1_string_fig1(fig1):
-    dec = omega1_directed_string(fig1, DirectedString.of(("a_1_2",)))
+    dec = omega1_directed_string(fig1, DirectedString(("a_1_2",)))
     assert items_set(dec) == {
         ("simple", "2L", (), 1),
         ("simple", "2R", (), 1),
@@ -38,28 +38,28 @@ def test_omega1_string_fig1(fig1):
 
 
 def test_omega1_simple_2L_is_projective_module(fig1):
-    dec = omega1_directed_string(fig1, DirectedString.of((), "2L"))
+    dec = omega1_directed_string(fig1, DirectedString((), "2L"))
     assert items_set(dec) == {("string", None, ("a_3L_4L", "a_4L_5"), 1)}
 
 
 def test_omega1_simple_a2(a2):
-    dec = omega1_directed_string(a2, DirectedString.of((), "1"))
+    dec = omega1_directed_string(a2, DirectedString((), "1"))
     assert items_set(dec) == {("simple", "2", (), 1)}
 
 
 def test_omega1_dim_conservation(fig1):
     from agq.strings import module_dims
     for v in fig1.quiver.vertices:
-        dec = omega1_directed_string(fig1, DirectedString.of((), v))
+        dec = omega1_directed_string(fig1, DirectedString((), v))
         cover = module_dims(fig1, "projective", v)
         lhs = {w: cover.get(w, 0) - (1 if w == v else 0) for w in fig1.quiver.vertices}
         assert dec.dim_vector(fig1) == {w: n for w, n in lhs.items() if n}
 
 
 def test_is_omega1_projective(fig1, a2):
-    assert omega1_projective(fig1, DirectedString.of((), "2L"))
-    assert not omega1_projective(fig1, DirectedString.of(("a_1_2",)))
-    assert omega1_projective(a2, DirectedString.of(("a",)))
+    assert omega1_projective(fig1, DirectedString((), "2L"))
+    assert not omega1_projective(fig1, DirectedString(("a_1_2",)))
+    assert omega1_projective(a2, DirectedString(("a",)))
 
 
 def test_is_gentle_vertex(fig1):
@@ -138,7 +138,7 @@ def test_psi0_dims_identity(fig1, gate, cyc2e):
 
 
 def test_resolution_fig1_length_two(fig1):
-    res = resolve_symbolic(fig1, "string", DirectedString.of(("a_1_2",)))
+    res = resolve_symbolic(fig1, "string", DirectedString(("a_1_2",)))
     assert res.terminated == "projective"
     assert res.length == 2
     assert res.levels[0].cover == (("1", 1),)
@@ -228,7 +228,7 @@ def test_omega1_simple_projectivity_three_ways(fig1, gate, cyc2e):
     for pair in (fig1, gate, cyc2e):
         for v in pair.quiver.vertices:
             by_sup = sup_forbidden_from_vertex(pair, v)[0] <= LengthOrInf.finite(1)
-            assert by_sup == omega1_projective(pair, DirectedString.of((), v))
+            assert by_sup == omega1_projective(pair, DirectedString((), v))
 
 
 def test_omega1_projectivity_three_ways_corpus():
@@ -237,4 +237,4 @@ def test_omega1_projectivity_three_ways_corpus():
         pair, _ = random_ag_pair(GeneratorParams(seed=seed, max_vertices=6, max_arrows=10))
         for v in pair.quiver.vertices:
             by_sup = sup_forbidden_from_vertex(pair, v)[0] <= LengthOrInf.finite(1)
-            assert by_sup == omega1_projective(pair, DirectedString.of((), v))
+            assert by_sup == omega1_projective(pair, DirectedString((), v))

@@ -1,7 +1,7 @@
 """Repository tooling: the benchmark's traced names, the package's imports,
 that every public name and defaulted parameter serves the package, hashes
-that pin the JSON report and the symbolic resolutions byte for byte, and
-that a pair is freed without the cycle collector."""
+that pin the JSON report, the symbolic resolutions and the string layer,
+and that a pair is freed without the cycle collector."""
 
 import ast
 import contextlib
@@ -19,9 +19,14 @@ import weakref
 from agq.agqfile import parse_agq
 from agq.cli import main
 from agq.emitters import emit_json, report_json
+from agq.forbidden import delta_forbidden_sup
 from agq.generator import GeneratorParams, random_ag_pair
-from agq.oracle import check_against_formulas
-from agq.syzygy import resolve_symbolic
+from agq.homdim import pdim_directed_string
+from agq.oracle import check_against_formulas, rep_of
+from agq.quiver import nonzero_successor
+from agq.strings import (DirectedString, anticlaw_of, claw_of, left_maximal_extension,
+                         module_dims, right_maximal_extension)
+from agq.syzygy import omega1_directed_string, omega1_injective, psi0_descriptor, resolve_symbolic
 
 FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 
@@ -205,6 +210,66 @@ def test_symbolic_resolutions_are_identical_to_the_recorded_hash():
                 digest.update(out.getvalue().encode())
     assert len(fixtures) == 8
     assert digest.hexdigest() == RESOLUTION_SHA256
+
+
+# SHA-256 of the plain values (no reprs of the package's own types) that
+# every string entry point gives below.
+STRINGS_SHA256 = "53dac452108fdb1ed2f211133827c3425c7f1ec8448fdbb05fa5bee4cb8dda54"
+
+
+def _strings_of(pair):
+    """Every anchor, then every nonzero directed path of length 1 to 3."""
+    strings = [DirectedString((), v) for v in pair.quiver.vertices]
+    for a in pair.quiver.arrows:
+        arrows = (a.name,)
+        while arrows[-1] is not None and len(arrows) <= 3:
+            strings.append(DirectedString(arrows))
+            arrows += (nonzero_successor(pair, arrows[-1]),)
+    return strings
+
+
+def _sup(value, walk):
+    return value.value, None if walk is None else (walk.stem, walk.cycle)
+
+
+def _summands(items):
+    return tuple((s.kind, s.vertex, s.arrows, n) for s, n in items)
+
+
+def test_string_layer_is_identical_to_the_recorded_hash():
+    digest = hashlib.sha256()
+    pairs = [pair for _path, pair in _valid_fixtures()]
+    pairs += [random_ag_pair(GeneratorParams(seed=s))[0] for s in range(1, 201)]
+    strings = 0
+    for pair in pairs:
+        for ds in _strings_of(pair):
+            rep = pdim_directed_string(pair, ds)
+            res = resolve_symbolic(pair, "string", ds, max_steps=8)
+            module = rep_of(pair, "string", ds)
+            values = (
+                _summands(omega1_directed_string(pair, ds).items),
+                _sup(rep.value, rep.witness), rep.method,
+                _sup(*delta_forbidden_sup(pair, ds)),
+                tuple((level.cover, _summands(level.syzygy.items)) for level in res.levels),
+                res.terminated,
+                tuple(module_dims(pair, "string", ds).items()),
+                right_maximal_extension(pair, ds).arrows,
+                left_maximal_extension(pair, ds).arrows,
+                tuple(module.dims.items()),
+                tuple((a, tuple(tuple(row.items()) for row in rows)) for a, rows in module.maps.items()))
+            digest.update(repr(values).encode())
+            strings += 1
+        for v in pair.quiver.vertices:
+            desc = psi0_descriptor(pair, v)
+            values = (
+                tuple(br.arrows for br in claw_of(pair, v)),
+                tuple(br.arrows for br in anticlaw_of(pair, v)),
+                (desc.apex, desc.c, desc.d, desc.t,
+                 tuple((tail.arrows, flag) for tail, flag in desc.tails)),
+                _summands((s, 1) for s in omega1_injective(pair, v)[1]) if desc.c else None)
+            digest.update(repr(values).encode())
+    assert (len(pairs), strings) == (208, 2889)
+    assert digest.hexdigest() == STRINGS_SHA256
 
 
 def test_pairs_are_freed_by_reference_counting_alone():
