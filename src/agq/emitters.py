@@ -11,10 +11,10 @@ from __future__ import annotations
 import json
 from json.encoder import encode_basestring_ascii
 
-from .forbidden import LengthOrInf
-from .homdim import gorenstein_report, pdim_injective, pdim_simple
+from .forbidden import _INFINITE, LengthOrInf
+from .homdim import _pdim_simple, gorenstein_report, pdim_injective
 from .quiver import AlmostGentlePair
-from .syzygy import is_gentle_vertex, is_invalid_vertex
+from .syzygy import _is_invalid_vertex, is_gentle_vertex
 
 
 def _dim_json(value: LengthOrInf, witness=None, extra: dict | None = None) -> dict:
@@ -28,6 +28,11 @@ def _dim_json(value: LengthOrInf, witness=None, extra: dict | None = None) -> di
     return out
 
 
+def _length_json(n) -> dict:
+    """A length-table value as a report entry without a witness."""
+    return {"finite": True, "value": n} if n != _INFINITE else {"finite": False, "value": None}
+
+
 def report_json(pair: AlmostGentlePair, name: str | None = None) -> dict:
     """The full decision report as a JSON-ready dict."""
     pair.require_valid()
@@ -35,9 +40,9 @@ def report_json(pair: AlmostGentlePair, name: str | None = None) -> dict:
     per_vertex = {}
     for v in pair.quiver.vertices:
         per_vertex[v] = {
-            "pdim_simple": _dim_json(pdim_simple(pair, v).value),
-            "pdim_injective": _dim_json(pdim_injective(pair, v).value),
-            "invalid": is_invalid_vertex(pair, v)[0],
+            "pdim_simple": _length_json(_pdim_simple(pair, v)._length),
+            "pdim_injective": _length_json(pdim_injective(pair, v)._length),
+            "invalid": _is_invalid_vertex(pair, v)[0],
             "gentle": is_gentle_vertex(pair, v),
         }
     return {

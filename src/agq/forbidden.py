@@ -3,8 +3,9 @@
 A forbidden path is an arrow sequence whose every consecutive composition
 lies in the ideal, i.e. exactly a walk in the digraph with an edge a -> b for
 every relation pair ab.  All dimension queries reduce to longest paths in
-that digraph after condensing strongly connected components; witnesses are
-either finite paths or stem+cycle lassos.
+that digraph after condensing strongly connected components.  Values live
+in integer tables indexed by arrow, and witnesses are built from pointers
+on demand: either finite paths or stem+cycle lassos.
 
 Lengths count arrows, the digraph counts edges, so a sup over paths from an
 arrow is 1 + the longest edge-path from its node.  sup over the empty set is
@@ -90,177 +91,228 @@ class ForbiddenWalk:
         return True
 
 
-class _DigraphData:
-    """The relation digraph of one pair, condensed, with every arrow's sup.
+_INFINITE = float("inf")  # the length-table marker of an arrow that reaches a forbidden cycle
+_NO_WALK = (-1, -1)  # the pointer of no witness
 
-    ``sup[a]`` is the sup of forbidden-path lengths from arrow a with its
-    witness: a lasso when a reaches a cycle, else the longest walk, ties
-    broken to the least witness by arrow declaration order.
+
+class _DigraphData:
+    """The relation digraph of one pair on arrow indices, condensed, with
+    every arrow's sup in two integer tables.
+
+    ``length[i]`` is the sup of forbidden-path lengths from arrow i, or
+    ``_INFINITE`` when i reaches a cycle.  ``nxt[i]`` points along i's
+    witness: for a finite sup the first successor in declaration order
+    with the longest sup (-1 at a dead end), for an infinite one the next
+    arrow of its walk into and around a ring.  Following ``nxt`` from i
+    until an arrow repeats spells the witness: the longest walk, or a
+    lasso whose loop is the repeated part.
     """
 
     def __init__(self, pair: AlmostGentlePair):
         self.idx = pair.quiver.arrow_index
+        self.names = tuple(self.idx)
         # every arrow's relation successors, in declaration order
         self.succ: Mapping[str, list[str]] = pair.report.rel_succ
+        idx = self.idx
+        self.out = [[idx[b] for b in self.succ[a]] for a in self.names]
         self.scc, order = self._tarjan()
-        sizes: dict[int, int] = {}
-        for node, comp in self.scc.items():
-            sizes[comp] = sizes.get(comp, 0) + 1
-        self.cyclic_node = {
-            node for node, comp in self.scc.items()
-            if sizes[comp] > 1 or node in self.succ[node]
-        }
-        self.sup = self._sups(order)
+        sizes = [0] * len(order)
+        for comp in self.scc:
+            sizes[comp] += 1
+        cyclic = [sizes[self.scc[i]] > 1 or i in children for i, children in enumerate(self.out)]
+        self.cyclic_node = {self.names[i] for i, flag in enumerate(cyclic) if flag}
+        self.length, self.nxt = self._sups(order, cyclic)
 
-    def _tarjan(self) -> tuple[dict[str, int], list[str]]:
+    def _tarjan(self) -> tuple[list[int], list[int]]:
         """Component of every node, and the nodes in emission order (sinks first)."""
-        index: dict[str, int] = {}
-        low: dict[str, int] = {}
-        comp: dict[str, int] = {}
-        order: list[str] = []
-        stack: list[str] = []
-        on_stack: set[str] = set()
-        counter = [0]
-        ncomp = [0]
-
-        def strongconnect(root: str) -> None:
-            work = [(root, 0)]
+        out = self.out
+        n = len(out)
+        index = [-1] * n
+        low = [0] * n
+        comp = [-1] * n
+        order: list[int] = []
+        stack: list[int] = []
+        on_stack = [False] * n
+        counter = ncomp = 0
+        for root in range(n):
+            if index[root] >= 0:
+                continue
+            index[root] = low[root] = counter
+            counter += 1
+            stack.append(root)
+            on_stack[root] = True
+            work = [(root, iter(out[root]))]
             while work:
-                node, pi = work[-1]
-                if pi == 0:
-                    index[node] = low[node] = counter[0]
-                    counter[0] += 1
-                    stack.append(node)
-                    on_stack.add(node)
-                recurse = False
-                children = self.succ[node]
-                for i in range(pi, len(children)):
-                    ch = children[i]
-                    if ch not in index:
-                        work[-1] = (node, i + 1)
-                        work.append((ch, 0))
-                        recurse = True
+                node, children = work[-1]
+                for ch in children:
+                    if index[ch] < 0:
+                        index[ch] = low[ch] = counter
+                        counter += 1
+                        stack.append(ch)
+                        on_stack[ch] = True
+                        work.append((ch, iter(out[ch])))
                         break
-                    if ch in on_stack:
-                        low[node] = min(low[node], index[ch])
-                if recurse:
-                    continue
-                if low[node] == index[node]:
-                    while True:
-                        w = stack.pop()
-                        on_stack.discard(w)
-                        comp[w] = ncomp[0]
-                        order.append(w)
-                        if w == node:
-                            break
-                    ncomp[0] += 1
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[node])
-
-        for node in self.succ:
-            if node not in index:
-                strongconnect(node)
+                    if on_stack[ch] and index[ch] < low[node]:
+                        low[node] = index[ch]
+                else:
+                    work.pop()
+                    if low[node] == index[node]:
+                        while True:
+                            w = stack.pop()
+                            on_stack[w] = False
+                            comp[w] = ncomp
+                            order.append(w)
+                            if w == node:
+                                break
+                        ncomp += 1
+                    if work:
+                        parent = work[-1][0]
+                        if low[node] < low[parent]:
+                            low[parent] = low[node]
         return comp, order
 
-    def _sups(self, order: list[str]) -> dict[str, tuple[LengthOrInf, ForbiddenWalk]]:
+    def _sups(self, order: list[int], cyclic: list[bool]) -> tuple[list, list[int]]:
         """One sweep in emission order, so every successor outside a node's
         own component is settled before the node.  Seeding ``reaches`` with
         the cyclic nodes settles the successors inside a cyclic component.
         """
-        reaches = set(self.cyclic_node)
-        sup: dict[str, tuple[LengthOrInf, ForbiddenWalk]] = {}
-
-        def step(node: str) -> str | None:
-            return next((c for c in self.succ[node] if c in reaches), None)
-
+        out = self.out
+        reaches = list(cyclic)
+        length: list = [0] * len(out)  # 0 until settled; every sup is at least 1
+        nxt = [-1] * len(out)
         for node in order:
-            if node in sup:
+            if length[node]:
                 continue
-            nxt = step(node)
-            if nxt is None:
+            step = next((c for c in out[node] if reaches[c]), -1)
+            if step < 0:
                 # ties go to the first child in declaration order
-                tail = max((sup[c][1].stem for c in self.succ[node]), key=len, default=())
-                sup[node] = (LengthOrInf.finite(len(tail) + 1), ForbiddenWalk((node,) + tail))
+                best = 0
+                for c in out[node]:
+                    if length[c] > best:
+                        best, nxt[node] = length[c], c
+                length[node] = best + 1
                 continue
             # Follow first cycle-reaching successors until a node with a
             # known lasso, or until the walk closes a ring of its own.
-            reaches.add(node)
-            path, pos, cur = [node], {node: 0}, nxt
-            while cur not in sup and cur not in pos:
-                pos[cur] = len(path)
-                path.append(cur)
-                cur = step(cur)  # type: ignore[assignment]
-            if cur in pos:
-                ring = path[pos[cur]:]
-                del path[pos[cur]:]
-                for i, r in enumerate(ring):
-                    sup[r] = (INF, ForbiddenWalk((), tuple(ring[i:] + ring[:i])))
-            for a in reversed(path):
-                after = sup[cur][1]
-                sup[a] = (INF, ForbiddenWalk((a,) + after.stem, after.cycle))
-                cur = a
-        return sup
+            reaches[node] = True
+            cur = node
+            while True:
+                length[cur], nxt[cur] = _INFINITE, step
+                if length[step]:
+                    break
+                cur = step
+                step = next(c for c in out[cur] if reaches[c])
+        return length, nxt
+
+    def walk(self, head: int, start: int) -> ForbiddenWalk | None:
+        """The witness spelled by arrow ``head`` (if not -1) and then the
+        pointer walk from ``start`` (if not -1); None if both are -1."""
+        seq = list(self.spelled(head, start))
+        if not seq:
+            return None
+        first = 1 if head >= 0 else 0  # where the pointer walk begins
+        loop = self.nxt[seq[-1]] if len(seq) > first else -1  # the arrow it repeats
+        cut = len(seq) if loop < 0 else seq.index(loop, first)
+        names = self.names
+        return ForbiddenWalk(tuple(names[i] for i in seq[:cut]), tuple(names[i] for i in seq[cut:]))
+
+    def spelled(self, head: int, start: int):
+        """The arrows ``walk(head, start)`` spells, without building it."""
+        if head >= 0:
+            yield head
+        seen = set()
+        node, nxt = start, self.nxt
+        while node >= 0 and node not in seen:
+            seen.add(node)
+            yield node
+            node = nxt[node]
+
+    def precedes(self, x: tuple[int, int], y: tuple[int, int]) -> bool:
+        """Whether pointer x spells a witness strictly before y's.
+
+        Witnesses compare at the first arrow where they differ, by
+        declaration index; a prefix comes before its extensions and any
+        walk before none.  Both walks step in lockstep and stop at the first
+        difference, or once both stand on the same arrow of a finite walk,
+        since from there they spell the same arrows.  Two lassos on the same
+        arrow may still close their loops at different arrows, so they run
+        on until one of them ends.
+        """
+        if x == y or x == _NO_WALK:
+            return False
+        if y == _NO_WALK:
+            return True
+        first_x = x[0] if x[0] >= 0 else x[1]
+        first_y = y[0] if y[0] >= 0 else y[1]
+        if first_x != first_y:  # the common case, settled without stepping
+            return first_x < first_y
+        on_walks = 1 if x[0] >= 0 or y[0] >= 0 else 0  # from here both spell their walks
+        ys = self.spelled(*y)
+        for pos, a in enumerate(self.spelled(*x)):
+            b = next(ys, -1)
+            if b < 0:
+                return False  # y is a proper prefix of x
+            if a != b:
+                return a < b
+            if pos >= on_walks and self.length[a] != _INFINITE:
+                return False
+        return next(ys, -1) >= 0
+
+    def best(self, candidates) -> tuple:
+        """The largest of (length, pointer) candidates, ties to the least
+        witness; (0, _NO_WALK) if there are none."""
+        best_len, best = 0, _NO_WALK
+        for n, ptr in candidates:
+            if n > best_len or (n == best_len and self.precedes(ptr, best)):
+                best_len, best = n, ptr
+        return best_len, best
 
 
 def digraph_data(pair: AlmostGentlePair) -> _DigraphData:
     return pair.memo("digraph", lambda: _DigraphData(pair))
 
 
+def _length_value(n) -> LengthOrInf:
+    """A length-table entry as a LengthOrInf."""
+    return INF if n == _INFINITE else LengthOrInf(n)
+
+
 def sup_forbidden_from_arrow(pair: AlmostGentlePair, a: str) -> tuple[LengthOrInf, ForbiddenWalk]:
     """Sup of lengths of forbidden paths starting with arrow a, with witness.
 
-    Always at least Finite(1): a single arrow is vacuously forbidden.
+    Always at least Finite(1): a single arrow is vacuously forbidden.  The
+    witness is built on the first request and kept in the pair's memo.
     """
     pair.require_valid()
     pair.arrow(a)
-    return digraph_data(pair).sup[a]
+
+    def compute() -> tuple[LengthOrInf, ForbiddenWalk]:
+        data = digraph_data(pair)
+        i = data.idx[a]
+        return _length_value(data.length[i]), data.walk(-1, i)  # type: ignore[return-value]
+    return pair.memo(("sup", a), compute)
 
 
 def sup_forbidden_from_vertex(pair: AlmostGentlePair, v: str) -> tuple[LengthOrInf, ForbiddenWalk | None]:
     """Sup over all forbidden paths starting at v; Finite(0) for sinks."""
     pair.require_valid()
     pair.require_vertex(v)
-    return _sup_from_vertex(pair, v)
+    data = digraph_data(pair)
+    n, start = _vertex_sup(data, pair.quiver._out[v])  # type: ignore[attr-defined]
+    return _length_value(n), data.walk(-1, start)
 
 
-def _sup_from_vertex(pair: AlmostGentlePair, v: str) -> tuple[LengthOrInf, ForbiddenWalk | None]:
-    sup = digraph_data(pair).sup
-    return best_witnessed(pair, (sup[b.name] for b in pair.quiver._out[v]))  # type: ignore[attr-defined]
-
-
-def better_witnessed(pair: AlmostGentlePair,
-            cur: tuple[LengthOrInf, ForbiddenWalk | None],
-            cand: tuple[LengthOrInf, ForbiddenWalk | None]) -> tuple[LengthOrInf, ForbiddenWalk | None]:
-    """The larger sup; on a tie the least witness, cur if they are equal.
-
-    Witnesses compare at the first arrow where they differ, by declaration
-    index; a prefix comes before its extensions and any walk before None.
-    """
-    new_len, old_len = cand[0].value, cur[0].value  # None is infinite
-    if new_len != old_len:
-        return cand if old_len is not None and (new_len is None or new_len > old_len) else cur
-    new, old = cand[1], cur[1]
-    if new is None or old is None or new is old:
-        return cand if old is None and new is not None else cur
-    idx = pair.quiver.arrow_index
-    seq, ref = new.stem + new.cycle, old.stem + old.cycle
-    for x, y in zip(seq, ref):
-        if x != y:
-            return cand if idx[x] < idx[y] else cur
-    return cand if len(seq) < len(ref) else cur
-
-
-def best_witnessed(pair: AlmostGentlePair, candidates) -> tuple[LengthOrInf, ForbiddenWalk | None]:
-    """The best candidate by ``better_witnessed``; (Finite(0), None) if none."""
-    best: tuple[LengthOrInf, ForbiddenWalk | None] = (ZERO, None)
-    for cand in candidates:
-        new_len, old_len = cand[0].value, best[0].value
-        if new_len is not None and (old_len is None or new_len < old_len):
-            continue  # a shorter sup never wins; skip the call
-        best = better_witnessed(pair, best, cand)
-    return best
+def _vertex_sup(data: _DigraphData, arrows, skip: str | None = None) -> tuple:
+    """(length, start) of the best sup over arrows out of one vertex other
+    than skip; (0, -1) if there are none.  Their witnesses begin with
+    different arrows, so ties go to the first arrow in declaration order."""
+    length, idx = data.length, data.idx
+    best, start = 0, -1
+    for b in arrows:
+        i = idx[b.name]
+        if length[i] > best and b.name != skip:
+            best, start = length[i], i
+    return best, start
 
 
 def zero_length_forbidden(pair: AlmostGentlePair, v: str) -> bool:
@@ -292,10 +344,13 @@ def delta_forbidden_sup(pair: AlmostGentlePair, delta: DirectedString) -> tuple[
     """
     pair.require_valid()
     arrows = _check_string(pair, delta).arrows
+    data = digraph_data(pair)
     starts = [nonzero_successor(pair, arrows[-1])] if arrows else []
     starts += [b.name for b in pair.quiver._out[string_source(pair, delta)]  # type: ignore[attr-defined]
                if b.name not in arrows[:1]]
-    return best_witnessed(pair, (sup_forbidden_from_arrow(pair, a) for a in starts if a is not None))
+    _n, (_head, start) = data.best((data.length[data.idx[a]], (-1, data.idx[a]))
+                                   for a in starts if a is not None)
+    return (ZERO, None) if start < 0 else sup_forbidden_from_arrow(pair, data.names[start])
 
 
 def forbidden_cycles(pair: AlmostGentlePair, cap: int = 10_000) -> tuple[list[tuple[str, ...]], bool]:
@@ -363,11 +418,12 @@ def forbidden_cycles(pair: AlmostGentlePair, cap: int = 10_000) -> tuple[list[tu
             if truncated:
                 break
     if truncated:
-        covered = {frozenset(data.scc[x] for x in cyc) for cyc in cycles}
+        covered = {frozenset(data.scc[idx[x]] for x in cyc) for cyc in cycles}
         for node in data.succ:
-            if node in data.cyclic_node and frozenset({data.scc[node]}) not in covered:
-                cycles.append(data.sup[node][1].cycle)
-                covered.add(frozenset({data.scc[node]}))
+            comp = frozenset({data.scc[idx[node]]})
+            if node in data.cyclic_node and comp not in covered:
+                cycles.append(data.walk(-1, idx[node]).cycle)  # type: ignore[union-attr]
+                covered.add(comp)
     canon = []
     for cyc in cycles:
         k = min(range(len(cyc)), key=lambda i: idx[cyc[i]])

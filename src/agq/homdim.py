@@ -2,9 +2,10 @@
 
 Projective dimensions of simples and directed strings reduce to longest
 forbidden paths; the projective dimension of an injective E(v) additionally
-tracks the socle block of its first syzygy.  Every finite value carries a
-forbidden-path witness of exactly that length, every infinite one a lasso
-whose loop is a forbidden cycle.
+tracks the socle block of its first syzygy.  Values live in integer
+tables, and witnesses are built from pointers on demand: a finite value's
+witness is a forbidden path of exactly that length, an infinite one's a
+lasso whose loop is a forbidden cycle.
 """
 
 from __future__ import annotations
@@ -13,12 +14,14 @@ from collections import deque
 from dataclasses import dataclass
 
 from .forbidden import (
+    _INFINITE,
+    _NO_WALK,
     ZERO,
     ForbiddenWalk,
     LengthOrInf,
-    _sup_from_vertex,
-    best_witnessed,
-    better_witnessed,
+    _DigraphData,
+    _length_value,
+    _vertex_sup,
     delta_forbidden_sup,
     digraph_data,
 )
@@ -27,12 +30,67 @@ from .strings import DirectedString, _chains, socle_supports
 from .syzygy import _is_invalid_vertex, is_invalid_vertex
 
 
-@dataclass(frozen=True)
+_UNBUILT = object()
+
+
 class DimReport:
-    value: LengthOrInf
-    witness: ForbiddenWalk | None
-    method: str
-    attained_at: str | None = None
+    """A dimension, the method that found it and, for a maximum over the
+    vertices, the first vertex attaining it.  Read-only.
+
+    The witness is a forbidden path of exactly that length, a lasso whose
+    loop is a forbidden cycle, or None for 0.  A report read off the pair's
+    length table keeps a pointer into it and builds the witness the first
+    time it is read.
+    """
+
+    __slots__ = ("_length", "_method", "_at", "_pointer", "_data", "_witness")
+
+    def __init__(self, value: LengthOrInf, witness: ForbiddenWalk | None, method: str,
+                 attained_at: str | None = None):
+        self._length = _INFINITE if value.value is None else value.value
+        self._method, self._at = method, attained_at
+        self._pointer, self._data, self._witness = _NO_WALK, None, witness
+
+    @property
+    def value(self) -> LengthOrInf:
+        return _length_value(self._length)
+
+    @property
+    def witness(self) -> ForbiddenWalk | None:
+        if self._witness is _UNBUILT:
+            self._witness = self._data.walk(*self._pointer)  # type: ignore[union-attr]
+        return self._witness  # type: ignore[return-value]
+
+    @property
+    def method(self) -> str:
+        return self._method
+
+    @property
+    def attained_at(self) -> str | None:
+        return self._at
+
+    def _fields(self) -> tuple:
+        return self.value, self.witness, self._method, self._at
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DimReport):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return "DimReport(value={!r}, witness={!r}, method={!r}, attained_at={!r})".format(*self._fields())
+
+
+def _pointed(data: _DigraphData, n, pointer: tuple[int, int], method: str,
+             attained_at: str | None = None) -> DimReport:
+    """A report of length-table value n whose witness is spelled by pointer."""
+    rep = DimReport.__new__(DimReport)
+    rep._length, rep._method, rep._at = n, method, attained_at
+    rep._pointer, rep._data, rep._witness = pointer, data, _UNBUILT
+    return rep
 
 
 @dataclass(frozen=True)
@@ -53,21 +111,27 @@ def pdim_simple(pair: AlmostGentlePair, v: str) -> DimReport:
 
 
 def _pdim_simple(pair: AlmostGentlePair, v: str) -> DimReport:
-    return pair.memo(("simple", v), lambda: DimReport(
-        *_sup_from_vertex(pair, v), "forbidden-from-vertex"))
+    def compute() -> DimReport:
+        data = digraph_data(pair)
+        n, start = _vertex_sup(data, pair.quiver._out[v])  # type: ignore[attr-defined]
+        return _pointed(data, n, (-1, start), "forbidden-from-vertex")
+    return pair.memo(("simple", v), compute)
 
 
 def global_dimension(pair: AlmostGentlePair) -> DimReport:
     """Sup of the simple dimensions; infinite iff a forbidden cycle exists."""
     pair.require_valid()
-    best: tuple[LengthOrInf, ForbiddenWalk | None] = (ZERO, None)
+    data = digraph_data(pair)
+    best_len, best = 0, _NO_WALK
     at = None  # the first vertex attaining the sup
     for v in pair.quiver.vertices:
-        rep = pdim_simple(pair, v)
-        if at is None or rep.value > best[0]:
+        rep = _pdim_simple(pair, v)
+        n = rep._length
+        if at is None or n > best_len:
             at = v
-        best = better_witnessed(pair, best, (rep.value, rep.witness))
-    return DimReport(best[0], best[1], "forbidden-global", at)
+        if n > best_len or (n == best_len and data.precedes(rep._pointer, best)):
+            best_len, best = n, rep._pointer
+    return _pointed(data, best_len, best, "forbidden-global", at)
 
 
 def pdim_directed_string(pair: AlmostGentlePair, delta: DirectedString) -> DimReport:
@@ -78,13 +142,6 @@ def pdim_directed_string(pair: AlmostGentlePair, delta: DirectedString) -> DimRe
     unrolled, so no right-maximality is needed.
     """
     return DimReport(*delta_forbidden_sup(pair, delta), "delta-forbidden")
-
-
-def _prefixed(walk: ForbiddenWalk | None, alpha: str) -> ForbiddenWalk:
-    """Extend a witness one arrow to the left (the composition is a relation)."""
-    if walk is None:
-        return ForbiddenWalk((alpha,))
-    return ForbiddenWalk((alpha,) + walk.stem, walk.cycle)
 
 
 def pdim_injective(pair: AlmostGentlePair, v: str) -> DimReport:
@@ -100,54 +157,62 @@ def pdim_injective(pair: AlmostGentlePair, v: str) -> DimReport:
     """
     pair.require_valid()
     pair.require_vertex(v)
+    return _injective(pair, v)
+
+
+def _injective(pair: AlmostGentlePair, v: str) -> DimReport:
     return pair.memo(("injective", v), lambda: _pdim_injective(pair, v))
 
 
 def _pdim_injective(pair: AlmostGentlePair, v: str) -> DimReport:
-    """pdim_injective read off chain ends, the successor maps and the sup table."""
+    """pdim_injective read off chain ends, the successor maps and the length
+    table.  A candidate is (length, pointer), the pointer a head arrow (an
+    in-arrow of v, or -1) followed by an arrow's witness (or -1)."""
     outs = pair.quiver._out  # type: ignore[attr-defined]
     ins = pair.quiver._in[v]  # type: ignore[attr-defined]
     c = len(ins)
+    data = digraph_data(pair)
     if c == 0:
         rep = _pdim_simple(pair, v)
-        return DimReport(rep.value, rep.witness, "injective-as-simple")
+        return _pointed(data, rep._length, rep._pointer, "injective-as-simple")
 
-    sup = digraph_data(pair).sup
+    length, idx = data.length, data.idx
     by_name = pair.quiver._by_name  # type: ignore[attr-defined]
     chains = _chains(pair)
-    candidates: list[tuple[LengthOrInf, ForbiddenWalk | None]] = []
 
     succ, pred = pair._succ, pair._pred  # type: ignore[attr-defined]
     matched_partner: dict[str, str] = {}
     unmatched_ins: list[str] = []
+    # The per-branch leftovers' best: witnesses that begin with different
+    # arrows, so ties go to the earlier-declared arrow.
+    left_len, left = 0, -1
     for a in ins:
         first = chains[a.name][0][0]  # the head of a's anti-claw branch
-        for b in outs[by_name[first].source]:
-            if b.name != first:
-                candidates.append(sup[b.name])
+        n, i = _vertex_sup(data, outs[by_name[first].source], first)
+        if n > left_len or (n == left_len and i < left):
+            left_len, left = n, i
         partner = succ[a.name]
         if partner is not None:
             matched_partner[a.name] = partner
         else:
             unmatched_ins.append(a.name)
 
-    def sup_excluding(skip: str) -> tuple[LengthOrInf, ForbiddenWalk | None]:
-        return best_witnessed(pair, (sup[b.name] for b in outs[v] if b.name != skip))
-
+    candidates: list[tuple] = [(left_len, (-1, left))]
     t = len(matched_partner)  # the socle block's crossing count
     if t < c:
         if c - 1 - t >= 1:
             rep = _pdim_simple(pair, v)
-            candidates.append((rep.value.plus(1), _prefixed(rep.witness, unmatched_ins[0])))
+            candidates.append((rep._length + 1, (idx[unmatched_ins[0]], rep._pointer[1])))
         for a_name, b_name in matched_partner.items():
-            inner = sup_excluding(b_name)
-            candidates.append((inner[0].plus(1), _prefixed(inner[1], a_name)))
+            n, start = _vertex_sup(data, outs[v], b_name)
+            candidates.append((n + 1, (idx[a_name], start)))
     elif c == 1:
-        candidates.append(sup[matched_partner[ins[0].name]])
+        i = idx[matched_partner[ins[0].name]]
+        candidates.append((length[i], (-1, i)))
     else:
         invalid, _cond = _is_invalid_vertex(pair, v)
         if invalid:
-            candidates.append((LengthOrInf.finite(1), ForbiddenWalk((outs[v][0].name,))))
+            candidates.append((1, (idx[outs[v][0].name], -1)))
         else:
             for b in outs[v]:
                 b0 = b.name
@@ -158,24 +223,25 @@ def _pdim_injective(pair: AlmostGentlePair, v: str) -> DimReport:
                     alpha = next(a.name for a in ins if matched_partner.get(a.name) != b0)
                 else:
                     alpha = ins[0].name
-                inner = sup[b0]
-                candidates.append((inner[0].plus(1), _prefixed(inner[1], alpha)))
+                i = idx[b0]
+                candidates.append((length[i] + 1, (idx[alpha], i)))
 
-    value, witness = best_witnessed(pair, candidates)
-    return DimReport(value, witness, "injective-syzygy")
+    n, pointer = data.best(candidates)
+    return _pointed(data, n, pointer, "injective-syzygy")
 
 
 def self_injective_dimension(pair: AlmostGentlePair) -> DimReport:
     """max over vertices of proj.dim E(v), recording the attaining vertex."""
     pair.require_valid()
     best: DimReport | None = None
+    at = None
     for v in pair.quiver.vertices:
         rep = pdim_injective(pair, v)
-        if best is None or rep.value > best.value:
-            best = DimReport(rep.value, rep.witness, "self-injective", v)
+        if best is None or rep._length > best._length:
+            best, at = rep, v
     if best is None:
         return DimReport(ZERO, None, "self-injective", None)
-    return best
+    return _pointed(digraph_data(pair), best._length, best._pointer, "self-injective", at)
 
 
 def self_injective_infinite_by_cycle(pair: AlmostGentlePair) \
@@ -189,9 +255,9 @@ def self_injective_infinite_by_cycle(pair: AlmostGentlePair) \
     """
     pair.require_valid()
     data = digraph_data(pair)
-    cyclic, scc = data.cyclic_node, data.scc
+    cyclic, scc, idx = data.cyclic_node, data.scc, data.idx
     cycle_edges = [(x, y) for x, y in pair.relations
-                   if x in cyclic and y in cyclic and scc[x] == scc[y]]
+                   if x in cyclic and y in cyclic and scc[idx[x]] == scc[idx[y]]]
     for x, y in sorted(cycle_edges, key=lambda e: (data.idx[e[0]], data.idx[e[1]])):
         v = pair.quiver._by_name[y].source  # type: ignore[attr-defined]
         for alpha in pair.quiver._in[v]:  # type: ignore[attr-defined]
@@ -208,7 +274,8 @@ def self_injective_infinite_by_cycle(pair: AlmostGentlePair) \
 def _cycle_through_edge(pair: AlmostGentlePair, x: str, y: str) -> tuple[str, ...]:
     """An elementary forbidden cycle through the digraph edge x -> y."""
     data = digraph_data(pair)
-    comp = data.scc[x]
+    scc, idx = data.scc, data.idx
+    comp = scc[idx[x]]
     if x == y:
         return (x,)
     # walk y -> ... -> x inside the component, shortest first for determinism
@@ -219,7 +286,7 @@ def _cycle_through_edge(pair: AlmostGentlePair, x: str, y: str) -> tuple[str, ..
         if node == x:
             break
         for ch in data.succ[node]:
-            if data.scc.get(ch) == comp and ch not in prev and ch != y:
+            if scc[idx[ch]] == comp and ch not in prev and ch != y:
                 prev[ch] = node
                 dq.append(ch)
     path = [x]
@@ -250,10 +317,10 @@ def noninvalid_cycle_vertex(pair: AlmostGentlePair) -> tuple[bool, str | None]:
 def pdim_injective_envelope(pair: AlmostGentlePair) -> LengthOrInf:
     """proj.dim of the injective envelope of the regular module."""
     pair.require_valid()
-    best = ZERO
+    best = 0
     for u in sorted(set(socle_supports(pair)), key=pair.quiver.vertex_index.get):
-        best = max(best, pdim_injective(pair, u).value)
-    return best
+        best = max(best, _injective(pair, u)._length)
+    return _length_value(best)
 
 
 def gorenstein_report(pair: AlmostGentlePair) -> GorensteinReport:

@@ -156,12 +156,12 @@ def _is_gentle_vertex(pair: AlmostGentlePair, v: str) -> bool:
     ins, outs = pair.quiver._in[v], pair.quiver._out[v]  # type: ignore[attr-defined]
     if len(ins) > 2 or len(outs) > 2:
         return False
-    for a in ins:
-        if sum(1 for b in outs if (a.name, b.name) in pair.relations) > 1:
-            return False
-    for b in outs:
-        if sum(1 for a in ins if (a.name, b.name) in pair.relations) > 1:
-            return False
+    rel_succ = pair.report.rel_succ  # an in-arrow's relation partners, among outs
+    if any(len(rel_succ[a.name]) > 1 for a in ins):
+        return False
+    if len(ins) == 2:  # an out-arrow with two relation partners
+        x, y, rels = ins[0].name, ins[1].name, pair.relations
+        return not any((x, b.name) in rels and (y, b.name) in rels for b in outs)
     return True
 
 
@@ -202,10 +202,13 @@ def _psi0_descriptor(pair: AlmostGentlePair, v: str) -> Psi0Descriptor:
 
 def psi0_dim_vector(pair: AlmostGentlePair, v: str) -> dict[str, int]:
     """(c-1) at the apex plus one per vertex strictly along each flagged tail."""
-    desc = psi0_descriptor(pair, v)
+    return _psi0_dim_vector(pair, psi0_descriptor(pair, v))
+
+
+def _psi0_dim_vector(pair: AlmostGentlePair, desc: Psi0Descriptor) -> dict[str, int]:
     dims: dict[str, int] = {}
     if desc.c >= 2:
-        dims[v] = desc.c - 1
+        dims[desc.apex] = desc.c - 1
     for tail in desc.flagged():
         for a in tail.arrows:
             t = pair.arrow(a).target
@@ -284,9 +287,14 @@ def psi0_decompose(pair: AlmostGentlePair, v: str) -> SyzygyDecomposition | None
     desc = psi0_descriptor(pair, v)
     if desc.c == 0:
         raise NotInjectiveCaseError(f"E({v}) is simple; no socle block")
+    return _psi0_decompose(pair, desc)
+
+
+def _psi0_decompose(pair: AlmostGentlePair, desc: Psi0Descriptor) -> SyzygyDecomposition | None:
+    """psi0_decompose from the socle-block descriptor of E(v), v not a source."""
     if desc.t < desc.c:
         pieces = [(Summand.string(tail.arrows), 1) for tail in desc.flagged()]
-        pieces.append((Summand.simple(v), desc.c - 1 - desc.t))
+        pieces.append((Summand.simple(desc.apex), desc.c - 1 - desc.t))
         return SyzygyDecomposition.of(pair, pieces)
     if desc.c == 1:
         tail = desc.flagged()[0]
@@ -353,8 +361,6 @@ def _omega1_of_summand(pair: AlmostGentlePair, s: Summand) -> Sequence[tuple[Sum
         return ()
     if s.kind in ("simple", "string"):
         return omega1_directed_string(pair, DirectedString(s.arrows, s.vertex)).items
-    if s.kind == "psi0":
-        return psi0_omega1(pair, _psi0_descriptor(pair, s.vertex))  # type: ignore[arg-type]
     raise ValueError(s.kind)
 
 
@@ -365,7 +371,8 @@ class _SummandGraph:
     index, copies: c - 1 for a socle block, else 1), its dimension vector
     and, once asked for, its successors: the normalized first syzygy as
     [(node, multiplicity)].  An injective E(v) that is not simple enters
-    the graph through its first syzygy, stored per vertex once asked for.
+    the graph through its first syzygy, stored per vertex once asked for;
+    an undecomposed socle block keeps the descriptor that E(v) built.
     The pair is passed in, never stored, so the pair's memo holds no cycle
     back to the pair.
     """
@@ -378,17 +385,22 @@ class _SummandGraph:
         self.dims: list[dict[str, int]] = []
         self.succ: list[list[tuple[int, int]] | None] = []
         self.injectives: dict[str, tuple[dict[int, int], tuple[Summand, ...], dict[int, int]]] = {}
+        self.blocks: dict[str, Psi0Descriptor] = {}  # apex -> descriptor of a "psi0" summand
 
     def node(self, pair: AlmostGentlePair, s: Summand) -> int:
         n = self.nodes.get(s)
         if n is None:
             n = self.nodes[s] = len(self.summands)
             key = summand_sort_key(pair, s)
-            copies = _psi0_descriptor(pair, s.vertex).c - 1 if s.kind == "psi0" else 1  # type: ignore[arg-type]
+            if s.kind == "psi0":
+                desc = self.blocks[s.vertex]  # type: ignore[index]
+                copies, dims = desc.c - 1, _psi0_dim_vector(pair, desc)
+            else:
+                copies, dims = 1, summand_dims(pair, s)
             self.summands.append(s)
             self.keys.append(key)
             self.covers.append((key[1], copies))
-            self.dims.append(summand_dims(pair, s))
+            self.dims.append(dims)
             self.succ.append(None)
         return n
 
@@ -403,7 +415,11 @@ class _SummandGraph:
     def successors(self, pair: AlmostGentlePair, n: int) -> list[tuple[int, int]]:
         succ = self.succ[n]
         if succ is None:
-            pieces = _omega1_of_summand(pair, self.summands[n])
+            s = self.summands[n]
+            if s.kind == "psi0":
+                pieces = psi0_omega1(pair, self.blocks[s.vertex])  # type: ignore[index]
+            else:
+                pieces = _omega1_of_summand(pair, s)
             succ = self.succ[n] = list(self.count(pair, pieces).items())
         return succ
 
@@ -419,10 +435,12 @@ class _SummandGraph:
             for br in anticlaw_of(pair, v):
                 x = vidx[string_source(pair, br)]
                 cover[x] = cover.get(x, 0) + 1
-            if desc.t < desc.c or desc.c == 1:
-                block = psi0_decompose(pair, v).items  # type: ignore[union-attr]
+            decomposed = _psi0_decompose(pair, desc)
+            if decomposed is None:
+                self.blocks[v] = desc
+                block: Iterable[tuple[Summand, int]] = ((Summand.psi0(v), 1),)
             else:
-                block = ((Summand.psi0(v), 1),)
+                block = decomposed.items
             syzygy = self.count(pair, [(s, 1) for s in mlist] + list(block))
             entry = self.injectives[v] = (cover, tuple(mlist), syzygy)
         return entry

@@ -1,5 +1,7 @@
+import gc
 import json
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from agq.agqfile import parse_agq
 from agq.emitters import emit_json, report_json
 from agq.strings import DirectedString, anticlaw_of, claw_of, right_maximal_extension
 from agq.syzygy import psi0_descriptor, resolve_symbolic
+from conftest import make_pair
 
 _TEXT = st.text(st.sampled_from('ab"\\/\n\t\x00\x1f\x7fé€\U0001f600 '), max_size=8)
 _SCALARS = (_TEXT | st.booleans() | st.none()
@@ -62,3 +65,41 @@ def test_string_queries_on_a_long_chain_take_bounded_work():
     assert resolve_symbolic(pair, "simple", "v0").length == 1
     elapsed = time.perf_counter() - start
     assert elapsed < 0.5, elapsed
+
+
+def _every_relation(n, closed):
+    """A_n, or the oriented n-cycle when closed, with every composition of
+    consecutive arrows a relation."""
+    m = n if closed else n + 1
+    arrows = [(f"a{k}", f"v{k}", f"v{(k + 1) % m}") for k in range(n)]
+    rels = [(f"a{k}", f"a{(k + 1) % n}") for k in range(n if closed else n - 1)]
+    return lambda: make_pair([f"v{k}" for k in range(m)], arrows, rels)
+
+
+@pytest.mark.parametrize("closed", [False, True], ids=["chain", "cycle"])
+def test_report_on_every_relation_in_a_row_takes_linear_time_and_memory(closed):
+    # one forbidden path, or one forbidden cycle, runs through all n arrows:
+    # a witness kept per arrow makes time and memory quadratic
+    n = 10_000
+    make = _every_relation(n, closed)
+    pair = make()
+    start = time.process_time()  # CPU time: a busy machine does not stretch it
+    out = emit_json(report_json(pair))
+    elapsed = time.process_time() - start
+    pair = make()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        emit_json(report_json(pair))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    report = json.loads(out)
+    gldim = report["global_dimension"]
+    assert gldim["value"] == (None if closed else n)
+    assert len(gldim["witness"]) == n
+    assert len(gldim.get("cycle", ())) == (n if closed else 0)
+    # every E(v) but the simple at A_n's source is projective
+    assert report["self_injective_dimension"]["value"] == (0 if closed else n)
+    assert elapsed < 1.0, elapsed
+    assert peak < 100 * 2**20, peak

@@ -11,7 +11,9 @@ from agq.forbidden import (
     INF,
     ForbiddenWalk,
     LengthOrInf,
-    better_witnessed,
+    _DigraphData,
+    _INFINITE,
+    _NO_WALK,
     delta_forbidden_sup,
     digraph_data,
     forbidden_cycles,
@@ -226,11 +228,11 @@ def _reference_forbidden_cycles(pair, cap):
                 stack.pop()
                 onpath.discard(path.pop())
     if truncated:
-        covered = {frozenset(data.scc[x] for x in cyc) for cyc in cycles}
+        covered = {frozenset(data.scc[idx[x]] for x in cyc) for cyc in cycles}
         for node in data.succ:
-            if node in data.cyclic_node and frozenset({data.scc[node]}) not in covered:
-                cycles.append(data.sup[node][1].cycle)
-                covered.add(frozenset({data.scc[node]}))
+            if node in data.cyclic_node and frozenset({data.scc[idx[node]]}) not in covered:
+                cycles.append(sup_forbidden_from_arrow(pair, node)[1].cycle)
+                covered.add(frozenset({data.scc[idx[node]]}))
     canon = []
     for cyc in cycles:
         k = min(range(len(cyc)), key=lambda i: idx[cyc[i]])
@@ -288,58 +290,97 @@ def _reference_better(pair, cur, cand):
     return cur
 
 
-@st.composite
-def _candidate_pairs(draw):
-    """Two (sup, witness) candidates: equal walks, prefixes, lassos and None."""
-    names = st.sampled_from(["a", "b", "c", "d"])
-    arrows = st.lists(names, max_size=5).map(tuple)
-    first = ForbiddenWalk(draw(arrows), draw(arrows))
-    second = draw(st.sampled_from(["equal", "prefix", "extension", "resplit", "other"]))
-    seq = first.stem + first.cycle
-    cut = draw(st.integers(0, len(seq)))
-    if second == "equal":
-        other = ForbiddenWalk(first.stem, first.cycle)
-    elif second == "prefix":
-        other = ForbiddenWalk(seq[:cut])
-    elif second == "extension":
-        other = ForbiddenWalk(first.stem, first.cycle + draw(arrows))
-    elif second == "resplit":  # the same arrows, stem and cycle cut elsewhere
-        other = ForbiddenWalk(seq[:cut], seq[cut:])
-    else:
-        other = ForbiddenWalk(draw(arrows), draw(arrows))
-    walks = [draw(st.sampled_from([first, None])), draw(st.sampled_from([other, None]))]
-    if draw(st.booleans()):
-        walks.reverse()
-    sups = st.sampled_from([LengthOrInf.finite(1), LengthOrInf.finite(2), INF])
-    tied = draw(st.booleans())
-    s0 = draw(sups)
-    return (s0, walks[0]), (s0 if tied else draw(sups), walks[1])
-
-
 # Only the arrow declaration order matters here (d, b, a, c, unlike the
 # names' own order); the tie-break does not ask for a valid pair.
 _LOOPS = make_pair(["1"], [(x, "1", "1") for x in "dbac"], [])
 
 
+def _pointer_table(nxt):
+    """A length table over _LOOPS's arrows whose pointers are nxt: an arrow
+    is finite when its pointer walk ends, infinite when it repeats."""
+    data = object.__new__(_DigraphData)
+    data.names, data.nxt, data.length = tuple(_LOOPS.quiver.arrow_index), list(nxt), []
+    for i in range(len(nxt)):
+        seen, node = [], i
+        while node >= 0 and node not in seen:
+            seen.append(node)
+            node = nxt[node]
+        data.length.append(len(seen) if node < 0 else _INFINITE)
+    return data
+
+
+def _reference_walk(data, pointer):
+    """The witness a pointer spells, read off with list searches."""
+    head, node = pointer
+    rho = []
+    while node >= 0 and node not in rho:
+        rho.append(node)
+        node = data.nxt[node]
+    seq = ([head] if head >= 0 else []) + rho
+    if not seq:
+        return None
+    cut = len(seq) - len(rho) + (rho.index(node) if node >= 0 else len(rho))
+    return ForbiddenWalk(tuple(data.names[i] for i in seq[:cut]),
+                         tuple(data.names[i] for i in seq[cut:]))
+
+
+@st.composite
+def _candidate_pairs(draw):
+    """A pointer table and two (sup, pointer) candidates: equal pointers,
+    one spelling a prefix or a resplit of the other's walk, and none."""
+    arrows = st.integers(-1, 3)
+    data = _pointer_table(draw(st.lists(arrows, min_size=4, max_size=4)))
+    first = (draw(arrows), draw(arrows))
+    head, start = first
+    second = draw(st.sampled_from(["equal", "unhead", "rehead", "other"]))
+    if second == "equal":
+        other = first
+    elif second == "unhead" and head >= 0:  # the head's own walk
+        other = (-1, head)
+    elif second == "rehead" and head < 0 <= start:  # the first arrow as a head
+        other = (start, data.nxt[start])
+    else:
+        other = (draw(arrows), draw(arrows))
+    pointers = [draw(st.sampled_from([first, _NO_WALK])), draw(st.sampled_from([other, _NO_WALK]))]
+    if draw(st.booleans()):
+        pointers.reverse()
+    sups = st.sampled_from([1, 2, _INFINITE])
+    tied = draw(st.booleans())
+    s0 = draw(sups)
+    return data, (s0, pointers[0]), (s0 if tied else draw(sups), pointers[1])
+
+
+def _value(n):
+    return INF if n == _INFINITE else LengthOrInf.finite(n)
+
+
 @settings(max_examples=500, deadline=None)
 @given(_candidate_pairs())
-def test_better_witnessed_matches_the_arrow_index_key(cands):
-    cur, cand = cands
-    assert better_witnessed(_LOOPS, cur, cand) is _reference_better(_LOOPS, cur, cand)
+def test_lockstep_comparison_matches_the_arrow_index_key(cands):
+    data, cur, cand = cands
+    ref_cur, ref_cand = ((_value(n), _reference_walk(data, p)) for n, p in (cur, cand))
+    expected = cand if _reference_better(_LOOPS, ref_cur, ref_cand) is ref_cand else cur
+    assert data.best([cur, cand]) == expected
 
 
-def test_better_witnessed_tie_breaks():
-    two = LengthOrInf.finite(2)
-    walk = ForbiddenWalk(("b", "a"))
-    # declaration order is d, b, a, c: the first differing arrow decides
-    assert better_witnessed(_LOOPS, (two, walk), (two, ForbiddenWalk(("b", "c")))) == (two, walk)
-    assert better_witnessed(_LOOPS, (two, walk), (two, ForbiddenWalk(("d", "c"))))[1].stem == ("d", "c")
+def test_lockstep_comparison_tie_breaks():
+    # d, b, a, c are arrows 0 to 3; every pointer walk ends after one arrow
+    data = _pointer_table([-1, -1, -1, -1])
+    ba, bc, dc, b = (1, 2), (1, 3), (0, 3), (1, -1)
+    # the first differing arrow decides
+    assert data.best([(2, ba), (2, bc)]) == (2, ba)
+    assert data.best([(2, ba), (2, dc)]) == (2, dc)
     # a prefix before its extension, whichever side it is on
-    prefix = ForbiddenWalk(("b",))
-    assert better_witnessed(_LOOPS, (two, walk), (two, prefix))[1] is prefix
-    assert better_witnessed(_LOOPS, (two, prefix), (two, walk))[1] is prefix
-    # any walk before None; a larger sup wins over any witness
-    assert better_witnessed(_LOOPS, (two, None), (two, walk))[1] is walk
-    assert better_witnessed(_LOOPS, (two, walk), (two, None))[1] is walk
-    assert better_witnessed(_LOOPS, (two, walk), (INF, None)) == (INF, None)
-    assert better_witnessed(_LOOPS, (INF, None), (two, walk)) == (INF, None)
+    assert data.best([(2, ba), (2, b)]) == (2, b)
+    assert data.best([(2, b), (2, ba)]) == (2, b)
+    # any walk before none; a larger sup wins over any witness
+    assert data.best([(2, _NO_WALK), (2, ba)]) == (2, ba)
+    assert data.best([(2, ba), (2, _NO_WALK)]) == (2, ba)
+    assert data.best([(2, ba), (_INFINITE, _NO_WALK)]) == (_INFINITE, _NO_WALK)
+    assert data.best([(_INFINITE, _NO_WALK), (2, ba)]) == (_INFINITE, _NO_WALK)
+    # a lasso's loop spelled once: from its ring arrow, and with that arrow as a head
+    data = _pointer_table([1, 0, -1, -1])  # d -> b -> d
+    assert _reference_walk(data, (-1, 0)) == ForbiddenWalk((), ("d", "b"))
+    assert _reference_walk(data, (0, 1)) == ForbiddenWalk(("d",), ("b", "d"))
+    assert data.best([(_INFINITE, (0, 1)), (_INFINITE, (-1, 0))]) == (_INFINITE, (-1, 0))
+    assert data.walk(0, 1) == _reference_walk(data, (0, 1))

@@ -6,7 +6,7 @@ import pytest
 import agq.homdim
 from agq.agqfile import parse_agq
 from agq.emitters import emit_json, report_json
-from agq.forbidden import INF, LengthOrInf
+from agq.forbidden import INF, ForbiddenWalk, LengthOrInf, sup_forbidden_from_vertex
 from agq.homdim import (
     global_dimension,
     gorenstein_report,
@@ -296,3 +296,30 @@ def test_the_chain_table_is_the_only_string_cache(monkeypatch):
         assert not [key for key in built
                     if isinstance(key, tuple) and key[0] in ("maximal", "psi0")]
         assert {"DirectedString", "Psi0Descriptor"} <= set(made)
+
+
+def test_the_report_builds_only_the_two_global_witnesses(monkeypatch):
+    made: list[tuple] = []
+
+    def init(self, *args, _init=ForbiddenWalk.__init__, **kwargs):
+        made.append(args)
+        _init(self, *args, **kwargs)
+    monkeypatch.setattr(ForbiddenWalk, "__init__", init)
+    pairs = [make_pair(FIG1_VERTICES, FIG1_ARROWS, FIG1_RELS), bench_cyclic_pairs(1)[0],
+             random_ag_pair(GeneratorParams(seed=7, max_vertices=1000, max_arrows=2000))[0]]
+    for pair in pairs:
+        made.clear()
+        report_json(pair)
+        # per-vertex values come from the length table: only gldim and injdim get a witness
+        assert len(made) <= 2
+        for v in pair.quiver.vertices:
+            reps = [pdim_simple(pair, v), pdim_injective(pair, v)]
+            value, walk = sup_forbidden_from_vertex(pair, v)
+            for value, walk in [(rep.value, rep.witness) for rep in reps] + [(value, walk)]:
+                if walk is None:
+                    assert value == fin(0)
+                    continue
+                assert walk.verify(pair)
+                assert walk.length() == value
+                assert walk.is_lasso or len(walk.stem) == value.value
+    assert len(made) > len(pairs[-1].quiver.vertices)  # the witnesses read after the report

@@ -4,6 +4,7 @@ from agq.quiver import vertex_type
 from agq.strings import DirectedString
 from agq.syzygy import (
     NotInjectiveCaseError,
+    Psi0Descriptor,
     _normalize,
     is_gentle_vertex,
     is_invalid_vertex,
@@ -238,3 +239,22 @@ def test_omega1_projectivity_three_ways_corpus():
         for v in pair.quiver.vertices:
             by_sup = sup_forbidden_from_vertex(pair, v)[0] <= LengthOrInf.finite(1)
             assert by_sup == omega1_projective(pair, DirectedString((), v))
+
+
+def test_resolving_an_injective_builds_its_socle_block_descriptor_once(monkeypatch):
+    made: list[str] = []
+
+    def init(self, *args, _init=Psi0Descriptor.__init__, **kwargs):
+        made.append(args[0] if args else kwargs["apex"])
+        _init(self, *args, **kwargs)
+    monkeypatch.setattr(Psi0Descriptor, "__init__", init)
+    undecomposed = 0  # vertices whose socle block is a tree module
+    for seed in range(1, 201):
+        pair, _ = random_ag_pair(GeneratorParams(seed=seed))
+        made.clear()
+        for v in pair.quiver.vertices:
+            res = resolve_symbolic(pair, "injective", v)
+            undecomposed += any(s.kind == "psi0" for s, _n in res.levels[0].syzygy.items)
+        # one descriptor per vertex with an in-arrow, sources resolve as simples
+        assert made == [v for v in pair.quiver.vertices if pair.in_arrows(v)], seed
+    assert undecomposed > 0

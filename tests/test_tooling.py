@@ -19,9 +19,10 @@ import weakref
 from agq.agqfile import parse_agq
 from agq.cli import main
 from agq.emitters import emit_json, report_json
-from agq.forbidden import delta_forbidden_sup
+from agq.forbidden import delta_forbidden_sup, sup_forbidden_from_arrow, sup_forbidden_from_vertex
 from agq.generator import GeneratorParams, random_ag_pair
-from agq.homdim import pdim_directed_string
+from agq.homdim import (global_dimension, pdim_directed_string, pdim_injective, pdim_simple,
+                        self_injective_dimension)
 from agq.oracle import check_against_formulas, rep_of
 from agq.quiver import nonzero_successor
 from agq.strings import (DirectedString, anticlaw_of, claw_of, left_maximal_extension,
@@ -80,6 +81,7 @@ UNREFERENCED_ALLOWED = {
     "cover_morphism": "independent check that the minimal cover map commutes with the arrows",
     "noninvalid_cycle_vertex": "the predicate acceptance criterion 7 is about",
     "opposite": "the opposite algebra, a cross-check for criterion 8 and the benchmark",
+    "psi0_decompose": "public socle-block decomposition; the summand graph passes its own descriptor",
     "right_maximal_extension": "public string operation the README documents",
     "left_maximal_extension": "public string operation the README documents",
 }
@@ -270,6 +272,30 @@ def test_string_layer_is_identical_to_the_recorded_hash():
             digest.update(repr(values).encode())
     assert (len(pairs), strings) == (208, 2889)
     assert digest.hexdigest() == STRINGS_SHA256
+
+
+# SHA-256 of the value and witness of every forbidden-path sup and every
+# dimension report below: each arrow's and each vertex's sup, each vertex's
+# pdim S(v) and pdim E(v), and the two global dimensions.  The JSON report
+# prints only the two global witnesses, so this pins the tie rule everywhere.
+WITNESS_SHA256 = "9110a5cbe7a99b7369a23eac05423dbe679c3870eec0e55e1439717556eccafa"
+
+
+def test_witnesses_are_identical_to_the_recorded_hash():
+    digest = hashlib.sha256()
+    pairs = [pair for _path, pair in _valid_fixtures()]
+    params = [GeneratorParams(seed=s) for s in range(1, 201)]
+    params.append(GeneratorParams(seed=7, max_vertices=1000, max_arrows=2000))
+    pairs += [random_ag_pair(p)[0] for p in params]
+    for pair in pairs:
+        values = [_sup(*sup_forbidden_from_arrow(pair, a.name)) for a in pair.quiver.arrows]
+        values += [_sup(*sup_forbidden_from_vertex(pair, v)) for v in pair.quiver.vertices]
+        reps = [fn(pair, v) for v in pair.quiver.vertices for fn in (pdim_simple, pdim_injective)]
+        reps += [global_dimension(pair), self_injective_dimension(pair)]
+        values += [(_sup(rep.value, rep.witness), rep.method, rep.attained_at) for rep in reps]
+        digest.update(repr(values).encode())
+    assert len(pairs) == 209
+    assert digest.hexdigest() == WITNESS_SHA256
 
 
 def test_pairs_are_freed_by_reference_counting_alone():
