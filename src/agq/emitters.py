@@ -12,9 +12,8 @@ import json
 from json.encoder import encode_basestring_ascii
 
 from .forbidden import _INFINITE, LengthOrInf
-from .homdim import _pdim_simple, gorenstein_report, pdim_injective
+from .homdim import _vertex_table, gorenstein_report, pdim_injective
 from .quiver import AlmostGentlePair
-from .syzygy import _is_invalid_vertex, is_gentle_vertex
 
 
 def _dim_json(value: LengthOrInf, witness=None, extra: dict | None = None) -> dict:
@@ -37,13 +36,14 @@ def report_json(pair: AlmostGentlePair, name: str | None = None) -> dict:
     """The full decision report as a JSON-ready dict."""
     pair.require_valid()
     g = gorenstein_report(pair)
+    table = _vertex_table(pair)
     per_vertex = {}
-    for v in pair.quiver.vertices:
+    for v, simple, invalid, gentle in zip(pair.quiver.vertices, table.top_len, table.invalid, table.gentle):
         per_vertex[v] = {
-            "pdim_simple": _length_json(_pdim_simple(pair, v)._length),
+            "pdim_simple": _length_json(simple),
             "pdim_injective": _length_json(pdim_injective(pair, v)._length),
-            "invalid": _is_invalid_vertex(pair, v)[0],
-            "gentle": is_gentle_vertex(pair, v),
+            "invalid": invalid,
+            "gentle": gentle,
         }
     return {
         "algebra": name or "",

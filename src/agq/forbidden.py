@@ -298,21 +298,13 @@ def sup_forbidden_from_vertex(pair: AlmostGentlePair, v: str) -> tuple[LengthOrI
     pair.require_valid()
     pair.require_vertex(v)
     data = digraph_data(pair)
-    n, start = _vertex_sup(data, pair.quiver._out[v])  # type: ignore[attr-defined]
-    return _length_value(n), data.walk(-1, start)
-
-
-def _vertex_sup(data: _DigraphData, arrows, skip: str | None = None) -> tuple:
-    """(length, start) of the best sup over arrows out of one vertex other
-    than skip; (0, -1) if there are none.  Their witnesses begin with
-    different arrows, so ties go to the first arrow in declaration order."""
     length, idx = data.length, data.idx
-    best, start = 0, -1
-    for b in arrows:
+    best, start = 0, -1  # ties go to the first arrow in declaration order
+    for b in pair.quiver._out[v]:  # type: ignore[attr-defined]
         i = idx[b.name]
-        if length[i] > best and b.name != skip:
+        if length[i] > best:
             best, start = length[i], i
-    return best, start
+    return _length_value(best), data.walk(-1, start)
 
 
 def zero_length_forbidden(pair: AlmostGentlePair, v: str) -> bool:

@@ -156,13 +156,15 @@ def _is_gentle_vertex(pair: AlmostGentlePair, v: str) -> bool:
     ins, outs = pair.quiver._in[v], pair.quiver._out[v]  # type: ignore[attr-defined]
     if len(ins) > 2 or len(outs) > 2:
         return False
+    if not ins:
+        return True
     rel_succ = pair.report.rel_succ  # an in-arrow's relation partners, among outs
-    if any(len(rel_succ[a.name]) > 1 for a in ins):
-        return False
-    if len(ins) == 2:  # an out-arrow with two relation partners
-        x, y, rels = ins[0].name, ins[1].name, pair.relations
-        return not any((x, b.name) in rels and (y, b.name) in rels for b in outs)
-    return True
+    x = rel_succ[ins[0].name]
+    if len(ins) == 1:
+        return len(x) <= 1
+    y = rel_succ[ins[1].name]
+    # at most one partner each, and no out-arrow partnered with both
+    return len(x) <= 1 and len(y) <= 1 and not (x and x == y)
 
 
 @dataclass(frozen=True, slots=True)

@@ -16,13 +16,23 @@ def make_pair(vertices, arrows, rels) -> AlmostGentlePair:
     return AlmostGentlePair.build(quiver, frozenset(rels))
 
 
-def bench_cyclic_pairs(count: int) -> list[AlmostGentlePair]:
-    """The first count instances of the benchmark's closed_cyclic set at seed 301."""
+def _bench_inputs():
+    """The benchmark's input builders, perfbench/inputs.py, loaded by path."""
     spec = importlib.util.spec_from_file_location("perfbench_inputs", BENCH_INPUTS)
     inputs = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = inputs  # dataclasses look their module up here
     spec.loader.exec_module(inputs)
-    return [parse_agq(item.text).pair() for item in inputs.cyclic_items(301, count)]
+    return inputs
+
+
+def bench_cyclic_pairs(count: int) -> list[AlmostGentlePair]:
+    """The first count instances of the benchmark's closed_cyclic set at seed 301."""
+    return [parse_agq(item.text).pair() for item in _bench_inputs().cyclic_items(301, count)]
+
+
+def bench_acyclic_docs():
+    """The benchmark's closed_acyclic ladder at seed 1, 25 rungs, parsed."""
+    return [parse_agq(item.text) for item in _bench_inputs().acyclic_items(1, 25)]
 
 
 FIG1_VERTICES = ["1", "2", "3", "3'", "4", "5", "2L", "3L", "4L", "2R", "3R", "4R"]

@@ -6,7 +6,8 @@ import pytest
 import agq.homdim
 from agq.agqfile import parse_agq
 from agq.emitters import emit_json, report_json
-from agq.forbidden import INF, ForbiddenWalk, LengthOrInf, sup_forbidden_from_vertex
+from agq.forbidden import (INF, ForbiddenWalk, LengthOrInf, _length_value, sup_forbidden_from_arrow,
+                           sup_forbidden_from_vertex)
 from agq.homdim import (
     global_dimension,
     gorenstein_report,
@@ -22,7 +23,8 @@ from agq.strings import DirectedString, anticlaw_of, claw_of
 from agq.generator import GeneratorParams, random_ag_pair
 from agq.quiver import AlmostGentlePair, NotValidatedError, UnknownVertexError, opposite
 from agq.syzygy import Psi0Descriptor, psi0_descriptor, resolve_symbolic
-from conftest import FIG1_ARROWS, FIG1_RELS, FIG1_VERTICES, FIXTURES, bench_cyclic_pairs, make_pair
+from conftest import (FIG1_ARROWS, FIG1_RELS, FIG1_VERTICES, FIXTURES, bench_acyclic_docs, bench_cyclic_pairs,
+                      make_pair)
 
 
 def fin(n):
@@ -206,23 +208,69 @@ def test_witness_invariants_on_corpus():
 
 def test_dimension_table_is_stored_on_the_pair_only(monkeypatch):
     pair = make_pair(FIG1_VERTICES, FIG1_ARROWS, FIG1_RELS)
-    computed: dict[str, int] = {}
-    compute = agq.homdim._pdim_injective
+    tables: list[int] = []
+    computed: dict[int, int] = {}
+    table_cls = agq.homdim._VertexTable
+    init, injective = table_cls.__init__, table_cls._injective
 
-    def counting(p, v):
+    def counting_init(self, p):
+        tables.append(id(p))
+        init(self, p)
+
+    def counting_injective(self, v, *args):
         computed[v] = computed.get(v, 0) + 1
-        return compute(p, v)
+        return injective(self, v, *args)
 
-    monkeypatch.setattr(agq.homdim, "_pdim_injective", counting)
+    monkeypatch.setattr(table_cls, "__init__", counting_init)
+    monkeypatch.setattr(table_cls, "_injective", counting_injective)
     report_json(pair)
-    assert computed == {v: 1 for v in pair.quiver.vertices}  # each E(v) computed once
     for v in pair.quiver.vertices:
         assert pdim_injective(pair, v) is pdim_injective(pair, v)
         assert pdim_simple(pair, v) is pdim_simple(pair, v)
+    global_dimension(pair)
+    self_injective_dimension(pair)
+    pdim_injective_envelope(pair)
+    assert tables == [id(pair)]  # one table per pair
+    sources = {i for i, v in enumerate(pair.quiver.vertices) if not pair.in_arrows(v)}
+    assert computed == {i: 1 for i in range(len(pair.quiver.vertices)) if i not in sources}
     ref = weakref.ref(pair)
     del pair
     gc.collect()
     assert ref() is None  # no module-level table keeps the pair alive
+
+
+def test_vertex_table_reads_match_the_public_sups():
+    # the top-two read that skips one out-arrow, against a brute-force max
+    # over the other out-arrows (ties to the first declared), and pd S(v)
+    # against the public from-vertex sup
+    pairs = [pair for pair in (parse_agq(path.read_text()).pair() for path in sorted(FIXTURES.glob("*.agq")))
+             if pair.validated]
+    pairs += [random_ag_pair(GeneratorParams(seed=s))[0] for s in range(1, 201)]
+    pairs += bench_cyclic_pairs(4)
+    pairs += [doc.pair() for doc in bench_acyclic_docs()]
+    skips = 0
+    for pair in pairs:
+        table = agq.homdim._vertex_table(pair)
+        idx = pair.quiver.arrow_index
+        for i, v in enumerate(pair.quiver.vertices):
+            outs = [b.name for b in pair.out_arrows(v)]
+            sups = {b: sup_forbidden_from_arrow(pair, b)[0] for b in outs}
+            value, walk = sup_forbidden_from_vertex(pair, v)
+            assert _length_value(table.top_len[i]) == value
+            assert table.top[i] == (idx[walk.stem[0] if walk.stem else walk.cycle[0]] if walk else -1)
+            assert pdim_simple(pair, v).value == value
+            for b in outs:
+                rest = [x for x in outs if x != b]
+                best = max(rest, key=sups.__getitem__) if rest else None  # max keeps the first of ties
+                want = (sups[best], idx[best]) if best else (fin(0), -1)
+                if table.top[i] == idx[b]:
+                    got = table.second_len[i], table.second[i]
+                else:
+                    got = table.top_len[i], table.top[i]
+                assert (_length_value(got[0]), got[1]) == want, (v, b)
+                skips += 1
+    assert len(pairs) == 237
+    assert skips == sum(len(pair.quiver.arrows) for pair in pairs)
 
 
 def test_dimension_table_checks_run_before_the_lookup(fig1):
@@ -296,6 +344,29 @@ def test_the_chain_table_is_the_only_string_cache(monkeypatch):
         assert not [key for key in built
                     if isinstance(key, tuple) and key[0] in ("maximal", "psi0")]
         assert {"DirectedString", "Psi0Descriptor"} <= set(made)
+
+
+def test_the_report_builds_one_vertex_table_and_no_per_vertex_entry(monkeypatch):
+    built: list = []
+    memo = AlmostGentlePair.memo
+
+    def counting(self, key, compute):
+        def counted():
+            built.append(key)
+            return compute()
+        return memo(self, key, counted)
+
+    monkeypatch.setattr(AlmostGentlePair, "memo", counting)
+    for pair in (make_pair(FIG1_VERTICES, FIG1_ARROWS, FIG1_RELS), bench_cyclic_pairs(1)[0],
+                 bench_acyclic_docs()[-1].pair()):
+        built.clear()
+        report_json(pair)
+        for v in pair.quiver.vertices:
+            pdim_simple(pair, v)
+            pdim_injective(pair, v)
+        # the digraph's sup table, the chain table and the vertex table, once each
+        assert sorted(built) == ["chains", "digraph", "vertices"]
+        assert sorted(pair._memo) == ["chains", "digraph", "vertices"]
 
 
 def test_the_report_builds_only_the_two_global_witnesses(monkeypatch):

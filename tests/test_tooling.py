@@ -28,6 +28,7 @@ from agq.quiver import nonzero_successor
 from agq.strings import (DirectedString, anticlaw_of, claw_of, left_maximal_extension,
                          module_dims, right_maximal_extension)
 from agq.syzygy import omega1_directed_string, omega1_injective, psi0_descriptor, resolve_symbolic
+from conftest import bench_acyclic_docs
 
 FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 
@@ -82,6 +83,7 @@ UNREFERENCED_ALLOWED = {
     "noninvalid_cycle_vertex": "the predicate acceptance criterion 7 is about",
     "opposite": "the opposite algebra, a cross-check for criterion 8 and the benchmark",
     "psi0_decompose": "public socle-block decomposition; the summand graph passes its own descriptor",
+    "is_gentle_vertex": "public vertex predicate; the vertex table computes every flag in its pass",
     "right_maximal_extension": "public string operation the README documents",
     "left_maximal_extension": "public string operation the README documents",
 }
@@ -180,6 +182,21 @@ def test_json_reports_are_byte_identical_to_the_recorded_hash():
         digest.update(emit_json(report_json(pair, f"random_{p.seed}")).encode())
     assert valid == 8
     assert digest.hexdigest() == REPORT_SHA256
+
+
+# SHA-256 of the JSON reports on the benchmark's closed_acyclic ladder at
+# seed 1.  Its witnesses are long and its sups tie often, which the
+# generator corpus above does not reach.
+ACYCLIC_REPORT_SHA256 = "64d8567b7c5b12eca93b7cbb6ed8fd38ce7691714f2d550eecfe0225e255bbd5"
+
+
+def test_acyclic_ladder_reports_are_identical_to_the_recorded_hash():
+    digest = hashlib.sha256()
+    docs = bench_acyclic_docs()
+    for doc in docs:
+        digest.update(emit_json(report_json(doc.pair(), doc.name)).encode())
+    assert len(docs) == 25
+    assert digest.hexdigest() == ACYCLIC_REPORT_SHA256
 
 
 def _valid_fixtures():
