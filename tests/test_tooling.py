@@ -19,16 +19,17 @@ import weakref
 from agq.agqfile import parse_agq
 from agq.cli import main
 from agq.emitters import emit_json, report_json
-from agq.forbidden import delta_forbidden_sup, sup_forbidden_from_arrow, sup_forbidden_from_vertex
+from agq.forbidden import (delta_forbidden_sup, forbidden_cycles, sup_forbidden_from_arrow,
+                           sup_forbidden_from_vertex)
 from agq.generator import GeneratorParams, random_ag_pair
-from agq.homdim import (global_dimension, pdim_directed_string, pdim_injective, pdim_simple,
-                        self_injective_dimension)
+from agq.homdim import (global_dimension, noninvalid_cycle_vertex, pdim_directed_string, pdim_injective,
+                        pdim_simple, self_injective_dimension, self_injective_infinite_by_cycle)
 from agq.oracle import check_against_formulas, rep_of
 from agq.quiver import nonzero_successor
 from agq.strings import (DirectedString, anticlaw_of, claw_of, left_maximal_extension,
                          module_dims, right_maximal_extension)
 from agq.syzygy import omega1_directed_string, omega1_injective, psi0_descriptor, resolve_symbolic
-from conftest import bench_acyclic_docs
+from conftest import bench_acyclic_docs, bench_cyclic_pairs
 
 FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 
@@ -313,6 +314,25 @@ def test_witnesses_are_identical_to_the_recorded_hash():
         digest.update(repr(values).encode())
     assert len(pairs) == 209
     assert digest.hexdigest() == WITNESS_SHA256
+
+
+# SHA-256 of the cycle readers of the relation digraph below: the elementary
+# cycles, uncapped and capped at 3, the (A)/(B) criterion with its witness
+# cycle, and the non-invalid cycle vertex.
+CYCLES_SHA256 = "a1c1e74d797c76d29d7b9386fbb622a705bc488555893491c81ab2be43a9ea72"
+
+
+def test_cycle_readers_are_identical_to_the_recorded_hash():
+    digest = hashlib.sha256()
+    pairs = [pair for _path, pair in _valid_fixtures()]
+    pairs += [random_ag_pair(GeneratorParams(seed=s))[0] for s in range(1, 201)]
+    pairs += bench_cyclic_pairs(4)
+    for pair in pairs:
+        values = (forbidden_cycles(pair), forbidden_cycles(pair, 3),
+                  self_injective_infinite_by_cycle(pair), noninvalid_cycle_vertex(pair))
+        digest.update(repr(values).encode())
+    assert len(pairs) == 212
+    assert digest.hexdigest() == CYCLES_SHA256
 
 
 def test_pairs_are_freed_by_reference_counting_alone():
