@@ -38,7 +38,7 @@ def report_json(pair: AlmostGentlePair, name: str | None = None) -> dict:
     g = gorenstein_report(pair)
     table = _vertex_table(pair)
     per_vertex = {}
-    for v, simple, invalid, gentle in zip(pair.quiver.vertices, table.top_len, table.invalid, table.gentle):
+    for v, simple, invalid, gentle in zip(pair.quiver.vertices, table.data.top_len, table.invalid, table.gentle):
         per_vertex[v] = {
             "pdim_simple": _length_json(simple),
             "pdim_injective": _length_json(pdim_injective(pair, v)._length),

@@ -14,7 +14,6 @@ Finite(0) throughout.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .quiver import AlmostGentlePair, nonzero_successor
@@ -97,31 +96,46 @@ _NO_WALK = (-1, -1)  # the pointer of no witness
 
 class _DigraphData:
     """The relation digraph of one pair on arrow indices, condensed, with
-    every arrow's sup in two integer tables.
+    every arrow's sup in two integer tables and every vertex's best two.
+    Every tie between sups is broken here.
 
+    ``out[i]`` lists arrow i's relation successors in declaration order,
+    ``scc[i]`` is its component, ``cyclic[i]`` whether it is on a cycle.
     ``length[i]`` is the sup of forbidden-path lengths from arrow i, or
     ``_INFINITE`` when i reaches a cycle.  ``nxt[i]`` points along i's
     witness: for a finite sup the first successor in declaration order
     with the longest sup (-1 at a dead end), for an infinite one the next
     arrow of its walk into and around a ring.  Following ``nxt`` from i
     until an arrow repeats spells the witness: the longest walk, or a
-    lasso whose loop is the repeated part.
+    lasso whose loop is the repeated part.  ``top_len[v]``/``top[v]`` is
+    vertex v's best out-arrow sup and arrow (0 and -1 at a sink), pd S(v);
+    ``skip`` reads the best two.
     """
 
     def __init__(self, pair: AlmostGentlePair):
-        self.idx = pair.quiver.arrow_index
-        self.names = tuple(self.idx)
-        # every arrow's relation successors, in declaration order
-        self.succ: Mapping[str, list[str]] = pair.report.rel_succ
-        idx = self.idx
-        self.out = [[idx[b] for b in self.succ[a]] for a in self.names]
+        quiver = pair.quiver
+        idx = quiver.arrow_index
+        self.names = tuple(idx)
+        rel_succ = pair.report.rel_succ  # in declaration order
+        self.out = [[idx[b] for b in rel_succ[a]] for a in self.names]
         self.scc, order = self._tarjan()
         sizes = [0] * len(order)
         for comp in self.scc:
             sizes[comp] += 1
-        cyclic = [sizes[self.scc[i]] > 1 or i in children for i, children in enumerate(self.out)]
-        self.cyclic_node = {self.names[i] for i, flag in enumerate(cyclic) if flag}
-        self.length, self.nxt = self._sups(order, cyclic)
+        self.cyclic = [sizes[self.scc[i]] > 1 or i in children for i, children in enumerate(self.out)]
+        self.length, self.nxt = self._sups(order)
+        vidx = quiver.vertex_index
+        self.source = [vidx[a.source] for a in quiver.arrows]
+        # every vertex's best and second-best out-arrow sup, ties to the earlier-declared arrow
+        self.top_len, self.top = top_len, top = [0] * len(vidx), [-1] * len(vidx)
+        self.second_len, self.second = second_len, second = [0] * len(vidx), [-1] * len(vidx)
+        for i, s in enumerate(self.source):
+            n = self.length[i]
+            if n > top_len[s]:
+                second_len[s], second[s] = top_len[s], top[s]
+                top_len[s], top[s] = n, i
+            elif n > second_len[s]:
+                second_len[s], second[s] = n, i
 
     def _tarjan(self) -> tuple[list[int], list[int]]:
         """Component of every node, and the nodes in emission order (sinks first)."""
@@ -171,13 +185,13 @@ class _DigraphData:
                             low[parent] = low[node]
         return comp, order
 
-    def _sups(self, order: list[int], cyclic: list[bool]) -> tuple[list, list[int]]:
+    def _sups(self, order: list[int]) -> tuple[list, list[int]]:
         """One sweep in emission order, so every successor outside a node's
         own component is settled before the node.  Seeding ``reaches`` with
         the cyclic nodes settles the successors inside a cyclic component.
         """
         out = self.out
-        reaches = list(cyclic)
+        reaches = list(self.cyclic)
         length: list = [0] * len(out)  # 0 until settled; every sup is at least 1
         nxt = [-1] * len(out)
         for node in order:
@@ -203,6 +217,13 @@ class _DigraphData:
                 cur = step
                 step = next(c for c in out[cur] if reaches[c])
         return length, nxt
+
+    def skip(self, v: int, b: int) -> tuple:
+        """The best sup over the out-arrows of vertex v other than arrow b
+        (-1 for none), as (length, arrow index); (0, -1) if there is none."""
+        if self.top[v] == b:
+            return self.second_len[v], self.second[v]
+        return self.top_len[v], self.top[v]
 
     def walk(self, head: int, start: int) -> ForbiddenWalk | None:
         """The witness spelled by arrow ``head`` (if not -1) and then the
@@ -281,16 +302,13 @@ def sup_forbidden_from_arrow(pair: AlmostGentlePair, a: str) -> tuple[LengthOrIn
     """Sup of lengths of forbidden paths starting with arrow a, with witness.
 
     Always at least Finite(1): a single arrow is vacuously forbidden.  The
-    witness is built on the first request and kept in the pair's memo.
+    witness is spelled from the pair's pointer table on each call.
     """
     pair.require_valid()
     pair.arrow(a)
-
-    def compute() -> tuple[LengthOrInf, ForbiddenWalk]:
-        data = digraph_data(pair)
-        i = data.idx[a]
-        return _length_value(data.length[i]), data.walk(-1, i)  # type: ignore[return-value]
-    return pair.memo(("sup", a), compute)
+    data = digraph_data(pair)
+    i = pair.quiver.arrow_index[a]
+    return _length_value(data.length[i]), data.walk(-1, i)  # type: ignore[return-value]
 
 
 def sup_forbidden_from_vertex(pair: AlmostGentlePair, v: str) -> tuple[LengthOrInf, ForbiddenWalk | None]:
@@ -298,13 +316,8 @@ def sup_forbidden_from_vertex(pair: AlmostGentlePair, v: str) -> tuple[LengthOrI
     pair.require_valid()
     pair.require_vertex(v)
     data = digraph_data(pair)
-    length, idx = data.length, data.idx
-    best, start = 0, -1  # ties go to the first arrow in declaration order
-    for b in pair.quiver._out[v]:  # type: ignore[attr-defined]
-        i = idx[b.name]
-        if length[i] > best:
-            best, start = length[i], i
-    return _length_value(best), data.walk(-1, start)
+    i = pair.quiver.vertex_index[v]
+    return _length_value(data.top_len[i]), data.walk(-1, data.top[i])
 
 
 def zero_length_forbidden(pair: AlmostGentlePair, v: str) -> bool:
@@ -337,12 +350,15 @@ def delta_forbidden_sup(pair: AlmostGentlePair, delta: DirectedString) -> tuple[
     pair.require_valid()
     arrows = _check_string(pair, delta).arrows
     data = digraph_data(pair)
-    starts = [nonzero_successor(pair, arrows[-1])] if arrows else []
-    starts += [b.name for b in pair.quiver._out[string_source(pair, delta)]  # type: ignore[attr-defined]
-               if b.name not in arrows[:1]]
-    _n, (_head, start) = data.best((data.length[data.idx[a]], (-1, data.idx[a]))
-                                   for a in starts if a is not None)
-    return (ZERO, None) if start < 0 else sup_forbidden_from_arrow(pair, data.names[start])
+    idx = pair.quiver.arrow_index
+    source = pair.quiver.vertex_index[string_source(pair, delta)]
+    n, i = data.skip(source, idx[arrows[0]] if arrows else -1)
+    candidates = [(n, (-1, i))]
+    after = nonzero_successor(pair, arrows[-1]) if arrows else None  # the continuation past the sink
+    if after is not None:
+        candidates.append((data.length[idx[after]], (-1, idx[after])))
+    n, (_head, start) = data.best(candidates)
+    return _length_value(n), data.walk(-1, start)
 
 
 def forbidden_cycles(pair: AlmostGentlePair, cap: int = 10_000) -> tuple[list[tuple[str, ...]], bool]:
@@ -354,8 +370,8 @@ def forbidden_cycles(pair: AlmostGentlePair, cap: int = 10_000) -> tuple[list[tu
     """
     pair.require_valid()
     data = digraph_data(pair)
-    idx = pair.quiver.arrow_index
-    cycles: list[tuple[str, ...]] = []
+    out, scc = data.out, data.scc
+    cycles: list[tuple[int, ...]] = []
     truncated = False
 
     # Johnson's algorithm (Johnson 1975), one root at a time in declaration
@@ -363,20 +379,19 @@ def forbidden_cycles(pair: AlmostGentlePair, cap: int = 10_000) -> tuple[list[tu
     # root.  A node stays blocked while every path from it back to the root
     # meets the current path, so only subtrees without a cycle are skipped
     # and the cycles come out in plain depth-first order.
-    for root in data.succ:  # succ and its lists are in arrow declaration order
-        if root not in data.cyclic_node:
-            continue
+    for root, on_cycle in enumerate(data.cyclic):
         if truncated:
             break
-        low = idx[root]
+        if not on_cycle:
+            continue
         blocked = {root}
-        blocked_by: dict[str, set[str]] = {}  # node -> blocked nodes it unblocks
+        blocked_by: dict[int, set[int]] = {}  # node -> blocked nodes it unblocks
         path = [root]
-        stack = [iter(data.succ[root])]
+        stack = [iter(out[root])]
         found = [False]  # whether each node on the path has closed a cycle
         while stack:
             for ch in stack[-1]:
-                if idx[ch] < low:
+                if ch < root:
                     continue
                 if ch == root:
                     cycles.append(tuple(path))
@@ -387,7 +402,7 @@ def forbidden_cycles(pair: AlmostGentlePair, cap: int = 10_000) -> tuple[list[tu
                 elif ch not in blocked:
                     blocked.add(ch)
                     path.append(ch)
-                    stack.append(iter(data.succ[ch]))
+                    stack.append(iter(out[ch]))
                     found.append(False)
                     break
             else:
@@ -403,22 +418,22 @@ def forbidden_cycles(pair: AlmostGentlePair, cap: int = 10_000) -> tuple[list[tu
                             blocked.discard(u)
                             todo.extend(blocked_by.pop(u, ()))
                 else:
-                    for ch in data.succ[node]:
-                        if idx[ch] >= low:
+                    for ch in out[node]:
+                        if ch >= root:
                             blocked_by.setdefault(ch, set()).add(node)
                 continue
             if truncated:
                 break
     if truncated:
-        covered = {frozenset(data.scc[idx[x]] for x in cyc) for cyc in cycles}
-        for node in data.succ:
-            comp = frozenset({data.scc[idx[node]]})
-            if node in data.cyclic_node and comp not in covered:
-                cycles.append(data.walk(-1, idx[node]).cycle)  # type: ignore[union-attr]
-                covered.add(comp)
-    canon = []
+        covered = {scc[cyc[0]] for cyc in cycles}  # an elementary cycle stays in one component
+        for node, on_cycle in enumerate(data.cyclic):
+            if on_cycle and scc[node] not in covered:
+                cycles.append(tuple(map(pair.quiver.arrow_index.__getitem__,
+                                        data.walk(-1, node).cycle)))  # type: ignore[union-attr]
+                covered.add(scc[node])
+    canon = set()
     for cyc in cycles:
-        k = min(range(len(cyc)), key=lambda i: idx[cyc[i]])
-        canon.append(cyc[k:] + cyc[:k])
-    canon = sorted(set(canon), key=lambda c: (len(c), tuple(idx[x] for x in c)))
-    return canon, truncated
+        k = cyc.index(min(cyc))
+        canon.add(cyc[k:] + cyc[:k])
+    names = data.names
+    return [tuple(names[i] for i in cyc) for cyc in sorted(canon, key=lambda c: (len(c), c))], truncated

@@ -25,7 +25,7 @@ from .forbidden import (
     digraph_data,
 )
 from .quiver import AlmostGentlePair
-from .strings import DirectedString, _chains, socle_supports
+from .strings import DirectedString, _chains
 from .syzygy import _is_gentle_vertex, _is_invalid_vertex, is_invalid_vertex
 
 
@@ -103,51 +103,35 @@ class GorensteinReport:
 
 
 class _VertexTable:
-    """Every vertex's dimensions on one pair, read off the length table in
-    one pass.  Lists indexed by vertex_index:
+    """Every vertex's pd E(v) and row flags on one pair, read off the
+    digraph's tables in one pass.  Lists indexed by vertex_index:
 
-    - ``top_len``/``top``: the best out-arrow sup, as length and arrow index
-      (0 and -1 at a sink), which is pd S(v); ``second_len``/``second``:
-      the best sup over the other out-arrows.  Ties go to the
-      earlier-declared arrow, so the best sup skipping one out-arrow b is
-      the second if b is the top, else the top.
     - ``inj_len``, ``inj_ptr``, ``inj_method``: pd E(v) as length, witness
       pointer and method.
     - ``invalid``, ``gentle``: the vertex flags of the JSON report.
 
-    The public reports are built when first asked for and kept here, so a
-    repeated query returns the same object.
+    pd S(v) is the digraph's best out-arrow sup at v.  The public reports
+    are built when first asked for and kept here, so a repeated query
+    returns the same object.
     """
 
     def __init__(self, pair: AlmostGentlePair):
         quiver = pair.quiver
         self.vidx = vidx = quiver.vertex_index
         self.data = data = digraph_data(pair)
-        length, idx, names = data.length, data.idx, data.names
+        idx, names = quiver.arrow_index, data.names
         n_v = len(vidx)
-        top_len, top = [0] * n_v, [-1] * n_v
-        second_len, second = [0] * n_v, [-1] * n_v
-        source: list[int] = []
         outs: list[list[int]] = [[] for _ in range(n_v)]
         ins: list[list[int]] = [[] for _ in range(n_v)]
         for i, a in enumerate(quiver.arrows):
-            s = vidx[a.source]
-            source.append(s)
-            outs[s].append(i)
+            outs[data.source[i]].append(i)
             ins[vidx[a.target]].append(i)
-            n = length[i]
-            if n > top_len[s]:
-                second_len[s], second[s] = top_len[s], top[s]
-                top_len[s], top[s] = n, i
-            elif n > second_len[s]:
-                second_len[s], second[s] = n, i
         # the nonzero successor and predecessor of each arrow, -1 for None
-        succ = [idx.get(b, -1) for b in map(pair._succ.__getitem__, names)]  # type: ignore[attr-defined]
-        pred = [idx.get(b, -1) for b in map(pair._pred.__getitem__, names)]  # type: ignore[attr-defined]
+        succ = [idx.get(b, -1) for b in map(pair.report.succ.__getitem__, names)]
+        pred = [idx.get(b, -1) for b in map(pair.report.pred.__getitem__, names)]
         chains = _chains(pair)
         head = [idx[chains[a][0][0]] for a in names]  # the first arrow of each arrow's chain
 
-        self.top_len, self.top, self.second_len, self.second = top_len, top, second_len, second
         self.gentle = [_is_gentle_vertex(pair, v) for v in quiver.vertices]
         self.invalid = [_is_invalid_vertex(pair, v)[0] for v in quiver.vertices]
         self.inj_len: list = [0] * n_v
@@ -155,46 +139,43 @@ class _VertexTable:
         self.inj_method = ["injective-syzygy"] * n_v
         for v in range(n_v):
             if not ins[v]:
-                self.inj_len[v], self.inj_ptr[v] = top_len[v], (-1, top[v])
+                self.inj_len[v], self.inj_ptr[v] = data.top_len[v], (-1, data.top[v])
                 self.inj_method[v] = "injective-as-simple"
                 continue
-            self.inj_len[v], self.inj_ptr[v] = self._injective(v, ins[v], outs[v], source, succ, pred, head)
+            self.inj_len[v], self.inj_ptr[v] = self._injective(v, ins[v], outs[v], succ, pred, head)
         self.simple_reports: list[DimReport | None] = [None] * n_v
         self.injective_reports: list[DimReport | None] = [None] * n_v
 
-    def _injective(self, v: int, ins: list[int], outs: list[int], source: list[int],
+    def _injective(self, v: int, ins: list[int], outs: list[int],
                    succ: list[int], pred: list[int], head: list[int]) -> tuple:
         """pd E(v) for v not a source, as (length, pointer).  A candidate's
         pointer is a head arrow (an in-arrow of v, or -1) followed by an
         arrow's witness (or -1)."""
-        length = self.data.length
-        top_len, top, second_len, second = self.top_len, self.top, self.second_len, self.second
+        data = self.data
+        length, source = data.length, data.source
         c = len(ins)
         matched: list[tuple[int, int]] = []  # (in-arrow, its nonzero successor)
         unmatched = -1  # the first in-arrow without one
-        # The per-branch leftovers' best: the sup at the source of each
-        # in-arrow's chain head, skipping the head.  Their witnesses begin
-        # with different arrows, so ties go to the earlier-declared arrow.
-        left_len, left = 0, -1
+        candidates: list[tuple] = []
         for a in ins:
+            # the per-branch leftover: the sup at the source of the
+            # in-arrow's chain head, skipping the head
             h = head[a]
-            s = source[h]
-            n, i = (second_len[s], second[s]) if top[s] == h else (top_len[s], top[s])
-            if n > left_len or (n == left_len and i < left):
-                left_len, left = n, i
+            n, i = data.skip(source[h], h)
+            candidates.append((n, (-1, i)))
             b = succ[a]
             if b >= 0:
                 matched.append((a, b))
             elif unmatched < 0:
                 unmatched = a
 
-        candidates: list[tuple] = [(left_len, (-1, left))]
         t = len(matched)  # the socle block's crossing count
         if t < c:
             if c - 1 - t >= 1:
-                candidates.append((top_len[v] + 1, (unmatched, top[v])))
+                n, i = data.skip(v, -1)
+                candidates.append((n + 1, (unmatched, i)))
             for a, b in matched:
-                n, i = (second_len[v], second[v]) if top[v] == b else (top_len[v], top[v])
+                n, i = data.skip(v, b)
                 candidates.append((n + 1, (a, i)))
         elif c == 1:
             b = matched[0][1]
@@ -210,14 +191,15 @@ class _VertexTable:
                 else:
                     alpha = ins[0]
                 candidates.append((length[b] + 1, (alpha, b)))
-        return self.data.best(candidates)
+        return data.best(candidates)
 
     def simple(self, v: str) -> DimReport:
         """The report of pd S(v), for a vertex name already checked."""
         i = self.vidx[v]
         rep = self.simple_reports[i]
         if rep is None:
-            rep = self.simple_reports[i] = _pointed(self.data, self.top_len[i], (-1, self.top[i]),
+            data = self.data
+            rep = self.simple_reports[i] = _pointed(data, data.top_len[i], (-1, data.top[i]),
                                                     "forbidden-from-vertex")
         return rep
 
@@ -245,14 +227,10 @@ def pdim_simple(pair: AlmostGentlePair, v: str) -> DimReport:
 def global_dimension(pair: AlmostGentlePair) -> DimReport:
     """Sup of the simple dimensions; infinite iff a forbidden cycle exists."""
     pair.require_valid()
-    table = _vertex_table(pair)
-    data = table.data
-    best_len, best = 0, _NO_WALK
-    for n, i in zip(table.top_len, table.top):
-        if n > best_len or (n == best_len and data.precedes((-1, i), best)):
-            best_len, best = n, (-1, i)
+    data = digraph_data(pair)
+    best_len, best = data.best((n, (-1, i)) for n, i in zip(data.top_len, data.top))
     vertices = pair.quiver.vertices
-    at = vertices[table.top_len.index(best_len)] if vertices else None  # the first vertex attaining it
+    at = vertices[data.top_len.index(best_len)] if vertices else None  # the first vertex attaining it
     return _pointed(data, best_len, best, "forbidden-global", at)
 
 
@@ -309,47 +287,49 @@ def self_injective_infinite_by_cycle(pair: AlmostGentlePair) \
     """
     pair.require_valid()
     data = digraph_data(pair)
-    cyclic, scc, idx = data.cyclic_node, data.scc, data.idx
-    cycle_edges = [(x, y) for x, y in pair.relations
-                   if x in cyclic and y in cyclic and scc[idx[x]] == scc[idx[y]]]
-    for x, y in sorted(cycle_edges, key=lambda e: (data.idx[e[0]], data.idx[e[1]])):
-        v = pair.quiver._by_name[y].source  # type: ignore[attr-defined]
-        for alpha in pair.quiver._in[v]:  # type: ignore[attr-defined]
-            if alpha.name != x and (alpha.name, y) in pair.relations:
-                cycle = _cycle_through_edge(pair, x, y)
-                return True, (cycle, v, "A", alpha.name)
-        for beta in pair.quiver._out[v]:  # type: ignore[attr-defined]
-            if beta.name != y and (x, beta.name) in pair.relations:
-                cycle = _cycle_through_edge(pair, x, y)
-                return True, (cycle, v, "B", beta.name)
+    out, scc = data.out, data.scc
+    quiver = pair.quiver
+    idx = quiver.arrow_index
+    # an edge x -> y lies on a cycle iff both ends share a component
+    for x, children in enumerate(out):
+        for y in children:
+            if scc[x] != scc[y]:
+                continue
+            v = quiver.arrows[y].source
+            for alpha in quiver._in[v]:  # type: ignore[attr-defined]
+                i = idx[alpha.name]
+                if i != x and y in out[i]:
+                    return True, (_cycle_through_edge(data, x, y), v, "A", alpha.name)
+            for beta in quiver._out[v]:  # type: ignore[attr-defined]
+                j = idx[beta.name]
+                if j != y and j in children:
+                    return True, (_cycle_through_edge(data, x, y), v, "B", beta.name)
     return False, None
 
 
-def _cycle_through_edge(pair: AlmostGentlePair, x: str, y: str) -> tuple[str, ...]:
+def _cycle_through_edge(data: _DigraphData, x: int, y: int) -> tuple[str, ...]:
     """An elementary forbidden cycle through the digraph edge x -> y."""
-    data = digraph_data(pair)
-    scc, idx = data.scc, data.idx
-    comp = scc[idx[x]]
     if x == y:
-        return (x,)
+        return (data.names[x],)
+    scc = data.scc
+    comp = scc[x]
     # walk y -> ... -> x inside the component, shortest first for determinism
-    prev: dict[str, str] = {}
+    prev: dict[int, int] = {}
     dq = deque([y])
     while dq:
         node = dq.popleft()
         if node == x:
             break
-        for ch in data.succ[node]:
-            if scc[idx[ch]] == comp and ch not in prev and ch != y:
+        for ch in data.out[node]:
+            if scc[ch] == comp and ch not in prev and ch != y:
                 prev[ch] = node
                 dq.append(ch)
     path = [x]
     while path[-1] != y:
         path.append(prev[path[-1]])
     path.reverse()  # y ... x
-    idx = pair.quiver.arrow_index
-    k = min(range(len(path)), key=lambda i: idx[path[i]])
-    return tuple(path[k:] + path[:k])
+    k = path.index(min(path))
+    return tuple(data.names[i] for i in path[k:] + path[:k])
 
 
 def noninvalid_cycle_vertex(pair: AlmostGentlePair) -> tuple[bool, str | None]:
@@ -360,19 +340,21 @@ def noninvalid_cycle_vertex(pair: AlmostGentlePair) -> tuple[bool, str | None]:
     the acceptance suite records where it disagrees.
     """
     pair.require_valid()
-    data = digraph_data(pair)
-    for a in pair.quiver.arrows:
-        if a.name in data.cyclic_node:
-            if not is_invalid_vertex(pair, a.source)[0]:
-                return True, a.source
+    for a, on_cycle in zip(pair.quiver.arrows, digraph_data(pair).cyclic):
+        if on_cycle and not is_invalid_vertex(pair, a.source)[0]:
+            return True, a.source
     return False, None
 
 
 def pdim_injective_envelope(pair: AlmostGentlePair) -> LengthOrInf:
     """proj.dim of the injective envelope of the regular module."""
     pair.require_valid()
-    inj_len, vidx = _vertex_table(pair).inj_len, pair.quiver.vertex_index
-    return _length_value(max((inj_len[vidx[u]] for u in socle_supports(pair)), default=0))
+    # the socle of the regular module: the targets of arrows ending a chain, and the sinks
+    inj_len, quiver, succ = _vertex_table(pair).inj_len, pair.quiver, pair.report.succ
+    ends = {a.target for a in quiver.arrows if succ[a.name] is None}
+    ends.update(v for v in quiver.vertices if not quiver._out[v])  # type: ignore[attr-defined]
+    vidx = quiver.vertex_index
+    return _length_value(max((inj_len[vidx[u]] for u in ends), default=0))
 
 
 def gorenstein_report(pair: AlmostGentlePair) -> GorensteinReport:

@@ -241,9 +241,6 @@ class AlmostGentlePair:
     report: ValidationReport = field(compare=False)
 
     def __post_init__(self) -> None:
-        # Read only behind require_valid, so a partial map is never seen.
-        object.__setattr__(self, "_succ", self.report.succ)
-        object.__setattr__(self, "_pred", self.report.pred)
         object.__setattr__(self, "_memo", {})
 
     @classmethod
@@ -292,7 +289,7 @@ def nonzero_successor(pair: AlmostGentlePair, a: str) -> str | None:
     """The unique arrow b with t(a)=s(b) and ab not in the ideal, if any."""
     pair.require_valid()
     pair.arrow(a)
-    return pair._succ[a]  # type: ignore[attr-defined]
+    return pair.report.succ[a]
 
 
 def vertex_type(pair: AlmostGentlePair, v: str) -> tuple[int, int]:

@@ -75,7 +75,7 @@ def _chains(pair: AlmostGentlePair) -> dict[str, tuple[tuple[str, ...], int]]:
     which admissibility keeps finite.
     """
     def compute() -> dict[str, tuple[tuple[str, ...], int]]:
-        succ, pred = pair._succ, pair._pred  # type: ignore[attr-defined]
+        succ, pred = pair.report.succ, pair.report.pred
         table: dict[str, tuple[tuple[str, ...], int]] = {}
         for a in pair.quiver.arrows:
             if pred[a.name] is None:

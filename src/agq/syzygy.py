@@ -75,16 +75,13 @@ def summand_sort_key(pair: AlmostGentlePair, s: Summand):
     return (_KIND_RANK[s.kind], vidx[apex], tuple(aidx[a] for a in s.arrows))
 
 
-def summand_dims(pair: AlmostGentlePair, s: Summand) -> dict[str, int]:
+def _summand_dims(pair: AlmostGentlePair, s: Summand) -> dict[str, int]:
+    """The dimension vector of a simple, string or projective summand."""
     if s.kind == "simple":
         return {s.vertex: 1}  # type: ignore[dict-item]
     if s.kind == "string":
         return module_dims(pair, "string", DirectedString(s.arrows))
-    if s.kind == "projective":
-        return module_dims(pair, "projective", s.vertex)
-    if s.kind == "psi0":
-        return psi0_dim_vector(pair, s.vertex)  # type: ignore[arg-type]
-    raise ValueError(s.kind)
+    return module_dims(pair, "projective", s.vertex)
 
 
 @dataclass(frozen=True)
@@ -195,7 +192,7 @@ def psi0_descriptor(pair: AlmostGentlePair, v: str) -> Psi0Descriptor:
 
 
 def _psi0_descriptor(pair: AlmostGentlePair, v: str) -> Psi0Descriptor:
-    pred = pair._pred  # type: ignore[attr-defined]
+    pred = pair.report.pred
     claw = _branches(pair, v, True)
     tails = tuple((tail, pred[tail.arrows[0]] is not None) for tail in claw)
     t = sum(1 for _, f in tails if f)
@@ -264,7 +261,7 @@ def _is_invalid_vertex(pair: AlmostGentlePair, v: str) -> tuple[bool, int | None
         return True, 2
     if c == 1:
         # the flagged tail, if any, is the chain from the in-arrow's nonzero successor b
-        succ = pair._succ  # type: ignore[attr-defined]
+        succ = pair.report.succ
         b = succ[ins[0].name]
         if b is None:
             return True, 5
@@ -347,7 +344,7 @@ def _normalize(pair: AlmostGentlePair, s: Summand) -> Summand:
         return s
     if s.kind == "string":
         src = pair.quiver._by_name[s.arrows[0]].source  # type: ignore[attr-defined]
-        if len(outs[src]) == 1 and pair._succ[s.arrows[-1]] is None:  # type: ignore[attr-defined]
+        if len(outs[src]) == 1 and pair.report.succ[s.arrows[-1]] is None:
             return Summand.projective(src)
         return s
     if s.kind == "psi0":
@@ -398,7 +395,7 @@ class _SummandGraph:
                 desc = self.blocks[s.vertex]  # type: ignore[index]
                 copies, dims = desc.c - 1, _psi0_dim_vector(pair, desc)
             else:
-                copies, dims = 1, summand_dims(pair, s)
+                copies, dims = 1, _summand_dims(pair, s)
             self.summands.append(s)
             self.keys.append(key)
             self.covers.append((key[1], copies))

@@ -5,7 +5,8 @@ import sys
 import pytest
 
 from agq.agqfile import parse_agq
-from agq.quiver import AlmostGentlePair, Arrow, Quiver
+from agq.quiver import AlmostGentlePair, Arrow, Quiver, nonzero_successor
+from agq.strings import DirectedString
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 BENCH_INPUTS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
@@ -33,6 +34,17 @@ def bench_cyclic_pairs(count: int) -> list[AlmostGentlePair]:
 def bench_acyclic_docs():
     """The benchmark's closed_acyclic ladder at seed 1, 25 rungs, parsed."""
     return [parse_agq(item.text) for item in _bench_inputs().acyclic_items(1, 25)]
+
+
+def strings_of(pair):
+    """Every anchor, then every nonzero directed path of length 1 to 3."""
+    strings = [DirectedString((), v) for v in pair.quiver.vertices]
+    for a in pair.quiver.arrows:
+        arrows = (a.name,)
+        while arrows[-1] is not None and len(arrows) <= 3:
+            strings.append(DirectedString(arrows))
+            arrows += (nonzero_successor(pair, arrows[-1]),)
+    return strings
 
 
 FIG1_VERTICES = ["1", "2", "3", "3'", "4", "5", "2L", "3L", "4L", "2R", "3R", "4R"]

@@ -151,7 +151,8 @@ def test_criterion_7_noninvalid_cycle_vertex_equivalence(corpus, pendant_cycle, 
             unconfirmed.append(seed)
         if hit and injdim.is_finite:
             true_finite.append(seed)
-            cyclic_sources = {pair.arrow(a).source for a in digraph_data(pair).cyclic_node}
+            cyclic_sources = {a.source for a, on_cycle in zip(pair.quiver.arrows, digraph_data(pair).cyclic)
+                              if on_cycle}
             if v not in cyclic_sources or is_invalid_vertex(pair, v)[0]:
                 unconfirmed.append(seed)
         elif not hit and not injdim.is_finite:

@@ -71,7 +71,8 @@ def test_sup_table_is_stored_on_the_pair_only():
     pair, _ = random_ag_pair(GeneratorParams(seed=1))
     assert not global_dimension(pair).value.is_finite
     a = pair.quiver.arrows[0].name
-    assert sup_forbidden_from_arrow(pair, a) is sup_forbidden_from_arrow(pair, a)
+    assert sup_forbidden_from_arrow(pair, a) == sup_forbidden_from_arrow(pair, a)
+    assert sorted(pair._memo) == ["digraph"]  # the length and pointer tables, and no per-arrow entry
     ref = weakref.ref(pair)
     del pair
     gc.collect()
@@ -193,14 +194,16 @@ def _reference_forbidden_cycles(pair, cap):
     pair.require_valid()
     data = digraph_data(pair)
     idx = pair.quiver.arrow_index
+    succ = pair.report.rel_succ  # in arrow declaration order
+    cyclic = {a for a in idx if data.cyclic[idx[a]]}
     cycles = []
     truncated = False
-    for root in data.succ:
-        if root not in data.cyclic_node:
+    for root in succ:
+        if root not in cyclic:
             continue
         if truncated:
             break
-        stack = [(root, iter(data.succ[root]))]
+        stack = [(root, iter(succ[root]))]
         path = [root]
         onpath = {root}
         while stack:
@@ -219,7 +222,7 @@ def _reference_forbidden_cycles(pair, cap):
                     continue
                 if ch in onpath:
                     continue
-                stack.append((ch, iter(data.succ[ch])))
+                stack.append((ch, iter(succ[ch])))
                 path.append(ch)
                 onpath.add(ch)
                 advanced = True
@@ -229,8 +232,8 @@ def _reference_forbidden_cycles(pair, cap):
                 onpath.discard(path.pop())
     if truncated:
         covered = {frozenset(data.scc[idx[x]] for x in cyc) for cyc in cycles}
-        for node in data.succ:
-            if node in data.cyclic_node and frozenset({data.scc[idx[node]]}) not in covered:
+        for node in succ:
+            if node in cyclic and frozenset({data.scc[idx[node]]}) not in covered:
                 cycles.append(sup_forbidden_from_arrow(pair, node)[1].cycle)
                 covered.add(frozenset({data.scc[idx[node]]}))
     canon = []

@@ -6,8 +6,8 @@ import pytest
 import agq.homdim
 from agq.agqfile import parse_agq
 from agq.emitters import emit_json, report_json
-from agq.forbidden import (INF, ForbiddenWalk, LengthOrInf, _length_value, sup_forbidden_from_arrow,
-                           sup_forbidden_from_vertex)
+from agq.forbidden import (INF, ForbiddenWalk, LengthOrInf, _length_value, digraph_data,
+                           sup_forbidden_from_arrow, sup_forbidden_from_vertex)
 from agq.homdim import (
     global_dimension,
     gorenstein_report,
@@ -24,7 +24,7 @@ from agq.generator import GeneratorParams, random_ag_pair
 from agq.quiver import AlmostGentlePair, NotValidatedError, UnknownVertexError, opposite
 from agq.syzygy import Psi0Descriptor, psi0_descriptor, resolve_symbolic
 from conftest import (FIG1_ARROWS, FIG1_RELS, FIG1_VERTICES, FIXTURES, bench_acyclic_docs, bench_cyclic_pairs,
-                      make_pair)
+                      make_pair, strings_of)
 
 
 def fin(n):
@@ -239,10 +239,10 @@ def test_dimension_table_is_stored_on_the_pair_only(monkeypatch):
     assert ref() is None  # no module-level table keeps the pair alive
 
 
-def test_vertex_table_reads_match_the_public_sups():
-    # the top-two read that skips one out-arrow, against a brute-force max
-    # over the other out-arrows (ties to the first declared), and pd S(v)
-    # against the public from-vertex sup
+def test_vertex_sup_reads_match_the_public_sups():
+    # the digraph's top-two read that skips one out-arrow, against a
+    # brute-force max over the other out-arrows (ties to the first
+    # declared), and pd S(v) against the public from-vertex sup
     pairs = [pair for pair in (parse_agq(path.read_text()).pair() for path in sorted(FIXTURES.glob("*.agq")))
              if pair.validated]
     pairs += [random_ag_pair(GeneratorParams(seed=s))[0] for s in range(1, 201)]
@@ -250,23 +250,21 @@ def test_vertex_table_reads_match_the_public_sups():
     pairs += [doc.pair() for doc in bench_acyclic_docs()]
     skips = 0
     for pair in pairs:
-        table = agq.homdim._vertex_table(pair)
+        data = digraph_data(pair)
         idx = pair.quiver.arrow_index
         for i, v in enumerate(pair.quiver.vertices):
             outs = [b.name for b in pair.out_arrows(v)]
             sups = {b: sup_forbidden_from_arrow(pair, b)[0] for b in outs}
             value, walk = sup_forbidden_from_vertex(pair, v)
-            assert _length_value(table.top_len[i]) == value
-            assert table.top[i] == (idx[walk.stem[0] if walk.stem else walk.cycle[0]] if walk else -1)
+            assert _length_value(data.top_len[i]) == value
+            assert data.top[i] == (idx[walk.stem[0] if walk.stem else walk.cycle[0]] if walk else -1)
+            assert data.skip(i, -1) == (data.top_len[i], data.top[i])
             assert pdim_simple(pair, v).value == value
             for b in outs:
                 rest = [x for x in outs if x != b]
                 best = max(rest, key=sups.__getitem__) if rest else None  # max keeps the first of ties
                 want = (sups[best], idx[best]) if best else (fin(0), -1)
-                if table.top[i] == idx[b]:
-                    got = table.second_len[i], table.second[i]
-                else:
-                    got = table.top_len[i], table.top[i]
+                got = data.skip(i, idx[b])
                 assert (_length_value(got[0]), got[1]) == want, (v, b)
                 skips += 1
     assert len(pairs) == 237
@@ -364,6 +362,11 @@ def test_the_report_builds_one_vertex_table_and_no_per_vertex_entry(monkeypatch)
         for v in pair.quiver.vertices:
             pdim_simple(pair, v)
             pdim_injective(pair, v)
+            sup_forbidden_from_vertex(pair, v)
+        for a in pair.quiver.arrows:
+            sup_forbidden_from_arrow(pair, a.name)
+        for ds in strings_of(pair):
+            pdim_directed_string(pair, ds)
         # the digraph's sup table, the chain table and the vertex table, once each
         assert sorted(built) == ["chains", "digraph", "vertices"]
         assert sorted(pair._memo) == ["chains", "digraph", "vertices"]
