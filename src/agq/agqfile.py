@@ -16,14 +16,12 @@ line appears at all.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from operator import attrgetter
 
-from .quiver import AgqError, AlmostGentlePair, Arrow, Quiver
+from .quiver import TOKEN, TOKEN_RE, AgqError, AlmostGentlePair, Arrow, Quiver, _Record
 
-_TOKEN = r"[A-Za-z0-9_']+"
 # a whole arrow line without its comment, so group k starts at column start(k) + 1
-_ARROW_RE = re.compile(rf"\s*arrow\s+({_TOKEN})\s*:\s*({_TOKEN})\s*->\s*({_TOKEN})\s*\Z")
-_TOKEN_RE = re.compile(_TOKEN + r"\Z")
+_ARROW_RE = re.compile(rf"\s*arrow\s+({TOKEN})\s*:\s*({TOKEN})\s*->\s*({TOKEN})\s*\Z")
 
 
 class ParseError(AgqError):
@@ -34,15 +32,26 @@ class ParseError(AgqError):
         self.message = message
 
 
-@dataclass
-class AgqDocument:
+class AgqDocument(_Record):
     """Parsed .agq source; builds the pair and remembers source lines."""
 
-    name: str | None = None
-    vertices: list[str] = field(default_factory=list)
-    arrows: list[Arrow] = field(default_factory=list)
-    relations: list[tuple[str, str]] = field(default_factory=list)
-    line_of: dict[str, int] = field(default_factory=dict)
+    name: str | None
+    vertices: list[str]
+    arrows: list[Arrow]
+    relations: list[tuple[str, str]]
+    line_of: dict[str, int]
+    _fields = ("name", "vertices", "arrows", "relations", "line_of")
+    _key = attrgetter(*_fields)
+
+    def __init__(self, name: str | None = None, vertices: list[str] | None = None,
+                 arrows: list[Arrow] | None = None, relations: list[tuple[str, str]] | None = None,
+                 line_of: dict[str, int] | None = None) -> None:
+        """Each list or map left out starts empty."""
+        self.name = name
+        self.vertices = [] if vertices is None else vertices
+        self.arrows = [] if arrows is None else arrows
+        self.relations = [] if relations is None else relations
+        self.line_of = {} if line_of is None else line_of
 
     def pair(self) -> AlmostGentlePair:
         return AlmostGentlePair.build(Quiver(tuple(self.vertices), tuple(self.arrows)),
@@ -68,7 +77,7 @@ def parse_agq(text: str) -> AgqDocument:
                 raise ParseError(lineno, 5, "expected 'rel A B' (the path A then B)")
             a, b = words[1], words[2]
             if a not in arrow_line or b not in arrow_line:
-                if not (_TOKEN_RE.match(a) and _TOKEN_RE.match(b)):
+                if not (TOKEN_RE.match(a) and TOKEN_RE.match(b)):
                     raise ParseError(lineno, 5, "expected 'rel A B' (the path A then B)")
                 unresolved.append((lineno, a, b))
             doc.relations.append((a, b))
@@ -87,7 +96,7 @@ def parse_agq(text: str) -> AgqDocument:
                 raise ParseError(lineno, 7, "vertex line needs at least one name")
             for k in range(1, len(words)):
                 name = words[k]
-                if not _TOKEN_RE.match(name):
+                if not TOKEN_RE.match(name):
                     raise ParseError(lineno, _word_column(raw, k), f"bad vertex name {name!r}")
                 if name in doc.line_of:
                     if explicit_vertices:
@@ -98,7 +107,7 @@ def parse_agq(text: str) -> AgqDocument:
                     doc.line_of[name] = lineno
             explicit_vertices = True
         elif head == "algebra":
-            if len(words) != 2 or not _TOKEN_RE.match(words[1]):
+            if len(words) != 2 or not TOKEN_RE.match(words[1]):
                 rest = line.strip()[len(head):].strip()
                 raise ParseError(lineno, 9, f"bad algebra name {rest!r}")
             doc.name = words[1]

@@ -14,17 +14,26 @@ Finite(0) throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .quiver import AlmostGentlePair, nonzero_successor
+from .quiver import AlmostGentlePair, _Frozen, _setattr, nonzero_successor
 from .strings import DirectedString, _check_string, string_source
 
 
-@dataclass(frozen=True)
-class LengthOrInf:
+class LengthOrInf(_Frozen):
     """A value in N united with infinity, ordered with Infinite on top."""
 
     value: int | None  # None encodes infinity
+    _fields = ("value",)
+
+    def __init__(self, value: int | None) -> None:
+        _setattr(self, "value", value)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.value == other.value  # type: ignore
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.value,))
 
     @classmethod
     def finite(cls, n: int) -> "LengthOrInf":
@@ -63,12 +72,24 @@ ZERO = LengthOrInf.finite(0)
 INF = LengthOrInf.infinite()
 
 
-@dataclass(frozen=True)
-class ForbiddenWalk:
+class ForbiddenWalk(_Frozen):
     """A finite forbidden path, or a lasso encoding stem . cycle^omega."""
 
     stem: tuple[str, ...]
-    cycle: tuple[str, ...] = ()
+    cycle: tuple[str, ...]
+    _fields = ("stem", "cycle")
+
+    def __init__(self, stem: tuple[str, ...], cycle: tuple[str, ...] = ()) -> None:
+        _setattr(self, "stem", stem)
+        _setattr(self, "cycle", cycle)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.stem == other.stem and self.cycle == other.cycle  # type: ignore
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.stem, self.cycle))
 
     @property
     def is_lasso(self) -> bool:

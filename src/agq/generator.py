@@ -11,25 +11,32 @@ broken pair moves into the relations).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from operator import attrgetter
 
 from .agqfile import document_of, emit_agq
-from .quiver import AlmostGentlePair, Arrow, Quiver, successor_cycles
+from .quiver import AlmostGentlePair, Arrow, Quiver, _Frozen, _setattr, successor_cycles
 
 
-@dataclass(frozen=True)
-class GeneratorParams:
+class GeneratorParams(_Frozen):
     seed: int
-    max_vertices: int = 8
-    max_arrows: int = 14
-    loop_allowed: bool = True
-    relation_density: float = 0.5  # probability a composable in/out pair stays zero
+    max_vertices: int
+    max_arrows: int
+    loop_allowed: bool
+    relation_density: float  # probability a composable in/out pair stays zero
+    _fields = ("seed", "max_vertices", "max_arrows", "loop_allowed", "relation_density")
+    _key = attrgetter(*_fields)
 
-    def __post_init__(self) -> None:
-        if self.max_vertices < 1 or self.max_arrows < 0:
+    def __init__(self, seed: int, max_vertices: int = 8, max_arrows: int = 14,
+                 loop_allowed: bool = True, relation_density: float = 0.5) -> None:
+        if max_vertices < 1 or max_arrows < 0:
             raise ValueError("bounds must be positive")
-        if not 0.0 <= self.relation_density <= 1.0:
+        if not 0.0 <= relation_density <= 1.0:
             raise ValueError("relation_density must lie in [0, 1]")
+        _setattr(self, "seed", seed)
+        _setattr(self, "max_vertices", max_vertices)
+        _setattr(self, "max_arrows", max_arrows)
+        _setattr(self, "loop_allowed", loop_allowed)
+        _setattr(self, "relation_density", relation_density)
 
 
 def random_ag_pair(params: GeneratorParams) -> tuple[AlmostGentlePair, str]:

@@ -11,7 +11,7 @@ lasso whose loop is a forbidden cycle.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from operator import attrgetter
 
 from .forbidden import (
     _INFINITE,
@@ -24,7 +24,7 @@ from .forbidden import (
     delta_forbidden_sup,
     digraph_data,
 )
-from .quiver import AlmostGentlePair
+from .quiver import AlmostGentlePair, _Frozen, _setattr
 from .strings import DirectedString, _chains
 from .syzygy import _is_gentle_vertex, _is_invalid_vertex, is_invalid_vertex
 
@@ -92,14 +92,24 @@ def _pointed(data: _DigraphData, n, pointer: tuple[int, int], method: str,
     return rep
 
 
-@dataclass(frozen=True)
-class GorensteinReport:
+class GorensteinReport(_Frozen):
     gldim: DimReport
     injdim: DimReport
     gorenstein: bool
     cycle_criterion: bool
     envelope_pdim: LengthOrInf
     auslander_note: str
+    _fields = ("gldim", "injdim", "gorenstein", "cycle_criterion", "envelope_pdim", "auslander_note")
+    _key = attrgetter(*_fields)
+
+    def __init__(self, gldim: DimReport, injdim: DimReport, gorenstein: bool, cycle_criterion: bool,
+                 envelope_pdim: LengthOrInf, auslander_note: str) -> None:
+        _setattr(self, "gldim", gldim)
+        _setattr(self, "injdim", injdim)
+        _setattr(self, "gorenstein", gorenstein)
+        _setattr(self, "cycle_criterion", cycle_criterion)
+        _setattr(self, "envelope_pdim", envelope_pdim)
+        _setattr(self, "auslander_note", auslander_note)
 
 
 class _VertexTable:

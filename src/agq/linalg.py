@@ -8,9 +8,13 @@ counts where they matter.  Elimination runs in integers: a row becomes
 
 from __future__ import annotations
 
-from fractions import Fraction
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from fractions import Fraction
+    from typing import TypeAlias
 
-Value = int | Fraction
+# rref imports Fraction where it divides, so importing this module leaves it unloaded
+Value: TypeAlias = "int | Fraction"
 Row = dict[int, Value]
 Matrix = list[Row]
 
@@ -66,6 +70,7 @@ def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
         if pv == -1:
             row = m[r] = {k: -x for k, x in row.items()}
         elif pv != 1:
+            from fractions import Fraction
             row = m[r] = {k: Fraction(x, pv) for k, x in row.items()}
         for j, other in enumerate(m):
             if j != r and c in other:

@@ -16,16 +16,15 @@ a multiset of iso classes, covering and summing each class once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter
 
 from . import linalg
 from .forbidden import LengthOrInf
-from .quiver import AlmostGentlePair
+from .quiver import AlmostGentlePair, _Frozen, _Record, _setattr
 from .strings import DirectedString, _check_string, string_source
 
 
-@dataclass
-class Representation:
+class Representation(_Record):
     """dims per vertex and one matrix per arrow, acting on row vectors.
 
     maps[a] is a list of dims[s(a)] sparse rows ({column: value}, nonzero
@@ -35,6 +34,12 @@ class Representation:
 
     dims: dict[str, int]
     maps: dict[str, linalg.Matrix]
+    _fields = ("dims", "maps")
+    _key = attrgetter(*_fields)
+
+    def __init__(self, dims: dict[str, int], maps: dict[str, linalg.Matrix]) -> None:
+        self.dims = dims
+        self.maps = maps
 
     def total_dim(self) -> int:
         return sum(self.dims.values())
@@ -48,8 +53,7 @@ def _empty_maps(pair: AlmostGentlePair, dims: dict[str, int]) -> dict[str, linal
             for a in pair.quiver.arrows}
 
 
-@dataclass(frozen=True)
-class _PathTree:
+class _PathTree(_Frozen):
     """The nonzero paths out of one vertex (or into it), shortest first.
 
     Path 0 is the stationary path.  Path k > 0 is path up[k] made one arrow
@@ -64,6 +68,17 @@ class _PathTree:
     local: list[int]
     dims: dict[str, int]
     ext: dict[tuple[int, str], int]
+    _fields = ("paths", "ends", "up", "local", "dims", "ext")
+    _key = attrgetter(*_fields)
+
+    def __init__(self, paths: list[tuple[str, ...]], ends: list[str], up: list[int], local: list[int],
+                 dims: dict[str, int], ext: dict[tuple[int, str], int]) -> None:
+        _setattr(self, "paths", paths)
+        _setattr(self, "ends", ends)
+        _setattr(self, "up", up)
+        _setattr(self, "local", local)
+        _setattr(self, "dims", dims)
+        _setattr(self, "ext", ext)
 
 
 def _path_tree(pair: AlmostGentlePair, v: str, forward: bool = True) -> _PathTree:
@@ -170,18 +185,29 @@ def check_relations(pair: AlmostGentlePair, rep: Representation) -> bool:
     return True
 
 
-@dataclass
-class CoverKernel:
+class CoverKernel(_Record):
     cover: tuple[tuple[str, int], ...]  # (vertex, multiplicity) in declaration order
     cover_dims: dict[str, int]
     kernel: Representation
+    _fields = ("cover", "cover_dims", "kernel")
+    _key = attrgetter(*_fields)
+
+    def __init__(self, cover: tuple[tuple[str, int], ...], cover_dims: dict[str, int],
+                 kernel: Representation) -> None:
+        self.cover = cover
+        self.cover_dims = cover_dims
+        self.kernel = kernel
 
 
-@dataclass
-class RepMorphism:
+class RepMorphism(_Record):
     """Per-vertex matrix blocks of a map of representations (row convention)."""
 
     blocks: dict[str, linalg.Matrix]  # blocks[v]: src.dims[v] x dst.dims[v]
+    _fields = ("blocks",)
+    _key = attrgetter("blocks")
+
+    def __init__(self, blocks: dict[str, linalg.Matrix]) -> None:
+        self.blocks = blocks
 
     def commutes(self, pair: AlmostGentlePair, src: Representation,
                  dst: Representation) -> bool:
@@ -280,12 +306,17 @@ def projective_cover_kernel(pair: AlmostGentlePair, rep: Representation) -> Cove
     return CoverKernel(cover, cover_dims, kernel)
 
 
-@dataclass(frozen=True)
-class PdimResult:
+class PdimResult(_Frozen):
     """Finite(n), or AtLeast(n) when n covering steps left a nonzero kernel."""
 
     finite: bool
     value: int
+    _fields = ("finite", "value")
+    _key = attrgetter(*_fields)
+
+    def __init__(self, finite: bool, value: int) -> None:
+        _setattr(self, "finite", finite)
+        _setattr(self, "value", value)
 
     def __str__(self) -> str:
         return str(self.value) if self.finite else f">={self.value}"
@@ -480,18 +511,30 @@ def _keyed_pdim(pair: AlmostGentlePair, module: KeyedComponent, cutoff: int) -> 
     return PdimResult(True, val)
 
 
-@dataclass(frozen=True)
-class Mismatch:
+class Mismatch(_Frozen):
     vertex: str | None
     quantity: str
     formula: str
     oracle: str
+    _fields = ("vertex", "quantity", "formula", "oracle")
+    _key = attrgetter(*_fields)
+
+    def __init__(self, vertex: str | None, quantity: str, formula: str, oracle: str) -> None:
+        _setattr(self, "vertex", vertex)
+        _setattr(self, "quantity", quantity)
+        _setattr(self, "formula", formula)
+        _setattr(self, "oracle", oracle)
 
 
-@dataclass(frozen=True)
-class AgreementReport:
+class AgreementReport(_Frozen):
     mismatches: tuple[Mismatch, ...]
     checked: int
+    _fields = ("mismatches", "checked")
+    _key = attrgetter(*_fields)
+
+    def __init__(self, mismatches: tuple[Mismatch, ...], checked: int) -> None:
+        _setattr(self, "mismatches", mismatches)
+        _setattr(self, "checked", checked)
 
     @property
     def ok(self) -> bool:

@@ -11,10 +11,57 @@ algebra.
 from __future__ import annotations
 
 import re
-from collections.abc import Mapping
-from dataclasses import dataclass, field
+from collections.abc import Callable, Mapping
+from operator import attrgetter
 
-TOKEN_RE = re.compile(r"[A-Za-z0-9_']+\Z")
+TOKEN = r"[A-Za-z0-9_']+"  # a vertex, arrow or algebra name
+TOKEN_RE = re.compile(TOKEN + r"\Z")
+
+_setattr = object.__setattr__  # how a read-only record's __init__ sets its fields
+
+
+class _Record:
+    """A plain record: equality and repr read off its fields.
+
+    ``_fields`` names the fields shown by the repr, ``Name(field=value,
+    ...)``, in constructor order; ``_key`` reads the compared ones.  Two
+    records are equal when they are of the same class and their keys are
+    equal.  With an ``__eq__`` and no ``__hash__`` a record is unhashable,
+    as a mutable one should be.  The records compared and hashed most
+    (``Arrow``, ``DirectedString``, ``LengthOrInf``, ``ForbiddenWalk``,
+    ``Summand``) write out their own ``__eq__`` and ``__hash__``, which run
+    faster than a read through ``_key``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+    _key: Callable[[object], object]
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+
+class _Frozen(_Record):
+    """A read-only record, hashed by its key.  Its ``__init__`` sets the
+    fields with ``_setattr``; assigning or deleting one raises
+    AttributeError."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class AgqError(Exception):
@@ -37,21 +84,38 @@ class InvalidStringError(AgqError):
     """Raised for arrow sequences that are not nonzero directed paths."""
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(_Frozen):
     name: str
     source: str
     target: str
+    _fields = ("name", "source", "target")
+
+    def __init__(self, name: str, source: str, target: str) -> None:
+        _setattr(self, "name", name)
+        _setattr(self, "source", source)
+        _setattr(self, "target", target)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.name == other.name and self.source == other.source  # type: ignore
+                    and self.target == other.target)  # type: ignore
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.source, self.target))
 
 
-@dataclass(frozen=True)
-class Quiver:
+class Quiver(_Frozen):
     """Finite quiver with declaration order preserved for deterministic output."""
 
     vertices: tuple[str, ...]
     arrows: tuple[Arrow, ...]
+    _fields = ("vertices", "arrows")
+    _key = attrgetter(*_fields)
 
-    def __post_init__(self) -> None:
+    def __init__(self, vertices: tuple[str, ...], arrows: tuple[Arrow, ...]) -> None:
+        _setattr(self, "vertices", vertices)
+        _setattr(self, "arrows", arrows)
         seen_v: set[str] = set()
         for v in self.vertices:
             if not TOKEN_RE.match(v):
@@ -67,8 +131,8 @@ class Quiver:
                 raise AgqError(f"duplicate arrow {a.name!r}")
             seen_a.add(a.name)
 
-        object.__setattr__(self, "_vidx", {v: i for i, v in enumerate(self.vertices)})
-        object.__setattr__(self, "_aidx", {a.name: i for i, a in enumerate(self.arrows)})
+        _setattr(self, "_vidx", {v: i for i, v in enumerate(self.vertices)})
+        _setattr(self, "_aidx", {a.name: i for i, a in enumerate(self.arrows)})
         out: dict[str, list[Arrow]] = {v: [] for v in self.vertices}
         inc: dict[str, list[Arrow]] = {v: [] for v in self.vertices}
         for a in self.arrows:
@@ -76,9 +140,9 @@ class Quiver:
                 out[a.source].append(a)
             if a.target in inc:
                 inc[a.target].append(a)
-        object.__setattr__(self, "_out", {v: tuple(arrows) for v, arrows in out.items()})
-        object.__setattr__(self, "_in", {v: tuple(arrows) for v, arrows in inc.items()})
-        object.__setattr__(self, "_by_name", {a.name: a for a in self.arrows})
+        _setattr(self, "_out", {v: tuple(arrows) for v, arrows in out.items()})
+        _setattr(self, "_in", {v: tuple(arrows) for v, arrows in inc.items()})
+        _setattr(self, "_by_name", {a.name: a for a in self.arrows})
 
     @property
     def vertex_index(self) -> dict[str, int]:
@@ -89,15 +153,20 @@ class Quiver:
         return self._aidx  # type: ignore[attr-defined]
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(_Frozen):
     kind: str
     location: tuple[str, ...]
     message: str
+    _fields = ("kind", "location", "message")
+    _key = attrgetter(*_fields)
+
+    def __init__(self, kind: str, location: tuple[str, ...], message: str) -> None:
+        _setattr(self, "kind", kind)
+        _setattr(self, "location", location)
+        _setattr(self, "message", message)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(_Frozen):
     """Violations and warnings, plus what the validation computes anyway: the
     nonzero successor and predecessor of every arrow (None where there is
     none) and its relation successors, the arrows b with ab in the ideal in
@@ -107,9 +176,21 @@ class ValidationReport:
     valid: bool
     violations: tuple[Violation, ...]
     warnings: tuple[str, ...]
-    succ: Mapping[str, str | None] = field(repr=False, compare=False)
-    pred: Mapping[str, str | None] = field(repr=False, compare=False)
-    rel_succ: Mapping[str, list[str]] = field(repr=False, compare=False)
+    succ: Mapping[str, str | None]
+    pred: Mapping[str, str | None]
+    rel_succ: Mapping[str, list[str]]
+    _fields = ("valid", "violations", "warnings")  # the maps are neither shown nor compared
+    _key = attrgetter(*_fields)
+
+    def __init__(self, valid: bool, violations: tuple[Violation, ...], warnings: tuple[str, ...],
+                 succ: Mapping[str, str | None], pred: Mapping[str, str | None],
+                 rel_succ: Mapping[str, list[str]]) -> None:
+        _setattr(self, "valid", valid)
+        _setattr(self, "violations", violations)
+        _setattr(self, "warnings", warnings)
+        _setattr(self, "succ", succ)
+        _setattr(self, "pred", pred)
+        _setattr(self, "rel_succ", rel_succ)
 
 
 def validate_bound_quiver(quiver: Quiver, relations: frozenset[tuple[str, str]]) -> ValidationReport:
@@ -232,16 +313,21 @@ def _connected(quiver: Quiver) -> bool:
     return len(seen) == len(quiver.vertices)
 
 
-@dataclass(frozen=True)
-class AlmostGentlePair:
+class AlmostGentlePair(_Frozen):
     """A validated bound quiver.  Immutable; all operations are pure."""
 
     quiver: Quiver
     relations: frozenset[tuple[str, str]]
-    report: ValidationReport = field(compare=False)
+    report: ValidationReport
+    _fields = ("quiver", "relations", "report")
+    _key = attrgetter("quiver", "relations")  # the report follows from them
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_memo", {})
+    def __init__(self, quiver: Quiver, relations: frozenset[tuple[str, str]],
+                 report: ValidationReport) -> None:
+        _setattr(self, "quiver", quiver)
+        _setattr(self, "relations", relations)
+        _setattr(self, "report", report)
+        _setattr(self, "_memo", {})
 
     @classmethod
     def build(cls, quiver: Quiver, relations: frozenset[tuple[str, str]]) -> "AlmostGentlePair":

@@ -10,21 +10,33 @@ when asked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .quiver import AlmostGentlePair, InvalidStringError
+from .quiver import AlmostGentlePair, InvalidStringError, _Frozen, _setattr
 
 
-@dataclass(frozen=True, slots=True)
-class DirectedString:
+class DirectedString(_Frozen):
     """A nonzero directed path; vertex anchors a length-zero string."""
 
     arrows: tuple[str, ...]
-    vertex: str | None = None
+    vertex: str | None
+    __slots__ = _fields = ("arrows", "vertex")
 
-    def __post_init__(self) -> None:
-        if not self.arrows and self.vertex is None:
+    def __init__(self, arrows: tuple[str, ...], vertex: str | None = None) -> None:
+        if not arrows and vertex is None:
             raise InvalidStringError("length-zero path needs an anchor vertex")
+        _setattr(self, "arrows", arrows)
+        _setattr(self, "vertex", vertex)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.arrows == other.arrows and self.vertex == other.vertex  # type: ignore
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.arrows, self.vertex))
+
+    def __reduce__(self) -> tuple:
+        # copies and pickles go through the constructor: slots refuse assignment
+        return type(self), (self.arrows, self.vertex)
 
     def __len__(self) -> int:
         return len(self.arrows)

@@ -14,9 +14,9 @@ genuine tree module handled by its own exact kernel formula.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from operator import attrgetter
 
-from .quiver import AgqError, AlmostGentlePair
+from .quiver import AgqError, AlmostGentlePair, _Frozen, _setattr
 from .strings import (
     DirectedString,
     _branches,
@@ -33,8 +33,7 @@ class NotInjectiveCaseError(AgqError):
     """Raised for socle-block queries at a source vertex (E(v) = S(v))."""
 
 
-@dataclass(frozen=True)
-class Summand:
+class Summand(_Frozen):
     """One indecomposable piece of a symbolic syzygy.
 
     kind is "simple", "string", "projective" (a summand recognized as
@@ -43,8 +42,23 @@ class Summand:
     """
 
     kind: str
-    vertex: str | None = None
-    arrows: tuple[str, ...] = ()
+    vertex: str | None
+    arrows: tuple[str, ...]
+    _fields = ("kind", "vertex", "arrows")
+
+    def __init__(self, kind: str, vertex: str | None = None, arrows: tuple[str, ...] = ()) -> None:
+        _setattr(self, "kind", kind)
+        _setattr(self, "vertex", vertex)
+        _setattr(self, "arrows", arrows)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.kind == other.kind and self.vertex == other.vertex  # type: ignore
+                    and self.arrows == other.arrows)  # type: ignore
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.vertex, self.arrows))
 
     @classmethod
     def simple(cls, v: str) -> "Summand":
@@ -84,11 +98,18 @@ def _summand_dims(pair: AlmostGentlePair, s: Summand) -> dict[str, int]:
     return module_dims(pair, "projective", s.vertex)
 
 
-@dataclass(frozen=True)
-class SyzygyDecomposition:
+class SyzygyDecomposition(_Frozen):
     """Multiset of summands, stored with multiplicities (they grow fast)."""
 
     items: tuple[tuple[Summand, int], ...]
+    _fields = ("items",)
+    _key = attrgetter("items")
+
+    def __init__(self, items: tuple[tuple[Summand, int], ...]) -> None:
+        _setattr(self, "items", items)
+
+    def __hash__(self) -> int:
+        return hash((self.items,))  # the tuple of fields, as every other record hashes
 
     @classmethod
     def of(cls, pair: AlmostGentlePair,
@@ -164,8 +185,7 @@ def _is_gentle_vertex(pair: AlmostGentlePair, v: str) -> bool:
     return len(x) <= 1 and len(y) <= 1 and not (x and x == y)
 
 
-@dataclass(frozen=True, slots=True)
-class Psi0Descriptor:
+class Psi0Descriptor(_Frozen):
     """Shape of the socle block of Omega_1(E(apex)).
 
     tails lists the right maximal strings out of the apex in declaration
@@ -179,6 +199,20 @@ class Psi0Descriptor:
     d: int
     t: int
     tails: tuple[tuple[DirectedString, bool], ...]
+    __slots__ = _fields = ("apex", "c", "d", "t", "tails")
+    _key = attrgetter(*_fields)
+
+    def __init__(self, apex: str, c: int, d: int, t: int,
+                 tails: tuple[tuple[DirectedString, bool], ...]) -> None:
+        _setattr(self, "apex", apex)
+        _setattr(self, "c", c)
+        _setattr(self, "d", d)
+        _setattr(self, "t", t)
+        _setattr(self, "tails", tails)
+
+    def __reduce__(self) -> tuple:
+        # copies and pickles go through the constructor: slots refuse assignment
+        return type(self), (self.apex, self.c, self.d, self.t, self.tails)
 
     def flagged(self) -> list[DirectedString]:
         return [s for s, f in self.tails if f]
@@ -318,16 +352,26 @@ def psi0_omega1(pair: AlmostGentlePair, desc: Psi0Descriptor) -> list[tuple[Summ
     return pieces
 
 
-@dataclass(frozen=True)
-class ResolutionLevel:
+class ResolutionLevel(_Frozen):
     cover: tuple[tuple[str, int], ...]  # (vertex, multiplicity), declaration order
     syzygy: SyzygyDecomposition
+    _fields = ("cover", "syzygy")
+    _key = attrgetter(*_fields)
+
+    def __init__(self, cover: tuple[tuple[str, int], ...], syzygy: SyzygyDecomposition) -> None:
+        _setattr(self, "cover", cover)
+        _setattr(self, "syzygy", syzygy)
 
 
-@dataclass(frozen=True)
-class Resolution:
+class Resolution(_Frozen):
     levels: tuple[ResolutionLevel, ...]
     terminated: str  # "projective" | "cutoff"
+    _fields = ("levels", "terminated")
+    _key = attrgetter(*_fields)
+
+    def __init__(self, levels: tuple[ResolutionLevel, ...], terminated: str) -> None:
+        _setattr(self, "levels", levels)
+        _setattr(self, "terminated", terminated)
 
     @property
     def length(self) -> int:

@@ -107,6 +107,17 @@ def test_cycle_criterion(cyc2, cyc2e, fig1):
     assert self_injective_infinite_by_cycle(fig1) == (False, None)
 
 
+def test_cycle_criterion_skips_an_edge_between_two_components():
+    # x <-> xp and y <-> yp are forbidden cycles in different components of
+    # the relation digraph; the edge x -> y between them comes first but lies
+    # on no cycle, so the witness is the (B) hit on the edge x -> xp
+    pair = make_pair(["1", "2", "3"],
+                     [("x", "1", "2"), ("y", "2", "3"), ("yp", "3", "2"), ("xp", "2", "1")],
+                     [("x", "xp"), ("xp", "x"), ("x", "y"), ("y", "yp"), ("yp", "y")])
+    assert pair.validated
+    assert self_injective_infinite_by_cycle(pair) == (True, (("x", "xp"), "2", "B", "y"))
+
+
 def test_envelope(cyc2, cyc2e, a2):
     assert pdim_injective_envelope(cyc2) == fin(0)
     assert pdim_injective_envelope(cyc2e) == INF

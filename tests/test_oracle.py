@@ -278,8 +278,7 @@ def test_level_multisets_match_a_plain_list_walk():
 
 
 def test_level_multisets_report_a_perturbed_level_like_a_plain_list_walk(monkeypatch):
-    import dataclasses
-    from agq.syzygy import Summand, SyzygyDecomposition
+    from agq.syzygy import Resolution, ResolutionLevel, Summand, SyzygyDecomposition
     resolve = agq.syzygy.resolve_symbolic
 
     def perturb(part):
@@ -290,11 +289,11 @@ def test_level_multisets_report_a_perturbed_level_like_a_plain_list_walk(monkeyp
             if part == "cover":
                 cover = dict(level.cover)
                 cover[v] = cover.get(v, 0) + 1
-                level = dataclasses.replace(level, cover=tuple(cover.items()))
+                level = ResolutionLevel(tuple(cover.items()), level.syzygy)
             else:
                 extra = list(level.syzygy.items) + [(Summand.simple(v), 2)]
-                level = dataclasses.replace(level, syzygy=SyzygyDecomposition.of(pair, extra))
-            return dataclasses.replace(res, levels=res.levels[:k] + (level,) + res.levels[k + 1:])
+                level = ResolutionLevel(level.cover, SyzygyDecomposition.of(pair, extra))
+            return Resolution(res.levels[:k] + (level,) + res.levels[k + 1:], res.terminated)
         return perturbed
 
     repeats = [0]

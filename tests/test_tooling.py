@@ -60,6 +60,18 @@ def test_cli_import_loads_every_traced_module():
     assert needed - set(loaded) == set()
 
 
+def test_cli_import_leaves_dataclasses_and_fractions_unloaded():
+    # records are plain classes and linalg imports Fraction only to divide,
+    # so starting the CLI loads neither dataclasses (nor inspect, which it
+    # pulls in) nor fractions
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    code = "import sys; before = set(sys.modules); import agq, agq.cli; print(*sorted(set(sys.modules) - before))"
+    added = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                           env={**os.environ, "PYTHONPATH": str(src)}).stdout.split()
+    assert "agq.cli" in added
+    assert {"dataclasses", "inspect", "fractions"} & set(added) == set()
+
+
 def test_package_imports_only_the_standard_library():
     src = pathlib.Path(__file__).resolve().parents[1] / "src" / "agq"
     modules = sorted(src.glob("*.py"))
