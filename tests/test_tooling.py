@@ -10,6 +10,7 @@ import hashlib
 import io
 import importlib
 import importlib.util
+import itertools
 import os
 import pathlib
 import subprocess
@@ -25,10 +26,11 @@ from agq.generator import GeneratorParams, random_ag_pair
 from agq.homdim import (global_dimension, noninvalid_cycle_vertex, pdim_directed_string, pdim_injective,
                         pdim_simple, self_injective_dimension, self_injective_infinite_by_cycle)
 from agq.oracle import check_against_formulas, rep_of
+from agq.quiver import AlmostGentlePair, Arrow, Quiver
 from agq.strings import (anticlaw_of, claw_of, left_maximal_extension,
                          module_dims, right_maximal_extension)
 from agq.syzygy import omega1_directed_string, omega1_injective, psi0_descriptor, resolve_symbolic
-from conftest import bench_acyclic_docs, bench_cyclic_pairs, strings_of
+from conftest import bench_acyclic_docs, bench_cyclic_pairs, make_pair, strings_of
 
 FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 
@@ -337,6 +339,54 @@ def test_cycle_readers_are_identical_to_the_recorded_hash():
         digest.update(repr(values).encode())
     assert len(pairs) == 212
     assert digest.hexdigest() == CYCLES_SHA256
+
+
+def _labelled_sweep():
+    """Every quiver on 1-3 vertices with 0-3 arrows, arrows labelled in
+    order, with every subset of its composable arrow pairs as relations."""
+    for n in range(1, 4):
+        vertices = [f"v{i}" for i in range(n)]
+        ends = list(itertools.product(vertices, repeat=2))
+        for k in range(4):
+            for chosen in itertools.product(ends, repeat=k):
+                arrows = [(f"a{i}", s, t) for i, (s, t) in enumerate(chosen)]
+                composable = [(a, b) for a, _, t in arrows for b, s, _ in arrows if t == s]
+                for mask in range(1 << len(composable)):
+                    rels = [r for i, r in enumerate(composable) if mask >> i & 1]
+                    yield make_pair(vertices, arrows, rels)
+
+
+# SHA-256 of every validation below, valid or not: the valid flag, each
+# violation's kind, location and message, the warnings, and the succ, pred
+# and rel_succ maps in their iteration order.
+VALIDATION_SHA256 = "3d53e378c6193a2325533a4d693e86c3dad32e7815dbe2a824237b404f16934e"
+
+
+def test_validation_is_identical_to_the_recorded_hash():
+    digest = hashlib.sha256()
+    pairs = [parse_agq(path.read_text(encoding="utf-8")).pair() for path in sorted(FIXTURES.glob("*.agq"))]
+    pairs += [random_ag_pair(GeneratorParams(seed=s))[0] for s in range(1, 201)]
+    pairs += bench_cyclic_pairs(4)
+    # built directly: a dangling endpoint, and relations on unknown or non-composable arrows
+    pairs.append(AlmostGentlePair.build(Quiver(("1", "2"), (Arrow("a", "1", "2"), Arrow("b", "2", "3"))),
+                                        frozenset({("a", "b")})))
+    pairs.append(AlmostGentlePair.build(Quiver(("1",), (Arrow("a", "0", "1"),)), frozenset()))
+    pairs.append(make_pair(["1", "2"], [("a", "1", "2"), ("b", "2", "1")], [("a", "zz"), ("a", "b")]))
+    pairs.append(make_pair(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3"), ("c", "1", "3")],
+                           [("a", "c"), ("b", "a"), ("a", "b")]))
+    pairs.append(make_pair(["1", "2"], [("a", "1", "2")], [("zz", "yy")]))
+    fixed = len(pairs)
+    pairs = itertools.chain(pairs, _labelled_sweep())
+    count = 0
+    for pair in pairs:
+        report = pair.report
+        values = (report.valid, [(v.kind, v.location, v.message) for v in report.violations], report.warnings,
+                  list(report.succ.items()), list(report.pred.items()),
+                  [(a, list(bs)) for a, bs in report.rel_succ.items()])
+        digest.update(repr(values).encode())
+        count += 1
+    assert (fixed, count - fixed) == (218, 14115)
+    assert digest.hexdigest() == VALIDATION_SHA256
 
 
 def test_pairs_are_freed_by_reference_counting_alone():
