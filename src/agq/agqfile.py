@@ -22,6 +22,7 @@ from .quiver import TOKEN, TOKEN_RE, AgqError, AlmostGentlePair, Arrow, Quiver, 
 
 # a whole arrow line without its comment, so group k starts at column start(k) + 1
 _ARROW_RE = re.compile(rf"\s*arrow\s+({TOKEN})\s*:\s*({TOKEN})\s*->\s*({TOKEN})\s*\Z")
+_VERTEX_RE = re.compile(rf"\s*vertex(?:\s+{TOKEN})+\s*\Z")  # a vertex line of names only
 
 
 class ParseError(AgqError):
@@ -94,9 +95,10 @@ def parse_agq(text: str) -> AgqDocument:
         elif head == "vertex":
             if len(words) == 1:
                 raise ParseError(lineno, 7, "vertex line needs at least one name")
+            named = _VERTEX_RE.match(line) is not None  # else some word is not a name
             for k in range(1, len(words)):
                 name = words[k]
-                if not TOKEN_RE.match(name):
+                if not named and not TOKEN_RE.match(name):
                     raise ParseError(lineno, _word_column(raw, k), f"bad vertex name {name!r}")
                 if name in doc.line_of:
                     if explicit_vertices:

@@ -120,8 +120,10 @@ class _DigraphData:
     every arrow's sup in two integer tables and every vertex's best two.
     Every tie between sups is broken here.
 
-    ``out[i]`` lists arrow i's relation successors in declaration order,
-    ``scc[i]`` is its component, ``cyclic[i]`` whether it is on a cycle.
+    ``out[i]`` lists arrow i's relation successors in declaration order
+    and ``source[i]`` is its source vertex: the validation's own lists
+    ``relation_succ`` and ``source``.  ``scc[i]`` is arrow i's component,
+    ``cyclic[i]`` whether it is on a cycle.
     ``length[i]`` is the sup of forbidden-path lengths from arrow i, or
     ``_INFINITE`` when i reaches a cycle.  ``nxt[i]`` points along i's
     witness: for a finite sup the first successor in declaration order
@@ -134,22 +136,18 @@ class _DigraphData:
     """
 
     def __init__(self, pair: AlmostGentlePair):
-        quiver = pair.quiver
-        idx = quiver.arrow_index
-        self.names = tuple(idx)
-        rel_succ = pair.report.rel_succ  # in declaration order
-        self.out = [[idx[b] for b in rel_succ[a]] for a in self.names]
+        report = pair.report  # the validation's tables, shared
+        self.names, self.out, self.source = report.names, report.relation_succ, report.source
         self.scc, order = self._tarjan()
         sizes = [0] * len(order)
         for comp in self.scc:
             sizes[comp] += 1
         self.cyclic = [sizes[self.scc[i]] > 1 or i in children for i, children in enumerate(self.out)]
         self.length, self.nxt = self._sups(order)
-        vidx = quiver.vertex_index
-        self.source = [vidx[a.source] for a in quiver.arrows]
+        n_v = len(report.outs)
         # every vertex's best and second-best out-arrow sup, ties to the earlier-declared arrow
-        self.top_len, self.top = top_len, top = [0] * len(vidx), [-1] * len(vidx)
-        self.second_len, self.second = second_len, second = [0] * len(vidx), [-1] * len(vidx)
+        self.top_len, self.top = top_len, top = [0] * n_v, [-1] * n_v
+        self.second_len, self.second = second_len, second = [0] * n_v, [-1] * n_v
         for i, s in enumerate(self.source):
             n = self.length[i]
             if n > top_len[s]:

@@ -25,8 +25,8 @@ from .forbidden import (
     digraph_data,
 )
 from .quiver import AlmostGentlePair, _Frozen, _setattr
-from .strings import DirectedString, _chains
-from .syzygy import _is_gentle_vertex, _is_invalid_vertex, is_invalid_vertex
+from .strings import DirectedString
+from .syzygy import _gentle_at, _invalid_at
 
 
 _UNBUILT = object()
@@ -114,7 +114,8 @@ class GorensteinReport(_Frozen):
 
 class _VertexTable:
     """Every vertex's pd E(v) and row flags on one pair, read off the
-    digraph's tables in one pass.  Lists indexed by vertex_index:
+    validation's and the digraph's tables in one pass.  Lists indexed by
+    vertex_index:
 
     - ``inj_len``, ``inj_ptr``, ``inj_method``: pd E(v) as length, witness
       pointer and method.
@@ -126,24 +127,21 @@ class _VertexTable:
     """
 
     def __init__(self, pair: AlmostGentlePair):
-        quiver = pair.quiver
-        self.vidx = vidx = quiver.vertex_index
+        self.vidx = pair.quiver.vertex_index
         self.data = data = digraph_data(pair)
-        idx, names = quiver.arrow_index, data.names
-        n_v = len(vidx)
-        outs: list[list[int]] = [[] for _ in range(n_v)]
-        ins: list[list[int]] = [[] for _ in range(n_v)]
-        for i, a in enumerate(quiver.arrows):
-            outs[data.source[i]].append(i)
-            ins[vidx[a.target]].append(i)
-        # the nonzero successor and predecessor of each arrow, -1 for None
-        succ = [idx.get(b, -1) for b in map(pair.report.succ.__getitem__, names)]
-        pred = [idx.get(b, -1) for b in map(pair.report.pred.__getitem__, names)]
-        chains = _chains(pair)
-        head = [idx[chains[a][0][0]] for a in names]  # the first arrow of each arrow's chain
+        report = pair.report
+        succ, pred, outs, ins = report.nonzero_succ, report.nonzero_pred, report.outs, report.ins
+        n_v = len(outs)
+        head = [-1] * len(succ)  # the first arrow of each arrow's chain
+        for i, p in enumerate(pred):
+            if p < 0:
+                j = i
+                while j >= 0:
+                    head[j] = i
+                    j = succ[j]
 
-        self.gentle = [_is_gentle_vertex(pair, v) for v in quiver.vertices]
-        self.invalid = [_is_invalid_vertex(pair, v)[0] for v in quiver.vertices]
+        self.gentle = [_gentle_at(report, v) for v in range(n_v)]
+        self.invalid = [_invalid_at(report, v)[0] for v in range(n_v)]
         self.inj_len: list = [0] * n_v
         self.inj_ptr: list[tuple[int, int]] = [_NO_WALK] * n_v
         self.inj_method = ["injective-syzygy"] * n_v
@@ -156,7 +154,7 @@ class _VertexTable:
         self.simple_reports: list[DimReport | None] = [None] * n_v
         self.injective_reports: list[DimReport | None] = [None] * n_v
 
-    def _injective(self, v: int, ins: list[int], outs: list[int],
+    def _injective(self, v: int, ins: tuple[int, ...], outs: tuple[int, ...],
                    succ: list[int], pred: list[int], head: list[int]) -> tuple:
         """pd E(v) for v not a source, as (length, pointer).  A candidate's
         pointer is a head arrow (an in-arrow of v, or -1) followed by an
@@ -297,23 +295,20 @@ def self_injective_infinite_by_cycle(pair: AlmostGentlePair) \
     """
     pair.require_valid()
     data = digraph_data(pair)
-    out, scc = data.out, data.scc
-    quiver = pair.quiver
-    idx = quiver.arrow_index
+    out, scc, names = data.out, data.scc, data.names
+    report = pair.report
     # an edge x -> y lies on a cycle iff both ends share a component
     for x, children in enumerate(out):
         for y in children:
             if scc[x] != scc[y]:
                 continue
-            v = quiver.arrows[y].source
-            for alpha in quiver._in[v]:  # type: ignore[attr-defined]
-                i = idx[alpha.name]
-                if i != x and y in out[i]:
-                    return True, (_cycle_through_edge(data, x, y), v, "A", alpha.name)
-            for beta in quiver._out[v]:  # type: ignore[attr-defined]
-                j = idx[beta.name]
-                if j != y and j in children:
-                    return True, (_cycle_through_edge(data, x, y), v, "B", beta.name)
+            v = report.source[y]
+            for alpha in report.ins[v]:
+                if alpha != x and y in out[alpha]:
+                    return True, (_cycle_through_edge(data, x, y), pair.quiver.vertices[v], "A", names[alpha])
+            for beta in report.outs[v]:
+                if beta != y and beta in children:
+                    return True, (_cycle_through_edge(data, x, y), pair.quiver.vertices[v], "B", names[beta])
     return False, None
 
 
@@ -350,9 +345,10 @@ def noninvalid_cycle_vertex(pair: AlmostGentlePair) -> tuple[bool, str | None]:
     the acceptance suite records where it disagrees.
     """
     pair.require_valid()
-    for a, on_cycle in zip(pair.quiver.arrows, digraph_data(pair).cyclic):
-        if on_cycle and not is_invalid_vertex(pair, a.source)[0]:
-            return True, a.source
+    table = _vertex_table(pair)
+    for v, on_cycle in zip(pair.report.source, table.data.cyclic):
+        if on_cycle and not table.invalid[v]:
+            return True, pair.quiver.vertices[v]
     return False, None
 
 
@@ -360,11 +356,10 @@ def pdim_injective_envelope(pair: AlmostGentlePair) -> LengthOrInf:
     """proj.dim of the injective envelope of the regular module."""
     pair.require_valid()
     # the socle of the regular module: the targets of arrows ending a chain, and the sinks
-    inj_len, quiver, succ = _vertex_table(pair).inj_len, pair.quiver, pair.report.succ
-    ends = {a.target for a in quiver.arrows if succ[a.name] is None}
-    ends.update(v for v in quiver.vertices if not quiver._out[v])  # type: ignore[attr-defined]
-    vidx = quiver.vertex_index
-    return _length_value(max((inj_len[vidx[u]] for u in ends), default=0))
+    inj_len, report = _vertex_table(pair).inj_len, pair.report
+    ends = {v for v, b in zip(report.target, report.nonzero_succ) if b < 0}
+    ends.update(v for v, outs in enumerate(report.outs) if not outs)
+    return _length_value(max((inj_len[v] for v in ends), default=0))
 
 
 def gorenstein_report(pair: AlmostGentlePair) -> GorensteinReport:

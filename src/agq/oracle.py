@@ -49,8 +49,10 @@ class Representation(_Record):
 
 
 def _empty_maps(pair: AlmostGentlePair, dims: dict[str, int]) -> dict[str, linalg.Matrix]:
-    return {a.name: [{} for _i in range(dims[a.source])] if dims[a.source] else []
-            for a in pair.quiver.arrows}
+    """A zero map per arrow: one empty row per basis vector at its source."""
+    rows = [dims[v] for v in pair.quiver.vertices]
+    return {name: [{} for _i in range(rows[s])] if rows[s] else []
+            for name, s in zip(pair.report.names, pair.report.source)}
 
 
 class _PathTree(_Frozen):

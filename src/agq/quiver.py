@@ -16,6 +16,7 @@ from operator import attrgetter
 
 TOKEN = r"[A-Za-z0-9_']+"  # a vertex, arrow or algebra name
 TOKEN_RE = re.compile(TOKEN + r"\Z")
+_NAMES_RE = re.compile(rf"{TOKEN}(?: {TOKEN})*\Z")  # names joined by single spaces
 
 _setattr = object.__setattr__  # how a read-only record's __init__ sets its fields
 
@@ -116,23 +117,14 @@ class Quiver(_Frozen):
     def __init__(self, vertices: tuple[str, ...], arrows: tuple[Arrow, ...]) -> None:
         _setattr(self, "vertices", vertices)
         _setattr(self, "arrows", arrows)
-        seen_v: set[str] = set()
-        for v in self.vertices:
-            if not TOKEN_RE.match(v):
-                raise AgqError(f"bad vertex name {v!r}")
-            if v in seen_v:
-                raise AgqError(f"duplicate vertex {v!r}")
-            seen_v.add(v)
-        seen_a: set[str] = set()
-        for a in self.arrows:
-            if not TOKEN_RE.match(a.name):
-                raise AgqError(f"bad arrow name {a.name!r}")
-            if a.name in seen_a:
-                raise AgqError(f"duplicate arrow {a.name!r}")
-            seen_a.add(a.name)
-
-        _setattr(self, "_vidx", {v: i for i, v in enumerate(self.vertices)})
-        _setattr(self, "_aidx", {a.name: i for i, a in enumerate(self.arrows)})
+        vidx = {v: i for i, v in enumerate(vertices)}
+        if not _distinct_names(vidx, len(vertices)):
+            _name_error("vertex", vertices)
+        aidx = {a.name: i for i, a in enumerate(arrows)}
+        if not _distinct_names(aidx, len(arrows)):
+            _name_error("arrow", [a.name for a in arrows])
+        _setattr(self, "_vidx", vidx)
+        _setattr(self, "_aidx", aidx)
         out: dict[str, list[Arrow]] = {v: [] for v in self.vertices}
         inc: dict[str, list[Arrow]] = {v: [] for v in self.vertices}
         for a in self.arrows:
@@ -153,6 +145,27 @@ class Quiver(_Frozen):
         return self._aidx  # type: ignore[attr-defined]
 
 
+def _distinct_names(index: dict[str, int], count: int) -> bool:
+    """Whether the count names that built index are distinct tokens: one
+    match over them joined by spaces, where a name holding a space would
+    add a separator."""
+    if len(index) != count:
+        return False
+    joined = " ".join(index)
+    return not count or (joined.count(" ") == count - 1 and _NAMES_RE.match(joined) is not None)
+
+
+def _name_error(kind: str, names) -> None:
+    """Raise for the first bad or repeated name, in order."""
+    seen: set[str] = set()
+    for name in names:
+        if not TOKEN_RE.match(name):
+            raise AgqError(f"bad {kind} name {name!r}")
+        if name in seen:
+            raise AgqError(f"duplicate {kind} {name!r}")
+        seen.add(name)
+
+
 class Violation(_Frozen):
     kind: str
     location: tuple[str, ...]
@@ -167,30 +180,70 @@ class Violation(_Frozen):
 
 
 class ValidationReport(_Frozen):
-    """Violations and warnings, plus what the validation computes anyway: the
-    nonzero successor and predecessor of every arrow (None where there is
-    none) and its relation successors, the arrows b with ab in the ideal in
-    declaration order.  The three maps are complete only when the report is
-    valid."""
+    """Violations and warnings, plus what the validation computes anyway.
+
+    A report from ``validate_bound_quiver`` on well-formed input keeps the
+    scan's tables, indexed by arrow and vertex declaration index: ``names``
+    (the arrow names), each arrow's ``source`` and ``target`` vertex, its
+    nonzero successor and predecessor ``nonzero_succ``/``nonzero_pred``
+    (-1 where there is none) and its relation successors ``relation_succ``,
+    the arrows b with ab in the ideal, in declaration order; and each
+    vertex's out- and in-arrows, ``outs``/``ins``.  The maps ``succ``,
+    ``pred`` (None where there is none) and ``rel_succ`` say the same by
+    name and are built from the tables when first read; a report built
+    from the maps has no tables.  Tables and maps are complete only when
+    the report is valid."""
 
     valid: bool
     violations: tuple[Violation, ...]
     warnings: tuple[str, ...]
-    succ: Mapping[str, str | None]
-    pred: Mapping[str, str | None]
-    rel_succ: Mapping[str, list[str]]
-    _fields = ("valid", "violations", "warnings")  # the maps are neither shown nor compared
+    names: tuple[str, ...]
+    source: list[int]
+    target: list[int]
+    nonzero_succ: list[int]
+    nonzero_pred: list[int]
+    relation_succ: list[list[int]]
+    outs: tuple[tuple[int, ...], ...]
+    ins: tuple[tuple[int, ...], ...]
+    _succ: Mapping[str, str | None] | None
+    _pred: Mapping[str, str | None] | None
+    _rel_succ: Mapping[str, list[str]] | None
+    _fields = ("valid", "violations", "warnings")  # the maps and tables are neither shown nor compared
     _key = attrgetter(*_fields)
 
     def __init__(self, valid: bool, violations: tuple[Violation, ...], warnings: tuple[str, ...],
-                 succ: Mapping[str, str | None], pred: Mapping[str, str | None],
-                 rel_succ: Mapping[str, list[str]]) -> None:
+                 succ: Mapping[str, str | None] | None, pred: Mapping[str, str | None] | None,
+                 rel_succ: Mapping[str, list[str]] | None) -> None:
         _setattr(self, "valid", valid)
         _setattr(self, "violations", violations)
         _setattr(self, "warnings", warnings)
-        _setattr(self, "succ", succ)
-        _setattr(self, "pred", pred)
-        _setattr(self, "rel_succ", rel_succ)
+        _setattr(self, "_succ", succ)
+        _setattr(self, "_pred", pred)
+        _setattr(self, "_rel_succ", rel_succ)
+
+    @property
+    def succ(self) -> Mapping[str, str | None]:
+        if self._succ is None:
+            _setattr(self, "_succ", self._named(self.nonzero_succ))
+        return self._succ
+
+    @property
+    def pred(self) -> Mapping[str, str | None]:
+        if self._pred is None:
+            _setattr(self, "_pred", self._named(self.nonzero_pred))
+        return self._pred
+
+    @property
+    def rel_succ(self) -> Mapping[str, list[str]]:
+        if self._rel_succ is None:
+            names = self.names
+            _setattr(self, "_rel_succ", {a: [names[j] for j in js]
+                                         for a, js in zip(names, self.relation_succ)})
+        return self._rel_succ
+
+    def _named(self, table: list[int]) -> dict[str, str | None]:
+        names = self.names
+        return dict(zip(names, map((*names, None).__getitem__, table)))  # index -1 reads None
 
 
 def validate_bound_quiver(quiver: Quiver, relations: frozenset[tuple[str, str]]) -> ValidationReport:
@@ -200,117 +253,131 @@ def validate_bound_quiver(quiver: Quiver, relations: frozenset[tuple[str, str]])
     DanglingEndpoint, NonComposableRelation, TooManyNonzeroSuccessors,
     TooManyNonzeroPredecessors, NonzeroCycle.
     """
+    vidx, aidx = quiver.vertex_index, quiver.arrow_index
+    names = tuple(aidx)
+    source = [vidx.get(a.source, -1) for a in quiver.arrows]
+    target = [vidx.get(a.target, -1) for a in quiver.arrows]
+    rel: list[list[int]] = [[] for _ in names]  # each arrow's relation successors
+    composable = -1 not in source and -1 not in target
+    if composable:
+        for a, b in relations:
+            i, j = aidx.get(a, -1), aidx.get(b, -1)
+            if i < 0 or j < 0 or target[i] != source[j]:
+                composable = False
+                break
+            rel[i].append(j)
+    if not composable:
+        return ValidationReport(False, tuple(_malformed(quiver, relations)), (), {}, {}, {})
+    outs: list[list[int]] = [[] for _ in vidx]
+    ins: list[list[int]] = [[] for _ in vidx]
+    for i, v in enumerate(source):
+        outs[v].append(i)
+    for i, v in enumerate(target):
+        ins[v].append(i)
+
+    # Every out-arrow of t(a) is a relation successor of a or a nonzero
+    # successor; the nonzero pairs give the predecessors too.
     violations: list[Violation] = []
-    warnings: list[str] = []
-    vset = quiver.vertex_index
-    out = quiver._out  # type: ignore[attr-defined]
-
-    # One scan of t(a)'s out-arrows per arrow a sorts each b into a nonzero
-    # successor of a or a relation successor of a; the nonzero pairs give the
-    # predecessors too.  Counting the relations met checks that every
-    # relation is composable.
-    succ: dict[str, str | None] = {}
-    pred: dict[str, str | None] = dict.fromkeys(quiver.arrow_index)
-    more_pred: dict[str, list[str]] = {}  # the nonzero predecessors after the first
-    rel_succ: dict[str, list[str]] = {}
-    met = 0
-    malformed: list[Violation] = []  # found here, they end the validation early
-    for a in quiver.arrows:
-        name = a.name
-        if a.source not in vset or a.target not in vset:
-            malformed.append(Violation("DanglingEndpoint", (name,),
-                                       f"arrow {name} has an endpoint outside the vertex set"))
-            continue
-        nonzero: list[str] = []
-        zero: list[str] = []
-        for b in out[a.target]:
-            if (name, b.name) in relations:
-                zero.append(b.name)
-            else:
-                nonzero.append(b.name)
-                if pred[b.name] is None:
-                    pred[b.name] = name
-                else:
-                    more_pred.setdefault(b.name, []).append(name)
-        met += len(zero)
-        rel_succ[name] = zero
-        if len(nonzero) == 1:
-            succ[name] = nonzero[0]
+    succ, pred = [-1] * len(names), [-1] * len(names)
+    more_pred: dict[int, list[int]] = {}  # the nonzero predecessors after the first
+    for i, zero in enumerate(rel):
+        if len(zero) > 1:
+            zero.sort()
+        after = outs[target[i]]
+        if len(after) == len(zero):
+            nonzero: list[int] = []
+        elif zero:
+            nonzero = [j for j in after if j not in zero]
         else:
-            succ[name] = None
-            if nonzero:
-                violations.append(Violation("TooManyNonzeroSuccessors", (name,),
-                                            f"arrow {name} has nonzero successors {', '.join(nonzero)}"))
-
-    if malformed or met != len(relations):
-        arrow_by_name = quiver._by_name  # type: ignore[attr-defined]
-        for a, b in sorted(relations):
-            if a not in arrow_by_name or b not in arrow_by_name:
-                malformed.append(Violation("DanglingEndpoint", (a, b),
-                                           f"relation ({a},{b}) names an unknown arrow"))
-            elif arrow_by_name[a].target != arrow_by_name[b].source:
-                malformed.append(Violation("NonComposableRelation", (a, b),
-                                           f"relation ({a},{b}) is not composable: "
-                                           f"t({a})={arrow_by_name[a].target} != s({b})={arrow_by_name[b].source}"))
-        return ValidationReport(False, tuple(malformed), tuple(warnings), {}, {}, {})
-    for b, rest in more_pred.items():
-        violations.append(Violation("TooManyNonzeroPredecessors", (b,),
-                                    f"arrow {b} has nonzero predecessors {', '.join([pred[b], *rest])}"))
-        pred[b] = None
+            nonzero = after
+        if len(nonzero) == 1:
+            succ[i] = nonzero[0]
+        elif nonzero:
+            violations.append(Violation("TooManyNonzeroSuccessors", (names[i],), f"arrow {names[i]} has "
+                                        f"nonzero successors {', '.join(names[j] for j in nonzero)}"))
+        for j in nonzero:
+            if pred[j] < 0:
+                pred[j] = i
+            else:
+                more_pred.setdefault(j, []).append(i)
+    for j, rest in more_pred.items():
+        violations.append(Violation("TooManyNonzeroPredecessors", (names[j],), f"arrow {names[j]} has "
+                                    f"nonzero predecessors {', '.join(names[i] for i in [pred[j], *rest])}"))
+        pred[j] = -1
 
     # Admissibility: the nonzero-successor functional graph must be acyclic
     # (nonzero extensions are unique, so any arbitrarily long nonzero path
     # closes up into a cycle of this graph).
-    for cycle in successor_cycles(succ):
-        violations.append(Violation("NonzeroCycle", tuple(cycle),
-                                    "nonzero cycle " + " ".join(cycle)))
+    for cycle in successor_cycles({i: j for i, j in enumerate(succ) if j >= 0}):
+        location = tuple(names[i] for i in cycle)
+        violations.append(Violation("NonzeroCycle", location, "nonzero cycle " + " ".join(location)))
 
-    if quiver.vertices and not _connected(quiver):
+    warnings: list[str] = []
+    if outs and not _connected(outs, ins, source, target):
         warnings.append("quiver is disconnected; all computations are componentwise")
 
     violations.sort(key=lambda v: (v.kind, v.location))
-    return ValidationReport(not violations, tuple(violations), tuple(warnings), succ, pred, rel_succ)
+    report = ValidationReport(not violations, tuple(violations), tuple(warnings), None, None, None)
+    for field, table in (("names", names), ("source", source), ("target", target), ("nonzero_succ", succ),
+                         ("nonzero_pred", pred), ("relation_succ", rel),
+                         ("outs", tuple(map(tuple, outs))), ("ins", tuple(map(tuple, ins)))):
+        _setattr(report, field, table)
+    return report
 
 
-def successor_cycles(succ: Mapping[str, str | None]) -> list[list[str]]:
+def _malformed(quiver: Quiver, relations: frozenset[tuple[str, str]]) -> list[Violation]:
+    """The violations that end a validation early: arrows with an endpoint
+    outside the vertex set, then relations naming an unknown arrow or not
+    composable."""
+    vset, arrow_by_name = quiver.vertex_index, quiver._by_name  # type: ignore[attr-defined]
+    found = [Violation("DanglingEndpoint", (a.name,), f"arrow {a.name} has an endpoint outside the vertex set")
+             for a in quiver.arrows if a.source not in vset or a.target not in vset]
+    for a, b in sorted(relations):
+        if a not in arrow_by_name or b not in arrow_by_name:
+            found.append(Violation("DanglingEndpoint", (a, b), f"relation ({a},{b}) names an unknown arrow"))
+        elif arrow_by_name[a].target != arrow_by_name[b].source:
+            found.append(Violation("NonComposableRelation", (a, b),
+                                   f"relation ({a},{b}) is not composable: "
+                                   f"t({a})={arrow_by_name[a].target} != s({b})={arrow_by_name[b].source}"))
+    return found
+
+
+def successor_cycles(succ: Mapping) -> list[list]:
     """The cycles of the partial map a -> succ[a], each listed once.
 
     Walks start from the keys in order, and each cycle starts at the first
     of its nodes that a walk enters.  The cycles of a map are disjoint.
     """
-    cycles: list[list[str]] = []
-    state: dict[str, int] = {}
+    cycles: list[list] = []
+    state: dict = {}
     for start in succ:
         if state.get(start):
             continue
         chain = []
-        cur: str | None = start
+        cur = start
         while cur is not None and state.get(cur, 0) == 0:
             state[cur] = 1
             chain.append(cur)
             cur = succ.get(cur)
         if cur is not None and state[cur] == 1:
             cycles.append(chain[chain.index(cur):])
-        for name in chain:
-            state[name] = 2
+        for node in chain:
+            state[node] = 2
     return cycles
 
 
-def _connected(quiver: Quiver) -> bool:
+def _connected(outs: list[list[int]], ins: list[list[int]], source: list[int], target: list[int]) -> bool:
     """Whether one walk along arrows, either way, reaches every vertex."""
-    first = quiver.vertices[0]
-    seen, todo = {first}, [first]
+    seen = bytearray(len(outs))
+    seen[0] = 1
+    todo = [0]
     while todo:
         v = todo.pop()
-        for a in quiver._out[v]:  # type: ignore[attr-defined]
-            if a.target not in seen:
-                seen.add(a.target)
-                todo.append(a.target)
-        for a in quiver._in[v]:  # type: ignore[attr-defined]
-            if a.source not in seen:
-                seen.add(a.source)
-                todo.append(a.source)
-    return len(seen) == len(quiver.vertices)
+        for w in [target[i] for i in outs[v]] + [source[i] for i in ins[v]]:
+            if not seen[w]:
+                seen[w] = 1
+                todo.append(w)
+    return all(seen)
 
 
 class AlmostGentlePair(_Frozen):
@@ -375,7 +442,8 @@ def nonzero_successor(pair: AlmostGentlePair, a: str) -> str | None:
     """The unique arrow b with t(a)=s(b) and ab not in the ideal, if any."""
     pair.require_valid()
     pair.arrow(a)
-    return pair.report.succ[a]
+    b = pair.report.nonzero_succ[pair.quiver.arrow_index[a]]
+    return pair.report.names[b] if b >= 0 else None
 
 
 def vertex_type(pair: AlmostGentlePair, v: str) -> tuple[int, int]:

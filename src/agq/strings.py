@@ -87,18 +87,18 @@ def _chains(pair: AlmostGentlePair) -> dict[str, tuple[tuple[str, ...], int]]:
     which admissibility keeps finite.
     """
     def compute() -> dict[str, tuple[tuple[str, ...], int]]:
-        succ, pred = pair.report.succ, pair.report.pred
+        names, succ = pair.report.names, pair.report.nonzero_succ
         table: dict[str, tuple[tuple[str, ...], int]] = {}
-        for a in pair.quiver.arrows:
-            if pred[a.name] is None:
+        for i, p in enumerate(pair.report.nonzero_pred):
+            if p < 0:
                 run: list[str] = []
-                x: str | None = a.name
-                while x is not None:
-                    run.append(x)
-                    x = succ[x]
+                j = i
+                while j >= 0:
+                    run.append(names[j])
+                    j = succ[j]
                 chain = tuple(run)
-                for i, y in enumerate(chain):
-                    table[y] = (chain, i)
+                for k, y in enumerate(chain):
+                    table[y] = (chain, k)
         return table
 
     return pair.memo("chains", compute)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from operator import attrgetter
 
-from .quiver import AgqError, AlmostGentlePair, _Frozen, _setattr
+from .quiver import AgqError, AlmostGentlePair, ValidationReport, _Frozen, _setattr
 from .strings import (
     DirectedString,
     _branches,
@@ -167,20 +167,21 @@ def is_gentle_vertex(pair: AlmostGentlePair, v: str) -> bool:
     """
     pair.require_valid()
     pair.require_vertex(v)
-    return _is_gentle_vertex(pair, v)
+    return _gentle_at(pair.report, pair.quiver.vertex_index[v])
 
 
-def _is_gentle_vertex(pair: AlmostGentlePair, v: str) -> bool:
-    ins, outs = pair.quiver._in[v], pair.quiver._out[v]  # type: ignore[attr-defined]
-    if len(ins) > 2 or len(outs) > 2:
+def _gentle_at(report: ValidationReport, v: int) -> bool:
+    """is_gentle_vertex on the validation's tables, at vertex index v."""
+    ins = report.ins[v]
+    if len(ins) > 2 or len(report.outs[v]) > 2:
         return False
     if not ins:
         return True
-    rel_succ = pair.report.rel_succ  # an in-arrow's relation partners, among outs
-    x = rel_succ[ins[0].name]
+    rel_succ = report.relation_succ  # an in-arrow's relation partners, among outs
+    x = rel_succ[ins[0]]
     if len(ins) == 1:
         return len(x) <= 1
-    y = rel_succ[ins[1].name]
+    y = rel_succ[ins[1]]
     # at most one partner each, and no out-arrow partnered with both
     return len(x) <= 1 and len(y) <= 1 and not (x and x == y)
 
@@ -226,9 +227,9 @@ def psi0_descriptor(pair: AlmostGentlePair, v: str) -> Psi0Descriptor:
 
 
 def _psi0_descriptor(pair: AlmostGentlePair, v: str) -> Psi0Descriptor:
-    pred = pair.report.pred
+    pred, idx = pair.report.nonzero_pred, pair.quiver.arrow_index
     claw = _branches(pair, v, True)
-    tails = tuple((tail, pred[tail.arrows[0]] is not None) for tail in claw)
+    tails = tuple((tail, pred[idx[tail.arrows[0]]] >= 0) for tail in claw)
     t = sum(1 for _, f in tails if f)
     return Psi0Descriptor(v, len(pair.quiver._in[v]), len(claw), t, tails)  # type: ignore[attr-defined]
 
@@ -282,28 +283,27 @@ def is_invalid_vertex(pair: AlmostGentlePair, v: str) -> tuple[bool, int | None]
     """
     pair.require_valid()
     pair.require_vertex(v)
-    return _is_invalid_vertex(pair, v)
+    return _invalid_at(pair.report, pair.quiver.vertex_index[v])
 
 
-def _is_invalid_vertex(pair: AlmostGentlePair, v: str) -> tuple[bool, int | None]:
-    quiver = pair.quiver
-    ins, outs = quiver._in[v], quiver._out[v]  # type: ignore[attr-defined]
-    c, d = len(ins), len(outs)
-    if c == 2 and _is_gentle_vertex(pair, v):
+def _invalid_at(report: ValidationReport, v: int) -> tuple[bool, int | None]:
+    """is_invalid_vertex on the validation's tables, at vertex index v."""
+    ins = report.ins[v]
+    c, d = len(ins), len(report.outs[v])
+    if c == 2 and _gentle_at(report, v):
         return True, 1
     if d == 0:
         return True, 2
     if c == 1:
         # the flagged tail, if any, is the chain from the in-arrow's nonzero successor b
-        succ = pair.report.succ
-        b = succ[ins[0].name]
-        if b is None:
+        succ = report.nonzero_succ
+        b = succ[ins[0]]
+        if b < 0:
             return True, 5
-        if succ[b] is None:
-            if not quiver._out[quiver._by_name[b].target]:  # type: ignore[attr-defined]
-                return True, 3
-        elif not pair.report.rel_succ[b]:
-            return True, 4
+        if not report.relation_succ[b]:
+            # every out-arrow of t(b) follows b nonzero, so t(b) is a sink
+            # (3) when b has no nonzero successor, else b continues (4)
+            return True, 3 if succ[b] < 0 else 4
     return False, None
 
 
@@ -388,11 +388,11 @@ def _normalize(pair: AlmostGentlePair, s: Summand) -> Summand:
         return s
     if s.kind == "string":
         src = pair.quiver._by_name[s.arrows[0]].source  # type: ignore[attr-defined]
-        if len(outs[src]) == 1 and pair.report.succ[s.arrows[-1]] is None:
+        if len(outs[src]) == 1 and pair.report.nonzero_succ[pair.quiver.arrow_index[s.arrows[-1]]] < 0:
             return Summand.projective(src)
         return s
     if s.kind == "psi0":
-        if _is_invalid_vertex(pair, s.vertex)[0]:  # type: ignore[arg-type]
+        if _invalid_at(pair.report, pair.quiver.vertex_index[s.vertex])[0]:  # type: ignore[index]
             # t = c = 2 and gentle: the block is the two-branch claw P(apex)
             return Summand.projective(s.vertex)  # type: ignore[arg-type]
         return s

@@ -374,6 +374,8 @@ def test_the_report_builds_one_vertex_table_and_no_per_vertex_entry(monkeypatch)
             pdim_simple(pair, v)
             pdim_injective(pair, v)
             sup_forbidden_from_vertex(pair, v)
+            claw_of(pair, v)
+            anticlaw_of(pair, v)
         for a in pair.quiver.arrows:
             sup_forbidden_from_arrow(pair, a.name)
         for ds in strings_of(pair):
@@ -381,6 +383,45 @@ def test_the_report_builds_one_vertex_table_and_no_per_vertex_entry(monkeypatch)
         # the digraph's sup table, the chain table and the vertex table, once each
         assert sorted(built) == ["chains", "digraph", "vertices"]
         assert sorted(pair._memo) == ["chains", "digraph", "vertices"]
+
+
+def _report_pairs():
+    """fig1, the first seed-301 closed_cyclic instance and the largest acyclic rung."""
+    return [make_pair(FIG1_VERTICES, FIG1_ARROWS, FIG1_RELS), bench_cyclic_pairs(1)[0],
+            bench_acyclic_docs()[-1].pair()]
+
+
+def test_the_report_reads_the_validation_tables_and_no_name_map():
+    for pair in _report_pairs():
+        emit_json(report_json(pair))
+        maps = vars(pair.report)
+        assert [name for name in ("_succ", "_pred", "_rel_succ") if maps.get(name) is not None] == []
+        assert "chains" not in pair._memo
+        # the name maps are built on first read, from the same tables
+        names = pair.report.names
+        assert pair.report.succ == {a: names[b] if b >= 0 else None
+                                    for a, b in zip(names, pair.report.nonzero_succ)}
+        assert digraph_data(pair).out is pair.report.relation_succ
+
+
+# GC-tracked objects that the report op leaves behind on the largest acyclic
+# rung (1,899 arrows), with the pair held, counted after a collection: 6,430
+# while the digraph kept its own relation-successor lists and each vertex
+# its in- and out-arrow lists.
+REPORT_GC_OBJECTS = 4_533
+
+
+def test_the_report_leaves_one_list_per_arrow_to_the_collector():
+    doc = bench_acyclic_docs()[-1]
+    emit_json(report_json(doc.pair()))  # first-call caches, outside the count
+    gc.collect()
+    before = len(gc.get_objects())
+    pair = doc.pair()
+    emit_json(report_json(pair, doc.name))
+    gc.collect()
+    left = len(gc.get_objects()) - before
+    assert len(pair.quiver.arrows) == 1_899
+    assert left < REPORT_GC_OBJECTS * 1.1, left
 
 
 def test_the_report_builds_only_the_two_global_witnesses(monkeypatch):

@@ -9,7 +9,8 @@ from agq.quiver import (
     validate_bound_quiver,
     vertex_type,
 )
-from conftest import make_pair
+from conftest import FIXTURES, bench_acyclic_docs, bench_cyclic_pairs, make_pair
+from agq.agqfile import parse_agq
 from agq.generator import GeneratorParams, random_ag_pair
 from agq.oracle import _path_tree, rep_of
 from agq.strings import DirectedString
@@ -146,6 +147,48 @@ def test_ag_conditions_brute_force_on_corpus():
             assert nonzero_successor(pair, a.name) == (nxt[0] if nxt else None)
             assert pair.report.succ[a.name] == (nxt[0] if nxt else None)
             assert pair.report.pred[a.name] == (prv[0] if prv else None)
+
+
+def _brute_force_tables(pair):
+    """The validation's tables from arrows and relations alone, pair by pair."""
+    vertices, arrows, rels = pair.quiver.vertices, pair.quiver.arrows, pair.relations
+    place = {v: k for k, v in enumerate(vertices)}
+    after = [[j for j, b in enumerate(arrows) if b.source == a.target] for a in arrows]
+    nonzero = [[j for j in js if (a.name, arrows[j].name) not in rels] for a, js in zip(arrows, after)]
+    before = [[i for i, js in enumerate(nonzero) if j in js] for j in range(len(arrows))]
+    return (tuple(a.name for a in arrows),
+            [place[a.source] for a in arrows], [place[a.target] for a in arrows],
+            [js[0] if len(js) == 1 else -1 for js in nonzero],
+            [js[0] if len(js) == 1 else -1 for js in before],
+            [[j for j in js if (a.name, arrows[j].name) in rels] for a, js in zip(arrows, after)],
+            tuple(tuple(i for i, a in enumerate(arrows) if a.source == v) for v in vertices),
+            tuple(tuple(i for i, a in enumerate(arrows) if a.target == v) for v in vertices))
+
+
+def test_validation_tables_match_a_brute_force_count():
+    pairs = [parse_agq(path.read_text(encoding="utf-8")).pair() for path in sorted(FIXTURES.glob("*.agq"))]
+    pairs += [random_ag_pair(GeneratorParams(seed=s))[0] for s in range(1, 201)]
+    pairs += bench_cyclic_pairs(4) + [doc.pair() for doc in bench_acyclic_docs()[:3]]
+    for pair in pairs:
+        r = pair.report
+        assert (r.names, r.source, r.target, r.nonzero_succ, r.nonzero_pred,
+                r.relation_succ, r.outs, r.ins) == _brute_force_tables(pair)
+    assert sum(not pair.validated for pair in pairs) == 1  # loop_norel, which is well formed
+
+
+@pytest.mark.parametrize("vertices, arrows, message", [
+    (("1", "a b"), (), "bad vertex name 'a b'"),
+    (("1", ""), (), "bad vertex name ''"),
+    (("1", "2", "1", "x-y"), (), "duplicate vertex '1'"),
+    (("1", "x-y", "1"), (), "bad vertex name 'x-y'"),
+    (("1",), (("a", "1", "1"), ("b c", "1", "1")), "bad arrow name 'b c'"),
+    (("1",), (("a", "1", "1"), ("a", "1", "1"), ("", "1", "1")), "duplicate arrow 'a'"),
+    (("1 2",), (("a", "1", "1"), ("a", "1", "1")), "bad vertex name '1 2'"),
+])
+def test_quiver_names_the_first_bad_or_repeated_name(vertices, arrows, message):
+    from agq.quiver import AgqError
+    with pytest.raises(AgqError, match=f"^{message}$"):
+        Quiver(vertices, tuple(Arrow(*a) for a in arrows))
 
 
 def test_crossing_bounded_by_degree_on_corpus():
