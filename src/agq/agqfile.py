@@ -18,11 +18,10 @@ from __future__ import annotations
 import re
 from operator import attrgetter
 
-from .quiver import TOKEN, TOKEN_RE, AgqError, AlmostGentlePair, Arrow, Quiver, _Record
+from .quiver import TOKEN, TOKEN_RE, AgqError, AlmostGentlePair, Arrow, Quiver, _NAMES_RE, _Record
 
 # a whole arrow line without its comment, so group k starts at column start(k) + 1
 _ARROW_RE = re.compile(rf"\s*arrow\s+({TOKEN})\s*:\s*({TOKEN})\s*->\s*({TOKEN})\s*\Z")
-_VERTEX_RE = re.compile(rf"\s*vertex(?:\s+{TOKEN})+\s*\Z")  # a vertex line of names only
 
 
 class ParseError(AgqError):
@@ -95,7 +94,7 @@ def parse_agq(text: str) -> AgqDocument:
         elif head == "vertex":
             if len(words) == 1:
                 raise ParseError(lineno, 7, "vertex line needs at least one name")
-            named = _VERTEX_RE.match(line) is not None  # else some word is not a name
+            named = _NAMES_RE.match(" ".join(words[1:])) is not None  # else some word is not a name
             for k in range(1, len(words)):
                 name = words[k]
                 if not named and not TOKEN_RE.match(name):

@@ -373,10 +373,14 @@ def _connected(outs: list[list[int]], ins: list[list[int]], source: list[int], t
     todo = [0]
     while todo:
         v = todo.pop()
-        for w in [target[i] for i in outs[v]] + [source[i] for i in ins[v]]:
-            if not seen[w]:
-                seen[w] = 1
-                todo.append(w)
+        for i in outs[v]:
+            if not seen[target[i]]:
+                seen[target[i]] = 1
+                todo.append(target[i])
+        for i in ins[v]:
+            if not seen[source[i]]:
+                seen[source[i]] = 1
+                todo.append(source[i])
     return all(seen)
 
 
