@@ -46,6 +46,8 @@ def random_ag_pair(params: GeneratorParams) -> tuple[AlmostGentlePair, str]:
     vertices = tuple(f"v{i}" for i in range(1, n_v + 1))
     n_a = rng.randint(0, params.max_arrows)
     arrows = []
+    ins: dict[str, list[str]] = {v: [] for v in vertices}  # each vertex's arrow names, declaration order
+    outs: dict[str, list[str]] = {v: [] for v in vertices}
     for k in range(1, n_a + 1):
         src = rng.choice(vertices)
         tgt = rng.choice(vertices)
@@ -54,17 +56,18 @@ def random_ag_pair(params: GeneratorParams) -> tuple[AlmostGentlePair, str]:
                 tgt = rng.choice(vertices)
         if not params.loop_allowed and n_v == 1:
             continue
-        arrows.append(Arrow(f"a{k}", src, tgt))
+        name = f"a{k}"
+        arrows.append(Arrow(name, src, tgt))
+        outs[src].append(name)
+        ins[tgt].append(name)
     quiver = Quiver(vertices, tuple(arrows))
 
     # per-vertex partial matching of in-arrows to out-arrows = nonzero pairs
     successor: dict[str, str] = {}
     for v in vertices:
-        ins = [a.name for a in quiver._in[v]]  # type: ignore[attr-defined]
-        outs = [b.name for b in quiver._out[v]]  # type: ignore[attr-defined]
-        rng.shuffle(ins)
-        rng.shuffle(outs)
-        for a, b in zip(ins, outs):
+        rng.shuffle(ins[v])
+        rng.shuffle(outs[v])
+        for a, b in zip(ins[v], outs[v]):
             if rng.random() >= params.relation_density:
                 successor[a] = b
 
@@ -73,9 +76,7 @@ def random_ag_pair(params: GeneratorParams) -> tuple[AlmostGentlePair, str]:
         del successor[min(cycle)]
 
     relations = frozenset(
-        (a.name, b.name)
-        for a in arrows for b in quiver._out[a.target]  # type: ignore[attr-defined]
-        if successor.get(a.name) != b.name)
+        (a.name, b) for a in arrows for b in outs[a.target] if successor.get(a.name) != b)
     pair = AlmostGentlePair.build(quiver, relations)
     if not pair.validated:  # pragma: no cover - construction guarantees validity
         raise AssertionError(f"generator produced an invalid pair: {pair.report.violations}")

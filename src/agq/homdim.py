@@ -24,7 +24,7 @@ from .forbidden import (
     delta_forbidden_sup,
     digraph_data,
 )
-from .quiver import AlmostGentlePair, _Frozen, _setattr
+from .quiver import AlmostGentlePair, _Frozen
 from .strings import DirectedString
 from .syzygy import _gentle_at, _invalid_at
 
@@ -101,15 +101,6 @@ class GorensteinReport(_Frozen):
     auslander_note: str
     _fields = ("gldim", "injdim", "gorenstein", "cycle_criterion", "envelope_pdim", "auslander_note")
     _key = attrgetter(*_fields)
-
-    def __init__(self, gldim: DimReport, injdim: DimReport, gorenstein: bool, cycle_criterion: bool,
-                 envelope_pdim: LengthOrInf, auslander_note: str) -> None:
-        _setattr(self, "gldim", gldim)
-        _setattr(self, "injdim", injdim)
-        _setattr(self, "gorenstein", gorenstein)
-        _setattr(self, "cycle_criterion", cycle_criterion)
-        _setattr(self, "envelope_pdim", envelope_pdim)
-        _setattr(self, "auslander_note", auslander_note)
 
 
 class _VertexTable:

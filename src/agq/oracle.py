@@ -20,7 +20,7 @@ from operator import attrgetter
 
 from . import linalg
 from .forbidden import LengthOrInf
-from .quiver import AlmostGentlePair, _Frozen, _Record, _setattr
+from .quiver import AlmostGentlePair, _Frozen, _Record
 from .strings import DirectedString, _check_string, string_source
 
 
@@ -36,10 +36,6 @@ class Representation(_Record):
     maps: dict[str, linalg.Matrix]
     _fields = ("dims", "maps")
     _key = attrgetter(*_fields)
-
-    def __init__(self, dims: dict[str, int], maps: dict[str, linalg.Matrix]) -> None:
-        self.dims = dims
-        self.maps = maps
 
     def total_dim(self) -> int:
         return sum(self.dims.values())
@@ -73,39 +69,32 @@ class _PathTree(_Frozen):
     _fields = ("paths", "ends", "up", "local", "dims", "ext")
     _key = attrgetter(*_fields)
 
-    def __init__(self, paths: list[tuple[str, ...]], ends: list[str], up: list[int], local: list[int],
-                 dims: dict[str, int], ext: dict[tuple[int, str], int]) -> None:
-        _setattr(self, "paths", paths)
-        _setattr(self, "ends", ends)
-        _setattr(self, "up", up)
-        _setattr(self, "local", local)
-        _setattr(self, "dims", dims)
-        _setattr(self, "ext", ext)
-
 
 def _path_tree(pair: AlmostGentlePair, v: str, forward: bool = True) -> _PathTree:
     """Paths out of v (forward) or into v, enumerated once per pair."""
-    def grow(p: tuple[str, ...]) -> list[tuple[str, ...]]:
-        if forward:
-            arrows = pair.quiver._out[pair.arrow(p[-1]).target if p else v]  # type: ignore[attr-defined]
-            return [p + (b.name,) for b in arrows if not p or (p[-1], b.name) not in pair.relations]
-        arrows = pair.quiver._in[pair.arrow(p[0]).source if p else v]  # type: ignore[attr-defined]
-        return [(b.name,) + p for b in arrows if not p or (b.name, p[0]) not in pair.relations]
-
     def compute() -> _PathTree:
+        report, idx, vertices = pair.report, pair.quiver.arrow_index, pair.quiver.vertices
+        names, far = report.names, report.target if forward else report.source  # each arrow's far end
+
+        def grow(p: tuple[str, ...]) -> list[tuple[str, ...]]:
+            if forward:
+                arrows = report.outs[far[idx[p[-1]]] if p else pair.quiver.vertex_index[v]]
+                return [p + (names[b],) for b in arrows if not p or (p[-1], names[b]) not in pair.relations]
+            arrows = report.ins[far[idx[p[0]]] if p else pair.quiver.vertex_index[v]]
+            return [(names[b],) + p for b in arrows if not p or (names[b], p[0]) not in pair.relations]
+
         paths: list[tuple[str, ...]] = []
         frontier: list[tuple[str, ...]] = [()]
         while frontier:
             paths.extend(frontier)
             frontier = [q for p in frontier for q in grow(p)]
-        idx = pair.quiver.arrow_index
         paths.sort(key=lambda p: (len(p), tuple(idx[a] for a in p)))
         pos = {p: k for k, p in enumerate(paths)}
-        tree = _PathTree(paths, [v], [-1], [0], dict.fromkeys(pair.quiver.vertices, 0), {})
+        tree = _PathTree(paths, [v], [-1], [0], dict.fromkeys(vertices, 0), {})
         tree.dims[v] = 1
         for k, p in enumerate(paths[1:], start=1):
             a, shorter = (p[-1], p[:-1]) if forward else (p[0], p[1:])
-            end = pair.arrow(a).target if forward else pair.arrow(a).source
+            end = vertices[far[idx[a]]]
             tree.ends.append(end)
             tree.up.append(pos[shorter])
             tree.local.append(tree.dims[end])
@@ -194,12 +183,6 @@ class CoverKernel(_Record):
     _fields = ("cover", "cover_dims", "kernel")
     _key = attrgetter(*_fields)
 
-    def __init__(self, cover: tuple[tuple[str, int], ...], cover_dims: dict[str, int],
-                 kernel: Representation) -> None:
-        self.cover = cover
-        self.cover_dims = cover_dims
-        self.kernel = kernel
-
 
 class RepMorphism(_Record):
     """Per-vertex matrix blocks of a map of representations (row convention)."""
@@ -207,9 +190,6 @@ class RepMorphism(_Record):
     blocks: dict[str, linalg.Matrix]  # blocks[v]: src.dims[v] x dst.dims[v]
     _fields = ("blocks",)
     _key = attrgetter("blocks")
-
-    def __init__(self, blocks: dict[str, linalg.Matrix]) -> None:
-        self.blocks = blocks
 
     def commutes(self, pair: AlmostGentlePair, src: Representation,
                  dst: Representation) -> bool:
@@ -221,10 +201,11 @@ class RepMorphism(_Record):
 def _cover_data(pair: AlmostGentlePair, rep: Representation):
     """Generators, cover slots, and per-vertex image rows of the cover map."""
     gens: list[tuple[str, int]] = []  # (vertex, coordinate)
-    for v in pair.quiver.vertices:
+    names = pair.report.names
+    for v, ins in zip(pair.quiver.vertices, pair.report.ins):
         if rep.dims[v] == 0:
             continue
-        rows = [row for a in pair.quiver._in[v] for row in rep.maps[a.name]]  # type: ignore[attr-defined]
+        rows = [row for a in ins for row in rep.maps[names[a]]]
         pivot_set = set(linalg.rref(rows)[1]) if any(rows) else set()
         gens.extend((v, j) for j in range(rep.dims[v]) if j not in pivot_set)
 
@@ -280,8 +261,9 @@ def projective_cover_kernel(pair: AlmostGentlePair, rep: Representation) -> Cove
     kmaps = _empty_maps(pair, kdims)
     trees = [_path_tree(pair, v) for v, _j in gens]
     slot_index = {w: {sl: i for i, sl in enumerate(slot_list[w])} for w in null_basis}
+    arrows, outs, vidx = pair.quiver.arrows, pair.report.outs, pair.quiver.vertex_index
     for w, basis in null_basis.items():
-        for a in pair.out_arrows(w):
+        for a in map(arrows.__getitem__, outs[vidx[w]]):
             if a.target not in null_basis:
                 continue
             index, rows = slot_index[a.target], kmaps[a.name]
@@ -315,10 +297,6 @@ class PdimResult(_Frozen):
     value: int
     _fields = ("finite", "value")
     _key = attrgetter(*_fields)
-
-    def __init__(self, finite: bool, value: int) -> None:
-        _setattr(self, "finite", finite)
-        _setattr(self, "value", value)
 
     def __str__(self) -> str:
         return str(self.value) if self.finite else f">={self.value}"
@@ -394,7 +372,8 @@ def _component_key(pair: AlmostGentlePair, rep: Representation):
     offset, n = _slot_offsets(pair, rep)
     if n == 1:  # a simple, unless a loop acts by a nonzero scalar
         v = next(w for w, d in rep.dims.items() if d)
-        if any(row for a in pair.quiver._out[v] for row in rep.maps[a.name]):  # type: ignore[attr-defined]
+        names = pair.report.names
+        if any(row for a in pair.report.outs[pair.quiver.vertex_index[v]] for row in rep.maps[names[a]]):
             return None
         return ((v,), ())
     label = [v for v in pair.quiver.vertices for _i in range(rep.dims[v])]
@@ -521,22 +500,12 @@ class Mismatch(_Frozen):
     _fields = ("vertex", "quantity", "formula", "oracle")
     _key = attrgetter(*_fields)
 
-    def __init__(self, vertex: str | None, quantity: str, formula: str, oracle: str) -> None:
-        _setattr(self, "vertex", vertex)
-        _setattr(self, "quantity", quantity)
-        _setattr(self, "formula", formula)
-        _setattr(self, "oracle", oracle)
-
 
 class AgreementReport(_Frozen):
     mismatches: tuple[Mismatch, ...]
     checked: int
     _fields = ("mismatches", "checked")
     _key = attrgetter(*_fields)
-
-    def __init__(self, mismatches: tuple[Mismatch, ...], checked: int) -> None:
-        _setattr(self, "mismatches", mismatches)
-        _setattr(self, "checked", checked)
 
     @property
     def ok(self) -> bool:

@@ -11,7 +11,7 @@ algebra.
 from __future__ import annotations
 
 import re
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Mapping, Sequence
 from operator import attrgetter
 
 TOKEN = r"[A-Za-z0-9_']+"  # a vertex, arrow or algebra name
@@ -22,21 +22,30 @@ _setattr = object.__setattr__  # how a read-only record's __init__ sets its fiel
 
 
 class _Record:
-    """A plain record: equality and repr read off its fields.
+    """A plain record: constructor, equality and repr read off its fields.
 
     ``_fields`` names the fields shown by the repr, ``Name(field=value,
-    ...)``, in constructor order; ``_key`` reads the compared ones.  Two
-    records are equal when they are of the same class and their keys are
-    equal.  With an ``__eq__`` and no ``__hash__`` a record is unhashable,
-    as a mutable one should be.  The records compared and hashed most
-    (``Arrow``, ``DirectedString``, ``LengthOrInf``, ``ForbiddenWalk``,
-    ``Summand``) write out their own ``__eq__`` and ``__hash__``, which run
-    faster than a read through ``_key``.
+    ...)``, in constructor order; ``_key`` reads the compared ones.  The
+    constructor takes one value per field, in that order (TypeError on a
+    wrong count); hot records and those with defaults, checks or hidden
+    fields write out their own.  Two records are equal when they are of
+    the same class and their keys are equal.  With an ``__eq__`` and no
+    ``__hash__`` a record is unhashable, as a mutable one should be.  The
+    records compared and hashed most (``Arrow``, ``DirectedString``,
+    ``LengthOrInf``, ``ForbiddenWalk``, ``Summand``) write out their own
+    ``__eq__`` and ``__hash__``, which run faster than a read through
+    ``_key``.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...]
     _key: Callable[[object], object]
+
+    def __init__(self, *values: object) -> None:
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__qualname__} takes {len(self._fields)} field values, got {len(values)}")
+        for name, value in zip(self._fields, values):
+            _setattr(self, name, value)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -111,6 +120,8 @@ class Quiver(_Frozen):
 
     vertices: tuple[str, ...]
     arrows: tuple[Arrow, ...]
+    _vidx: dict[str, int]  # name -> declaration index
+    _aidx: dict[str, int]
     _fields = ("vertices", "arrows")
     _key = attrgetter(*_fields)
 
@@ -125,24 +136,14 @@ class Quiver(_Frozen):
             _name_error("arrow", [a.name for a in arrows])
         _setattr(self, "_vidx", vidx)
         _setattr(self, "_aidx", aidx)
-        out: dict[str, list[Arrow]] = {v: [] for v in self.vertices}
-        inc: dict[str, list[Arrow]] = {v: [] for v in self.vertices}
-        for a in self.arrows:
-            if a.source in out:
-                out[a.source].append(a)
-            if a.target in inc:
-                inc[a.target].append(a)
-        _setattr(self, "_out", {v: tuple(arrows) for v, arrows in out.items()})
-        _setattr(self, "_in", {v: tuple(arrows) for v, arrows in inc.items()})
-        _setattr(self, "_by_name", {a.name: a for a in self.arrows})
 
     @property
     def vertex_index(self) -> dict[str, int]:
-        return self._vidx  # type: ignore[attr-defined]
+        return self._vidx
 
     @property
     def arrow_index(self) -> dict[str, int]:
-        return self._aidx  # type: ignore[attr-defined]
+        return self._aidx
 
 
 def _distinct_names(index: dict[str, int], count: int) -> bool:
@@ -173,26 +174,21 @@ class Violation(_Frozen):
     _fields = ("kind", "location", "message")
     _key = attrgetter(*_fields)
 
-    def __init__(self, kind: str, location: tuple[str, ...], message: str) -> None:
-        _setattr(self, "kind", kind)
-        _setattr(self, "location", location)
-        _setattr(self, "message", message)
-
 
 class ValidationReport(_Frozen):
     """Violations and warnings, plus what the validation computes anyway.
 
-    A report from ``validate_bound_quiver`` on well-formed input keeps the
-    scan's tables, indexed by arrow and vertex declaration index: ``names``
-    (the arrow names), each arrow's ``source`` and ``target`` vertex, its
-    nonzero successor and predecessor ``nonzero_succ``/``nonzero_pred``
-    (-1 where there is none) and its relation successors ``relation_succ``,
-    the arrows b with ab in the ideal, in declaration order; and each
-    vertex's out- and in-arrows, ``outs``/``ins``.  The maps ``succ``,
-    ``pred`` (None where there is none) and ``rel_succ`` say the same by
-    name and are built from the tables when first read; a report built
-    from the maps has no tables.  Tables and maps are complete only when
-    the report is valid."""
+    Every report from ``validate_bound_quiver`` keeps the adjacency tables,
+    by arrow and vertex declaration index: ``names`` (the arrow names), each
+    arrow's ``source`` and ``target`` vertex (-1 outside the vertex set) and
+    each vertex's out- and in-arrows ``outs``/``ins``, in declaration order.
+    On composable input it also keeps each arrow's nonzero successor and
+    predecessor ``nonzero_succ``/``nonzero_pred`` (-1 where there is none)
+    and its relation successors ``relation_succ``, the arrows b with ab in
+    the ideal, in declaration order; these are complete only when the
+    report is valid.  The maps ``succ``, ``pred`` (None where there is
+    none) and ``rel_succ`` say the same by name, built from the tables when
+    first read.  A report built by hand from the maps alone has no tables."""
 
     valid: bool
     violations: tuple[Violation, ...]
@@ -213,13 +209,15 @@ class ValidationReport(_Frozen):
 
     def __init__(self, valid: bool, violations: tuple[Violation, ...], warnings: tuple[str, ...],
                  succ: Mapping[str, str | None] | None, pred: Mapping[str, str | None] | None,
-                 rel_succ: Mapping[str, list[str]] | None) -> None:
+                 rel_succ: Mapping[str, list[str]] | None, **tables: object) -> None:
         _setattr(self, "valid", valid)
         _setattr(self, "violations", violations)
         _setattr(self, "warnings", warnings)
         _setattr(self, "_succ", succ)
         _setattr(self, "_pred", pred)
         _setattr(self, "_rel_succ", rel_succ)
+        for field, table in tables.items():
+            _setattr(self, field, table)
 
     @property
     def succ(self) -> Mapping[str, str | None]:
@@ -257,6 +255,8 @@ def validate_bound_quiver(quiver: Quiver, relations: frozenset[tuple[str, str]])
     names = tuple(aidx)
     source = [vidx.get(a.source, -1) for a in quiver.arrows]
     target = [vidx.get(a.target, -1) for a in quiver.arrows]
+    outs, ins = _arrows_at(len(vidx), source), _arrows_at(len(vidx), target)
+    tables: dict[str, object] = {"names": names, "source": source, "target": target, "outs": outs, "ins": ins}
     rel: list[list[int]] = [[] for _ in names]  # each arrow's relation successors
     composable = -1 not in source and -1 not in target
     if composable:
@@ -267,13 +267,7 @@ def validate_bound_quiver(quiver: Quiver, relations: frozenset[tuple[str, str]])
                 break
             rel[i].append(j)
     if not composable:
-        return ValidationReport(False, tuple(_malformed(quiver, relations)), (), {}, {}, {})
-    outs: list[list[int]] = [[] for _ in vidx]
-    ins: list[list[int]] = [[] for _ in vidx]
-    for i, v in enumerate(source):
-        outs[v].append(i)
-    for i, v in enumerate(target):
-        ins[v].append(i)
+        return ValidationReport(False, tuple(_malformed(quiver, relations)), (), {}, {}, {}, **tables)
 
     # Every out-arrow of t(a) is a relation successor of a or a nonzero
     # successor; the nonzero pairs give the predecessors too.
@@ -285,7 +279,7 @@ def validate_bound_quiver(quiver: Quiver, relations: frozenset[tuple[str, str]])
             zero.sort()
         after = outs[target[i]]
         if len(after) == len(zero):
-            nonzero: list[int] = []
+            nonzero: Sequence[int] = ()
         elif zero:
             nonzero = [j for j in after if j not in zero]
         else:
@@ -317,28 +311,34 @@ def validate_bound_quiver(quiver: Quiver, relations: frozenset[tuple[str, str]])
         warnings.append("quiver is disconnected; all computations are componentwise")
 
     violations.sort(key=lambda v: (v.kind, v.location))
-    report = ValidationReport(not violations, tuple(violations), tuple(warnings), None, None, None)
-    for field, table in (("names", names), ("source", source), ("target", target), ("nonzero_succ", succ),
-                         ("nonzero_pred", pred), ("relation_succ", rel),
-                         ("outs", tuple(map(tuple, outs))), ("ins", tuple(map(tuple, ins)))):
-        _setattr(report, field, table)
-    return report
+    return ValidationReport(not violations, tuple(violations), tuple(warnings), None, None, None, **tables,
+                            nonzero_succ=succ, nonzero_pred=pred, relation_succ=rel)
+
+
+def _arrows_at(count: int, ends: list[int]) -> tuple[tuple[int, ...], ...]:
+    """Per vertex index below count, the arrows i with ends[i] that vertex,
+    in declaration order; an end of -1 (outside the vertex set) is skipped."""
+    found: list[list[int]] = [[] for _ in range(count)]
+    for i, v in enumerate(ends):
+        if v >= 0:
+            found[v].append(i)
+    return tuple(map(tuple, found))
 
 
 def _malformed(quiver: Quiver, relations: frozenset[tuple[str, str]]) -> list[Violation]:
     """The violations that end a validation early: arrows with an endpoint
     outside the vertex set, then relations naming an unknown arrow or not
     composable."""
-    vset, arrow_by_name = quiver.vertex_index, quiver._by_name  # type: ignore[attr-defined]
+    vset, aidx, arrows = quiver.vertex_index, quiver.arrow_index, quiver.arrows
     found = [Violation("DanglingEndpoint", (a.name,), f"arrow {a.name} has an endpoint outside the vertex set")
-             for a in quiver.arrows if a.source not in vset or a.target not in vset]
+             for a in arrows if a.source not in vset or a.target not in vset]
     for a, b in sorted(relations):
-        if a not in arrow_by_name or b not in arrow_by_name:
+        if a not in aidx or b not in aidx:
             found.append(Violation("DanglingEndpoint", (a, b), f"relation ({a},{b}) names an unknown arrow"))
-        elif arrow_by_name[a].target != arrow_by_name[b].source:
+        elif arrows[aidx[a]].target != arrows[aidx[b]].source:
             found.append(Violation("NonComposableRelation", (a, b),
                                    f"relation ({a},{b}) is not composable: "
-                                   f"t({a})={arrow_by_name[a].target} != s({b})={arrow_by_name[b].source}"))
+                                   f"t({a})={arrows[aidx[a]].target} != s({b})={arrows[aidx[b]].source}"))
     return found
 
 
@@ -366,7 +366,7 @@ def successor_cycles(succ: Mapping) -> list[list]:
     return cycles
 
 
-def _connected(outs: list[list[int]], ins: list[list[int]], source: list[int], target: list[int]) -> bool:
+def _connected(outs: Sequence, ins: Sequence, source: list[int], target: list[int]) -> bool:
     """Whether one walk along arrows, either way, reaches every vertex."""
     seen = bytearray(len(outs))
     seen[0] = 1
@@ -390,6 +390,7 @@ class AlmostGentlePair(_Frozen):
     quiver: Quiver
     relations: frozenset[tuple[str, str]]
     report: ValidationReport
+    _memo: dict
     _fields = ("quiver", "relations", "report")
     _key = attrgetter("quiver", "relations")  # the report follows from them
 
@@ -415,7 +416,7 @@ class AlmostGentlePair(_Frozen):
 
     def memo(self, key, compute):
         """Per-pair cache for derived combinatorial structure."""
-        cache = self._memo  # type: ignore[attr-defined]
+        cache = self._memo
         if key not in cache:
             cache[key] = compute()
         return cache[key]
@@ -424,7 +425,7 @@ class AlmostGentlePair(_Frozen):
 
     def arrow(self, name: str) -> Arrow:
         try:
-            return self.quiver._by_name[name]  # type: ignore[attr-defined]
+            return self.quiver.arrows[self.quiver.arrow_index[name]]
         except KeyError:
             raise UnknownArrowError(f"unknown arrow {name!r}") from None
 
@@ -435,11 +436,11 @@ class AlmostGentlePair(_Frozen):
 
     def out_arrows(self, v: str) -> tuple[Arrow, ...]:
         self.require_vertex(v)
-        return self.quiver._out[v]  # type: ignore[attr-defined]
+        return tuple(map(self.quiver.arrows.__getitem__, self.report.outs[self.quiver.vertex_index[v]]))
 
     def in_arrows(self, v: str) -> tuple[Arrow, ...]:
         self.require_vertex(v)
-        return self.quiver._in[v]  # type: ignore[attr-defined]
+        return tuple(map(self.quiver.arrows.__getitem__, self.report.ins[self.quiver.vertex_index[v]]))
 
 
 def nonzero_successor(pair: AlmostGentlePair, a: str) -> str | None:
@@ -452,7 +453,8 @@ def nonzero_successor(pair: AlmostGentlePair, a: str) -> str | None:
 
 def vertex_type(pair: AlmostGentlePair, v: str) -> tuple[int, int]:
     """(in-degree, out-degree) of v."""
-    return len(pair.in_arrows(v)), len(pair.out_arrows(v))
+    i = pair.quiver.vertex_index[pair.require_vertex(v)]
+    return len(pair.report.ins[i]), len(pair.report.outs[i])
 
 
 def opposite(pair: AlmostGentlePair) -> AlmostGentlePair:

@@ -143,12 +143,12 @@ def anticlaw_of(pair: AlmostGentlePair, v: str) -> tuple[DirectedString, ...]:
 def _branches(pair: AlmostGentlePair, v: str, right: bool) -> tuple[DirectedString, ...]:
     """The claw (right) or anti-claw of a vertex of a valid pair, unchecked:
     each out-arrow's chain from it on, or each in-arrow's chain up to it."""
-    chains = _chains(pair)
+    chains, names, w = _chains(pair), pair.report.names, pair.quiver.vertex_index[v]
     if right:
         return tuple(DirectedString(chain[i:]) for chain, i in
-                     (chains[a.name] for a in pair.quiver._out[v]))  # type: ignore[attr-defined]
+                     (chains[names[a]] for a in pair.report.outs[w]))
     return tuple(DirectedString(chain[:i + 1]) for chain, i in
-                 (chains[a.name] for a in pair.quiver._in[v]))  # type: ignore[attr-defined]
+                 (chains[names[a]] for a in pair.report.ins[w]))
 
 
 def module_dims(pair: AlmostGentlePair, kind: str, arg) -> dict[str, int]:
@@ -159,18 +159,18 @@ def module_dims(pair: AlmostGentlePair, kind: str, arg) -> dict[str, int]:
     whose wraparound composition is a relation (the arrows never repeat).
     """
     pair.require_valid()
-    by_name = pair.quiver._by_name  # type: ignore[attr-defined]
+    arrows, aidx = pair.quiver.arrows, pair.quiver.arrow_index
     if kind == "simple":
         basis = [pair.require_vertex(arg)]
     elif kind == "string":
         basis = [string_source(pair, _check_string(pair, arg))]
-        basis += [by_name[a].target for a in arg.arrows]
+        basis += [arrows[aidx[a]].target for a in arg.arrows]
     elif kind == "projective":
         basis = [pair.require_vertex(arg)]
-        basis += [by_name[a].target for br in _branches(pair, arg, True) for a in br.arrows]
+        basis += [arrows[aidx[a]].target for br in _branches(pair, arg, True) for a in br.arrows]
     elif kind == "injective":
         basis = [pair.require_vertex(arg)]
-        basis += [by_name[a].source for br in _branches(pair, arg, False) for a in br.arrows]
+        basis += [arrows[aidx[a]].source for br in _branches(pair, arg, False) for a in br.arrows]
     else:
         raise ValueError(f"unknown module kind {kind!r}")
     dims: dict[str, int] = {}
@@ -186,14 +186,12 @@ def socle_supports(pair: AlmostGentlePair) -> list[str]:
     This indexes the injective envelope of the algebra.
     """
     pair.require_valid()
-    by_name = pair.quiver._by_name  # type: ignore[attr-defined]
-    outs = pair.quiver._out  # type: ignore[attr-defined]
-    chains = _chains(pair)
+    arrows, aidx, names, chains = pair.quiver.arrows, pair.quiver.arrow_index, pair.report.names, _chains(pair)
     supports: list[str] = []
-    for v in pair.quiver.vertices:
-        if not outs[v]:
+    for v, outs in zip(pair.quiver.vertices, pair.report.outs):
+        if not outs:
             supports.append(v)
         else:
-            supports.extend(by_name[chains[b.name][0][-1]].target for b in outs[v])
+            supports.extend(arrows[aidx[chains[names[b]][0][-1]]].target for b in outs)
     return supports
 

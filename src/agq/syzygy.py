@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from operator import attrgetter
 
-from .quiver import AgqError, AlmostGentlePair, ValidationReport, _Frozen, _setattr
+from .quiver import AgqError, AlmostGentlePair, ValidationReport, _Frozen, _setattr, vertex_type
 from .strings import (
     DirectedString,
     _branches,
@@ -26,7 +26,6 @@ from .strings import (
     module_dims,
     string_source,
 )
-from .quiver import vertex_type
 
 
 class NotInjectiveCaseError(AgqError):
@@ -104,9 +103,6 @@ class SyzygyDecomposition(_Frozen):
     items: tuple[tuple[Summand, int], ...]
     _fields = ("items",)
     _key = attrgetter("items")
-
-    def __init__(self, items: tuple[tuple[Summand, int], ...]) -> None:
-        _setattr(self, "items", items)
 
     def __hash__(self) -> int:
         return hash((self.items,))  # the tuple of fields, as every other record hashes
@@ -231,7 +227,7 @@ def _psi0_descriptor(pair: AlmostGentlePair, v: str) -> Psi0Descriptor:
     claw = _branches(pair, v, True)
     tails = tuple((tail, pred[idx[tail.arrows[0]]] >= 0) for tail in claw)
     t = sum(1 for _, f in tails if f)
-    return Psi0Descriptor(v, len(pair.quiver._in[v]), len(claw), t, tails)  # type: ignore[attr-defined]
+    return Psi0Descriptor(v, len(pair.report.ins[pair.quiver.vertex_index[v]]), len(claw), t, tails)
 
 
 def psi0_dim_vector(pair: AlmostGentlePair, v: str) -> dict[str, int]:
@@ -358,20 +354,12 @@ class ResolutionLevel(_Frozen):
     _fields = ("cover", "syzygy")
     _key = attrgetter(*_fields)
 
-    def __init__(self, cover: tuple[tuple[str, int], ...], syzygy: SyzygyDecomposition) -> None:
-        _setattr(self, "cover", cover)
-        _setattr(self, "syzygy", syzygy)
-
 
 class Resolution(_Frozen):
     levels: tuple[ResolutionLevel, ...]
     terminated: str  # "projective" | "cutoff"
     _fields = ("levels", "terminated")
     _key = attrgetter(*_fields)
-
-    def __init__(self, levels: tuple[ResolutionLevel, ...], terminated: str) -> None:
-        _setattr(self, "levels", levels)
-        _setattr(self, "terminated", terminated)
 
     @property
     def length(self) -> int:
@@ -381,15 +369,15 @@ class Resolution(_Frozen):
 
 def _normalize(pair: AlmostGentlePair, s: Summand) -> Summand:
     """Recognize projective summands; symbolic termination needs no oracle."""
-    outs = pair.quiver._out  # type: ignore[attr-defined]
+    report, aidx = pair.report, pair.quiver.arrow_index
     if s.kind == "simple":
-        if not outs[s.vertex]:
+        if not report.outs[pair.quiver.vertex_index[s.vertex]]:  # type: ignore[index]
             return Summand.projective(s.vertex)  # type: ignore[arg-type]
         return s
     if s.kind == "string":
-        src = pair.quiver._by_name[s.arrows[0]].source  # type: ignore[attr-defined]
-        if len(outs[src]) == 1 and pair.report.nonzero_succ[pair.quiver.arrow_index[s.arrows[-1]]] < 0:
-            return Summand.projective(src)
+        src = report.source[aidx[s.arrows[0]]]
+        if len(report.outs[src]) == 1 and report.nonzero_succ[aidx[s.arrows[-1]]] < 0:
+            return Summand.projective(pair.quiver.vertices[src])
         return s
     if s.kind == "psi0":
         if _invalid_at(pair.report, pair.quiver.vertex_index[s.vertex])[0]:  # type: ignore[index]

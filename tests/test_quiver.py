@@ -4,6 +4,7 @@ from agq.quiver import (
     Arrow,
     Quiver,
     UnknownArrowError,
+    UnknownVertexError,
     nonzero_successor,
     opposite,
     validate_bound_quiver,
@@ -59,6 +60,37 @@ def test_disconnected_warns():
     report = validate_bound_quiver(q, frozenset())
     assert report.valid
     assert report.warnings
+
+
+# Pairs that are not valid, and each vertex's (in-arrows, out-arrows) in declaration order
+INVALID_PAIRS = [
+    (["1", "2"], [("b", "2", "3"), ("a", "1", "2"), ("c", "0", "2"), ("d", "2", "2")], [],
+     "DanglingEndpoint", {"1": ((), ("a",)), "2": (("a", "c", "d"), ("b", "d"))}),
+    (["1", "2"], [("a", "1", "2"), ("b", "2", "1"), ("c", "1", "2")], [("a", "zz"), ("a", "b")],
+     "DanglingEndpoint", {"1": (("b",), ("a", "c")), "2": (("a", "c"), ("b",))}),
+    (["1", "2", "3", "4"], [("c", "2", "4"), ("a", "1", "2"), ("b", "2", "3")], [],
+     "TooManyNonzeroSuccessors", {"1": ((), ("a",)), "2": (("a",), ("c", "b")), "3": (("b",), ()),
+                                  "4": (("c",), ())}),
+]
+
+
+@pytest.mark.parametrize("vertices, arrows, rels, kind, adjacency", INVALID_PAIRS,
+                         ids=["dangling-endpoint", "unknown-relation-arrow", "two-nonzero-successors"])
+def test_lookups_work_on_pairs_that_are_not_valid(vertices, arrows, rels, kind, adjacency):
+    pair = make_pair(vertices, arrows, rels)
+    assert not pair.validated and kind in {v.kind for v in pair.report.violations}
+    declared = {name: Arrow(name, s, t) for name, s, t in arrows}
+    for name, arrow in declared.items():
+        assert pair.arrow(name) == arrow
+    for v, (ins, outs) in adjacency.items():
+        assert pair.in_arrows(v) == tuple(declared[a] for a in ins)
+        assert pair.out_arrows(v) == tuple(declared[a] for a in outs)
+        assert vertex_type(pair, v) == (len(ins), len(outs))
+    with pytest.raises(UnknownArrowError):
+        pair.arrow("zz")
+    for lookup in (pair.in_arrows, pair.out_arrows, lambda v: vertex_type(pair, v)):
+        with pytest.raises(UnknownVertexError):
+            lookup("0")  # a dangling endpoint in the first pair
 
 
 def test_nonzero_successor_fig1(fig1):

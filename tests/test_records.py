@@ -102,7 +102,8 @@ def test_records_show_compare_and_hash_by_their_fields(cls, args, kwargs, field,
     (lambda: GeneratorParams(1, relation_density=1.5), ValueError, r"must lie in \[0, 1\]"),
     (lambda: Quiver(("1", "2", "1"), ()), AgqError, "duplicate vertex '1'"),
     (lambda: Quiver(("1",), (Arrow("a", "1", "1"), Arrow("a", "1", "1"))), AgqError, "duplicate arrow 'a'"),
-], ids=["empty-string", "no-vertices", "density", "vertex-twice", "arrow-twice"])
+    (lambda: Violation("NonzeroCycle", ("a",)), TypeError, "Violation takes 3 field values, got 2"),
+], ids=["empty-string", "no-vertices", "density", "vertex-twice", "arrow-twice", "field-count"])
 def test_records_reject_bad_input(build, error, message):
     with pytest.raises(error, match=message):
         build()

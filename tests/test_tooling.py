@@ -1,7 +1,8 @@
 """Repository tooling: the benchmark's traced names, the package's imports,
-that every public name and defaulted parameter serves the package, hashes
-that pin the JSON report, the symbolic resolutions and the string layer,
-and that a pair is freed without the cycle collector."""
+that only the quiver module reads a quiver's private attributes, that every
+public name and defaulted parameter serves the package, hashes that pin the
+JSON report, the symbolic resolutions and the string layer, and that a pair
+is freed without the cycle collector."""
 
 import ast
 import contextlib
@@ -88,6 +89,23 @@ def test_package_imports_only_the_standard_library():
                 continue
             for name in names:
                 assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)
+
+
+def test_only_the_quiver_module_reads_a_quivers_private_attributes():
+    # other modules read a quiver through its public fields and index maps,
+    # and adjacency through the validation report's tables
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "agq"
+    reads = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "quiver.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+                owner = node.value
+                if (isinstance(owner, ast.Name) and owner.id == "quiver"
+                        or isinstance(owner, ast.Attribute) and owner.attr == "quiver"):
+                    reads.append((path.name, node.lineno, node.attr))
+    assert reads == []
 
 
 # Public names with no caller in the package, kept on purpose.
