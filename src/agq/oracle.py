@@ -7,11 +7,14 @@ are split into support components (a basis-level direct sum decomposition).
 Only a path-shaped component (every string module is one) has a sound
 canonical iso key.  Each component is keyed once, when it is made: a stored
 syzygy step hands out its kernel's components paired with their keys.  Each
-syzygy step and each finite projective dimension is stored per pair
-under the key, and repeating syzygies are detected by it: a module
-isomorphic to a summand of one of its own higher syzygies has infinite
-projective dimension.  The level comparison walks each resolution level as
-a multiset of iso classes, covering and summing each class once.
+syzygy step, each finite projective dimension and each per-branch
+leftover string of the socle-block check is stored per pair under the
+key, and repeating syzygies are detected by it: a module isomorphic to a
+summand of one of its own higher syzygies has infinite projective
+dimension.  The level comparison walks each resolution level as a
+multiset of iso classes, covering and summing each class once.  A
+module's zero maps, components and key read only its support's
+out-arrows and their nonempty rows.
 """
 
 from __future__ import annotations
@@ -37,6 +40,10 @@ class Representation(_Record):
     _fields = ("dims", "maps")
     _key = attrgetter(*_fields)
 
+    def __init__(self, dims: dict[str, int], maps: dict[str, linalg.Matrix]) -> None:
+        self.dims = dims
+        self.maps = maps
+
     def total_dim(self) -> int:
         return sum(self.dims.values())
 
@@ -45,10 +52,19 @@ class Representation(_Record):
 
 
 def _empty_maps(pair: AlmostGentlePair, dims: dict[str, int]) -> dict[str, linalg.Matrix]:
-    """A zero map per arrow: one empty row per basis vector at its source."""
-    rows = [dims[v] for v in pair.quiver.vertices]
-    return {name: [{} for _i in range(rows[s])] if rows[s] else []
-            for name, s in zip(pair.report.names, pair.report.source)}
+    """A zero map per arrow: one empty row per basis vector at its source.
+
+    Only the out-arrows of the support get rows; every other arrow gets an
+    empty list of its own.
+    """
+    report, vidx = pair.report, pair.quiver.vertex_index
+    names, outs = report.names, report.outs
+    maps: dict[str, linalg.Matrix] = {name: [] for name in names}
+    for v, n in dims.items():
+        if n:
+            for a in outs[vidx[v]]:
+                maps[names[a]] = [{} for _i in range(n)]
+    return maps
 
 
 class _PathTree(_Frozen):
@@ -199,34 +215,34 @@ class RepMorphism(_Record):
 
 
 def _cover_data(pair: AlmostGentlePair, rep: Representation):
-    """Generators, cover slots, and per-vertex image rows of the cover map."""
+    """Generators, their path trees, cover slots, and per-vertex image rows
+    of the cover map."""
+    vertices, names, dims, maps = pair.quiver.vertices, pair.report.names, rep.dims, rep.maps
     gens: list[tuple[str, int]] = []  # (vertex, coordinate)
-    names = pair.report.names
-    for v, ins in zip(pair.quiver.vertices, pair.report.ins):
-        if rep.dims[v] == 0:
-            continue
-        rows = [row for a in ins for row in rep.maps[names[a]]]
-        pivot_set = set(linalg.rref(rows)[1]) if any(rows) else set()
-        gens.extend((v, j) for j in range(rep.dims[v]) if j not in pivot_set)
+    for v, ins in zip(vertices, pair.report.ins):
+        if dims[v]:
+            rows = [row for a in ins for row in maps[names[a]] if row]
+            pivots = linalg.rref(rows)[1] if rows else ()
+            gens.extend((v, j) for j in range(dims[v]) if j not in pivots)
 
-    slot_list: dict[str, list[Slot]] = {w: [] for w in pair.quiver.vertices}
-    images: dict[str, linalg.Matrix] = {w: [] for w in pair.quiver.vertices}
-    for g, (v, j) in enumerate(gens):
-        tree = _path_tree(pair, v)
-        vecs: list[linalg.Row] = [{j: 1}]
+    trees = [_path_tree(pair, v) for v, _j in gens]
+    slot_list: dict[str, list[Slot]] = {w: [] for w in vertices}
+    images: dict[str, linalg.Matrix] = {w: [] for w in vertices}
+    for g, tree in enumerate(trees):
+        vecs: list[linalg.Row] = [{gens[g][1]: 1}]
         for k in range(1, len(tree.paths)):
             prev = vecs[tree.up[k]]
-            vecs.append(linalg.row_times(rep.maps[tree.paths[k][-1]], prev) if prev else {})
+            vecs.append(linalg.row_times(maps[tree.paths[k][-1]], prev) if prev else {})
         for k, w in enumerate(tree.ends):
             slot_list[w].append((g, k))
             images[w].append(vecs[k])
-    return gens, slot_list, images
+    return gens, trees, slot_list, images
 
 
 def cover_morphism(pair: AlmostGentlePair, rep: Representation) -> tuple[Representation, RepMorphism]:
     """The cover representation alongside the covering map's blocks."""
     pair.require_valid()
-    gens, _slots, images = _cover_data(pair, rep)
+    gens, _trees, _slots, images = _cover_data(pair, rep)
     return _free_module(pair, [v for v, _j in gens]), RepMorphism(images)
 
 
@@ -240,54 +256,48 @@ def projective_cover_kernel(pair: AlmostGentlePair, rep: Representation) -> Cove
     and kernel inside the radical of the cover.
     """
     pair.require_valid()
-    gens, slot_list, images = _cover_data(pair, rep)
-
+    gens, trees, slot_list, images = _cover_data(pair, rep)
     cover_counts: dict[str, int] = {}
-    for v, _j in gens:
+    for v, _j in gens:  # in declaration order
         cover_counts[v] = cover_counts.get(v, 0) + 1
-    cover = tuple((v, cover_counts[v]) for v in pair.quiver.vertices if v in cover_counts)
-    cover_dims = {w: len(slot_list[w]) for w in pair.quiver.vertices}
+    cover_dims = {w: len(slots) for w, slots in slot_list.items()}
 
+    kdims = dict.fromkeys(cover_dims, 0)
     null_basis: dict[str, linalg.Matrix] = {}  # vertices where the kernel is nonzero
     free_pos: dict[str, dict[int, int]] = {}
-    for w in pair.quiver.vertices:
-        if cover_dims[w]:
-            basis, free = linalg.left_nullspace(images[w], cover_dims[w], rep.dims[w])
+    for w, n in cover_dims.items():
+        if n:
+            basis, free = linalg.left_nullspace(images[w], n, rep.dims[w])
             if basis:
-                null_basis[w] = basis
+                null_basis[w], kdims[w] = basis, len(basis)
                 free_pos[w] = {f: k for k, f in enumerate(free)}
+        # rank-nullity: equality here certifies the cover map is onto at w
+        if n != rep.dims[w] + kdims[w]:
+            raise AssertionError(f"cover/kernel dimension mismatch at {w}")
 
-    kdims = {w: len(null_basis.get(w, ())) for w in pair.quiver.vertices}
     kmaps = _empty_maps(pair, kdims)
-    trees = [_path_tree(pair, v) for v, _j in gens]
+    vertices, names, target = pair.quiver.vertices, pair.report.names, pair.report.target
     slot_index = {w: {sl: i for i, sl in enumerate(slot_list[w])} for w in null_basis}
-    arrows, outs, vidx = pair.quiver.arrows, pair.report.outs, pair.quiver.vertex_index
     for w, basis in null_basis.items():
-        for a in map(arrows.__getitem__, outs[vidx[w]]):
-            if a.target not in null_basis:
+        slots = slot_list[w]
+        if any(slots[ci][1] == 0 for kvec in basis for ci in kvec):  # path 0: a generator slot
+            raise AssertionError("cover is not minimal: kernel meets a generator slot")
+        for a in pair.report.outs[pair.quiver.vertex_index[w]]:
+            t, name = vertices[target[a]], names[a]
+            if t not in null_basis:
                 continue
-            index, rows = slot_index[a.target], kmaps[a.name]
+            index, rows = slot_index[t], kmaps[name]
             for r, kvec in enumerate(basis):
                 # the cover's arrow action is injective on slots: no entries collide
                 image: linalg.Row = {}
                 for ci, x in kvec.items():
-                    g, k = slot_list[w][ci]
-                    k2 = trees[g].ext.get((k, a.name))
+                    g, k = slots[ci]
+                    k2 = trees[g].ext.get((k, name))
                     if k2 is not None:
                         image[index[(g, k2)]] = x
                 if image:
-                    rows[r] = linalg.coords_in_nullbasis(free_pos[a.target], image)
-    kernel = Representation(kdims, kmaps)
-
-    for w in pair.quiver.vertices:
-        # rank-nullity: equality here certifies the cover map is onto at w
-        if cover_dims[w] != rep.dims[w] + kdims[w]:
-            raise AssertionError(f"cover/kernel dimension mismatch at {w}")
-    for w, basis in null_basis.items():
-        for kvec in basis:
-            if any(slot_list[w][ci][1] == 0 for ci in kvec):  # path 0: a generator slot
-                raise AssertionError("cover is not minimal: kernel meets a generator slot")
-    return CoverKernel(cover, cover_dims, kernel)
+                    rows[r] = linalg.coords_in_nullbasis(free_pos[t], image)
+    return CoverKernel(tuple(cover_counts.items()), cover_dims, Representation(kdims, kmaps))
 
 
 class PdimResult(_Frozen):
@@ -302,14 +312,28 @@ class PdimResult(_Frozen):
         return str(self.value) if self.finite else f">={self.value}"
 
 
-def _slot_offsets(pair: AlmostGentlePair, rep: Representation) -> tuple[dict[str, int], int]:
-    """Global number of the first basis slot at each vertex, and the slot count."""
+def _slot_graph(pair: AlmostGentlePair, rep: Representation) -> tuple[list[str], list[tuple[str, int, int, int]]]:
+    """The vertex of each basis slot, numbered vertex by vertex, and an edge
+    (arrow, slot, slot, value) per nonzero entry, read off the support's
+    out-arrows and their nonempty rows."""
+    report, vidx, vertices = pair.report, pair.quiver.vertex_index, pair.quiver.vertices
+    names, target, outs = report.names, report.target, report.outs
+    dims, maps = rep.dims, rep.maps
     offset: dict[str, int] = {}
-    n = 0
-    for v in pair.quiver.vertices:
-        offset[v] = n
-        n += rep.dims[v]
-    return offset, n
+    label: list[str] = []
+    for v in vertices:
+        if dims[v]:
+            offset[v] = len(label)
+            label += [v] * dims[v]
+    edges: list[tuple[str, int, int, int]] = []
+    for v, s in offset.items():
+        for a in outs[vidx[v]]:
+            name = names[a]
+            for i, row in enumerate(maps[name], s):
+                if row:
+                    t = offset[vertices[target[a]]]
+                    edges += [(name, i, t + j, x) for j, x in row.items()]
+    return label, edges
 
 
 def _components(pair: AlmostGentlePair, rep: Representation) -> list[Representation]:
@@ -317,7 +341,8 @@ def _components(pair: AlmostGentlePair, rep: Representation) -> list[Representat
 
     A module with one component is returned as itself, not copied.
     """
-    offset, n = _slot_offsets(pair, rep)
+    label, edges = _slot_graph(pair, rep)
+    n = len(label)
     if not n:
         return []
     parent = list(range(n))
@@ -328,11 +353,8 @@ def _components(pair: AlmostGentlePair, rep: Representation) -> list[Representat
             x = parent[x]
         return x
 
-    for a in pair.quiver.arrows:
-        s, t = offset[a.source], offset[a.target]
-        for i, row in enumerate(rep.maps[a.name]):
-            for j in row:
-                parent[find(s + i)] = find(t + j)
+    for _a, u, w, _x in edges:
+        parent[find(u)] = find(w)
     roots = [find(x) for x in range(n)]
     number = {r: c for c, r in enumerate(dict.fromkeys(roots))}  # by first slot
     if len(number) == 1:
@@ -341,19 +363,13 @@ def _components(pair: AlmostGentlePair, rep: Representation) -> list[Representat
     comp_of = [number[r] for r in roots]
     local: list[int] = []
     comp_dims = [dict.fromkeys(pair.quiver.vertices, 0) for _c in number]
-    for v in pair.quiver.vertices:
-        for x in range(offset[v], offset[v] + rep.dims[v]):
-            dims = comp_dims[comp_of[x]]
-            local.append(dims[v])
-            dims[v] += 1
+    for x, v in enumerate(label):
+        dims = comp_dims[comp_of[x]]
+        local.append(dims[v])
+        dims[v] += 1
     comp_maps = [_empty_maps(pair, dims) for dims in comp_dims]
-    for a in pair.quiver.arrows:
-        s, t = offset[a.source], offset[a.target]
-        for i, row in enumerate(rep.maps[a.name]):
-            if row:
-                sub = comp_maps[comp_of[s + i]][a.name][local[s + i]]
-                for j, x in row.items():
-                    sub[local[t + j]] = x
+    for a, u, w, x in edges:
+        comp_maps[comp_of[u]][a][local[u]][local[w]] = x
     comps = [Representation(dims, maps) for dims, maps in zip(comp_dims, comp_maps)]
     comps.sort(key=lambda r: (r.total_dim(), sorted(r.dim_vector().items())))
     return comps
@@ -369,23 +385,18 @@ def _component_key(pair: AlmostGentlePair, rep: Representation):
     of the two end-to-end encodings.  Covers every string module, vertex
     revisits included.
     """
-    offset, n = _slot_offsets(pair, rep)
-    if n == 1:  # a simple, unless a loop acts by a nonzero scalar
+    if sum(rep.dims.values()) == 1:  # a simple, unless a loop acts by a nonzero scalar
         v = next(w for w, d in rep.dims.items() if d)
         names = pair.report.names
         if any(row for a in pair.report.outs[pair.quiver.vertex_index[v]] for row in rep.maps[names[a]]):
             return None
         return ((v,), ())
-    label = [v for v in pair.quiver.vertices for _i in range(rep.dims[v])]
-    edges: list[tuple[int, int, str]] = []
-    for a in pair.quiver.arrows:
-        s, t = offset[a.source], offset[a.target]
-        for i, row in enumerate(rep.maps[a.name]):
-            edges.extend((s + i, t + j, a.name) for j in row)
+    label, edges = _slot_graph(pair, rep)
+    n = len(label)
     if len(edges) != n - 1:
         return None
     adj: list[list[tuple[int, str, int]]] = [[] for _k in range(n)]
-    for u, w, a in edges:
+    for a, u, w, _x in edges:
         adj[u].append((w, a, 1))
         adj[w].append((u, a, -1))
     if any(len(nbrs) > 2 for nbrs in adj):
@@ -428,16 +439,16 @@ def _syzygy(pair: AlmostGentlePair, rep: Representation, key
     and comes paired with its key.  Every caller gets the same stored
     components, so none may modify them.
     """
-    def compute():
-        ck = projective_cover_kernel(pair, rep)
-        return ck.cover, tuple((_component_key(pair, comp), comp)
-                               for comp in _components(pair, ck.kernel))
-
+    steps = pair.memo("syzygy", dict)
     if key is None:
         key = ("entries", tuple(rep.dims[v] for v in pair.quiver.vertices),
                tuple(tuple(tuple(row.items()) for row in rep.maps[a.name])
                      for a in pair.quiver.arrows))
-    return pair.memo(("syzygy", key), compute)
+    step = steps.get(key)
+    if step is None:
+        ck = projective_cover_kernel(pair, rep)
+        step = steps[key] = ck.cover, tuple(_keyed(pair, comp) for comp in _components(pair, ck.kernel))
+    return step
 
 
 def _pdim(pair: AlmostGentlePair, rep: Representation, key, hardcap: int,
@@ -477,7 +488,7 @@ def oracle_pdim(pair: AlmostGentlePair, rep: Representation, cutoff: int) -> Pdi
     reported as AtLeast(cutoff) per the agreement convention.
     """
     pair.require_valid()
-    return _keyed_pdim(pair, (_component_key(pair, rep), rep), cutoff)
+    return _keyed_pdim(pair, _keyed(pair, rep), cutoff)
 
 
 def _keyed_pdim(pair: AlmostGentlePair, module: KeyedComponent, cutoff: int) -> PdimResult:
@@ -543,8 +554,7 @@ def check_against_formulas(pair: AlmostGentlePair, cutoff: int = 40) -> Agreemen
         # S(v) and E(v) are built and keyed once here, for every check below
         modules = {}
         for kind in ("simple", "injective"):
-            rep = rep_of(pair, kind, v)
-            modules[kind] = (_component_key(pair, rep), rep)
+            modules[kind] = _keyed(pair, rep_of(pair, kind, v))
 
         frm = pdim_simple(pair, v).value
         orc = _keyed_pdim(pair, modules["simple"], cutoff)
@@ -584,12 +594,9 @@ def _add(level: Level, key, comp: Representation, mult: int = 1) -> None:
     level.setdefault(key if key is not None else len(level), [comp, 0])[1] += mult
 
 
-def _level(pair: AlmostGentlePair, reps) -> Level:
-    """Fresh modules as a level, each keyed once, here."""
-    level: Level = {}
-    for rep in reps:
-        _add(level, _component_key(pair, rep), rep)
-    return level
+def _keyed(pair: AlmostGentlePair, rep: Representation) -> KeyedComponent:
+    """A fresh module with its iso key, keyed once, here."""
+    return _component_key(pair, rep), rep
 
 
 def _cover_kernel_componentwise(pair: AlmostGentlePair,
@@ -634,15 +641,18 @@ def _oracle_psi0_projective(pair: AlmostGentlePair, v: str, injective: KeyedComp
     injective is E(v) with its iso key.  Omega_2(E(v)) equals the first
     syzygy of the per-branch leftovers alone exactly when the block is
     projective; minimal covers are additive over direct sums, so dimension
-    vectors decide this.
+    vectors decide this.  Each leftover string is built and keyed once per
+    pair, and stored there.
     """
     from .syzygy import _summand_graph
 
     omega1 = _cover_kernel_componentwise(pair, _module_level(injective))[1]
     omega2 = _cover_kernel_componentwise(pair, omega1)[1]
-    pieces = [rep_of(pair, "string", DirectedString(s.arrows, s.vertex))
-              for s in _summand_graph(pair).injective(pair, v)[1]]
-    leftovers = _cover_kernel_componentwise(pair, _level(pair, pieces))[1]
+    pieces: Level = {}
+    for s in _summand_graph(pair).injective(pair, v)[1]:
+        ds = DirectedString(s.arrows, s.vertex)
+        _add(pieces, *pair.memo(("leftover", ds), lambda: _keyed(pair, rep_of(pair, "string", ds))))
+    leftovers = _cover_kernel_componentwise(pair, pieces)[1]
     return _dim_sum(omega2) == _dim_sum(leftovers)
 
 
@@ -651,9 +661,9 @@ def _compare_levels(pair: AlmostGentlePair, v: str, kind: str, module: KeyedComp
     from .syzygy import resolve_symbolic
 
     res = resolve_symbolic(pair, kind, v, max_steps=LEVELS_CAP)
-    level = _module_level(module)
+    level, total = _module_level(module), module[1].total_dim()
     for k, sym in enumerate(res.levels):
-        if sum(comp.total_dim() * mult for comp, mult in level.values()) > LEVEL_DIM_BUDGET:
+        if total > LEVEL_DIM_BUDGET:
             return
         cover_counts, level = _cover_kernel_componentwise(pair, level)
         sym_cover = dict(sym.cover)
@@ -667,3 +677,4 @@ def _compare_levels(pair: AlmostGentlePair, v: str, kind: str, module: KeyedComp
             yield Mismatch(v, f"{kind}-resolution-kernel-level-{k}",
                            str(sorted(sym_dims.items())), str(sorted(kernel_dims.items())))
             return
+        total = sum(kernel_dims.values())

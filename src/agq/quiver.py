@@ -27,8 +27,11 @@ class _Record:
     ``_fields`` names the fields shown by the repr, ``Name(field=value,
     ...)``, in constructor order; ``_key`` reads the compared ones.  The
     constructor takes one value per field, in that order (TypeError on a
-    wrong count); hot records and those with defaults, checks or hidden
-    fields write out their own.  Two records are equal when they are of
+    wrong count).  Records with defaults, checks or hidden fields write out
+    their own, and so do those built thousands of times per run, where this
+    loop costs 2-3 times as much (about 1 us a record): ``Arrow``, ``Summand``
+    and the oracle's ``Representation``, ``SyzygyDecomposition`` and
+    ``ResolutionLevel``.  Two records are equal when they are of
     the same class and their keys are equal.  With an ``__eq__`` and no
     ``__hash__`` a record is unhashable, as a mutable one should be.  The
     records compared and hashed most (``Arrow``, ``DirectedString``,
@@ -188,7 +191,8 @@ class ValidationReport(_Frozen):
     the ideal, in declaration order; these are complete only when the
     report is valid.  The maps ``succ``, ``pred`` (None where there is
     none) and ``rel_succ`` say the same by name, built from the tables when
-    first read.  A report built by hand from the maps alone has no tables."""
+    first read.  In a report built by hand from the maps alone, reading a
+    table raises NotValidatedError."""
 
     valid: bool
     violations: tuple[Violation, ...]
@@ -216,8 +220,8 @@ class ValidationReport(_Frozen):
         _setattr(self, "_succ", succ)
         _setattr(self, "_pred", pred)
         _setattr(self, "_rel_succ", rel_succ)
-        for field, table in tables.items():
-            _setattr(self, field, table)
+        for field in ("names", "source", "target", "outs", "ins", "nonzero_succ", "nonzero_pred", "relation_succ"):
+            _setattr(self, field, tables[field] if field in tables else _NoTable(field))
 
     @property
     def succ(self) -> Mapping[str, str | None]:
@@ -242,6 +246,22 @@ class ValidationReport(_Frozen):
     def _named(self, table: list[int]) -> dict[str, str | None]:
         names = self.names
         return dict(zip(names, map((*names, None).__getitem__, table)))  # index -1 reads None
+
+
+class _NoTable:
+    """Stands in for a table that a report was built without (by hand, or
+    from input that is not composable): any read raises NotValidatedError.
+    A stand-in, not a ``__getattr__`` on the report, keeps every read of a
+    table on the interpreter's fast attribute path."""
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def _missing(self, *_args: object) -> None:
+        raise NotValidatedError(f"this validation report has no {self.name!r} table; "
+                                "AlmostGentlePair.build on composable input makes one")
+
+    __getitem__ = __iter__ = __len__ = _missing
 
 
 def validate_bound_quiver(quiver: Quiver, relations: frozenset[tuple[str, str]]) -> ValidationReport:
@@ -417,9 +437,12 @@ class AlmostGentlePair(_Frozen):
     def memo(self, key, compute):
         """Per-pair cache for derived combinatorial structure."""
         cache = self._memo
-        if key not in cache:
-            cache[key] = compute()
-        return cache[key]
+        try:
+            return cache[key]
+        except KeyError:
+            pass  # computed outside the handler, so its errors carry no KeyError context
+        value = cache[key] = compute()
+        return value
 
     # -- lookups -----------------------------------------------------------
 

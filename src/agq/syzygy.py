@@ -104,6 +104,9 @@ class SyzygyDecomposition(_Frozen):
     _fields = ("items",)
     _key = attrgetter("items")
 
+    def __init__(self, items: tuple[tuple[Summand, int], ...]) -> None:
+        _setattr(self, "items", items)
+
     def __hash__(self) -> int:
         return hash((self.items,))  # the tuple of fields, as every other record hashes
 
@@ -353,6 +356,10 @@ class ResolutionLevel(_Frozen):
     syzygy: SyzygyDecomposition
     _fields = ("cover", "syzygy")
     _key = attrgetter(*_fields)
+
+    def __init__(self, cover: tuple[tuple[str, int], ...], syzygy: SyzygyDecomposition) -> None:
+        _setattr(self, "cover", cover)
+        _setattr(self, "syzygy", syzygy)
 
 
 class Resolution(_Frozen):

@@ -200,6 +200,26 @@ def test_each_component_is_keyed_once(monkeypatch):
     assert max(n for _rep, n in walks.values()) == 1
 
 
+def test_each_leftover_string_is_built_once_per_pair(monkeypatch):
+    from conftest import FIG1_ARROWS, FIG1_RELS, FIG1_VERTICES, make_pair
+    built: dict[tuple, int] = {}
+    rep_of = agq.oracle.rep_of
+
+    def counted(pair, kind, arg):
+        if kind == "string":
+            key = (id(pair), arg.arrows, arg.vertex)
+            built[key] = built.get(key, 0) + 1
+        return rep_of(pair, kind, arg)
+
+    monkeypatch.setattr(agq.oracle, "rep_of", counted)
+    pairs = [make_pair(FIG1_VERTICES, FIG1_ARROWS, FIG1_RELS)]
+    pairs += [random_ag_pair(GeneratorParams(seed=s))[0] for s in range(1, 21)]
+    for pair in pairs:  # every pair stays alive, so no id is reused
+        check_against_formulas(pair)
+    assert len(built) > 50
+    assert max(built.values()) == 1
+
+
 def test_one_dimensional_modules_key_to_their_vertex_unless_a_loop_acts(loop_rel):
     from agq.oracle import _component_key
     for pair in _valid_pairs(range(1, 21)):

@@ -10,9 +10,10 @@ import pytest
 from agq.agqfile import AgqDocument
 from agq.forbidden import ForbiddenWalk, LengthOrInf
 from agq.generator import GeneratorParams
-from agq.homdim import DimReport, GorensteinReport
+from agq.homdim import DimReport, GorensteinReport, pdim_simple
 from agq.oracle import AgreementReport, CoverKernel, Mismatch, PdimResult, RepMorphism, Representation
-from agq.quiver import AgqError, AlmostGentlePair, Arrow, InvalidStringError, Quiver, ValidationReport, Violation
+from agq.quiver import (AgqError, AlmostGentlePair, Arrow, InvalidStringError, Quiver, ValidationReport, Violation,
+                        vertex_type)
 from agq.strings import DirectedString
 from agq.syzygy import Psi0Descriptor, Resolution, ResolutionLevel, Summand, SyzygyDecomposition
 
@@ -103,10 +104,28 @@ def test_records_show_compare_and_hash_by_their_fields(cls, args, kwargs, field,
     (lambda: Quiver(("1", "2", "1"), ()), AgqError, "duplicate vertex '1'"),
     (lambda: Quiver(("1",), (Arrow("a", "1", "1"), Arrow("a", "1", "1"))), AgqError, "duplicate arrow 'a'"),
     (lambda: Violation("NonzeroCycle", ("a",)), TypeError, "Violation takes 3 field values, got 2"),
-], ids=["empty-string", "no-vertices", "density", "vertex-twice", "arrow-twice", "field-count"])
+    (lambda: Representation({"1": 1}), TypeError, "missing 1 required positional argument: 'maps'"),
+    (lambda: SyzygyDecomposition(), TypeError, "missing 1 required positional argument: 'items'"),
+    (lambda: SyzygyDecomposition((), ()), TypeError, "takes 2 positional arguments but 3 were given"),
+    (lambda: ResolutionLevel((("1", 1),), SYZYGY, "cutoff"), TypeError,
+     "takes 3 positional arguments but 4 were given"),
+], ids=["empty-string", "no-vertices", "density", "vertex-twice", "arrow-twice", "field-count",
+        "representation-count", "syzygy-count", "syzygy-extra", "level-count"])
 def test_records_reject_bad_input(build, error, message):
     with pytest.raises(error, match=message):
         build()
+
+
+@pytest.mark.parametrize("ask", [
+    lambda pair: pair.out_arrows("1"),
+    lambda pair: pair.in_arrows("2"),
+    lambda pair: vertex_type(pair, "1"),
+    lambda pair: pdim_simple(pair, "1"),
+], ids=["out_arrows", "in_arrows", "vertex_type", "pdim_simple"])
+def test_a_report_built_by_hand_has_no_tables_to_read(ask):
+    pair = AlmostGentlePair(Quiver(("1", "2"), (ARROW,)), frozenset(), REPORT)
+    with pytest.raises(AgqError, match="AlmostGentlePair.build"):
+        ask(pair)
 
 
 def test_a_document_starts_with_lists_of_its_own():

@@ -1,8 +1,8 @@
 """Repository tooling: the benchmark's traced names, the package's imports,
 that only the quiver module reads a quiver's private attributes, that every
 public name and defaulted parameter serves the package, hashes that pin the
-JSON report, the symbolic resolutions and the string layer, and that a pair
-is freed without the cycle collector."""
+JSON report, the symbolic resolutions, the string layer and the oracle's
+own answers, and that a pair is freed without the cycle collector."""
 
 import ast
 import contextlib
@@ -26,7 +26,7 @@ from agq.forbidden import (delta_forbidden_sup, forbidden_cycles, sup_forbidden_
 from agq.generator import GeneratorParams, random_ag_pair
 from agq.homdim import (global_dimension, noninvalid_cycle_vertex, pdim_directed_string, pdim_injective,
                         pdim_simple, self_injective_dimension, self_injective_infinite_by_cycle)
-from agq.oracle import check_against_formulas, rep_of
+from agq.oracle import check_against_formulas, oracle_pdim, projective_cover_kernel, rep_of
 from agq.quiver import AlmostGentlePair, Arrow, Quiver
 from agq.strings import (anticlaw_of, claw_of, left_maximal_extension,
                          module_dims, right_maximal_extension)
@@ -357,6 +357,30 @@ def test_cycle_readers_are_identical_to_the_recorded_hash():
         digest.update(repr(values).encode())
     assert len(pairs) == 212
     assert digest.hexdigest() == CYCLES_SHA256
+
+
+# SHA-256 of the oracle's own answers: each pair's check_against_formulas
+# at cutoff 40 (the count checked and every mismatch), then per vertex the
+# oracle's pdim of S(v) and E(v) and the cover of each.  Agreement with the
+# closed form alone would not see a change that moved both sides.
+ORACLE_SHA256 = "0b03d4b01ab000243bac6b3bd33415fbd2ec40be747eb82d792af111ca429429"
+
+
+def test_oracle_answers_are_identical_to_the_recorded_hash():
+    digest = hashlib.sha256()
+    pairs = [pair for _path, pair in _valid_fixtures()]
+    pairs += [random_ag_pair(GeneratorParams(seed=s))[0] for s in range(1, 201)]
+    for pair in pairs:
+        agreement = check_against_formulas(pair, cutoff=40)
+        values = [agreement.checked, [(m.vertex, m.quantity, m.formula, m.oracle) for m in agreement.mismatches]]
+        for v in pair.quiver.vertices:
+            for kind in ("simple", "injective"):
+                rep = rep_of(pair, kind, v)
+                pdim = oracle_pdim(pair, rep, 40)
+                values.append((pdim.finite, pdim.value, projective_cover_kernel(pair, rep).cover))
+        digest.update(repr(values).encode())
+    assert len(pairs) == 208
+    assert digest.hexdigest() == ORACLE_SHA256
 
 
 def _labelled_sweep():
