@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from operator import attrgetter
 
-from .quiver import TOKEN, TOKEN_RE, AgqError, AlmostGentlePair, Arrow, Quiver, _NAMES_RE, _Record
+from .quiver import TOKEN, TOKEN_RE, AgqError, AlmostGentlePair, Arrow, Quiver, _NAMES_RE, _Record, _sorted_relations
 
 # a whole arrow line without its comment, so group k starts at column start(k) + 1
 _ARROW_RE = re.compile(rf"\s*arrow\s+({TOKEN})\s*:\s*({TOKEN})\s*->\s*({TOKEN})\s*\Z")
@@ -162,9 +162,7 @@ def emit_agq(doc: AgqDocument) -> str:
 
 
 def document_of(pair: AlmostGentlePair, name: str | None = None) -> AgqDocument:
-    idx = pair.quiver.arrow_index
-    return AgqDocument(name, list(pair.quiver.vertices), list(pair.quiver.arrows),
-                       sorted(pair.relations, key=lambda e: (idx[e[0]], idx[e[1]])))
+    return AgqDocument(name, list(pair.quiver.vertices), list(pair.quiver.arrows), _sorted_relations(pair))
 
 
 def load_pair(path: str) -> tuple[AgqDocument, AlmostGentlePair]:

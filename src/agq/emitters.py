@@ -13,7 +13,7 @@ from json.encoder import encode_basestring_ascii
 
 from .forbidden import _INFINITE, LengthOrInf
 from .homdim import _vertex_table, gorenstein_report, pdim_injective
-from .quiver import AlmostGentlePair
+from .quiver import AlmostGentlePair, _sorted_relations
 
 
 def _dim_json(value: LengthOrInf, witness=None, extra: dict | None = None) -> dict:
@@ -126,8 +126,7 @@ def emit_dot(pair: AlmostGentlePair, name: str | None = None) -> str:
         lines.append(f"  {json.dumps(a.source)} -> {json.dumps(mid)} "
                      f"[arrowhead=none, label={json.dumps(a.name)}];")
         lines.append(f"  {json.dumps(mid)} -> {json.dumps(a.target)};")
-    idx = pair.quiver.arrow_index
-    for a, b in sorted(pair.relations, key=lambda e: (idx[e[0]], idx[e[1]])):
+    for a, b in _sorted_relations(pair):
         lines.append(f"  \"mid_{a}\" -> \"mid_{b}\" "
                      f"[style=dashed, constraint=false, label=\"{a}.{b}\"];")
     lines.append("}")

@@ -25,7 +25,7 @@ from .forbidden import (
     digraph_data,
 )
 from .quiver import AlmostGentlePair, _Frozen
-from .strings import DirectedString
+from .strings import DirectedString, _chains
 from .syzygy import _gentle_at, _invalid_at
 
 
@@ -105,8 +105,8 @@ class GorensteinReport(_Frozen):
 
 class _VertexTable:
     """Every vertex's pd E(v) and row flags on one pair, read off the
-    validation's and the digraph's tables in one pass.  Lists indexed by
-    vertex_index:
+    validation's, the chain table's and the digraph's tables in one pass.
+    Lists indexed by vertex_index:
 
     - ``inj_len``, ``inj_ptr``, ``inj_method``: pd E(v) as length, witness
       pointer and method.
@@ -122,15 +122,7 @@ class _VertexTable:
         self.data = data = digraph_data(pair)
         report = pair.report
         succ, pred, outs, ins = report.nonzero_succ, report.nonzero_pred, report.outs, report.ins
-        n_v = len(outs)
-        head = [-1] * len(succ)  # the first arrow of each arrow's chain
-        for i, p in enumerate(pred):
-            if p < 0:
-                j = i
-                while j >= 0:
-                    head[j] = i
-                    j = succ[j]
-
+        n_v, head = len(outs), _chains(pair)[0]  # the first arrow of each arrow's chain
         self.gentle = [_gentle_at(report, v) for v in range(n_v)]
         self.invalid = [_invalid_at(report, v)[0] for v in range(n_v)]
         self.inj_len: list = [0] * n_v

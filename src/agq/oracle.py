@@ -529,7 +529,7 @@ def _agrees(formula: LengthOrInf, orc: PdimResult) -> bool:
     return not orc.finite
 
 
-LEVELS_CAP = 6  # resolution levels compared per module
+LEVELS_CAP = 6  # the last resolution level compared per module, counted from 0
 LEVEL_DIM_BUDGET = 120  # the largest level the comparison covers
 
 
@@ -539,8 +539,8 @@ def check_against_formulas(pair: AlmostGentlePair, cutoff: int = 40) -> Agreemen
     Per vertex: projective dimensions of the simple and the injective, the
     invalid-vertex test against oracle projectivity of the injective's socle
     block, and the per-level dimension vectors of the symbolic resolutions
-    against oracle kernels (until LEVELS_CAP levels or a level above
-    LEVEL_DIM_BUDGET).
+    against oracle kernels: levels 0 to LEVELS_CAP, stopping before the
+    first level whose module has total dimension above LEVEL_DIM_BUDGET.
     """
     from .homdim import pdim_injective, pdim_simple
     from .syzygy import is_invalid_vertex

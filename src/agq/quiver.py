@@ -189,10 +189,9 @@ class ValidationReport(_Frozen):
     predecessor ``nonzero_succ``/``nonzero_pred`` (-1 where there is none)
     and its relation successors ``relation_succ``, the arrows b with ab in
     the ideal, in declaration order; these are complete only when the
-    report is valid.  The maps ``succ``, ``pred`` (None where there is
-    none) and ``rel_succ`` say the same by name, built from the tables when
-    first read.  In a report built by hand from the maps alone, reading a
-    table raises NotValidatedError."""
+    report is valid.  The tables are the report's only successor data.  In
+    a report built by hand without them, reading a table raises
+    NotValidatedError."""
 
     valid: bool
     violations: tuple[Violation, ...]
@@ -205,47 +204,16 @@ class ValidationReport(_Frozen):
     relation_succ: list[list[int]]
     outs: tuple[tuple[int, ...], ...]
     ins: tuple[tuple[int, ...], ...]
-    _succ: Mapping[str, str | None] | None
-    _pred: Mapping[str, str | None] | None
-    _rel_succ: Mapping[str, list[str]] | None
-    _fields = ("valid", "violations", "warnings")  # the maps and tables are neither shown nor compared
+    _fields = ("valid", "violations", "warnings")  # the tables are neither shown nor compared
     _key = attrgetter(*_fields)
 
     def __init__(self, valid: bool, violations: tuple[Violation, ...], warnings: tuple[str, ...],
-                 succ: Mapping[str, str | None] | None, pred: Mapping[str, str | None] | None,
-                 rel_succ: Mapping[str, list[str]] | None, **tables: object) -> None:
+                 **tables: object) -> None:
         _setattr(self, "valid", valid)
         _setattr(self, "violations", violations)
         _setattr(self, "warnings", warnings)
-        _setattr(self, "_succ", succ)
-        _setattr(self, "_pred", pred)
-        _setattr(self, "_rel_succ", rel_succ)
         for field in ("names", "source", "target", "outs", "ins", "nonzero_succ", "nonzero_pred", "relation_succ"):
             _setattr(self, field, tables[field] if field in tables else _NoTable(field))
-
-    @property
-    def succ(self) -> Mapping[str, str | None]:
-        if self._succ is None:
-            _setattr(self, "_succ", self._named(self.nonzero_succ))
-        return self._succ
-
-    @property
-    def pred(self) -> Mapping[str, str | None]:
-        if self._pred is None:
-            _setattr(self, "_pred", self._named(self.nonzero_pred))
-        return self._pred
-
-    @property
-    def rel_succ(self) -> Mapping[str, list[str]]:
-        if self._rel_succ is None:
-            names = self.names
-            _setattr(self, "_rel_succ", {a: [names[j] for j in js]
-                                         for a, js in zip(names, self.relation_succ)})
-        return self._rel_succ
-
-    def _named(self, table: list[int]) -> dict[str, str | None]:
-        names = self.names
-        return dict(zip(names, map((*names, None).__getitem__, table)))  # index -1 reads None
 
 
 class _NoTable:
@@ -287,7 +255,7 @@ def validate_bound_quiver(quiver: Quiver, relations: frozenset[tuple[str, str]])
                 break
             rel[i].append(j)
     if not composable:
-        return ValidationReport(False, tuple(_malformed(quiver, relations)), (), {}, {}, {}, **tables)
+        return ValidationReport(False, tuple(_malformed(quiver, relations)), (), **tables)
 
     # Every out-arrow of t(a) is a relation successor of a or a nonzero
     # successor; the nonzero pairs give the predecessors too.
@@ -331,7 +299,7 @@ def validate_bound_quiver(quiver: Quiver, relations: frozenset[tuple[str, str]])
         warnings.append("quiver is disconnected; all computations are componentwise")
 
     violations.sort(key=lambda v: (v.kind, v.location))
-    return ValidationReport(not violations, tuple(violations), tuple(warnings), None, None, None, **tables,
+    return ValidationReport(not violations, tuple(violations), tuple(warnings), **tables,
                             nonzero_succ=succ, nonzero_pred=pred, relation_succ=rel)
 
 
@@ -464,6 +432,13 @@ class AlmostGentlePair(_Frozen):
     def in_arrows(self, v: str) -> tuple[Arrow, ...]:
         self.require_vertex(v)
         return tuple(map(self.quiver.arrows.__getitem__, self.report.ins[self.quiver.vertex_index[v]]))
+
+
+def _sorted_relations(pair: AlmostGentlePair) -> list[tuple[str, str]]:
+    """The relations by their arrows' declaration indices; one naming an
+    unknown arrow sorts after those arrows, by name."""
+    idx, n = pair.quiver.arrow_index, len(pair.quiver.arrows)
+    return sorted(pair.relations, key=lambda e: (idx.get(e[0], n), e[0], idx.get(e[1], n), e[1]))
 
 
 def nonzero_successor(pair: AlmostGentlePair, a: str) -> str | None:

@@ -3,9 +3,10 @@
 Only directed strings (all arrows pointing the same way) enter any
 computation here; the claw of a vertex bundles the right maximal strings out
 of it and describes P(v), the anti-claw dually describes E(v).  Every
-nonzero directed path is a slice of one chain, so the pair's chain table is
-the only string cache: claws, anti-claws and maximal extensions slice it
-when asked.
+nonzero directed path is a slice of one chain.  The pair's only string
+cache is its chain table, two lists on arrow indices; claws, anti-claws and
+maximal extensions follow the nonzero successor table over just the arrows
+they return.
 """
 
 from __future__ import annotations
@@ -62,12 +63,15 @@ def string_of(pair: AlmostGentlePair, arrows: tuple[str, ...]) -> DirectedString
 
 
 def _check_string(pair: AlmostGentlePair, ds: DirectedString) -> DirectedString:
-    """ds, once its arrows are a nonzero path of the pair or its anchor a vertex.
+    """ds, once its arrows are a nonzero path of the pair or, with none, its
+    anchor a vertex; a string with both arrows and an anchor is refused.
 
     Every public function that takes a directed string calls this first.
     On a valid pair a checked string with arrows is a slice of its chain.
     """
     if ds.arrows:
+        if ds.vertex is not None:
+            raise InvalidStringError(f"a string with arrows takes no anchor vertex, got {ds.vertex!r}")
         string_of(pair, ds.arrows)
     else:
         pair.require_vertex(ds.vertex)  # type: ignore[arg-type]
@@ -78,30 +82,40 @@ def string_source(pair: AlmostGentlePair, ds: DirectedString) -> str:
     return ds.vertex if not ds.arrows else pair.arrow(ds.arrows[0]).source  # type: ignore[return-value]
 
 
-def _chains(pair: AlmostGentlePair) -> dict[str, tuple[tuple[str, ...], int]]:
-    """Each arrow's chain and its position in it; stored once per pair.
+def _chains(pair: AlmostGentlePair) -> tuple[list[int], list[int]]:
+    """The chain table, by arrow index; stored once per pair.
 
     A chain is a maximal run of arrows linked by the nonzero successor map.
     On a valid pair the chains partition the arrows: one pass starts at
     every arrow without a nonzero predecessor and follows the successors,
-    which admissibility keeps finite.
+    which admissibility keeps finite.  ``head[i]`` is the first arrow of
+    arrow i's chain, and ``last[h]`` the last arrow of the chain that starts
+    at h (-1 where h starts none).
     """
-    def compute() -> dict[str, tuple[tuple[str, ...], int]]:
-        names, succ = pair.report.names, pair.report.nonzero_succ
-        table: dict[str, tuple[tuple[str, ...], int]] = {}
+    def compute() -> tuple[list[int], list[int]]:
+        succ = pair.report.nonzero_succ
+        head, last = [-1] * len(succ), [-1] * len(succ)
         for i, p in enumerate(pair.report.nonzero_pred):
             if p < 0:
-                run: list[str] = []
                 j = i
                 while j >= 0:
-                    run.append(names[j])
-                    j = succ[j]
-                chain = tuple(run)
-                for k, y in enumerate(chain):
-                    table[y] = (chain, k)
-        return table
+                    head[j] = i
+                    k, j = j, succ[j]
+                last[i] = k
+        return head, last
 
     return pair.memo("chains", compute)
+
+
+def _run(pair: AlmostGentlePair, i: int, stop: int) -> tuple[str, ...]:
+    """The names of arrows i, succ[i], ... along a chain, up to stop (an
+    arrow further on, or -1 for the chain's end), excluded."""
+    names, succ = pair.report.names, pair.report.nonzero_succ
+    run: list[str] = []
+    while i != stop:
+        run.append(names[i])
+        i = succ[i]
+    return tuple(run)
 
 
 def right_maximal_extension(pair: AlmostGentlePair, ds: DirectedString) -> DirectedString:
@@ -114,16 +128,16 @@ def right_maximal_extension(pair: AlmostGentlePair, ds: DirectedString) -> Direc
     pair.require_valid()
     if not _check_string(pair, ds).arrows:
         return ds
-    chain, i = _chains(pair)[ds.arrows[-1]]
-    return DirectedString(ds.arrows + chain[i + 1:])
+    aidx, succ = pair.quiver.arrow_index, pair.report.nonzero_succ
+    return DirectedString(ds.arrows + _run(pair, succ[aidx[ds.arrows[-1]]], -1))
 
 
 def left_maximal_extension(pair: AlmostGentlePair, ds: DirectedString) -> DirectedString:
     pair.require_valid()
     if not _check_string(pair, ds).arrows:
         return ds
-    chain, i = _chains(pair)[ds.arrows[0]]
-    return DirectedString(chain[:i] + ds.arrows)
+    first = pair.quiver.arrow_index[ds.arrows[0]]
+    return DirectedString(_run(pair, _chains(pair)[0][first], first) + ds.arrows)
 
 
 def claw_of(pair: AlmostGentlePair, v: str) -> tuple[DirectedString, ...]:
@@ -143,12 +157,11 @@ def anticlaw_of(pair: AlmostGentlePair, v: str) -> tuple[DirectedString, ...]:
 def _branches(pair: AlmostGentlePair, v: str, right: bool) -> tuple[DirectedString, ...]:
     """The claw (right) or anti-claw of a vertex of a valid pair, unchecked:
     each out-arrow's chain from it on, or each in-arrow's chain up to it."""
-    chains, names, w = _chains(pair), pair.report.names, pair.quiver.vertex_index[v]
+    report, w = pair.report, pair.quiver.vertex_index[v]
     if right:
-        return tuple(DirectedString(chain[i:]) for chain, i in
-                     (chains[names[a]] for a in pair.report.outs[w]))
-    return tuple(DirectedString(chain[:i + 1]) for chain, i in
-                 (chains[names[a]] for a in pair.report.ins[w]))
+        return tuple(DirectedString(_run(pair, a, -1)) for a in report.outs[w])
+    head, succ = _chains(pair)[0], report.nonzero_succ
+    return tuple(DirectedString(_run(pair, head[a], succ[a])) for a in report.ins[w])
 
 
 def module_dims(pair: AlmostGentlePair, kind: str, arg) -> dict[str, int]:
@@ -186,12 +199,12 @@ def socle_supports(pair: AlmostGentlePair) -> list[str]:
     This indexes the injective envelope of the algebra.
     """
     pair.require_valid()
-    arrows, aidx, names, chains = pair.quiver.arrows, pair.quiver.arrow_index, pair.report.names, _chains(pair)
+    vertices, target, (head, last) = pair.quiver.vertices, pair.report.target, _chains(pair)
     supports: list[str] = []
-    for v, outs in zip(pair.quiver.vertices, pair.report.outs):
+    for v, outs in zip(vertices, pair.report.outs):
         if not outs:
             supports.append(v)
         else:
-            supports.extend(arrows[aidx[chains[names[b]][0][-1]]].target for b in outs)
+            supports.extend(vertices[target[last[head[b]]]] for b in outs)
     return supports
 

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agq.agqfile import parse_agq
-from agq.emitters import emit_json, report_json
-from agq.strings import DirectedString, anticlaw_of, claw_of, right_maximal_extension
+from agq.agqfile import document_of, parse_agq
+from agq.emitters import emit_dot, emit_json, report_json
+from agq.quiver import AlmostGentlePair, Arrow, Quiver
+from agq.strings import (DirectedString, anticlaw_of, claw_of, left_maximal_extension, right_maximal_extension,
+                         socle_supports)
 from agq.syzygy import psi0_descriptor, resolve_symbolic
 from conftest import make_pair
 
@@ -50,8 +52,9 @@ def test_report_on_a_long_chain_takes_bounded_work():
 
 
 def test_string_queries_on_a_long_chain_take_bounded_work():
-    # every claw, anti-claw, descriptor and extension slices the one chain
-    # of A_n: a table of a string per arrow makes this quadratic
+    # every claw, anti-claw, descriptor, extension and socle support reads the
+    # one chain of A_n: a table of a string per arrow, or a walk to the
+    # chain's end per out-arrow, makes this quadratic
     n = 10_000
     lines = [f"arrow a{k} : v{k} -> v{k + 1}" for k in range(n)]
     pair = parse_agq("\n".join(lines) + "\n").pair()
@@ -61,10 +64,25 @@ def test_string_queries_on_a_long_chain_take_bounded_work():
     assert len(anticlaw_of(pair, last)[0]) == n
     assert len(psi0_descriptor(pair, "v1").tails[0][0]) == n - 1
     assert len(right_maximal_extension(pair, DirectedString(("a0",)))) == n
+    assert len(left_maximal_extension(pair, DirectedString((f"a{n - 1}",)))) == n
+    assert socle_supports(pair) == [last] * (n + 1)
+    assert report_json(pair)["global_dimension"]["value"] == 1
     assert resolve_symbolic(pair, "injective", last).length == 0
     assert resolve_symbolic(pair, "simple", "v0").length == 1
     elapsed = time.perf_counter() - start
     assert elapsed < 0.5, elapsed
+
+
+def test_relations_on_an_unknown_arrow_are_written_after_the_known_ones():
+    # such a pair does not validate, but it still prints and converts
+    quiver = Quiver(("1", "2"), (Arrow("a", "1", "2"),))
+    pair = AlmostGentlePair.build(quiver, frozenset({("a", "zz")}))
+    assert document_of(pair).relations == [("a", "zz")]
+    assert '  "mid_a" -> "mid_zz" [style=dashed, constraint=false, label="a.zz"];' in emit_dot(pair)
+    pair = AlmostGentlePair.build(quiver, frozenset({("zz", "a"), ("a", "zz"), ("a", "a")}))
+    assert document_of(pair).relations == [("a", "a"), ("a", "zz"), ("zz", "a")]
+    dashed = [line.split(" [")[0] for line in emit_dot(pair).splitlines() if "dashed" in line]
+    assert dashed == ['  "mid_a" -> "mid_a"', '  "mid_a" -> "mid_zz"', '  "mid_zz" -> "mid_a"']
 
 
 def _every_relation(n, closed):

@@ -112,14 +112,15 @@ def test_zero_length_forbidden(a3r, a2, fig1):
 
 def test_relational_predicates(fig1, a2):
     # down-relational: some arrow out of the target composes to zero with it
-    assert fig1.report.rel_succ["a_1_2"]
-    assert not fig1.report.rel_succ["a_1_2R"]
+    names, rel = fig1.report.names, fig1.report.relation_succ
+    assert rel[names.index("a_1_2")]
+    assert not rel[names.index("a_1_2R")]
     # up-relational: some arrow into the source composes to zero with it
     assert any((c.name, "a_2R_3R") in fig1.relations for c in fig1.in_arrows("2R"))
     # relational vertex: some in-arrow composes to zero with some out-arrow
     assert any((a.name, b.name) in fig1.relations
                for a in fig1.in_arrows("2") for b in fig1.out_arrows("2"))
-    assert not a2.report.rel_succ["a"]
+    assert not a2.report.relation_succ[a2.report.names.index("a")]
 
 
 def test_delta_forbidden_fig1(fig1):
@@ -194,7 +195,8 @@ def _reference_forbidden_cycles(pair, cap):
     pair.require_valid()
     data = digraph_data(pair)
     idx = pair.quiver.arrow_index
-    succ = pair.report.rel_succ  # in arrow declaration order
+    names = pair.report.names  # in arrow declaration order
+    succ = {a: [names[j] for j in js] for a, js in zip(names, pair.report.relation_succ)}
     cyclic = {a for a in idx if data.cyclic[idx[a]]}
     cycles = []
     truncated = False

@@ -394,13 +394,13 @@ def _report_pairs():
 def test_the_report_reads_the_validation_tables_and_no_name_map():
     for pair in _report_pairs():
         emit_json(report_json(pair))
-        maps = vars(pair.report)
-        assert [name for name in ("_succ", "_pred", "_rel_succ") if maps.get(name) is not None] == []
-        assert "chains" not in pair._memo
-        # the name maps are built on first read, from the same tables
-        names = pair.report.names
-        assert pair.report.succ == {a: names[b] if b >= 0 else None
-                                    for a, b in zip(names, pair.report.nonzero_succ)}
+        # the report holds its verdict and index tables only
+        assert sorted(vars(pair.report)) == sorted(["valid", "violations", "warnings", "names", "source", "target",
+                                                    "outs", "ins", "nonzero_succ", "nonzero_pred", "relation_succ"])
+        # the report path builds the chain table, the digraph and the vertex table, and nothing else
+        assert sorted(pair._memo) == ["chains", "digraph", "vertices"]
+        head, last = pair._memo["chains"]
+        assert len(head) == len(last) == len(pair.report.names)
         assert digraph_data(pair).out is pair.report.relation_succ
 
 

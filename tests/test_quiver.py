@@ -105,12 +105,13 @@ def test_nonzero_successor_sink(a2):
 
 
 def test_nonzero_predecessor_fig1(fig1):
-    assert fig1.report.pred["a_4_5"] == "a_2_4"
-    assert fig1.report.pred["a_2R_3R"] == "a_1_2R"
+    names, pred = fig1.report.names, fig1.report.nonzero_pred
+    assert names[pred[names.index("a_4_5")]] == "a_2_4"
+    assert names[pred[names.index("a_2R_3R")]] == "a_1_2R"
 
 
 def test_nonzero_predecessor_source(a2):
-    assert a2.report.pred["a"] is None
+    assert a2.report.nonzero_pred[a2.report.names.index("a")] == -1
 
 
 def test_vertex_type_fig1(fig1):
@@ -170,15 +171,16 @@ def test_ag_conditions_brute_force_on_corpus():
     # at most one nonzero successor/predecessor per arrow, by raw counting
     for seed in range(1, 21):
         pair, _ = random_ag_pair(GeneratorParams(seed=seed, max_vertices=6, max_arrows=10))
-        for a in pair.quiver.arrows:
+        names = pair.report.names
+        for i, a in enumerate(pair.quiver.arrows):
             nxt = [b.name for b in pair.quiver.arrows
                    if b.source == a.target and (a.name, b.name) not in pair.relations]
             prv = [c.name for c in pair.quiver.arrows
                    if c.target == a.source and (c.name, a.name) not in pair.relations]
             assert len(nxt) <= 1 and len(prv) <= 1
             assert nonzero_successor(pair, a.name) == (nxt[0] if nxt else None)
-            assert pair.report.succ[a.name] == (nxt[0] if nxt else None)
-            assert pair.report.pred[a.name] == (prv[0] if prv else None)
+            assert [names[j] for j in [pair.report.nonzero_succ[i]] if j >= 0] == nxt
+            assert [names[j] for j in [pair.report.nonzero_pred[i]] if j >= 0] == prv
 
 
 def _brute_force_tables(pair):

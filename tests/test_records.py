@@ -18,7 +18,7 @@ from agq.strings import DirectedString
 from agq.syzygy import Psi0Descriptor, Resolution, ResolutionLevel, Summand, SyzygyDecomposition
 
 ARROW = Arrow("a", "1", "2")
-REPORT = ValidationReport(True, (), (), {"a": None}, {"a": None}, {"a": []})
+REPORT = ValidationReport(True, (), ())
 SYZYGY = SyzygyDecomposition(((Summand("simple", "2"), 2),))
 LEVEL = ResolutionLevel((("1", 1),), SYZYGY)
 DIM = DimReport(LengthOrInf(1), ForbiddenWalk(("a",)), "simple", "1")
@@ -33,7 +33,7 @@ RECORDS = [
      "Quiver(vertices=('1', '2'), arrows=(Arrow(name='a', source='1', target='2'),))"),
     (Violation, ("NonzeroCycle", ("a",), "nonzero cycle a"), {}, "kind",
      "Violation(kind='NonzeroCycle', location=('a',), message='nonzero cycle a')"),
-    (ValidationReport, (True, (), (), {"a": None}, {"a": None}, {"a": []}), {}, "succ",
+    (ValidationReport, (True, (), ()), {}, "valid",
      "ValidationReport(valid=True, violations=(), warnings=())"),
     (AlmostGentlePair, (Quiver(("1", "2"), (ARROW,)), frozenset(), REPORT), {}, "report",
      "AlmostGentlePair(quiver=Quiver(vertices=('1', '2'), arrows=(Arrow(name='a', source='1', target='2'),)), "

@@ -13,8 +13,9 @@ from agq.strings import (
 from agq.agqfile import parse_agq
 from agq.generator import GeneratorParams, random_ag_pair
 from agq.oracle import rep_of
-from agq.quiver import nonzero_successor
-from agq.syzygy import is_gentle_vertex, is_invalid_vertex, psi0_descriptor
+from agq.homdim import pdim_directed_string
+from agq.quiver import InvalidStringError, nonzero_successor
+from agq.syzygy import is_gentle_vertex, is_invalid_vertex, psi0_descriptor, resolve_symbolic
 from conftest import FIXTURES, bench_cyclic_pairs
 
 
@@ -109,6 +110,18 @@ def test_socle_supports_small(a2, cyc2):
     assert sorted(socle_supports(cyc2)) == ["1", "2"]
 
 
+@pytest.mark.parametrize("ask", [
+    lambda pair, ds: pdim_directed_string(pair, ds),
+    lambda pair, ds: resolve_symbolic(pair, "string", ds),
+    lambda pair, ds: rep_of(pair, "string", ds),
+    lambda pair, ds: right_maximal_extension(pair, ds),
+], ids=["pdim_directed_string", "resolve_symbolic", "rep_of", "right_maximal_extension"])
+def test_a_string_with_arrows_and_an_anchor_is_refused(fig1, ask):
+    with pytest.raises(InvalidStringError, match="takes no anchor vertex"):
+        ask(fig1, DirectedString(("a_1_2",), "zz"))
+    ask(fig1, DirectedString(("a_1_2",)))
+
+
 def test_socle_supports_fig1(fig1):
     assert socle_supports(fig1).count("5") >= 3
 
@@ -120,7 +133,9 @@ def _reference_maximal_string(pair, a, right):
         if right:
             nxt = nonzero_successor(pair, arrows[-1])
         else:
-            nxt = pair.report.pred[arrows[0]]
+            names = pair.report.names
+            p = pair.report.nonzero_pred[names.index(arrows[0])]
+            nxt = names[p] if p >= 0 else None
         if nxt is None:
             return tuple(arrows)
         if right:
@@ -188,7 +203,7 @@ def _reference_invalid_vertex(pair, v):
         tail = desc.flagged()[0]
         if len(tail) == 1 and not pair.out_arrows(pair.arrow(tail.arrows[-1]).target):
             return True, 3
-        if len(tail) >= 2 and not pair.report.rel_succ[tail.arrows[0]]:
+        if len(tail) >= 2 and not pair.report.relation_succ[pair.report.names.index(tail.arrows[0])]:
             return True, 4
     if desc.c == 1 and desc.t == 0 and desc.d >= 1:
         return True, 5
@@ -210,7 +225,7 @@ def test_chain_end_readings_agree_with_the_string_tables():
             for a, branch in zip(pair.in_arrows(v), anticlaw_of(pair, v)):
                 head = branch.arrows[0]
                 assert branch.arrows[-1] == a.name
-                assert pair.report.pred[head] is None
+                assert pair.report.nonzero_pred[pair.report.names.index(head)] == -1
                 from_head = [br for br in claw_of(pair, pair.arrow(head).source)
                              if br.arrows[0] == head]
                 assert len(from_head) == 1
