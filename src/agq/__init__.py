@@ -3,7 +3,31 @@
 Closed-form global and self-injective dimensions via forbidden paths, with
 symbolic syzygies, a cross-validating exact-linear-algebra oracle, the .agq
 file format, and a CLI (``agq``).
+
+The symbolic resolutions (``syzygy``), the oracle with its ``linalg`` and
+the ``generator`` are registered here but run only when first used: the
+closed-form commands never need them.  Their public names still resolve as
+``agq.NAME``.
 """
+
+import sys
+from importlib.util import LazyLoader, find_spec, module_from_spec
+
+
+def _deferred(name: str):
+    """The submodule agq.name, in sys.modules, whose body runs on first attribute access."""
+    spec = find_spec(f"{__name__}.{name}")
+    spec.loader = LazyLoader(spec.loader)
+    module = sys.modules[spec.name] = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# registered before the eager imports below, so that none loads them early
+syzygy = _deferred("syzygy")
+linalg = _deferred("linalg")
+oracle = _deferred("oracle")
+generator = _deferred("generator")
 
 from .quiver import (
     AgqError,
@@ -40,21 +64,6 @@ from .forbidden import (
     sup_forbidden_from_vertex,
     zero_length_forbidden,
 )
-from .syzygy import (
-    NotInjectiveCaseError,
-    Psi0Descriptor,
-    Resolution,
-    Summand,
-    SyzygyDecomposition,
-    is_gentle_vertex,
-    is_invalid_vertex,
-    omega1_directed_string,
-    omega1_injective,
-    psi0_decompose,
-    psi0_descriptor,
-    psi0_dim_vector,
-    resolve_symbolic,
-)
 from .homdim import (
     DimReport,
     GorensteinReport,
@@ -68,17 +77,24 @@ from .homdim import (
     self_injective_dimension,
     self_injective_infinite_by_cycle,
 )
-from .oracle import (
-    AgreementReport,
-    PdimResult,
-    Representation,
-    RepMorphism,
-    check_against_formulas,
-    check_relations,
-    cover_morphism,
-    oracle_pdim,
-    projective_cover_kernel,
-    rep_of,
-)
 
 __version__ = "0.1.0"
+
+# the deferred modules' public names, each read from its module on access
+_DEFERRED_NAMES = {
+    **dict.fromkeys((
+        "NotInjectiveCaseError", "Psi0Descriptor", "Resolution", "Summand", "SyzygyDecomposition",
+        "is_gentle_vertex", "is_invalid_vertex", "omega1_directed_string", "omega1_injective",
+        "psi0_decompose", "psi0_descriptor", "psi0_dim_vector", "resolve_symbolic"), syzygy),
+    **dict.fromkeys((
+        "AgreementReport", "PdimResult", "Representation", "RepMorphism", "check_against_formulas",
+        "check_relations", "cover_morphism", "oracle_pdim", "projective_cover_kernel", "rep_of"),
+        oracle),
+}
+
+
+def __getattr__(name: str):
+    module = _DEFERRED_NAMES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(module, name)

@@ -13,10 +13,10 @@ import argparse
 import os
 import sys
 
+from . import generator, oracle, syzygy
 from .agqfile import load_pair
 from .emitters import emit_dot, emit_json, report_json
 from .forbidden import forbidden_cycles, sup_forbidden_from_vertex, zero_length_forbidden
-from .generator import GeneratorParams, random_ag_pair
 from .homdim import (
     global_dimension,
     gorenstein_report,
@@ -25,10 +25,8 @@ from .homdim import (
     pdim_simple,
     self_injective_dimension,
 )
-from .oracle import check_against_formulas, oracle_pdim, rep_of
 from .quiver import AgqError
 from .strings import DirectedString
-from .syzygy import resolve_symbolic
 
 
 def _color(text: str, code: str) -> str:
@@ -141,7 +139,7 @@ def cmd_forbidden(args) -> int:
 def cmd_resolve(args) -> int:
     doc, pair = _load_valid(args.file)
     kind, arg = _module_arg(args)
-    res = resolve_symbolic(pair, kind, arg, max_steps=args.max_steps)
+    res = syzygy.resolve_symbolic(pair, kind, arg, max_steps=args.max_steps)
     for k, level in enumerate(res.levels):
         cover = " + ".join(f"P({v})" + (f"^{m}" if m > 1 else "") for v, m in level.cover) or "0"
         parts = []
@@ -158,7 +156,7 @@ def cmd_resolve(args) -> int:
         print(f"P{k} = {cover}   Omega{k + 1} = " + (" + ".join(parts) or "0"))
     print(f"terminated: {res.terminated} (length {res.length})")
     if args.oracle:
-        result = oracle_pdim(pair, rep_of(pair, kind, arg), max(args.max_steps, 4))
+        result = oracle.oracle_pdim(pair, oracle.rep_of(pair, kind, arg), max(args.max_steps, 4))
         print(f"oracle pdim: {result}")
     return 0
 
@@ -179,7 +177,7 @@ def cmd_gorenstein(args) -> int:
 
 def cmd_check(args) -> int:
     doc, pair = _load_valid(args.file)
-    report = check_against_formulas(pair, cutoff=args.cutoff)
+    report = oracle.check_against_formulas(pair, cutoff=args.cutoff)
     if report.ok:
         print(_color(f"ok: {report.checked} quantities agree with the oracle", "32"))
         return 0
@@ -191,9 +189,9 @@ def cmd_check(args) -> int:
 
 def cmd_random(args) -> int:
     for k in range(args.count):
-        params = GeneratorParams(seed=args.seed + k, max_vertices=args.max_vertices,
-                                 max_arrows=args.max_arrows)
-        pair, text = random_ag_pair(params)
+        params = generator.GeneratorParams(seed=args.seed + k, max_vertices=args.max_vertices,
+                                           max_arrows=args.max_arrows)
+        pair, text = generator.random_ag_pair(params)
         if args.emit:
             os.makedirs(args.emit, exist_ok=True)
             path = os.path.join(args.emit, f"random_{args.seed + k}.agq")

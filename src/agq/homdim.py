@@ -25,8 +25,7 @@ from .forbidden import (
     digraph_data,
 )
 from .quiver import AlmostGentlePair, _Frozen
-from .strings import DirectedString, _chains
-from .syzygy import _gentle_at, _invalid_at
+from .strings import DirectedString, _chains, _gentle_at, _invalid_at
 
 
 _UNBUILT = object()

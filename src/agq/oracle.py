@@ -660,11 +660,14 @@ def _compare_levels(pair: AlmostGentlePair, v: str, kind: str, module: KeyedComp
     """Symbolic resolution levels of module, S(v) or E(v) with its iso key, against the oracle's."""
     from .syzygy import resolve_symbolic
 
-    res = resolve_symbolic(pair, kind, v, max_steps=LEVELS_CAP)
-    level, total = _module_level(module), module[1].total_dim()
+    if module[1].total_dim() > LEVEL_DIM_BUDGET:
+        return
+    # only the levels compared are built: the symbolic side stops after its
+    # first syzygy over budget, and each level's kernel has that syzygy's
+    # dimension vector unless a mismatch ends the loop first
+    res = resolve_symbolic(pair, kind, v, max_steps=LEVELS_CAP, max_dim=LEVEL_DIM_BUDGET)
+    level = _module_level(module)
     for k, sym in enumerate(res.levels):
-        if total > LEVEL_DIM_BUDGET:
-            return
         cover_counts, level = _cover_kernel_componentwise(pair, level)
         sym_cover = dict(sym.cover)
         if cover_counts != sym_cover:
@@ -677,4 +680,3 @@ def _compare_levels(pair: AlmostGentlePair, v: str, kind: str, module: KeyedComp
             yield Mismatch(v, f"{kind}-resolution-kernel-level-{k}",
                            str(sorted(sym_dims.items())), str(sorted(kernel_dims.items())))
             return
-        total = sum(kernel_dims.values())

@@ -6,12 +6,13 @@ of it and describes P(v), the anti-claw dually describes E(v).  Every
 nonzero directed path is a slice of one chain.  The pair's only string
 cache is its chain table, two lists on arrow indices; claws, anti-claws and
 maximal extensions follow the nonzero successor table over just the arrows
-they return.
+they return.  The gentle and invalid vertex tests, read off the validation
+report's index tables, live here too, so the closed form needs no syzygy.
 """
 
 from __future__ import annotations
 
-from .quiver import AlmostGentlePair, InvalidStringError, _Frozen, _setattr
+from .quiver import AlmostGentlePair, InvalidStringError, ValidationReport, _Frozen, _setattr
 
 
 class DirectedString(_Frozen):
@@ -208,3 +209,39 @@ def socle_supports(pair: AlmostGentlePair) -> list[str]:
             supports.extend(vertices[target[last[head[b]]]] for b in outs)
     return supports
 
+
+def _gentle_at(report: ValidationReport, v: int) -> bool:
+    """is_gentle_vertex on the validation's tables, at vertex index v."""
+    ins = report.ins[v]
+    if len(ins) > 2 or len(report.outs[v]) > 2:
+        return False
+    if not ins:
+        return True
+    rel_succ = report.relation_succ  # an in-arrow's relation partners, among outs
+    x = rel_succ[ins[0]]
+    if len(ins) == 1:
+        return len(x) <= 1
+    y = rel_succ[ins[1]]
+    # at most one partner each, and no out-arrow partnered with both
+    return len(x) <= 1 and len(y) <= 1 and not (x and x == y)
+
+
+def _invalid_at(report: ValidationReport, v: int) -> tuple[bool, int | None]:
+    """is_invalid_vertex on the validation's tables, at vertex index v."""
+    ins = report.ins[v]
+    c, d = len(ins), len(report.outs[v])
+    if c == 2 and _gentle_at(report, v):
+        return True, 1
+    if d == 0:
+        return True, 2
+    if c == 1:
+        # the flagged tail, if any, is the chain from the in-arrow's nonzero successor b
+        succ = report.nonzero_succ
+        b = succ[ins[0]]
+        if b < 0:
+            return True, 5
+        if not report.relation_succ[b]:
+            # every out-arrow of t(b) follows b nonzero, so t(b) is a sink
+            # (3) when b has no nonzero successor, else b continues (4)
+            return True, 3 if succ[b] < 0 else 4
+    return False, None

@@ -16,11 +16,13 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from operator import attrgetter
 
-from .quiver import AgqError, AlmostGentlePair, ValidationReport, _Frozen, _setattr, vertex_type
+from .quiver import AgqError, AlmostGentlePair, _Frozen, _setattr, vertex_type
 from .strings import (
     DirectedString,
     _branches,
     _check_string,
+    _gentle_at,
+    _invalid_at,
     anticlaw_of,
     claw_of,
     module_dims,
@@ -169,22 +171,6 @@ def is_gentle_vertex(pair: AlmostGentlePair, v: str) -> bool:
     return _gentle_at(pair.report, pair.quiver.vertex_index[v])
 
 
-def _gentle_at(report: ValidationReport, v: int) -> bool:
-    """is_gentle_vertex on the validation's tables, at vertex index v."""
-    ins = report.ins[v]
-    if len(ins) > 2 or len(report.outs[v]) > 2:
-        return False
-    if not ins:
-        return True
-    rel_succ = report.relation_succ  # an in-arrow's relation partners, among outs
-    x = rel_succ[ins[0]]
-    if len(ins) == 1:
-        return len(x) <= 1
-    y = rel_succ[ins[1]]
-    # at most one partner each, and no out-arrow partnered with both
-    return len(x) <= 1 and len(y) <= 1 and not (x and x == y)
-
-
 class Psi0Descriptor(_Frozen):
     """Shape of the socle block of Omega_1(E(apex)).
 
@@ -283,27 +269,6 @@ def is_invalid_vertex(pair: AlmostGentlePair, v: str) -> tuple[bool, int | None]
     pair.require_valid()
     pair.require_vertex(v)
     return _invalid_at(pair.report, pair.quiver.vertex_index[v])
-
-
-def _invalid_at(report: ValidationReport, v: int) -> tuple[bool, int | None]:
-    """is_invalid_vertex on the validation's tables, at vertex index v."""
-    ins = report.ins[v]
-    c, d = len(ins), len(report.outs[v])
-    if c == 2 and _gentle_at(report, v):
-        return True, 1
-    if d == 0:
-        return True, 2
-    if c == 1:
-        # the flagged tail, if any, is the chain from the in-arrow's nonzero successor b
-        succ = report.nonzero_succ
-        b = succ[ins[0]]
-        if b < 0:
-            return True, 5
-        if not report.relation_succ[b]:
-            # every out-arrow of t(b) follows b nonzero, so t(b) is a sink
-            # (3) when b has no nonzero successor, else b continues (4)
-            return True, 3 if succ[b] < 0 else 4
-    return False, None
 
 
 def psi0_decompose(pair: AlmostGentlePair, v: str) -> SyzygyDecomposition | None:
@@ -498,17 +463,24 @@ def _level(pair: AlmostGentlePair, graph: _SummandGraph,
                                   for n in sorted(syzygy, key=graph.keys.__getitem__))))
 
 
-def resolve_symbolic(pair: AlmostGentlePair, kind: str, arg, max_steps: int = 64) -> Resolution:
+def resolve_symbolic(pair: AlmostGentlePair, kind: str, arg, max_steps: int = 64,
+                     max_dim: int | None = None) -> Resolution:
     """Minimal projective resolution by symbolic syzygy iteration.
 
     kind is "simple", "string", or "injective".  Levels carry the cover of
     the current module and its syzygy; iteration stops when every summand
     is recognized projective, else after max_steps with a cutoff marker.
-    Each level is a sum over the pair's summand graph.
+    With max_dim it also stops, with the cutoff marker, after the first
+    level whose syzygy has total dimension above max_dim.  Each level is a
+    sum over the pair's summand graph.
     """
     pair.require_valid()
     graph = _summand_graph(pair)
     levels: list[ResolutionLevel] = []
+
+    def too_big(counts: dict[int, int]) -> bool:
+        return max_dim is not None and sum(m * sum(graph.dims[n].values())
+                                           for n, m in counts.items()) > max_dim
 
     if kind == "injective":
         v = pair.require_vertex(arg)
@@ -525,6 +497,8 @@ def resolve_symbolic(pair: AlmostGentlePair, kind: str, arg, max_steps: int = 64
         levels.append(_level(pair, graph, cover, current))
         if not current:
             return Resolution(tuple(levels), "projective")
+        if too_big(current):
+            return Resolution(tuple(levels), "cutoff")
     else:
         raise ValueError(f"unknown module kind {kind!r}")
 
@@ -538,6 +512,6 @@ def resolve_symbolic(pair: AlmostGentlePair, kind: str, arg, max_steps: int = 64
         levels.append(_level(pair, graph, cover, nxt))
         if not nxt:
             return Resolution(tuple(levels), "projective")
-        if len(levels) > max_steps:
+        if len(levels) > max_steps or too_big(nxt):
             return Resolution(tuple(levels), "cutoff")
         current = nxt

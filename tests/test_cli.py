@@ -121,10 +121,10 @@ def test_determinism_byte_identical():
 
 def test_check_mismatch_exit_code(monkeypatch, capsys):
     # exercised with a stubbed disagreement: the honest pipeline has none
-    from agq import cli as climod
+    from agq import cli as climod, oracle
     from agq.oracle import AgreementReport, Mismatch
 
-    monkeypatch.setattr(climod, "check_against_formulas",
+    monkeypatch.setattr(oracle, "check_against_formulas",
                         lambda pair, cutoff: AgreementReport(
                             (Mismatch("v", "pdim_simple", "1", "2"),), 1))
     code = climod.main(["check", str(FIXTURES / "a2.agq")])

@@ -297,14 +297,40 @@ def test_level_multisets_match_a_plain_list_walk():
     assert repeats[0]  # some walked level holds a class with multiplicity > 1
 
 
+def test_the_level_comparison_builds_only_the_levels_it_compares(monkeypatch):
+    # every symbolic level the check asks for is compared: each level but the
+    # last has a syzygy within the budget, and the resolution is a prefix of
+    # the uncut one
+    from agq.oracle import LEVEL_DIM_BUDGET, LEVELS_CAP
+    resolve = agq.syzygy.resolve_symbolic
+    cut = []
+
+    def recording(pair, kind, v, max_steps=64, max_dim=None):
+        res = resolve(pair, kind, v, max_steps=max_steps, max_dim=max_dim)
+        totals = [sum(level.syzygy.dim_vector(pair).values()) for level in res.levels]
+        assert all(t <= LEVEL_DIM_BUDGET for t in totals[:-1])
+        full = resolve(pair, kind, v, max_steps=LEVELS_CAP)
+        assert res.levels == full.levels[:len(res.levels)]
+        cut.append(len(res.levels) < len(full.levels))
+        return res
+
+    monkeypatch.setattr(agq.syzygy, "resolve_symbolic", recording)
+    for pair in _valid_pairs(range(1, 11)):
+        assert check_against_formulas(pair).ok
+    assert any(cut)
+
+
 def test_level_multisets_report_a_perturbed_level_like_a_plain_list_walk(monkeypatch):
     from agq.syzygy import Resolution, ResolutionLevel, Summand, SyzygyDecomposition
     resolve = agq.syzygy.resolve_symbolic
 
     def perturb(part):
-        def perturbed(pair, kind, v, max_steps=64):
-            res = resolve(pair, kind, v, max_steps=max_steps)
-            k = min(1, len(res.levels) - 1)
+        def perturbed(pair, kind, v, max_steps=64, max_dim=None):
+            res = resolve(pair, kind, v, max_steps=max_steps, max_dim=max_dim)
+            # the same level as in the uncut resolution, wherever max_dim cuts
+            k = min(1, len(resolve(pair, kind, v, max_steps=max_steps).levels) - 1)
+            if k >= len(res.levels):
+                return res
             level = res.levels[k]
             if part == "cover":
                 cover = dict(level.cover)

@@ -258,3 +258,16 @@ def test_resolving_an_injective_builds_its_socle_block_descriptor_once(monkeypat
         # one descriptor per vertex with an in-arrow, sources resolve as simples
         assert made == [v for v in pair.quiver.vertices if pair.in_arrows(v)], seed
     assert undecomposed > 0
+
+
+def test_max_dim_cuts_a_resolution_after_its_first_syzygy_over_it(fig1, cyc2e):
+    for pair in (fig1, cyc2e):
+        for v in pair.quiver.vertices:
+            for kind in ("simple", "injective"):
+                full = resolve_symbolic(pair, kind, v, max_steps=8)
+                totals = [sum(level.syzygy.dim_vector(pair).values()) for level in full.levels]
+                for max_dim in range(max(totals) + 1):
+                    res = resolve_symbolic(pair, kind, v, max_steps=8, max_dim=max_dim)
+                    n = next((k + 1 for k, t in enumerate(totals) if t > max_dim), len(totals))
+                    assert res.levels == full.levels[:n]
+                    assert res.terminated == ("cutoff" if n < len(totals) else full.terminated)

@@ -1,8 +1,9 @@
-"""Repository tooling: the benchmark's traced names, the package's imports,
-that only the quiver module reads a quiver's private attributes, that every
-public name and defaulted parameter serves the package, hashes that pin the
-JSON report, the symbolic resolutions, the string layer and the oracle's
-own answers, and that a pair is freed without the cycle collector."""
+"""Repository tooling: the benchmark's traced names, the package's imports
+and exported names, which modules a command runs, that only the quiver
+module reads a quiver's private attributes, that every public name and
+defaulted parameter serves the package, hashes that pin the JSON report,
+the symbolic resolutions, the string layer and the oracle's own answers,
+and that a pair is freed without the cycle collector."""
 
 import ast
 import contextlib
@@ -12,11 +13,14 @@ import io
 import importlib
 import importlib.util
 import itertools
+import json
 import os
 import pathlib
 import subprocess
 import sys
 import weakref
+
+import pytest
 
 from agq.agqfile import parse_agq
 from agq.cli import main
@@ -51,7 +55,9 @@ def test_traced_functions_exist():
 
 def test_cli_import_loads_every_traced_module():
     # the tracer wraps functions it finds in sys.modules, so a module that
-    # "import agq, agq.cli" leaves unloaded would be missing from a trace
+    # "import agq, agq.cli" leaves unloaded would be missing from a trace; a
+    # deferred module counts, since it is registered there and the tracer's
+    # getattr runs its body
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
@@ -73,6 +79,72 @@ def test_cli_import_leaves_dataclasses_and_fractions_unloaded():
                            env={**os.environ, "PYTHONPATH": str(src)}).stdout.split()
     assert "agq.cli" in added
     assert {"dataclasses", "inspect", "fractions"} & set(added) == set()
+
+
+DEFERRED = ("agq.syzygy", "agq.oracle", "agq.linalg", "agq.generator")
+
+
+def test_closed_form_commands_run_no_deferred_module_body():
+    # gldim and gorenstein read only the closed form; check runs the oracle
+    # and the symbolic resolutions.  A deferred module keeps its lazy type
+    # until its body runs, and the type is read without touching an attribute.
+    fig1 = str(FIXTURES / "fig1.agq")
+    code = (
+        "import contextlib, io, json, sys, types\n"
+        "from agq.cli import main\n"
+        f"deferred = {DEFERRED!r}\n"
+        "def ran():\n"
+        "    return [m for m in deferred if type(sys.modules[m]) is types.ModuleType]\n"
+        "seen = []\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [main(['gldim', {fig1!r}, '--witness']), main(['gorenstein', {fig1!r}, '--json'])]\n"
+        "    seen.append(ran())\n"
+        f"    codes.append(main(['check', {fig1!r}]))\n"
+        "    seen.append(ran())\n"
+        "print(json.dumps([codes, seen]))\n")
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}).stdout
+    codes, (closed_form, check) = json.loads(out)
+    assert codes == [0, 0, 0]
+    assert closed_form == []
+    assert check == ["agq.syzygy", "agq.oracle", "agq.linalg"]
+
+
+# Every name the package exported before its modules were deferred, by module.
+PACKAGE_EXPORTS = {
+    "quiver": ("AgqError", "AlmostGentlePair", "Arrow", "InvalidStringError", "NotValidatedError",
+               "Quiver", "UnknownArrowError", "UnknownVertexError", "ValidationReport", "Violation",
+               "nonzero_successor", "opposite", "validate_bound_quiver", "vertex_type"),
+    "strings": ("DirectedString", "anticlaw_of", "claw_of", "left_maximal_extension", "module_dims",
+                "right_maximal_extension", "socle_supports", "string_of"),
+    "forbidden": ("ForbiddenWalk", "LengthOrInf", "delta_forbidden_sup", "forbidden_cycles",
+                  "sup_forbidden_from_arrow", "sup_forbidden_from_vertex", "zero_length_forbidden"),
+    "syzygy": ("NotInjectiveCaseError", "Psi0Descriptor", "Resolution", "Summand", "SyzygyDecomposition",
+               "is_gentle_vertex", "is_invalid_vertex", "omega1_directed_string", "omega1_injective",
+               "psi0_decompose", "psi0_descriptor", "psi0_dim_vector", "resolve_symbolic"),
+    "homdim": ("DimReport", "GorensteinReport", "global_dimension", "gorenstein_report",
+               "noninvalid_cycle_vertex", "pdim_directed_string", "pdim_injective",
+               "pdim_injective_envelope", "pdim_simple", "self_injective_dimension",
+               "self_injective_infinite_by_cycle"),
+    "oracle": ("AgreementReport", "PdimResult", "RepMorphism", "Representation", "check_against_formulas",
+               "check_relations", "cover_morphism", "oracle_pdim", "projective_cover_kernel", "rep_of"),
+}
+
+
+def test_package_names_resolve_to_their_modules_own_objects():
+    import agq
+
+    assert sum(map(len, PACKAGE_EXPORTS.values())) == 63
+    for modname, names in PACKAGE_EXPORTS.items():
+        module = importlib.import_module(f"agq.{modname}")
+        for name in names:
+            scope: dict = {}
+            exec(f"from agq import {name}", scope)
+            assert getattr(agq, name) is getattr(module, name), name
+            assert scope[name] is getattr(module, name), name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(agq, "no_such_name")
 
 
 def test_package_imports_only_the_standard_library():
