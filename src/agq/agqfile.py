@@ -63,7 +63,6 @@ def parse_agq(text: str) -> AgqDocument:
     a diagnostic is worked out from its line when it is raised."""
     doc = AgqDocument()
     lines = text.splitlines()
-    explicit_vertices = False
     arrow_line: dict[str, int] = {}
     unresolved: list[tuple[int, str, str]] = []  # relations naming a not yet declared arrow
     for lineno, raw in enumerate(lines, start=1):
@@ -100,13 +99,10 @@ def parse_agq(text: str) -> AgqDocument:
                 if not named and not TOKEN_RE.match(name):
                     raise ParseError(lineno, _word_column(raw, k), f"bad vertex name {name!r}")
                 if name in doc.line_of:
-                    if explicit_vertices:
-                        raise ParseError(lineno, _word_column(raw, k),
-                                         f"vertex {name!r} already declared on line {doc.line_of[name]}")
-                else:
-                    doc.vertices.append(name)
-                    doc.line_of[name] = lineno
-            explicit_vertices = True
+                    raise ParseError(lineno, _word_column(raw, k),
+                                     f"vertex {name!r} already declared on line {doc.line_of[name]}")
+                doc.vertices.append(name)
+                doc.line_of[name] = lineno
         elif head == "algebra":
             if len(words) != 2 or not TOKEN_RE.match(words[1]):
                 rest = line.strip()[len(head):].strip()
@@ -120,7 +116,7 @@ def parse_agq(text: str) -> AgqDocument:
             if n not in arrow_line:
                 raise ParseError(lineno, _word_column(lines[lineno - 1], k),
                                  f"relation mentions unknown arrow {n!r}")
-    if not explicit_vertices:
+    if not doc.line_of:  # no vertex line
         doc.vertices = list(dict.fromkeys(v for a in doc.arrows for v in (a.source, a.target)))
     else:
         for a in doc.arrows:

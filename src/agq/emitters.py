@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 from .forbidden import _INFINITE, LengthOrInf
 from .homdim import _vertex_table, gorenstein_report, pdim_injective
@@ -58,12 +59,55 @@ def report_json(pair: AlmostGentlePair, name: str | None = None) -> dict:
     }
 
 
+_ROW_VALUES = itemgetter("gentle", "invalid", "pdim_injective", "pdim_simple")
+_LEAF_VALUES = itemgetter("finite", "value")
+# the key's type; the row's length and its flags' types; each leaf's length,
+# its flag's type and whether its value is an int or None
+_ROW_SHAPE = (str, 4, bool, bool, 2, bool, True, 2, bool, True)
+_JSON_BOOL = ("false", "true")
+
+
+def _per_vertex_json(table: dict, newline: str) -> str | None:
+    """JSON text of a table of ``report_json`` rows, or None when some row
+    has another shape; one format per row, sorted as ``json.dumps`` sorts."""
+    i1 = newline + "  "
+    i2 = i1 + "  "
+    i3 = i2 + "  "
+    leaf = f'{{{i3}"finite": %s,{i3}"value": %s{i2}}}'
+    row_format = (f'{i1}%s: {{{i2}"gentle": %s,{i2}"invalid": %s,'
+                  f'{i2}"pdim_injective": {leaf},{i2}"pdim_simple": {leaf}{i1}}}')
+    rows: list[str] = []
+    try:
+        for key in sorted(table):
+            row = table[key]
+            if type(row) is not dict:  # never call another type's __getitem__
+                return None
+            gentle, invalid, inj, simple = _ROW_VALUES(row)
+            if type(inj) is not dict or type(simple) is not dict:
+                return None
+            inj_finite, inj_value = _LEAF_VALUES(inj)
+            simple_finite, simple_value = _LEAF_VALUES(simple)
+            if (type(key), len(row), type(gentle), type(invalid),
+                    len(inj), type(inj_finite), type(inj_value) is int or inj_value is None,
+                    len(simple), type(simple_finite), type(simple_value) is int or simple_value is None
+                    ) != _ROW_SHAPE:
+                return None
+            rows.append(row_format % (
+                encode_basestring_ascii(key), _JSON_BOOL[gentle], _JSON_BOOL[invalid],
+                _JSON_BOOL[inj_finite], "null" if inj_value is None else inj_value,
+                _JSON_BOOL[simple_finite], "null" if simple_value is None else simple_value))
+    except (KeyError, TypeError):
+        return None
+    return "{%s%s}" % (",".join(rows), newline)
+
+
 def emit_json(report: dict) -> str:
     """``json.dumps(report, indent=2, sort_keys=True) + "\\n"``, byte for byte.
 
     With an indent the standard library leaves its C encoder for a pure
     Python one; this writer covers only what a report holds (dicts with str
     keys, lists, str, bool, int and None) and raises TypeError on the rest.
+    A table of ``report_json``'s per-vertex rows is written one row at a time.
     """
     out: list[str] = []
     _write_json(report, "\n", out)
@@ -87,6 +131,11 @@ def _write_json(value, newline: str, out: list[str]) -> None:
         if not value:
             out.append("{}")
             return
+        if type(next(iter(value.values()))) is dict:
+            text = _per_vertex_json(value, newline)
+            if text is not None:
+                out.append(text)
+                return
         inner = newline + "  "
         sep = "{" + inner
         for key in sorted(value):

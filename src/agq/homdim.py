@@ -279,8 +279,11 @@ def self_injective_infinite_by_cycle(pair: AlmostGentlePair) \
     data = digraph_data(pair)
     out, scc, names = data.out, data.scc, data.names
     report = pair.report
-    # an edge x -> y lies on a cycle iff both ends share a component
+    # an edge x -> y lies on a cycle iff both ends share a component, so
+    # an arrow on no cycle has no successor in its own
     for x, children in enumerate(out):
+        if not data.cyclic[x]:
+            continue
         for y in children:
             if scc[x] != scc[y]:
                 continue

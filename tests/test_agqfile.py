@@ -89,6 +89,7 @@ _DIAGNOSTICS = [
     (["vertex 1", "vertex"], 2, (7, 7, 7, 7, 7), "vertex line needs at least one name"),
     (["vertex v v-w"], 1, (10, 11, 16, 10, 10), "bad vertex name 'v-w'"),
     (["vertex e1 e", "vertex e"], 2, (8, 9, 12, 8, 8), "vertex 'e' already declared on line 1"),
+    (["vertex e e"], 1, (10, 11, 16, 10, 10), "vertex 'e' already declared on line 1"),
     (["arrow a 1 -> 2"], 1, (7, 7, 7, 7, 7), "expected 'arrow NAME : SRC -> TGT'"),
     (["arrow r : 1 -> 2", "arrow r : 2 -> 1"], 2, (7, 8, 11, 7, 7),
      "arrow 'r' already declared on line 1"),

@@ -1,3 +1,4 @@
+import enum
 import gc
 import json
 import time
@@ -8,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agq.agqfile import document_of, parse_agq
-from agq.emitters import emit_dot, emit_json, report_json
+from agq.emitters import _per_vertex_json, emit_dot, emit_json, report_json
+from agq.generator import GeneratorParams, random_ag_pair
 from agq.quiver import AlmostGentlePair, Arrow, Quiver
 from agq.strings import (DirectedString, anticlaw_of, claw_of, left_maximal_extension, right_maximal_extension,
                          socle_supports)
 from agq.syzygy import psi0_descriptor, resolve_symbolic
-from conftest import make_pair
+from conftest import FIXTURES, make_pair
 
 _TEXT = st.text(st.sampled_from('ab"\\/\n\t\x00\x1f\x7fé€\U0001f600 '), max_size=8)
 _SCALARS = (_TEXT | st.booleans() | st.none()
@@ -34,6 +36,110 @@ def test_emit_json_matches_the_stdlib_encoder(value):
 def test_emit_json_rejects_what_a_report_never_holds(value):
     with pytest.raises(TypeError):
         emit_json(value)
+
+
+class _Level(enum.IntEnum):
+    TWO = 2
+
+
+_LEAVES = (st.none() | st.integers(0, 40) | st.sampled_from([2**63, 10**30])).map(
+    lambda n: {"finite": n is not None, "value": n})
+_ROWS = st.fixed_dictionaries({
+    "gentle": st.booleans(), "invalid": st.booleans(), "pdim_injective": _LEAVES, "pdim_simple": _LEAVES})
+
+
+def _in_row(change):
+    return lambda table, key: {**table, key: change(table[key])}
+
+
+def _in_leaf(leaf_key, change):
+    return _in_row(lambda row: {**row, leaf_key: change(row[leaf_key])})
+
+
+def _without(key):
+    return lambda mapping: {k: v for k, v in mapping.items() if k != key}
+
+
+# one change to one row of a report table (or to the table), and whether
+# emit_json then raises TypeError, as on a float or a non-str key, rather
+# than match json.dumps
+_PERTURBATIONS = {
+    "row extra key": (_in_row(lambda row: {**row, "extra": 1}), False),
+    "row non-str key": (_in_row(lambda row: {**row, 3: None}), True),
+    "row None": (_in_row(lambda row: None), False),
+    "row str": (_in_row(lambda row: "row"), False),
+    "row list": (_in_row(list), False),
+    "row empty dict": (_in_row(lambda row: {}), False),
+    "table non-str key": (lambda table, key: {**_without(key)(table), 7: table[key]}, True),
+    "empty table": (lambda table, key: {}, False),
+}
+for _key in ("gentle", "invalid", "pdim_injective", "pdim_simple"):
+    _PERTURBATIONS[f"no {_key}"] = (_in_row(_without(_key)), False)
+for _key in ("gentle", "invalid"):
+    _PERTURBATIONS[f"int {_key}"] = (_in_row(lambda row, k=_key: {**row, k: int(row[k])}), False)
+for _key in ("pdim_injective", "pdim_simple"):
+    _PERTURBATIONS.update({
+        f"{_key} extra key": (_in_leaf(_key, lambda leaf: {**leaf, "extra": None}), False),
+        f"{_key} non-str key": (_in_leaf(_key, lambda leaf: {**leaf, 3: None}), True),
+        f"{_key} no value": (_in_leaf(_key, _without("value")), False),
+        f"{_key} int finite": (_in_leaf(_key, lambda leaf: {**leaf, "finite": int(leaf["finite"])}), False),
+        f"{_key} value True": (_in_leaf(_key, lambda leaf: {**leaf, "value": True}), False),
+        f"{_key} IntEnum value": (_in_leaf(_key, lambda leaf: {**leaf, "value": _Level.TWO}), False),
+        f"{_key} float value": (_in_leaf(_key, lambda leaf: {**leaf, "value": 1.5}), True),
+        f"{_key} list": (_in_leaf(_key, lambda leaf: [leaf["finite"], leaf["value"]]), False),
+    })
+_AT_DEPTHS = st.sampled_from([
+    lambda table: table,
+    lambda table: {"algebra": "x", "per_vertex": table, "valid": True},
+    lambda table: {"a": [{"per_vertex": table}, table]},
+])
+_TABLES = st.dictionaries(_TEXT, _ROWS, min_size=1, max_size=6)
+
+
+def _emits_as_the_stdlib_encoder(value):
+    return emit_json(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(_TABLES, _AT_DEPTHS)
+def test_report_tables_are_written_by_rows(table, at_depth):
+    assert _per_vertex_json(table, "\n") is not None
+    assert _emits_as_the_stdlib_encoder(at_depth(table))
+
+
+@pytest.mark.parametrize("perturb, raises", _PERTURBATIONS.values(), ids=list(_PERTURBATIONS))
+@settings(max_examples=15, deadline=None)
+@given(table=_TABLES, at_depth=_AT_DEPTHS, data=st.data())
+def test_perturbed_report_tables_are_written_as_the_stdlib_encoder_writes_them(
+        perturb, raises, table, at_depth, data):
+    table = perturb(table, data.draw(st.sampled_from(sorted(table))))
+    assert table == {} or _per_vertex_json(table, "\n") is None
+    if raises:
+        with pytest.raises(TypeError):
+            emit_json(at_depth(table))
+    else:
+        assert _emits_as_the_stdlib_encoder(at_depth(table))
+
+
+def _reports():
+    for path in sorted(FIXTURES.glob("*.agq")):
+        doc = parse_agq(path.read_text(encoding="utf-8"))
+        pair = doc.pair()
+        if pair.validated:  # loop_norel is the one invalid fixture
+            yield report_json(pair, doc.name)
+    for seed in range(1, 201):
+        yield report_json(random_ag_pair(GeneratorParams(seed=seed))[0], f"random_{seed}")
+
+
+def test_every_report_writes_its_per_vertex_table_by_rows():
+    # a change to report_json's rows that the row writer does not follow
+    # would silently fall back to the generic writer
+    count = 0
+    for report in _reports():
+        assert _per_vertex_json(report["per_vertex"], "\n  ") is not None
+        assert _emits_as_the_stdlib_encoder(report)
+        count += 1
+    assert count == 208
 
 
 def test_report_on_a_long_chain_takes_bounded_work():
