@@ -58,11 +58,22 @@ class AgqDocument(_Record):
                                       frozenset(self.relations))
 
 
+def _lines(text: str) -> list[str]:
+    """The lines of text, each ended by \\n, \\r\\n or \\r only: every other
+    character str.splitlines() ends a line at is in-line whitespace here."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()  # the empty rest after a final line end
+    return lines
+
+
 def parse_agq(text: str) -> AgqDocument:
     """One pass over the lines; only line numbers are kept, and the column of
     a diagnostic is worked out from its line when it is raised."""
     doc = AgqDocument()
-    lines = text.splitlines()
+    lines = _lines(text)
     arrow_line: dict[str, int] = {}
     unresolved: list[tuple[int, str, str]] = []  # relations naming a not yet declared arrow
     for lineno, raw in enumerate(lines, start=1):
@@ -168,7 +179,7 @@ def load_pair(path: str) -> tuple[AgqDocument, AlmostGentlePair]:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         # "?" stands for the first undecodable byte, so it ends the last line
-        lines = (data[:exc.start].decode("utf-8") + "?").splitlines()
+        lines = _lines(data[:exc.start].decode("utf-8") + "?")
         raise ParseError(len(lines), len(lines[-1]), "file is not valid UTF-8") from None
     doc = parse_agq(text)
     return doc, doc.pair()

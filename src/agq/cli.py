@@ -246,12 +246,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--witness", action="store_true")
         p.set_defaults(func=func)
 
-    p = sub.add_parser("pdim", help="projective dimension of a module")
-    p.add_argument("file")
-    grp = p.add_mutually_exclusive_group(required=True)
-    grp.add_argument("--simple", metavar="V")
-    grp.add_argument("--injective", metavar="V")
-    grp.add_argument("--string", metavar="a1,a2,...")
+    def module_parser(name: str, summary: str) -> argparse.ArgumentParser:
+        """A subcommand on a file and one module of it."""
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("file")
+        grp = p.add_mutually_exclusive_group(required=True)
+        for flag, metavar in (("--simple", "V"), ("--injective", "V"), ("--string", "a1,a2,...")):
+            grp.add_argument(flag, metavar=metavar)
+        return p
+
+    p = module_parser("pdim", "projective dimension of a module")
     p.add_argument("--witness", action="store_true")
     p.set_defaults(func=cmd_pdim)
 
@@ -261,12 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cycles", action="store_true")
     p.set_defaults(func=cmd_forbidden)
 
-    p = sub.add_parser("resolve", help="symbolic minimal projective resolution")
-    p.add_argument("file")
-    grp = p.add_mutually_exclusive_group(required=True)
-    grp.add_argument("--simple", metavar="V")
-    grp.add_argument("--injective", metavar="V")
-    grp.add_argument("--string", metavar="a1,a2,...")
+    p = module_parser("resolve", "symbolic minimal projective resolution")
     p.add_argument("--max-steps", type=_at_least(1), default=64)
     p.add_argument("--oracle", action="store_true")
     p.set_defaults(func=cmd_resolve)

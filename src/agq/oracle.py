@@ -644,12 +644,12 @@ def _oracle_psi0_projective(pair: AlmostGentlePair, v: str, injective: KeyedComp
     vectors decide this.  Each leftover string is built and keyed once per
     pair, and stored there.
     """
-    from .syzygy import _summand_graph
+    from .syzygy import omega1_injective
 
     omega1 = _cover_kernel_componentwise(pair, _module_level(injective))[1]
     omega2 = _cover_kernel_componentwise(pair, omega1)[1]
     pieces: Level = {}
-    for s in _summand_graph(pair).injective(pair, v)[1]:
+    for s in omega1_injective(pair, v)[1]:
         ds = DirectedString(s.arrows, s.vertex)
         _add(pieces, *pair.memo(("leftover", ds), lambda: _keyed(pair, rep_of(pair, "string", ds))))
     leftovers = _cover_kernel_componentwise(pair, pieces)[1]

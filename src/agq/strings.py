@@ -142,27 +142,20 @@ def left_maximal_extension(pair: AlmostGentlePair, ds: DirectedString) -> Direct
 
 
 def claw_of(pair: AlmostGentlePair, v: str) -> tuple[DirectedString, ...]:
-    """The claw of v: one right maximal branch per outgoing arrow; P(v)."""
+    """The claw of v: one right maximal branch per outgoing arrow, its chain
+    from it on; P(v)."""
     pair.require_valid()
-    pair.require_vertex(v)
-    return _branches(pair, v, True)
+    outs = pair.report.outs[pair.quiver.vertex_index[pair.require_vertex(v)]]
+    return tuple(DirectedString(_run(pair, a, -1)) for a in outs)
 
 
 def anticlaw_of(pair: AlmostGentlePair, v: str) -> tuple[DirectedString, ...]:
-    """The anti-claw of v: one left maximal branch per incoming arrow; E(v)."""
+    """The anti-claw of v: one left maximal branch per incoming arrow, its
+    chain up to it; E(v)."""
     pair.require_valid()
-    pair.require_vertex(v)
-    return _branches(pair, v, False)
-
-
-def _branches(pair: AlmostGentlePair, v: str, right: bool) -> tuple[DirectedString, ...]:
-    """The claw (right) or anti-claw of a vertex of a valid pair, unchecked:
-    each out-arrow's chain from it on, or each in-arrow's chain up to it."""
-    report, w = pair.report, pair.quiver.vertex_index[v]
-    if right:
-        return tuple(DirectedString(_run(pair, a, -1)) for a in report.outs[w])
-    head, succ = _chains(pair)[0], report.nonzero_succ
-    return tuple(DirectedString(_run(pair, head[a], succ[a])) for a in report.ins[w])
+    ins = pair.report.ins[pair.quiver.vertex_index[pair.require_vertex(v)]]
+    head, succ = _chains(pair)[0], pair.report.nonzero_succ
+    return tuple(DirectedString(_run(pair, head[a], succ[a])) for a in ins)
 
 
 def module_dims(pair: AlmostGentlePair, kind: str, arg) -> dict[str, int]:
@@ -180,11 +173,9 @@ def module_dims(pair: AlmostGentlePair, kind: str, arg) -> dict[str, int]:
         basis = [string_source(pair, _check_string(pair, arg))]
         basis += [arrows[aidx[a]].target for a in arg.arrows]
     elif kind == "projective":
-        basis = [pair.require_vertex(arg)]
-        basis += [arrows[aidx[a]].target for br in _branches(pair, arg, True) for a in br.arrows]
+        basis = [arg] + [arrows[aidx[a]].target for br in claw_of(pair, arg) for a in br.arrows]
     elif kind == "injective":
-        basis = [pair.require_vertex(arg)]
-        basis += [arrows[aidx[a]].source for br in _branches(pair, arg, False) for a in br.arrows]
+        basis = [arg] + [arrows[aidx[a]].source for br in anticlaw_of(pair, arg) for a in br.arrows]
     else:
         raise ValueError(f"unknown module kind {kind!r}")
     dims: dict[str, int] = {}

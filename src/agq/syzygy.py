@@ -9,24 +9,28 @@ leftovers (the M-list) and the socle block, the part glued together over v;
 the block decomposes into directed strings except when every in-arrow of v
 matches an out-arrow and there are at least two, in which case it is a
 genuine tree module handled by its own exact kernel formula.
+
+Every lemma runs once, on the validation's index tables, over nodes
+``(rank, apex, first, length)``; the public functions check their
+arguments, call it and hand out a ``Summand`` per node.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from operator import attrgetter
 
-from .quiver import AgqError, AlmostGentlePair, _Frozen, _setattr, vertex_type
+from .quiver import AgqError, AlmostGentlePair, ValidationReport, _Frozen, _setattr
 from .strings import (
     DirectedString,
-    _branches,
+    _chains,
     _check_string,
     _gentle_at,
     _invalid_at,
-    anticlaw_of,
+    _run,
     claw_of,
     module_dims,
-    string_source,
+    string_of,
 )
 
 
@@ -61,42 +65,94 @@ class Summand(_Frozen):
     def __hash__(self) -> int:
         return hash((self.kind, self.vertex, self.arrows))
 
-    @classmethod
-    def simple(cls, v: str) -> "Summand":
-        return cls("simple", v)
 
-    @classmethod
-    def string(cls, arrows: tuple[str, ...], anchor: str | None = None) -> "Summand":
-        if not arrows:
-            return cls.simple(anchor)  # type: ignore[arg-type]
-        return cls("string", None, tuple(arrows))
-
-    @classmethod
-    def projective(cls, v: str) -> "Summand":
-        return cls("projective", v)
-
-    @classmethod
-    def psi0(cls, v: str) -> "Summand":
-        return cls("psi0", v)
+# A node is (rank, apex, first, length), all ints: rank indexes _KINDS, apex
+# is a vertex index (a string's source), and a string has its first arrow
+# index and arrow count, every other kind -1, 0.  Every string met is a
+# slice of one chain, so two with the same first arrow are prefixes of each
+# other: nodes sort as their summands do, by rank, apex, then arrow indices.
+_KINDS = ("simple", "string", "projective", "psi0")
+Node = tuple[int, int, int, int]
 
 
-_KIND_RANK = {"simple": 0, "string": 1, "projective": 2, "psi0": 3}
+def _vertex(pair: AlmostGentlePair, v: str) -> int:
+    """The index of the vertex v of a valid pair, checked."""
+    pair.require_valid()
+    return pair.quiver.vertex_index[pair.require_vertex(v)]
 
 
-def summand_sort_key(pair: AlmostGentlePair, s: Summand):
-    vidx = pair.quiver.vertex_index
-    aidx = pair.quiver.arrow_index
-    apex = s.vertex if s.vertex is not None else pair.arrow(s.arrows[0]).source
-    return (_KIND_RANK[s.kind], vidx[apex], tuple(aidx[a] for a in s.arrows))
+def _walk(succ: list[int], i: int, n: int) -> int:
+    """The arrow n steps after arrow i along its chain, -1 just past its end."""
+    for _ in range(n):
+        i = succ[i]
+    return i
 
 
-def _summand_dims(pair: AlmostGentlePair, s: Summand) -> dict[str, int]:
-    """The dimension vector of a simple, string or projective summand."""
-    if s.kind == "simple":
-        return {s.vertex: 1}  # type: ignore[dict-item]
-    if s.kind == "string":
-        return module_dims(pair, "string", DirectedString(s.arrows))
-    return module_dims(pair, "projective", s.vertex)
+def _after(report: ValidationReport, x: int) -> Node:
+    """What follows arrow x on its chain: the chain from its nonzero
+    successor on, or the simple at its target when x ends the chain."""
+    succ = report.nonzero_succ
+    y = n = succ[x]
+    if y < 0:
+        return 0, report.target[x], -1, 0
+    length = 0
+    while n >= 0:
+        length, n = length + 1, succ[n]
+    return 1, report.target[x], y, length
+
+
+def _node_of(pair: AlmostGentlePair, s: Summand | DirectedString) -> Node:
+    """The node of a summand, its arrows checked, or of a checked directed string."""
+    if s.arrows:
+        if isinstance(s, Summand):
+            string_of(pair, s.arrows)
+        first = pair.quiver.arrow_index[s.arrows[0]]
+        return 1, pair.report.source[first], first, len(s.arrows)
+    rank = _KINDS.index(s.kind) if isinstance(s, Summand) else 0
+    return rank, pair.quiver.vertex_index[s.vertex], -1, 0  # type: ignore[index]
+
+
+def _summand(pair: AlmostGentlePair, node: Node) -> Summand:
+    rank, apex, first, length = node
+    if rank == 1:
+        return Summand("string", None, _run(pair, first, _walk(pair.report.nonzero_succ, first, length)))
+    return Summand(_KINDS[rank], pair.quiver.vertices[apex])
+
+
+def _counts(pieces: Iterable[tuple[Node, int]]) -> dict[Node, int]:
+    """Multiplicity per node, without the nodes that come to zero copies."""
+    counts: dict[Node, int] = {}
+    for node, m in pieces:
+        if m:
+            counts[node] = counts.get(node, 0) + m
+    return counts
+
+
+def _decomposition(pair: AlmostGentlePair, pieces: Iterable[tuple[Node, int]]) -> SyzygyDecomposition:
+    counts = _counts(pieces)
+    return SyzygyDecomposition(tuple((_summand(pair, n), counts[n]) for n in sorted(counts)))
+
+
+def _dims(pair: AlmostGentlePair, node: Node) -> dict[str, int]:
+    """The dimension vector of a node.  A socle block has c-1 at its apex
+    plus one per vertex strictly along each flagged tail."""
+    rank, apex, first, length = node
+    if rank == 2:
+        return module_dims(pair, "projective", pair.quiver.vertices[apex])
+    report = pair.report
+    if rank == 3:
+        basis = [apex] * (len(report.ins[apex]) - 1)
+        runs = [(a, -1) for a in report.outs[apex] if report.nonzero_pred[a] >= 0]
+    else:
+        basis, runs = [apex], [(first, length)]
+    for a, n in runs:  # n arrows from a on, or the whole chain when n is -1
+        while a >= 0 and n:
+            basis.append(report.target[a])
+            a, n = report.nonzero_succ[a], n - 1
+    dims: dict[str, int] = {}
+    for w in map(pair.quiver.vertices.__getitem__, basis):
+        dims[w] = dims.get(w, 0) + 1
+    return dims
 
 
 class SyzygyDecomposition(_Frozen):
@@ -115,18 +171,13 @@ class SyzygyDecomposition(_Frozen):
     @classmethod
     def of(cls, pair: AlmostGentlePair,
            summands: list[tuple[Summand, int]]) -> "SyzygyDecomposition":
-        counts: dict[Summand, int] = {}
-        for s, n in summands:
-            if n:
-                counts[s] = counts.get(s, 0) + n
-        ordered = sorted(counts, key=lambda s: summand_sort_key(pair, s))
-        return cls(tuple((s, counts[s]) for s in ordered))
+        return _decomposition(pair, ((_node_of(pair, s), n) for s, n in summands))
 
     def dim_vector(self, pair: AlmostGentlePair) -> dict[str, int]:
         graph = _summand_graph(pair)
         dims: dict[str, int] = {}
         for s, n in self.items:
-            for v, m in graph.dims[graph.node(pair, s)].items():
+            for v, m in graph.dims_of(pair, _node_of(pair, s)).items():
                 dims[v] = dims.get(v, 0) + n * m
         return {v: n for v, n in dims.items() if n}
 
@@ -134,9 +185,17 @@ class SyzygyDecomposition(_Frozen):
         return bool(self.items)
 
 
-def _after(pair: AlmostGentlePair, arrows: tuple[str, ...], k: int) -> Summand:
-    """The string arrows[k+1:]; the simple at the target of arrows[k] if empty."""
-    return Summand.string(arrows[k + 1:], pair.arrow(arrows[k]).target)
+def _omega1(report: ValidationReport, node: Node) -> list[tuple[Node, int]]:
+    """omega1_directed_string on a simple or string node: each out-arrow of
+    the apex gives what follows it, or, for the one the string starts, what
+    follows the string's next arrow, if any."""
+    _rank, apex, first, length = node
+    pieces = []
+    for a in report.outs[apex]:
+        x = _walk(report.nonzero_succ, a, length) if a == first else a
+        if x >= 0:
+            pieces.append((_after(report, x), 1))
+    return pieces
 
 
 def omega1_directed_string(pair: AlmostGentlePair, delta: DirectedString) -> SyzygyDecomposition:
@@ -150,13 +209,7 @@ def omega1_directed_string(pair: AlmostGentlePair, delta: DirectedString) -> Syz
     simple at its anchor, and every branch there contributes.
     """
     pair.require_valid()
-    n = len(_check_string(pair, delta))
-    pieces: list[tuple[Summand, int]] = []
-    for br in _branches(pair, string_source(pair, delta), True):
-        k = n if br.arrows[:1] == delta.arrows[:1] else 0
-        if k < len(br):
-            pieces.append((_after(pair, br.arrows, k), 1))
-    return SyzygyDecomposition.of(pair, pieces)
+    return _decomposition(pair, _omega1(pair.report, _node_of(pair, _check_string(pair, delta))))
 
 
 def is_gentle_vertex(pair: AlmostGentlePair, v: str) -> bool:
@@ -166,9 +219,7 @@ def is_gentle_vertex(pair: AlmostGentlePair, v: str) -> bool:
     zero with at most one partner (the nonzero side is already bounded by
     validation).
     """
-    pair.require_valid()
-    pair.require_vertex(v)
-    return _gentle_at(pair.report, pair.quiver.vertex_index[v])
+    return _gentle_at(pair.report, _vertex(pair, v))
 
 
 class Psi0Descriptor(_Frozen):
@@ -206,14 +257,8 @@ class Psi0Descriptor(_Frozen):
 
 def psi0_descriptor(pair: AlmostGentlePair, v: str) -> Psi0Descriptor:
     """The socle-block shape of E(v), built from the claw of v when asked."""
-    pair.require_valid()
-    pair.require_vertex(v)
-    return _psi0_descriptor(pair, v)
-
-
-def _psi0_descriptor(pair: AlmostGentlePair, v: str) -> Psi0Descriptor:
+    claw = claw_of(pair, v)
     pred, idx = pair.report.nonzero_pred, pair.quiver.arrow_index
-    claw = _branches(pair, v, True)
     tails = tuple((tail, pred[idx[tail.arrows[0]]] >= 0) for tail in claw)
     t = sum(1 for _, f in tails if f)
     return Psi0Descriptor(v, len(pair.report.ins[pair.quiver.vertex_index[v]]), len(claw), t, tails)
@@ -221,18 +266,16 @@ def _psi0_descriptor(pair: AlmostGentlePair, v: str) -> Psi0Descriptor:
 
 def psi0_dim_vector(pair: AlmostGentlePair, v: str) -> dict[str, int]:
     """(c-1) at the apex plus one per vertex strictly along each flagged tail."""
-    return _psi0_dim_vector(pair, psi0_descriptor(pair, v))
+    return _dims(pair, (3, _vertex(pair, v), -1, 0))
 
 
-def _psi0_dim_vector(pair: AlmostGentlePair, desc: Psi0Descriptor) -> dict[str, int]:
-    dims: dict[str, int] = {}
-    if desc.c >= 2:
-        dims[desc.apex] = desc.c - 1
-    for tail in desc.flagged():
-        for a in tail.arrows:
-            t = pair.arrow(a).target
-            dims[t] = dims.get(t, 0) + 1
-    return {w: n for w, n in dims.items() if n}
+def _leftovers(pair: AlmostGentlePair, v: int) -> list[Node]:
+    """The per-branch leftovers of Omega_1(E(v)): for each in-arrow of v,
+    what follows every other out-arrow at the source of its anti-claw
+    branch, which starts at the head of the in-arrow's chain."""
+    report, head = pair.report, _chains(pair)[0]
+    return [_after(report, a) for b in report.ins[v]
+            for a in report.outs[report.source[head[b]]] if a != head[b]]
 
 
 def omega1_injective(pair: AlmostGentlePair, v: str) -> tuple[Psi0Descriptor, list[Summand]]:
@@ -242,19 +285,10 @@ def omega1_injective(pair: AlmostGentlePair, v: str) -> tuple[Psi0Descriptor, li
     the branch source other than the one through the branch itself, minus
     its first arrow.  The socle block is returned symbolically.
     """
-    pair.require_valid()
-    c, _ = vertex_type(pair, v)
-    if c == 0:
+    i = _vertex(pair, v)
+    if not pair.report.ins[i]:
         raise NotInjectiveCaseError(f"E({v}) is the simple at the source {v}")
-    desc = psi0_descriptor(pair, v)
-    mlist: list[Summand] = []
-    for branch in anticlaw_of(pair, v):
-        x = string_source(pair, branch)
-        first = branch.arrows[0]
-        for br in claw_of(pair, x):
-            if br.arrows[0] != first:
-                mlist.append(_after(pair, br.arrows, 0))
-    return desc, sorted(mlist, key=lambda s: summand_sort_key(pair, s))
+    return psi0_descriptor(pair, v), [_summand(pair, n) for n in sorted(_leftovers(pair, i))]
 
 
 def is_invalid_vertex(pair: AlmostGentlePair, v: str) -> tuple[bool, int | None]:
@@ -266,9 +300,21 @@ def is_invalid_vertex(pair: AlmostGentlePair, v: str) -> tuple[bool, int | None]
     after its first arrow), (5) one in-arrow composing to zero with every
     out-arrow.
     """
-    pair.require_valid()
-    pair.require_vertex(v)
-    return _invalid_at(pair.report, pair.quiver.vertex_index[v])
+    return _invalid_at(pair.report, _vertex(pair, v))
+
+
+def _block(report: ValidationReport, v: int) -> list[tuple[Node, int]] | None:
+    """psi0_decompose at a vertex index with in-arrows; a tail is flagged
+    when its first arrow has a nonzero predecessor."""
+    c = len(report.ins[v])
+    flagged = [a for a in report.outs[v] if report.nonzero_pred[a] >= 0]
+    if len(flagged) < c:
+        # a flagged tail is the chain from its arrow, what follows its predecessor
+        pieces = [(_after(report, report.nonzero_pred[a]), 1) for a in flagged]
+        return pieces + [((0, v, -1, 0), c - 1 - len(flagged))]
+    if c == 1:
+        return [(_after(report, flagged[0]), 1)]
+    return None
 
 
 def psi0_decompose(pair: AlmostGentlePair, v: str) -> SyzygyDecomposition | None:
@@ -280,40 +326,22 @@ def psi0_decompose(pair: AlmostGentlePair, v: str) -> SyzygyDecomposition | None
     block is a tree outside the directed-string vocabulary (projective
     exactly when the vertex is invalid) and None is returned.
     """
-    pair.require_valid()
-    desc = psi0_descriptor(pair, v)
-    if desc.c == 0:
+    i = _vertex(pair, v)
+    if not pair.report.ins[i]:
         raise NotInjectiveCaseError(f"E({v}) is simple; no socle block")
-    return _psi0_decompose(pair, desc)
+    block = _block(pair.report, i)
+    return None if block is None else _decomposition(pair, block)
 
 
-def _psi0_decompose(pair: AlmostGentlePair, desc: Psi0Descriptor) -> SyzygyDecomposition | None:
-    """psi0_decompose from the socle-block descriptor of E(v), v not a source."""
-    if desc.t < desc.c:
-        pieces = [(Summand.string(tail.arrows), 1) for tail in desc.flagged()]
-        pieces.append((Summand.simple(desc.apex), desc.c - 1 - desc.t))
-        return SyzygyDecomposition.of(pair, pieces)
-    if desc.c == 1:
-        tail = desc.flagged()[0]
-        return SyzygyDecomposition.of(pair, [(_after(pair, tail.arrows, 0), 1)])
-    return None
+def _tree_omega1(report: ValidationReport, v: int) -> list[tuple[Node, int]]:
+    """Exact first syzygy of the undecomposed (t = c >= 2) socle block of E(v).
 
-
-def psi0_omega1(pair: AlmostGentlePair, desc: Psi0Descriptor) -> list[tuple[Summand, int]]:
-    """Exact first syzygy of the undecomposed (t = c >= 2) socle block.
-
-    The cover is P(apex)^(c-1); per claw tail the kernel keeps c-2 copies of
+    The cover is P(v)^(c-1); per claw tail the kernel keeps c-2 copies of
     the tail minus its first arrow when the tail is flagged and c-1 copies
     when it is not.
     """
-    c = desc.c
-    pieces: list[tuple[Summand, int]] = []
-    for tail, flag in desc.tails:
-        mult = c - 2 if flag else c - 1
-        if mult <= 0:
-            continue
-        pieces.append((_after(pair, tail.arrows, 0), mult))
-    return pieces
+    c = len(report.ins[v])
+    return [(_after(report, a), c - 2 if report.nonzero_pred[a] >= 0 else c - 1) for a in report.outs[v]]
 
 
 class ResolutionLevel(_Frozen):
@@ -339,113 +367,76 @@ class Resolution(_Frozen):
         return len(self.levels) - 1
 
 
-def _normalize(pair: AlmostGentlePair, s: Summand) -> Summand:
-    """Recognize projective summands; symbolic termination needs no oracle."""
-    report, aidx = pair.report, pair.quiver.arrow_index
-    if s.kind == "simple":
-        if not report.outs[pair.quiver.vertex_index[s.vertex]]:  # type: ignore[index]
-            return Summand.projective(s.vertex)  # type: ignore[arg-type]
-        return s
-    if s.kind == "string":
-        src = report.source[aidx[s.arrows[0]]]
-        if len(report.outs[src]) == 1 and report.nonzero_succ[aidx[s.arrows[-1]]] < 0:
-            return Summand.projective(pair.quiver.vertices[src])
-        return s
-    if s.kind == "psi0":
-        if _invalid_at(pair.report, pair.quiver.vertex_index[s.vertex])[0]:  # type: ignore[index]
+def _normalize(report: ValidationReport, node: Node) -> Node:
+    """Recognize projective nodes; symbolic termination needs no oracle."""
+    rank, apex, first, length = node
+    if (rank == 0 and not report.outs[apex]
+            or rank == 1 and len(report.outs[apex]) == 1 and _walk(report.nonzero_succ, first, length) < 0
             # t = c = 2 and gentle: the block is the two-branch claw P(apex)
-            return Summand.projective(s.vertex)  # type: ignore[arg-type]
-        return s
-    return s
-
-
-def _omega1_of_summand(pair: AlmostGentlePair, s: Summand) -> Sequence[tuple[Summand, int]]:
-    if s.kind == "projective":
-        return ()
-    if s.kind in ("simple", "string"):
-        return omega1_directed_string(pair, DirectedString(s.arrows, s.vertex)).items
-    raise ValueError(s.kind)
+            or rank == 3 and _invalid_at(report, apex)[0]):
+        return 2, apex, -1, 0
+    return node
 
 
 class _SummandGraph:
-    """The summands met on one pair, numbered in the order they are met.
+    """The summands met on one pair, as nodes that are their own keys.
 
-    Node n stores its summand, its sort key, its cover contribution (apex
-    index, copies: c - 1 for a socle block, else 1), its dimension vector
-    and, once asked for, its successors: the normalized first syzygy as
-    [(node, multiplicity)].  An injective E(v) that is not simple enters
-    the graph through its first syzygy, stored per vertex once asked for;
-    an undecomposed socle block keeps the descriptor that E(v) built.
+    Per node it stores its summand, made when the node is first met, and,
+    each once asked for, its dimension vector and its successors: the
+    normalized first syzygy as [(node, multiplicity)], empty for a
+    projective.  An injective E(v)
+    that is not simple enters the graph through its cover per vertex index
+    and its first syzygy as counts per node, stored per vertex index.
+    A node covers its apex, c - 1 times for a socle block, else once.
     The pair is passed in, never stored, so the pair's memo holds no cycle
     back to the pair.
     """
 
     def __init__(self) -> None:
-        self.nodes: dict[Summand, int] = {}
-        self.summands: list[Summand] = []
-        self.keys: list[tuple] = []
-        self.covers: list[tuple[int, int]] = []
-        self.dims: list[dict[str, int]] = []
-        self.succ: list[list[tuple[int, int]] | None] = []
-        self.injectives: dict[str, tuple[dict[int, int], tuple[Summand, ...], dict[int, int]]] = {}
-        self.blocks: dict[str, Psi0Descriptor] = {}  # apex -> descriptor of a "psi0" summand
+        self.summands: dict[Node, Summand] = {}
+        self.dims: dict[Node, dict[str, int]] = {}
+        self.succ: dict[Node, list[tuple[Node, int]]] = {}
+        self.injectives: dict[int, tuple[dict[int, int], dict[Node, int]]] = {}
 
-    def node(self, pair: AlmostGentlePair, s: Summand) -> int:
-        n = self.nodes.get(s)
-        if n is None:
-            n = self.nodes[s] = len(self.summands)
-            key = summand_sort_key(pair, s)
-            if s.kind == "psi0":
-                desc = self.blocks[s.vertex]  # type: ignore[index]
-                copies, dims = desc.c - 1, _psi0_dim_vector(pair, desc)
-            else:
-                copies, dims = 1, _summand_dims(pair, s)
-            self.summands.append(s)
-            self.keys.append(key)
-            self.covers.append((key[1], copies))
-            self.dims.append(dims)
-            self.succ.append(None)
-        return n
+    def dims_of(self, pair: AlmostGentlePair, node: Node) -> dict[str, int]:
+        dims = self.dims.get(node)
+        if dims is None:
+            dims = self.dims[node] = _dims(pair, node)
+        return dims
 
-    def count(self, pair: AlmostGentlePair, pieces: Iterable[tuple[Summand, int]]) -> dict[int, int]:
-        """Multiplicity per node of the normalized pieces."""
-        counts: dict[int, int] = {}
-        for s, m in pieces:
-            k = self.node(pair, _normalize(pair, s))
-            counts[k] = counts.get(k, 0) + m
+    def count(self, pair: AlmostGentlePair, pieces: Iterable[tuple[Node, int]]) -> dict[Node, int]:
+        """Multiplicity per node of the normalized pieces, each node's
+        summand made the first time it is met."""
+        counts = _counts((_normalize(pair.report, n), m) for n, m in pieces)
+        for n in counts:
+            if n not in self.summands:
+                self.summands[n] = _summand(pair, n)
         return counts
 
-    def successors(self, pair: AlmostGentlePair, n: int) -> list[tuple[int, int]]:
-        succ = self.succ[n]
+    def successors(self, pair: AlmostGentlePair, node: Node) -> list[tuple[Node, int]]:
+        succ = self.succ.get(node)
         if succ is None:
-            s = self.summands[n]
-            if s.kind == "psi0":
-                pieces = psi0_omega1(pair, self.blocks[s.vertex])  # type: ignore[index]
-            else:
-                pieces = _omega1_of_summand(pair, s)
-            succ = self.succ[n] = list(self.count(pair, pieces).items())
+            report = pair.report
+            pieces = (_tree_omega1(report, node[1]) if node[0] == 3
+                      else _omega1(report, node) if node[0] < 2 else [])
+            succ = self.succ[node] = list(self.count(pair, pieces).items())
         return succ
 
-    def injective(self, pair: AlmostGentlePair, v: str
-                  ) -> tuple[dict[int, int], tuple[Summand, ...], dict[int, int]]:
-        """E(v) at a vertex with in-arrows: its cover per vertex index, its
-        per-branch leftovers, and its first syzygy as counts per node."""
+    def injective(self, pair: AlmostGentlePair, v: int) -> tuple[dict[int, int], dict[Node, int]]:
+        """E(v) at a vertex index with in-arrows: its cover per vertex index
+        and its first syzygy as counts per node."""
         entry = self.injectives.get(v)
         if entry is None:
-            desc, mlist = omega1_injective(pair, v)
-            vidx = pair.quiver.vertex_index
+            report, head = pair.report, _chains(pair)[0]
             cover: dict[int, int] = {}
-            for br in anticlaw_of(pair, v):
-                x = vidx[string_source(pair, br)]
+            for b in report.ins[v]:
+                x = report.source[head[b]]
                 cover[x] = cover.get(x, 0) + 1
-            decomposed = _psi0_decompose(pair, desc)
-            if decomposed is None:
-                self.blocks[v] = desc
-                block: Iterable[tuple[Summand, int]] = ((Summand.psi0(v), 1),)
-            else:
-                block = decomposed.items
-            syzygy = self.count(pair, [(s, 1) for s in mlist] + list(block))
-            entry = self.injectives[v] = (cover, tuple(mlist), syzygy)
+            block = _block(report, v)
+            if block is None:
+                block = [((3, v, -1, 0), 1)]
+            syzygy = self.count(pair, [(n, 1) for n in _leftovers(pair, v)] + block)
+            entry = self.injectives[v] = (cover, syzygy)
         return entry
 
 
@@ -454,13 +445,12 @@ def _summand_graph(pair: AlmostGentlePair) -> _SummandGraph:
 
 
 def _level(pair: AlmostGentlePair, graph: _SummandGraph,
-           cover: dict[int, int], syzygy: dict[int, int]) -> ResolutionLevel:
+           cover: dict[int, int], syzygy: dict[Node, int]) -> ResolutionLevel:
     """A level from cover counts per vertex index and syzygy counts per node."""
     vertices = pair.quiver.vertices
     return ResolutionLevel(
         tuple((vertices[i], cover[i]) for i in sorted(cover)),
-        SyzygyDecomposition(tuple((graph.summands[n], syzygy[n])
-                                  for n in sorted(syzygy, key=graph.keys.__getitem__))))
+        SyzygyDecomposition(tuple((graph.summands[n], syzygy[n]) for n in sorted(syzygy))))
 
 
 def resolve_symbolic(pair: AlmostGentlePair, kind: str, arg, max_steps: int = 64,
@@ -475,25 +465,21 @@ def resolve_symbolic(pair: AlmostGentlePair, kind: str, arg, max_steps: int = 64
     sum over the pair's summand graph.
     """
     pair.require_valid()
-    graph = _summand_graph(pair)
+    graph, report = _summand_graph(pair), pair.report
     levels: list[ResolutionLevel] = []
 
-    def too_big(counts: dict[int, int]) -> bool:
-        return max_dim is not None and sum(m * sum(graph.dims[n].values())
+    def too_big(counts: dict[Node, int]) -> bool:
+        return max_dim is not None and sum(m * sum(graph.dims_of(pair, n).values())
                                            for n, m in counts.items()) > max_dim
 
-    if kind == "injective":
-        v = pair.require_vertex(arg)
-        c, _ = vertex_type(pair, v)
-        if c == 0:
-            kind, arg = "simple", v
+    if kind == "injective" and not report.ins[_vertex(pair, arg)]:
+        kind = "simple"
     if kind == "simple":
-        current = graph.count(pair, [(Summand.simple(pair.require_vertex(arg)), 1)])
+        current = graph.count(pair, [((0, _vertex(pair, arg), -1, 0), 1)])
     elif kind == "string":
-        ds: DirectedString = _check_string(pair, arg)
-        current = graph.count(pair, [(Summand.string(ds.arrows, ds.vertex), 1)])
+        current = graph.count(pair, [(_node_of(pair, _check_string(pair, arg)), 1)])
     elif kind == "injective":
-        cover, _leftovers, current = graph.injective(pair, arg)
+        cover, current = graph.injective(pair, _vertex(pair, arg))
         levels.append(_level(pair, graph, cover, current))
         if not current:
             return Resolution(tuple(levels), "projective")
@@ -505,8 +491,8 @@ def resolve_symbolic(pair: AlmostGentlePair, kind: str, arg, max_steps: int = 64
     while True:
         cover, nxt = {}, {}
         for n, count in current.items():
-            x, copies = graph.covers[n]
-            cover[x] = cover.get(x, 0) + count * copies
+            x = n[1]
+            cover[x] = cover.get(x, 0) + count * (len(report.ins[x]) - 1 if n[0] == 3 else 1)
             for k, m in graph.successors(pair, n):
                 nxt[k] = nxt.get(k, 0) + count * m
         levels.append(_level(pair, graph, cover, nxt))

@@ -102,6 +102,14 @@ _DIAGNOSTICS = [
     (["edge a : 1 -> 2"], 1, (1, 1, 1, 1, 1), "unknown declaration 'edge'"),
     (["vertex 1", "arrow a : 1 -> \udcff"], 2, (16, 17, 28, 16, 16), "file is not valid UTF-8"),
 ]
+# A line ends only at \n, \r\n or \r.  Every other character at which
+# str.splitlines() ends a line stays inside the comment that holds it.
+_IN_LINE_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+for _ch in _IN_LINE_BREAKS:
+    _DIAGNOSTICS.append(([f"vertex 1 2  # old{_ch}arrow b : 2 -> 1", "arrow a : 1 -> 2", "rel a l"],
+                         3, (7, 8, 13, 7, 7), "relation mentions unknown arrow 'l'"))
+    _DIAGNOSTICS.append(([f"vertex 1  # old{_ch}x", "arrow a : 1 -> \udcff"],
+                         2, (16, 17, 28, 16, 16), "file is not valid UTF-8"))
 
 
 @pytest.mark.parametrize("layout", list(_LAYOUTS))
@@ -233,6 +241,17 @@ def test_emit_parse_roundtrip_of_generated_pairs(params):
     doc = parse_agq(emit_agq(document_of(pair)))
     assert doc.vertices == list(pair.quiver.vertices)
     assert doc.pair() == pair
+
+
+@settings(max_examples=200, deadline=None)
+@given(_PARAMS, st.text().map(lambda t: t.replace("\n", "").replace("\r", "")))
+@example(GeneratorParams(seed=1), "old\x0carrow b : 2 -> 1")
+@example(GeneratorParams(seed=1), "\u2028rel a b\x85vertex zz")
+def test_a_comment_never_changes_the_document(params, comment):
+    pair, _ = random_ag_pair(params)
+    text = emit_agq(document_of(pair))
+    commented = "".join(f"{line}#{comment}\n" for line in text.split("\n")[:-1])
+    assert parse_agq(commented) == parse_agq(text)
 
 
 @settings(max_examples=100, deadline=None)

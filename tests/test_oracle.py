@@ -337,7 +337,7 @@ def test_level_multisets_report_a_perturbed_level_like_a_plain_list_walk(monkeyp
                 cover[v] = cover.get(v, 0) + 1
                 level = ResolutionLevel(tuple(cover.items()), level.syzygy)
             else:
-                extra = list(level.syzygy.items) + [(Summand.simple(v), 2)]
+                extra = list(level.syzygy.items) + [(Summand("simple", v), 2)]
                 level = ResolutionLevel(level.cover, SyzygyDecomposition.of(pair, extra))
             return Resolution(res.levels[:k] + (level,) + res.levels[k + 1:], res.terminated)
         return perturbed

@@ -1,11 +1,12 @@
 import pytest
 
-from agq.quiver import vertex_type
+from agq.quiver import InvalidStringError, vertex_type
 from agq.strings import DirectedString
 from agq.syzygy import (
     NotInjectiveCaseError,
     Psi0Descriptor,
-    _normalize,
+    Summand,
+    SyzygyDecomposition,
     is_gentle_vertex,
     is_invalid_vertex,
     omega1_directed_string,
@@ -15,6 +16,7 @@ from agq.syzygy import (
     psi0_dim_vector,
     resolve_symbolic,
 )
+from agq.agqfile import document_of, emit_agq, parse_agq
 from conftest import make_pair
 from agq.generator import GeneratorParams, random_ag_pair
 
@@ -25,8 +27,8 @@ def items_set(dec):
 
 def omega1_projective(pair, delta):
     """Whether every summand of the first syzygy of M(delta) is recognized projective."""
-    return all(_normalize(pair, s).kind == "projective"
-               for s, _n in omega1_directed_string(pair, delta).items)
+    first = resolve_symbolic(pair, "string", delta, max_steps=1).levels[0]
+    return all(s.kind == "projective" for s, _n in first.syzygy.items)
 
 
 def test_omega1_string_fig1(fig1):
@@ -241,7 +243,7 @@ def test_omega1_projectivity_three_ways_corpus():
             assert by_sup == omega1_projective(pair, DirectedString((), v))
 
 
-def test_resolving_an_injective_builds_its_socle_block_descriptor_once(monkeypatch):
+def test_resolving_an_injective_builds_no_socle_block_descriptor(monkeypatch):
     made: list[str] = []
 
     def init(self, *args, _init=Psi0Descriptor.__init__, **kwargs):
@@ -251,13 +253,37 @@ def test_resolving_an_injective_builds_its_socle_block_descriptor_once(monkeypat
     undecomposed = 0  # vertices whose socle block is a tree module
     for seed in range(1, 201):
         pair, _ = random_ag_pair(GeneratorParams(seed=seed))
-        made.clear()
         for v in pair.quiver.vertices:
             res = resolve_symbolic(pair, "injective", v)
             undecomposed += any(s.kind == "psi0" for s, _n in res.levels[0].syzygy.items)
-        # one descriptor per vertex with an in-arrow, sources resolve as simples
-        assert made == [v for v in pair.quiver.vertices if pair.in_arrows(v)], seed
+        # the socle block is a node read off its apex, never a descriptor
+        assert made == [], seed
     assert undecomposed > 0
+
+
+def test_a_level_has_the_same_dim_vector_over_an_equal_pair():
+    # a socle block's dimensions follow from its apex, so an equal pair that
+    # has not resolved that injective itself reads them too
+    blocks = 0
+    for seed in range(1, 201):
+        pair, _ = random_ag_pair(GeneratorParams(seed=seed))
+        text = emit_agq(document_of(pair))
+        for v in pair.quiver.vertices:
+            for level in resolve_symbolic(pair, "injective", v, max_steps=2).levels:
+                again = parse_agq(text).pair()
+                assert again == pair
+                assert level.syzygy.dim_vector(again) == level.syzygy.dim_vector(pair), (seed, v)
+                blocks += any(s.kind == "psi0" for s, _n in level.syzygy.items)
+    assert blocks > 0
+
+
+def test_a_string_summand_that_is_no_path_is_refused(fig1):
+    # a node keeps only a string's first arrow and length, so the arrows are checked first
+    bogus = [(Summand("string", None, ("a_1_2", "a_4_5")), 1)]
+    with pytest.raises(InvalidStringError):
+        SyzygyDecomposition(tuple(bogus)).dim_vector(fig1)
+    with pytest.raises(InvalidStringError):
+        SyzygyDecomposition.of(fig1, bogus)
 
 
 def test_max_dim_cuts_a_resolution_after_its_first_syzygy_over_it(fig1, cyc2e):

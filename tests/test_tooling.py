@@ -186,8 +186,9 @@ UNREFERENCED_ALLOWED = {
     "cover_morphism": "independent check that the minimal cover map commutes with the arrows",
     "noninvalid_cycle_vertex": "the predicate acceptance criterion 7 is about",
     "opposite": "the opposite algebra, a cross-check for criterion 8 and the benchmark",
-    "psi0_decompose": "public socle-block decomposition; the summand graph passes its own descriptor",
-    "psi0_dim_vector": "public socle-block dimension vector; the summand graph reads it off its own descriptor",
+    "psi0_decompose": "public socle-block decomposition; the summand graph decomposes the block on its node",
+    "psi0_dim_vector": "public socle-block dimension vector; the summand graph reads it off the block's node",
+    "omega1_directed_string": "public first syzygy of a directed string; the summand graph takes it on the node",
     "sup_forbidden_from_arrow": "public per-arrow sup with witness; the package reads the digraph's tables",
     "socle_supports": "public socle multiset of the regular module; the envelope reads the same vertex set "
                       "off the nonzero successor map",
@@ -337,6 +338,22 @@ def test_symbolic_resolutions_are_identical_to_the_recorded_hash():
                 digest.update(out.getvalue().encode())
     assert len(fixtures) == 8
     assert digest.hexdigest() == RESOLUTION_SHA256
+
+
+def test_the_summand_graph_walks_nodes_of_four_ints():
+    # what a walk over the graph reads must stay index tuples, not names
+    from agq.syzygy import _summand_graph
+    pairs = [pair for _path, pair in _valid_fixtures()]
+    pairs += [random_ag_pair(GeneratorParams(seed=s))[0] for s in range(1, 21)]
+    for pair in pairs:
+        for kind in ("simple", "injective"):
+            for v in pair.quiver.vertices:
+                resolve_symbolic(pair, kind, v)
+        graph = _summand_graph(pair)
+        assert graph.succ
+        for node, succ in graph.succ.items():
+            for n in [node] + [k for k, _m in succ]:
+                assert type(n) is tuple and len(n) == 4 and all(type(x) is int for x in n), n
 
 
 # SHA-256 of the plain values (no reprs of the package's own types) that
