@@ -2,45 +2,71 @@
 kernels, and brute-force projective dimensions.
 
 Everything here is plain linear algebra over the rationals; the only
-combinatorial input is the basis-path structure of the projectives.  Kernels
-are split into support components (a basis-level direct sum decomposition).
-Only a path-shaped component (every string module is one) has a sound
-canonical iso key.  Each component is keyed once, when it is made: a stored
-syzygy step hands out its kernel's components paired with their keys.  Each
-syzygy step, each finite projective dimension and each per-branch
-leftover string of the socle-block check is stored per pair under the
-key, and repeating syzygies are detected by it: a module isomorphic to a
-summand of one of its own higher syzygies has infinite projective
-dimension.  The level comparison walks each resolution level as a
-multiset of iso classes, covering and summing each class once.  A
-module's zero maps, components and key read only its support's
-out-arrows and their nonempty rows.
+combinatorial input is the basis-path structure of the projectives.  A
+module lives on its support, keyed by vertex and arrow index, so the work
+follows the module, not the quiver.  Kernels are split into support
+components (a basis-level direct sum decomposition).  Only a path-shaped
+component (every string module is one) has a sound canonical iso key,
+made once, with the component.  Each syzygy step, each finite projective
+dimension and each per-branch leftover string of the socle-block check is
+stored per pair under the key, and repeating syzygies are detected by it:
+a module isomorphic to a summand of one of its own higher syzygies has
+infinite projective dimension.  The level comparison walks each resolution
+level as a multiset of iso classes, covering and summing each class once.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from operator import attrgetter
 
 from . import linalg
 from .forbidden import LengthOrInf
-from .quiver import AlmostGentlePair, _Frozen, _Record
-from .strings import DirectedString, _check_string, string_source
+from .quiver import AlmostGentlePair, Quiver, _Frozen, _Record
+from .strings import DirectedString, _check_string
+
+
+class _Dims(dict):
+    """Dimensions on a support, by vertex index; 0 elsewhere, a name reads as its index."""
+
+    __slots__ = ("quiver",)
+
+    def __init__(self, entries: dict, quiver: Quiver) -> None:
+        dict.__init__(self, entries)
+        self.quiver = quiver
+
+    def __missing__(self, key):
+        i = self.quiver.vertex_index.get(key)
+        return self[i] if i in self else 0
+
+
+class _Rows(_Dims):
+    """Maps on a support's out-arrows, by arrow index; no rows elsewhere, a name reads as its index."""
+
+    __slots__ = ()
+
+    def __missing__(self, key):
+        i = self.quiver.arrow_index.get(key)
+        return self[i] if i in self else []
 
 
 class Representation(_Record):
     """dims per vertex and one matrix per arrow, acting on row vectors.
 
-    maps[a] is a list of dims[s(a)] sparse rows ({column: value}, nonzero
-    entries only) with columns below dims[t(a)]; a relation pair must
-    compose to the zero matrix.
+    The oracle's modules live on their support, keyed by index: dims[i] > 0
+    per support vertex i, and maps[a] per out-arrow a of the support, a list
+    of dims[s(a)] sparse rows ({column: value}, nonzero entries only) with
+    columns below dims[t(a)]; reads elsewhere, or by name, are as in _Dims.
+    A module built by hand may be keyed by names; the public functions
+    rewrite it.  A relation pair must compose to the zero matrix.
     """
 
-    dims: dict[str, int]
-    maps: dict[str, linalg.Matrix]
+    dims: dict
+    maps: dict
     _fields = ("dims", "maps")
     _key = attrgetter(*_fields)
 
-    def __init__(self, dims: dict[str, int], maps: dict[str, linalg.Matrix]) -> None:
+    def __init__(self, dims: dict, maps: dict) -> None:
         self.dims = dims
         self.maps = maps
 
@@ -48,75 +74,78 @@ class Representation(_Record):
         return sum(self.dims.values())
 
     def dim_vector(self) -> dict[str, int]:
-        return {v: n for v, n in self.dims.items() if n}
+        """The nonzero dimensions by vertex name."""
+        dims = self.dims
+        if isinstance(dims, _Dims):
+            vertices = dims.quiver.vertices
+            return {vertices[i]: dims[i] for i in sorted(dims)}
+        return {v: n for v, n in dims.items() if n}
 
 
-def _empty_maps(pair: AlmostGentlePair, dims: dict[str, int]) -> dict[str, linalg.Matrix]:
-    """A zero map per arrow: one empty row per basis vector at its source.
+def _zero(pair: AlmostGentlePair, dims: dict[int, int]) -> Representation:
+    """The module on the support dims, by vertex index, with zero maps: one
+    empty row per basis vector for each out-arrow of the support."""
+    outs = pair.report.outs
+    maps = {a: [{} for _i in range(n)] for v, n in dims.items() for a in outs[v]}
+    return Representation(_Dims(dims, pair.quiver), _Rows(maps, pair.quiver))
 
-    Only the out-arrows of the support get rows; every other arrow gets an
-    empty list of its own.
-    """
-    report, vidx = pair.report, pair.quiver.vertex_index
-    names, outs = report.names, report.outs
-    maps: dict[str, linalg.Matrix] = {name: [] for name in names}
-    for v, n in dims.items():
-        if n:
-            for a in outs[vidx[v]]:
-                maps[names[a]] = [{} for _i in range(n)]
-    return maps
+
+def _indexed(pair: AlmostGentlePair, rep: Representation) -> Representation:
+    """rep keyed by index on its support; a module keyed by names is rewritten."""
+    if isinstance(rep.dims, _Dims):
+        return rep
+    vidx, aidx = pair.quiver.vertex_index, pair.quiver.arrow_index
+    out = _zero(pair, {vidx[v]: n for v, n in rep.dims.items() if n})
+    out.maps.update((aidx[a], rows) for a, rows in rep.maps.items() if rows)
+    return out
 
 
 class _PathTree(_Frozen):
     """The nonzero paths out of one vertex (or into it), shortest first.
 
     Path 0 is the stationary path.  Path k > 0 is path up[k] made one arrow
-    longer at its far end, which is ends[k]; local[k] numbers the paths that
-    share that far end, and ext[(k, a)] is path k followed by arrow a when
-    that is nonzero (paths out of the vertex only).
+    longer, by arrow[k], at its far end ends[k]; local[k] numbers the paths
+    that share that far end, and dims counts them per vertex index.  Out of
+    the vertex, nxt[k] is path k > 0 followed by its nonzero continuation.
     """
 
-    paths: list[tuple[str, ...]]
-    ends: list[str]
+    ends: list[int]
     up: list[int]
     local: list[int]
-    dims: dict[str, int]
-    ext: dict[tuple[int, str], int]
-    _fields = ("paths", "ends", "up", "local", "dims", "ext")
+    arrow: list[int]
+    nxt: list[int]
+    dims: dict[int, int]
+    _fields = ("ends", "up", "local", "arrow", "nxt", "dims")
     _key = attrgetter(*_fields)
 
 
-def _path_tree(pair: AlmostGentlePair, v: str, forward: bool = True) -> _PathTree:
-    """Paths out of v (forward) or into v, enumerated once per pair."""
+def _path_tree(pair: AlmostGentlePair, v: int, forward: bool = True) -> _PathTree:
+    """Paths out of (forward) or into the vertex index v, enumerated once
+    per pair.  A nonzero path grows at its far end only along the nonzero
+    successor (or predecessor); paths of one length are in the order of
+    their arrow indices, read from the path's start."""
     def compute() -> _PathTree:
-        report, idx, vertices = pair.report, pair.quiver.arrow_index, pair.quiver.vertices
-        names, far = report.names, report.target if forward else report.source  # each arrow's far end
-
-        def grow(p: tuple[str, ...]) -> list[tuple[str, ...]]:
-            if forward:
-                arrows = report.outs[far[idx[p[-1]]] if p else pair.quiver.vertex_index[v]]
-                return [p + (names[b],) for b in arrows if not p or (p[-1], names[b]) not in pair.relations]
-            arrows = report.ins[far[idx[p[0]]] if p else pair.quiver.vertex_index[v]]
-            return [(names[b],) + p for b in arrows if not p or (names[b], p[0]) not in pair.relations]
-
-        paths: list[tuple[str, ...]] = []
-        frontier: list[tuple[str, ...]] = [()]
+        report = pair.report
+        step, far, first = ((report.nonzero_succ, report.target, report.outs[v]) if forward
+                            else (report.nonzero_pred, report.source, report.ins[v]))
+        tree = _PathTree([v], [-1], [0], [-1], [-1], {v: 1})
+        frontier = [(0, a) for a in first]  # (shorter path, the arrow that extends it)
         while frontier:
-            paths.extend(frontier)
-            frontier = [q for p in frontier for q in grow(p)]
-        paths.sort(key=lambda p: (len(p), tuple(idx[a] for a in p)))
-        pos = {p: k for k, p in enumerate(paths)}
-        tree = _PathTree(paths, [v], [-1], [0], dict.fromkeys(vertices, 0), {})
-        tree.dims[v] = 1
-        for k, p in enumerate(paths[1:], start=1):
-            a, shorter = (p[-1], p[:-1]) if forward else (p[0], p[1:])
-            end = vertices[far[idx[a]]]
-            tree.ends.append(end)
-            tree.up.append(pos[shorter])
-            tree.local.append(tree.dims[end])
-            tree.dims[end] += 1
-            if forward:
-                tree.ext[(pos[shorter], a)] = k
+            if not forward:
+                frontier.sort(key=lambda e: e[1])  # a path into v starts with the new arrow
+            grown = []
+            for up, a in frontier:
+                k, end = len(tree.ends), far[a]
+                tree.ends.append(end)
+                tree.up.append(up)
+                tree.arrow.append(a)
+                tree.nxt.append(-1)
+                tree.nxt[up] = k if up else -1
+                tree.local.append(tree.dims.get(end, 0))
+                tree.dims[end] = tree.local[k] + 1
+                if step[a] >= 0:
+                    grown.append((k, step[a]))
+            frontier = grown
         return tree
 
     return pair.memo(("paths", v, forward), compute)
@@ -125,61 +154,59 @@ def _path_tree(pair: AlmostGentlePair, v: str, forward: bool = True) -> _PathTre
 Slot = tuple[int, int]  # (generator, path index in that generator's tree)
 
 
-def _free_module(pair: AlmostGentlePair, tops: list[str]) -> Representation:
-    """The direct sum of the projectives P(v), v in tops, on its path basis.
-
-    Slots (g, k) at each vertex are listed generator by generator, then in
-    path order; the last arrow of path k sends slot (g, up[k]) to (g, k).
-    """
-    slot_list: dict[str, list[Slot]] = {w: [] for w in pair.quiver.vertices}
+def _free_module(pair: AlmostGentlePair, tops: list[int]) -> Representation:
+    """The direct sum of the projectives P(v), v in tops, on its path basis:
+    slots (g, k) at each vertex are listed generator by generator, then in
+    path order; the last arrow of path k sends slot (g, up[k]) to (g, k)."""
     trees = [_path_tree(pair, v) for v in tops]
+    slots: dict[int, list[Slot]] = {}
     for g, tree in enumerate(trees):
         for k, w in enumerate(tree.ends):
-            slot_list[w].append((g, k))
-    dims = {w: len(slot_list[w]) for w in pair.quiver.vertices}
-    maps = _empty_maps(pair, dims)
-    index = {w: {sl: i for i, sl in enumerate(slot_list[w])} for w in pair.quiver.vertices}
-    for w in pair.quiver.vertices:
-        for i, (g, k) in enumerate(slot_list[w]):
+            slots.setdefault(w, []).append((g, k))
+    free = _zero(pair, {w: len(s) for w, s in slots.items()})
+    index = {w: {sl: i for i, sl in enumerate(s)} for w, s in slots.items()}
+    for w, s in slots.items():
+        for i, (g, k) in enumerate(s):
             if k:
                 tree = trees[g]
                 up = tree.up[k]
-                maps[tree.paths[k][-1]][index[tree.ends[up]][(g, up)]][i] = 1
-    return Representation(dims, maps)
+                free.maps[tree.arrow[k]][index[tree.ends[up]][(g, up)]][i] = 1
+    return free
 
 
 def rep_of(pair: AlmostGentlePair, kind: str, arg) -> Representation:
     """Representation of Simple(v) | Projective(v) | Injective(v) | DirString(ds)."""
     pair.require_valid()
+    vidx = pair.quiver.vertex_index
     if kind == "simple":
-        v = pair.require_vertex(arg)
-        dims = {w: (1 if w == v else 0) for w in pair.quiver.vertices}
-        return Representation(dims, _empty_maps(pair, dims))
+        return _zero(pair, {vidx[pair.require_vertex(arg)]: 1})
 
     if kind == "string":
         ds: DirectedString = _check_string(pair, arg)
+        report, aidx = pair.report, pair.quiver.arrow_index
+        arrows = [aidx[a] for a in ds.arrows]
         # a vertex may repeat (zero-wraparound cycles); arrows never do
-        verts = [string_source(pair, ds)] + [pair.arrow(a).target for a in ds.arrows]
+        source = report.source[arrows[0]] if arrows else vidx[ds.vertex]  # type: ignore[index]
+        verts = [source] + [report.target[a] for a in arrows]
         slot_of: list[int] = []
-        counts: dict[str, int] = {}
+        counts: dict[int, int] = {}
         for w in verts:
             slot_of.append(counts.get(w, 0))
-            counts[w] = counts.get(w, 0) + 1
-        dims = {w: counts.get(w, 0) for w in pair.quiver.vertices}
-        maps = _empty_maps(pair, dims)
-        for i, a in enumerate(ds.arrows):
-            maps[a][slot_of[i]][slot_of[i + 1]] = 1
-        return Representation(dims, maps)
+            counts[w] = slot_of[-1] + 1
+        rep = _zero(pair, counts)
+        for i, a in enumerate(arrows):
+            rep.maps[a][slot_of[i]][slot_of[i + 1]] = 1
+        return rep
 
     if kind == "projective":
-        return _free_module(pair, [pair.require_vertex(arg)])
+        return _free_module(pair, [vidx[pair.require_vertex(arg)]])
 
     if kind == "injective":
-        tree = _path_tree(pair, pair.require_vertex(arg), forward=False)
-        maps = _empty_maps(pair, tree.dims)
-        for k in range(1, len(tree.paths)):
-            maps[tree.paths[k][0]][tree.local[k]][tree.local[tree.up[k]]] = 1
-        return Representation(dict(tree.dims), maps)
+        tree = _path_tree(pair, vidx[pair.require_vertex(arg)], forward=False)
+        rep = _zero(pair, tree.dims)
+        for k in range(1, len(tree.ends)):
+            rep.maps[tree.arrow[k]][tree.local[k]][tree.local[tree.up[k]]] = 1
+        return rep
 
     raise ValueError(f"unknown module kind {kind!r}")
 
@@ -194,7 +221,7 @@ def check_relations(pair: AlmostGentlePair, rep: Representation) -> bool:
 
 class CoverKernel(_Record):
     cover: tuple[tuple[str, int], ...]  # (vertex, multiplicity) in declaration order
-    cover_dims: dict[str, int]
+    cover_dims: dict[str, int]  # by vertex name on the cover's support; 0 elsewhere
     kernel: Representation
     _fields = ("cover", "cover_dims", "kernel")
     _key = attrgetter(*_fields)
@@ -203,101 +230,102 @@ class CoverKernel(_Record):
 class RepMorphism(_Record):
     """Per-vertex matrix blocks of a map of representations (row convention)."""
 
-    blocks: dict[str, linalg.Matrix]  # blocks[v]: src.dims[v] x dst.dims[v]
+    blocks: dict[str, linalg.Matrix]  # blocks[v]: src.dims[v] x dst.dims[v]; none off src's support
     _fields = ("blocks",)
     _key = attrgetter("blocks")
 
     def commutes(self, pair: AlmostGentlePair, src: Representation,
                  dst: Representation) -> bool:
-        return all(linalg.mat_mul(src.maps[a.name], self.blocks[a.target])
-                   == linalg.mat_mul(self.blocks[a.source], dst.maps[a.name])
+        blocks = self.blocks
+        return all(linalg.mat_mul(src.maps[a.name], blocks.get(a.target, []))
+                   == linalg.mat_mul(blocks.get(a.source, []), dst.maps[a.name])
                    for a in pair.quiver.arrows)
 
 
 def _cover_data(pair: AlmostGentlePair, rep: Representation):
     """Generators, their path trees, cover slots, and per-vertex image rows
-    of the cover map."""
-    vertices, names, dims, maps = pair.quiver.vertices, pair.report.names, rep.dims, rep.maps
-    gens: list[tuple[str, int]] = []  # (vertex, coordinate)
-    for v, ins in zip(vertices, pair.report.ins):
-        if dims[v]:
-            rows = [row for a in ins for row in maps[names[a]] if row]
-            pivots = linalg.rref(rows)[1] if rows else ()
-            gens.extend((v, j) for j in range(dims[v]) if j not in pivots)
+    of the cover map, all on the cover's support."""
+    ins, dims, maps = pair.report.ins, rep.dims, rep.maps
+    gens: list[tuple[int, int]] = []  # (vertex, coordinate), in declaration order
+    for v in sorted(dims):
+        rows = [row for a in ins[v] for row in maps.get(a, ()) if row]
+        pivots = linalg.rref(rows)[1] if rows else ()
+        gens.extend((v, j) for j in range(dims[v]) if j not in pivots)
 
     trees = [_path_tree(pair, v) for v, _j in gens]
-    slot_list: dict[str, list[Slot]] = {w: [] for w in vertices}
-    images: dict[str, linalg.Matrix] = {w: [] for w in vertices}
+    slots: dict[int, list[Slot]] = {}
+    images: dict[int, linalg.Matrix] = {}
     for g, tree in enumerate(trees):
         vecs: list[linalg.Row] = [{gens[g][1]: 1}]
-        for k in range(1, len(tree.paths)):
+        for k in range(1, len(tree.ends)):
             prev = vecs[tree.up[k]]
-            vecs.append(linalg.row_times(maps[tree.paths[k][-1]], prev) if prev else {})
+            vecs.append(linalg.row_times(maps[tree.arrow[k]], prev) if prev else {})
         for k, w in enumerate(tree.ends):
-            slot_list[w].append((g, k))
-            images[w].append(vecs[k])
-    return gens, trees, slot_list, images
+            slots.setdefault(w, []).append((g, k))
+            images.setdefault(w, []).append(vecs[k])
+    return gens, trees, slots, images
 
 
 def cover_morphism(pair: AlmostGentlePair, rep: Representation) -> tuple[Representation, RepMorphism]:
     """The cover representation alongside the covering map's blocks."""
     pair.require_valid()
-    gens, _trees, _slots, images = _cover_data(pair, rep)
-    return _free_module(pair, [v for v, _j in gens]), RepMorphism(images)
+    gens, _trees, _slots, images = _cover_data(pair, _indexed(pair, rep))
+    vertices = pair.quiver.vertices
+    return _free_module(pair, [v for v, _j in gens]), RepMorphism({vertices[w]: m for w, m in images.items()})
 
 
 def projective_cover_kernel(pair: AlmostGentlePair, rep: Representation) -> CoverKernel:
     """Minimal projective cover of rep and the kernel of the covering map.
 
     Generators are standard basis vectors completing the radical at each
-    vertex; the cover map extends them along path actions; the kernel is the
-    per-vertex left nullspace with the induced arrow action, built from the
-    nonzero kernel coordinates only.  Exactness checks: dimension additivity
-    and kernel inside the radical of the cover.
-    """
+    vertex, extended along path actions; the kernel is the per-vertex left
+    nullspace with the induced arrow action.  Exactness checks: dimension
+    additivity and kernel inside the radical of the cover."""
     pair.require_valid()
-    gens, trees, slot_list, images = _cover_data(pair, rep)
-    cover_counts: dict[str, int] = {}
-    for v, _j in gens:  # in declaration order
-        cover_counts[v] = cover_counts.get(v, 0) + 1
-    cover_dims = {w: len(slots) for w, slots in slot_list.items()}
+    rep = _indexed(pair, rep)
+    gens, trees, slots, images = _cover_data(pair, rep)
+    vertices = pair.quiver.vertices
+    cover_counts = Counter(v for v, _j in gens)  # in declaration order
 
-    kdims = dict.fromkeys(cover_dims, 0)
-    null_basis: dict[str, linalg.Matrix] = {}  # vertices where the kernel is nonzero
-    free_pos: dict[str, dict[int, int]] = {}
-    for w, n in cover_dims.items():
-        if n:
-            basis, free = linalg.left_nullspace(images[w], n, rep.dims[w])
-            if basis:
-                null_basis[w], kdims[w] = basis, len(basis)
-                free_pos[w] = {f: k for k, f in enumerate(free)}
+    kdims: dict[int, int] = {}
+    null_basis: dict[int, linalg.Matrix] = {}  # vertices where the kernel is nonzero
+    free_pos: dict[int, dict[int, int]] = {}
+    for w, sl in slots.items():
+        n, d = len(sl), rep.dims.get(w, 0)
+        basis, free = linalg.left_nullspace(images[w], n, d)
+        if basis:
+            null_basis[w], kdims[w] = basis, len(basis)
+            free_pos[w] = {f: k for k, f in enumerate(free)}
         # rank-nullity: equality here certifies the cover map is onto at w
-        if n != rep.dims[w] + kdims[w]:
-            raise AssertionError(f"cover/kernel dimension mismatch at {w}")
+        if n != d + len(basis):
+            raise AssertionError(f"cover/kernel dimension mismatch at {vertices[w]}")
+    if not rep.dims.keys() <= slots.keys():
+        raise AssertionError("cover/kernel dimension mismatch off the cover's support")
 
-    kmaps = _empty_maps(pair, kdims)
-    vertices, names, target = pair.quiver.vertices, pair.report.names, pair.report.target
-    slot_index = {w: {sl: i for i, sl in enumerate(slot_list[w])} for w in null_basis}
+    kernel = _zero(pair, kdims)
+    report = pair.report
+    slot_index = {w: {sl: i for i, sl in enumerate(slots[w])} for w in null_basis}
     for w, basis in null_basis.items():
-        slots = slot_list[w]
-        if any(slots[ci][1] == 0 for kvec in basis for ci in kvec):  # path 0: a generator slot
+        sl = slots[w]
+        if any(sl[ci][1] == 0 for kvec in basis for ci in kvec):  # path 0: a generator slot
             raise AssertionError("cover is not minimal: kernel meets a generator slot")
-        for a in pair.report.outs[pair.quiver.vertex_index[w]]:
-            t, name = vertices[target[a]], names[a]
+        for a in report.outs[w]:
+            t = report.target[a]
             if t not in null_basis:
                 continue
-            index, rows = slot_index[t], kmaps[name]
+            index, rows = slot_index[t], kernel.maps[a]
             for r, kvec in enumerate(basis):
                 # the cover's arrow action is injective on slots: no entries collide
                 image: linalg.Row = {}
                 for ci, x in kvec.items():
-                    g, k = slots[ci]
-                    k2 = trees[g].ext.get((k, name))
-                    if k2 is not None:
+                    g, k = sl[ci]
+                    k2 = trees[g].nxt[k]
+                    if k2 >= 0 and trees[g].arrow[k2] == a:
                         image[index[(g, k2)]] = x
                 if image:
                     rows[r] = linalg.coords_in_nullbasis(free_pos[t], image)
-    return CoverKernel(tuple(cover_counts.items()), cover_dims, Representation(kdims, kmaps))
+    return CoverKernel(tuple((vertices[v], m) for v, m in cover_counts.items()),
+                       _Dims({vertices[w]: len(sl) for w, sl in slots.items()}, pair.quiver), kernel)
 
 
 class PdimResult(_Frozen):
@@ -312,35 +340,29 @@ class PdimResult(_Frozen):
         return str(self.value) if self.finite else f">={self.value}"
 
 
-def _slot_graph(pair: AlmostGentlePair, rep: Representation) -> tuple[list[str], list[tuple[str, int, int, int]]]:
-    """The vertex of each basis slot, numbered vertex by vertex, and an edge
-    (arrow, slot, slot, value) per nonzero entry, read off the support's
-    out-arrows and their nonempty rows."""
-    report, vidx, vertices = pair.report, pair.quiver.vertex_index, pair.quiver.vertices
-    names, target, outs = report.names, report.target, report.outs
-    dims, maps = rep.dims, rep.maps
-    offset: dict[str, int] = {}
-    label: list[str] = []
-    for v in vertices:
-        if dims[v]:
-            offset[v] = len(label)
-            label += [v] * dims[v]
-    edges: list[tuple[str, int, int, int]] = []
+def _slot_graph(pair: AlmostGentlePair, rep: Representation) -> tuple[list[int], list[tuple[int, int, int, int]]]:
+    """The vertex index of each basis slot, numbered vertex by vertex, and
+    an edge (arrow, slot, slot, value) per nonzero entry, read off the
+    support's out-arrows and their nonempty rows."""
+    target, outs, maps = pair.report.target, pair.report.outs, rep.maps
+    offset: dict[int, int] = {}
+    label: list[int] = []
+    for v, n in rep.dims.items():
+        offset[v] = len(label)
+        label += [v] * n
+    edges: list[tuple[int, int, int, int]] = []
     for v, s in offset.items():
-        for a in outs[vidx[v]]:
-            name = names[a]
-            for i, row in enumerate(maps[name], s):
+        for a in outs[v]:
+            for i, row in enumerate(maps[a], s):
                 if row:
-                    t = offset[vertices[target[a]]]
-                    edges += [(name, i, t + j, x) for j, x in row.items()]
+                    t = offset[target[a]]
+                    edges += [(a, i, t + j, x) for j, x in row.items()]
     return label, edges
 
 
 def _components(pair: AlmostGentlePair, rep: Representation) -> list[Representation]:
-    """Split along the support graph of the chosen basis (a direct sum).
-
-    A module with one component is returned as itself, not copied.
-    """
+    """Split along the support graph of the chosen basis (a direct sum);
+    a module with one component is returned as itself, not copied."""
     label, edges = _slot_graph(pair, rep)
     n = len(label)
     if not n:
@@ -362,16 +384,14 @@ def _components(pair: AlmostGentlePair, rep: Representation) -> list[Representat
     # component and local index of each slot
     comp_of = [number[r] for r in roots]
     local: list[int] = []
-    comp_dims = [dict.fromkeys(pair.quiver.vertices, 0) for _c in number]
+    comp_dims: list[dict[int, int]] = [{} for _c in number]
     for x, v in enumerate(label):
         dims = comp_dims[comp_of[x]]
-        local.append(dims[v])
-        dims[v] += 1
-    comp_maps = [_empty_maps(pair, dims) for dims in comp_dims]
+        local.append(dims.get(v, 0))
+        dims[v] = local[x] + 1
+    comps = [_zero(pair, dims) for dims in comp_dims]
     for a, u, w, x in edges:
-        comp_maps[comp_of[u]][a][local[u]][local[w]] = x
-    comps = [Representation(dims, maps) for dims, maps in zip(comp_dims, comp_maps)]
-    comps.sort(key=lambda r: (r.total_dim(), sorted(r.dim_vector().items())))
+        comps[comp_of[u]].maps[a][local[u]][local[w]] = x
     return comps
 
 
@@ -380,22 +400,20 @@ def _component_key(pair: AlmostGentlePair, rep: Representation):
 
     When the slot graph (one node per basis slot, one edge per nonzero
     entry) is a path, every scalar normalizes to 1 over the rationals, so
-    the walk of vertex labels and directed arrow labels determines the
-    module up to isomorphism; reflection is handled by taking the smaller
-    of the two end-to-end encodings.  Covers every string module, vertex
-    revisits included.
+    the walk of vertex and directed arrow indices determines the module up
+    to isomorphism; reflection is handled by taking the smaller of the two
+    end-to-end encodings.  Covers every string module, revisits included.
     """
     if sum(rep.dims.values()) == 1:  # a simple, unless a loop acts by a nonzero scalar
-        v = next(w for w, d in rep.dims.items() if d)
-        names = pair.report.names
-        if any(row for a in pair.report.outs[pair.quiver.vertex_index[v]] for row in rep.maps[names[a]]):
+        v = next(iter(rep.dims))
+        if any(row for a in pair.report.outs[v] for row in rep.maps[a]):
             return None
         return ((v,), ())
     label, edges = _slot_graph(pair, rep)
     n = len(label)
     if len(edges) != n - 1:
         return None
-    adj: list[list[tuple[int, str, int]]] = [[] for _k in range(n)]
+    adj: list[list[tuple[int, int, int]]] = [[] for _k in range(n)]
     for a, u, w, _x in edges:
         adj[u].append((w, a, 1))
         adj[w].append((u, a, -1))
@@ -405,14 +423,14 @@ def _component_key(pair: AlmostGentlePair, rep: Representation):
     best = None
     for start in ends:
         verts = [label[start]]
-        steps: list[tuple[str, int]] = []
+        steps: list[tuple[int, int]] = []
         prev, cur = -1, start
         while True:
             nbrs = [t for t in adj[cur] if t[0] != prev]
             if not nbrs:
                 break
-            nxt, aname, direction = nbrs[0]
-            steps.append((aname, direction))
+            nxt, arrow, direction = nbrs[0]
+            steps.append((arrow, direction))
             verts.append(label[nxt])
             prev, cur = cur, nxt
         if len(verts) < n:
@@ -430,35 +448,32 @@ KeyedComponent = tuple[object, Representation]  # (iso key or None, component)
 
 
 def _syzygy(pair: AlmostGentlePair, rep: Representation, key
-            ) -> tuple[tuple[tuple[str, int], ...], tuple[KeyedComponent, ...]]:
-    """One syzygy step: the minimal cover of rep and its kernel's components.
+            ) -> tuple[tuple[tuple[int, int], ...], tuple[KeyedComponent, ...]]:
+    """One syzygy step: the minimal cover of rep, as (vertex index,
+    multiplicity) pairs, and its kernel's components, each with its key.
 
     key is rep's iso key, or None for a module without one.  The step is
-    stored per pair under the key, or, without a key, rep's
-    exact entries.  Each kernel component is keyed once, when it is made,
-    and comes paired with its key.  Every caller gets the same stored
-    components, so none may modify them.
+    stored per pair under the key, or else rep's exact entries.  Every
+    caller gets the same stored components, so none may modify them.
     """
     steps = pair.memo("syzygy", dict)
     if key is None:
-        key = ("entries", tuple(rep.dims[v] for v in pair.quiver.vertices),
-               tuple(tuple(tuple(row.items()) for row in rep.maps[a.name])
-                     for a in pair.quiver.arrows))
+        key = ("entries", tuple(sorted(rep.dims.items())),
+               tuple((a, tuple(tuple(row.items()) for row in rows)) for a, rows in sorted(rep.maps.items())))
     step = steps.get(key)
     if step is None:
-        ck = projective_cover_kernel(pair, rep)
-        step = steps[key] = ck.cover, tuple(_keyed(pair, comp) for comp in _components(pair, ck.kernel))
+        ck, vidx = projective_cover_kernel(pair, rep), pair.quiver.vertex_index
+        step = steps[key] = (tuple((vidx[w], m) for w, m in ck.cover),
+                             tuple(_keyed(pair, comp) for comp in _components(pair, ck.kernel)))
     return step
 
 
 def _pdim(pair: AlmostGentlePair, rep: Representation, key, hardcap: int,
           stack: frozenset = frozenset(), depth: int = 0) -> int | None:
-    """Projective dimension of a nonzero rep (iso key: key); None encodes infinity.
-
-    Finite values are stored per pair under the iso key.  A key
+    """Projective dimension of a nonzero rep (iso key: key); None encodes
+    infinity.  Finite values are stored per pair under the iso key.  A key
     met again below itself is a syzygy recurrence, hence infinite; so is
-    going deeper than hardcap.
-    """
+    going deeper than hardcap."""
     memo = pair.memo("pdim", dict)
     if key is not None:
         if key in memo:
@@ -488,7 +503,7 @@ def oracle_pdim(pair: AlmostGentlePair, rep: Representation, cutoff: int) -> Pdi
     reported as AtLeast(cutoff) per the agreement convention.
     """
     pair.require_valid()
-    return _keyed_pdim(pair, _keyed(pair, rep), cutoff)
+    return _keyed_pdim(pair, _keyed(pair, _indexed(pair, rep)), cutoff)
 
 
 def _keyed_pdim(pair: AlmostGentlePair, module: KeyedComponent, cutoff: int) -> PdimResult:
@@ -497,7 +512,7 @@ def _keyed_pdim(pair: AlmostGentlePair, module: KeyedComponent, cutoff: int) -> 
     if cutoff < 1:
         raise ValueError("cutoff must be at least 1")
     hardcap = max(cutoff, len(pair.quiver.vertices) + len(pair.quiver.arrows) + 4)
-    val = _pdim(pair, rep, key, hardcap) if rep.total_dim() else 0
+    val = _pdim(pair, rep, key, hardcap) if rep.dims else 0
     if val is None:
         return PdimResult(False, cutoff)
     return PdimResult(True, val)
@@ -544,41 +559,30 @@ def check_against_formulas(pair: AlmostGentlePair, cutoff: int = 40) -> Agreemen
     """
     from .homdim import pdim_injective, pdim_simple
     from .syzygy import is_invalid_vertex
-    from .quiver import vertex_type
 
     pair.require_valid()
     mismatches: list[Mismatch] = []
     checked = 0
 
-    for v in pair.quiver.vertices:
+    for i, v in enumerate(pair.quiver.vertices):
         # S(v) and E(v) are built and keyed once here, for every check below
-        modules = {}
-        for kind in ("simple", "injective"):
-            modules[kind] = _keyed(pair, rep_of(pair, kind, v))
+        modules = {kind: _keyed(pair, rep_of(pair, kind, v)) for kind in ("simple", "injective")}
 
-        frm = pdim_simple(pair, v).value
-        orc = _keyed_pdim(pair, modules["simple"], cutoff)
-        checked += 1
-        if not _agrees(frm, orc):
-            mismatches.append(Mismatch(v, "pdim_simple", str(frm), str(orc)))
+        for kind, formula in (("simple", pdim_simple), ("injective", pdim_injective)):
+            frm, orc = formula(pair, v).value, _keyed_pdim(pair, modules[kind], cutoff)
+            checked += 1
+            if not _agrees(frm, orc):
+                mismatches.append(Mismatch(v, f"pdim_{kind}", str(frm), str(orc)))
 
-        frm = pdim_injective(pair, v).value
-        orc = _keyed_pdim(pair, modules["injective"], cutoff)
-        checked += 1
-        if not _agrees(frm, orc):
-            mismatches.append(Mismatch(v, "pdim_injective", str(frm), str(orc)))
-
-        c, _d = vertex_type(pair, v)
-        if c >= 1:
+        if pair.report.ins[i]:
             invalid = is_invalid_vertex(pair, v)[0]
-            proj = _oracle_psi0_projective(pair, v, modules["injective"])
+            proj = _oracle_psi0_projective(pair, i, modules["injective"])
             checked += 1
             if invalid != proj:
                 mismatches.append(Mismatch(v, "psi0_projective", str(invalid), str(proj)))
 
         for kind in ("simple", "injective"):
-            for m in _compare_levels(pair, v, kind, modules[kind]):
-                mismatches.append(m)
+            mismatches.extend(_compare_levels(pair, i, kind, modules[kind]))
             checked += 1
 
     return AgreementReport(tuple(mismatches), checked)
@@ -600,14 +604,11 @@ def _keyed(pair: AlmostGentlePair, rep: Representation) -> KeyedComponent:
 
 
 def _cover_kernel_componentwise(pair: AlmostGentlePair,
-                                level: Level) -> tuple[dict[str, int], Level]:
-    """Cover multiset and kernel level, one small cover per class.
-
-    Minimal covers are additive over direct sums, so this agrees with
-    covering the whole module at once while keeping the elimination sizes
-    bounded by component sizes; a class of multiplicity m counts m times.
-    """
-    cover_counts: dict[str, int] = {}
+                                level: Level) -> tuple[dict[int, int], Level]:
+    """Cover multiset per vertex index and kernel level, one small cover
+    per class; minimal covers are additive over direct sums, so a class of
+    multiplicity m counts m times and eliminations stay component-sized."""
+    cover_counts: dict[int, int] = {}
     kernel: Level = {}
     for cls, (comp, mult) in level.items():
         cover, kcomps = _syzygy(pair, comp, cls if isinstance(cls, tuple) else None)
@@ -618,65 +619,72 @@ def _cover_kernel_componentwise(pair: AlmostGentlePair,
     return cover_counts, kernel
 
 
-def _dim_sum(level: Level) -> dict[str, int]:
-    """The dimension vector of the direct sum of a level."""
-    total: dict[str, int] = {}
+def _dim_sum(level: Level) -> dict[int, int]:
+    """The dimension vector of the direct sum of a level, by vertex index."""
+    total: dict[int, int] = {}
     for comp, mult in level.values():
         for w, n in comp.dims.items():
-            if n:
-                total[w] = total.get(w, 0) + n * mult
+            total[w] = total.get(w, 0) + n * mult
     return total
 
 
-def _module_level(module: KeyedComponent) -> Level:
-    """An indecomposable module with its iso key, as a level of its own."""
+def _level_of(modules: list[KeyedComponent]) -> Level:
+    """The multiset of modules, each with its iso key."""
     level: Level = {}
-    _add(level, *module)
+    for module in modules:
+        _add(level, *module)
     return level
 
 
-def _oracle_psi0_projective(pair: AlmostGentlePair, v: str, injective: KeyedComponent) -> bool:
-    """Projectivity of the socle block of E(v) by pure dimension bookkeeping.
+def _leftovers(pair: AlmostGentlePair, v: int) -> list[KeyedComponent]:
+    """The per-branch leftovers of Omega_1(E(v)), v a vertex index, each
+    built and keyed once per pair: at the source of the first arrow h of
+    each branch of E(v), every other out-arrow a leaves its chain from its
+    nonzero successor on, or the simple at its target."""
+    report, succ = pair.report, pair.report.nonzero_succ
 
-    injective is E(v) with its iso key.  Omega_2(E(v)) equals the first
-    syzygy of the per-branch leftovers alone exactly when the block is
-    projective; minimal covers are additive over direct sums, so dimension
-    vectors decide this.  Each leftover string is built and keyed once per
-    pair, and stored there.
-    """
-    from .syzygy import omega1_injective
+    def build(a: int) -> KeyedComponent:
+        run, y = [], succ[a]
+        while y >= 0:
+            run.append(report.names[y])
+            y = succ[y]
+        ds = DirectedString(tuple(run), None if run else pair.quiver.vertices[report.target[a]])
+        return _keyed(pair, rep_of(pair, "string", ds))
 
-    omega1 = _cover_kernel_componentwise(pair, _module_level(injective))[1]
+    # the branches' first arrows are the last arrows of E(v)'s path tree that grow no further
+    heads = [h for h in _path_tree(pair, v, forward=False).arrow[1:] if report.nonzero_pred[h] < 0]
+    return [pair.memo(("leftover", succ[a], report.target[a]), lambda: build(a))
+            for h in heads for a in report.outs[report.source[h]] if a != h]
+
+
+def _oracle_psi0_projective(pair: AlmostGentlePair, v: int, injective: KeyedComponent) -> bool:
+    """Projectivity of the socle block of E(v), v a vertex index, by pure
+    dimension bookkeeping: Omega_2(E(v)) equals the first syzygy of the
+    per-branch leftovers alone exactly when the block is projective, and
+    minimal covers are additive over direct sums.  injective is E(v) keyed."""
+    omega1 = _cover_kernel_componentwise(pair, _level_of([injective]))[1]
     omega2 = _cover_kernel_componentwise(pair, omega1)[1]
-    pieces: Level = {}
-    for s in omega1_injective(pair, v)[1]:
-        ds = DirectedString(s.arrows, s.vertex)
-        _add(pieces, *pair.memo(("leftover", ds), lambda: _keyed(pair, rep_of(pair, "string", ds))))
-    leftovers = _cover_kernel_componentwise(pair, pieces)[1]
+    leftovers = _cover_kernel_componentwise(pair, _level_of(_leftovers(pair, v)))[1]
     return _dim_sum(omega2) == _dim_sum(leftovers)
 
 
-def _compare_levels(pair: AlmostGentlePair, v: str, kind: str, module: KeyedComponent):
-    """Symbolic resolution levels of module, S(v) or E(v) with its iso key, against the oracle's."""
-    from .syzygy import resolve_symbolic
+def _compare_levels(pair: AlmostGentlePair, v: int, kind: str, module: KeyedComponent):
+    """Symbolic resolution levels of module, S(v) or E(v) at the vertex
+    index v with its iso key, against the oracle's: the stepping core's
+    covers per vertex index and node counts, summed by the summand graph."""
+    from .syzygy import _levels, _summand_graph
 
     if module[1].total_dim() > LEVEL_DIM_BUDGET:
         return
-    # only the levels compared are built: the symbolic side stops after its
-    # first syzygy over budget, and each level's kernel has that syzygy's
-    # dimension vector unless a mismatch ends the loop first
-    res = resolve_symbolic(pair, kind, v, max_steps=LEVELS_CAP, max_dim=LEVEL_DIM_BUDGET)
-    level = _module_level(module)
-    for k, sym in enumerate(res.levels):
+    graph, vertices = _summand_graph(pair), pair.quiver.vertices
+    # the symbolic side stops after its first syzygy over budget, and each
+    # level's kernel has that syzygy's dimension vector unless a mismatch ends the loop first
+    level = _level_of([module])
+    for k, (sym_cover, syzygy) in enumerate(_levels(pair, kind, v, LEVELS_CAP, LEVEL_DIM_BUDGET)):
         cover_counts, level = _cover_kernel_componentwise(pair, level)
-        sym_cover = dict(sym.cover)
-        if cover_counts != sym_cover:
-            yield Mismatch(v, f"{kind}-resolution-cover-level-{k}",
-                           str(sorted(sym_cover.items())), str(sorted(cover_counts.items())))
-            return
-        kernel_dims = _dim_sum(level)
-        sym_dims = sym.syzygy.dim_vector(pair)
-        if sym_dims != kernel_dims:
-            yield Mismatch(v, f"{kind}-resolution-kernel-level-{k}",
-                           str(sorted(sym_dims.items())), str(sorted(kernel_dims.items())))
-            return
+        for part, sym, orc in (("cover", sym_cover, cover_counts),
+                               ("kernel", graph.dim_sum(pair, syzygy), _dim_sum(level))):
+            if sym != orc:
+                yield Mismatch(vertices[v], f"{kind}-resolution-{part}-level-{k}",
+                               *(str(sorted((vertices[w], m) for w, m in d.items())) for d in (sym, orc)))
+                return

@@ -11,13 +11,13 @@ matches an out-arrow and there are at least two, in which case it is a
 genuine tree module handled by its own exact kernel formula.
 
 Every lemma runs once, on the validation's index tables, over nodes
-``(rank, apex, first, length)``; the public functions check their
-arguments, call it and hand out a ``Summand`` per node.
+``(rank, apex, first, length)``, and one core steps resolutions over them;
+the public functions check their arguments and hand out ``Summand``s.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from operator import attrgetter
 
 from .quiver import AgqError, AlmostGentlePair, ValidationReport, _Frozen, _setattr
@@ -29,7 +29,6 @@ from .strings import (
     _invalid_at,
     _run,
     claw_of,
-    module_dims,
     string_of,
 )
 
@@ -133,24 +132,23 @@ def _decomposition(pair: AlmostGentlePair, pieces: Iterable[tuple[Node, int]]) -
     return SyzygyDecomposition(tuple((_summand(pair, n), counts[n]) for n in sorted(counts)))
 
 
-def _dims(pair: AlmostGentlePair, node: Node) -> dict[str, int]:
-    """The dimension vector of a node.  A socle block has c-1 at its apex
-    plus one per vertex strictly along each flagged tail."""
+def _dims(report: ValidationReport, node: Node) -> dict[int, int]:
+    """The dimension vector of a node, by vertex index.  A projective has
+    its apex plus one per vertex along each claw branch; a socle block has
+    c-1 at its apex plus one per vertex strictly along each flagged tail."""
     rank, apex, first, length = node
-    if rank == 2:
-        return module_dims(pair, "projective", pair.quiver.vertices[apex])
-    report = pair.report
     if rank == 3:
         basis = [apex] * (len(report.ins[apex]) - 1)
         runs = [(a, -1) for a in report.outs[apex] if report.nonzero_pred[a] >= 0]
     else:
-        basis, runs = [apex], [(first, length)]
+        basis = [apex]
+        runs = [(a, -1) for a in report.outs[apex]] if rank == 2 else [(first, length)]
     for a, n in runs:  # n arrows from a on, or the whole chain when n is -1
         while a >= 0 and n:
             basis.append(report.target[a])
             a, n = report.nonzero_succ[a], n - 1
-    dims: dict[str, int] = {}
-    for w in map(pair.quiver.vertices.__getitem__, basis):
+    dims: dict[int, int] = {}
+    for w in basis:
         dims[w] = dims.get(w, 0) + 1
     return dims
 
@@ -174,12 +172,8 @@ class SyzygyDecomposition(_Frozen):
         return _decomposition(pair, ((_node_of(pair, s), n) for s, n in summands))
 
     def dim_vector(self, pair: AlmostGentlePair) -> dict[str, int]:
-        graph = _summand_graph(pair)
-        dims: dict[str, int] = {}
-        for s, n in self.items:
-            for v, m in graph.dims_of(pair, _node_of(pair, s)).items():
-                dims[v] = dims.get(v, 0) + n * m
-        return {v: n for v, n in dims.items() if n}
+        dims = _summand_graph(pair).dim_sum(pair, _counts((_node_of(pair, s), n) for s, n in self.items))
+        return {pair.quiver.vertices[w]: n for w, n in dims.items()}
 
     def __bool__(self) -> bool:
         return bool(self.items)
@@ -266,7 +260,8 @@ def psi0_descriptor(pair: AlmostGentlePair, v: str) -> Psi0Descriptor:
 
 def psi0_dim_vector(pair: AlmostGentlePair, v: str) -> dict[str, int]:
     """(c-1) at the apex plus one per vertex strictly along each flagged tail."""
-    return _dims(pair, (3, _vertex(pair, v), -1, 0))
+    dims = _dims(pair.report, (3, _vertex(pair, v), -1, 0))
+    return {pair.quiver.vertices[w]: n for w, n in dims.items()}
 
 
 def _leftovers(pair: AlmostGentlePair, v: int) -> list[Node]:
@@ -381,37 +376,36 @@ def _normalize(report: ValidationReport, node: Node) -> Node:
 class _SummandGraph:
     """The summands met on one pair, as nodes that are their own keys.
 
-    Per node it stores its summand, made when the node is first met, and,
-    each once asked for, its dimension vector and its successors: the
-    normalized first syzygy as [(node, multiplicity)], empty for a
-    projective.  An injective E(v)
-    that is not simple enters the graph through its cover per vertex index
-    and its first syzygy as counts per node, stored per vertex index.
-    A node covers its apex, c - 1 times for a socle block, else once.
-    The pair is passed in, never stored, so the pair's memo holds no cycle
-    back to the pair.
+    Each once asked for, it stores per node its dimension vector by vertex
+    index with its total, and its successors: the normalized first syzygy
+    as [(node, multiplicity)], empty for a projective.  An injective E(v)
+    that is not simple enters through its cover per vertex index and its
+    first syzygy as counts per node.  A node covers its apex, c - 1 times
+    for a socle block, else once.  The pair is passed in, never stored.
     """
 
     def __init__(self) -> None:
-        self.summands: dict[Node, Summand] = {}
-        self.dims: dict[Node, dict[str, int]] = {}
+        self.dims: dict[Node, tuple[dict[int, int], int]] = {}
         self.succ: dict[Node, list[tuple[Node, int]]] = {}
         self.injectives: dict[int, tuple[dict[int, int], dict[Node, int]]] = {}
 
-    def dims_of(self, pair: AlmostGentlePair, node: Node) -> dict[str, int]:
-        dims = self.dims.get(node)
-        if dims is None:
-            dims = self.dims[node] = _dims(pair, node)
-        return dims
+    def dims_of(self, pair: AlmostGentlePair, node: Node) -> tuple[dict[int, int], int]:
+        entry = self.dims.get(node)
+        if entry is None:
+            dims = _dims(pair.report, node)
+            entry = self.dims[node] = dims, sum(dims.values())
+        return entry
+
+    def dim_sum(self, pair: AlmostGentlePair, counts: dict[Node, int]) -> dict[int, int]:
+        """The dimension vector of a sum of nodes, by vertex index."""
+        total: dict[int, int] = {}
+        for node, m in counts.items():
+            for w, d in self.dims_of(pair, node)[0].items():
+                total[w] = total.get(w, 0) + d * m
+        return total
 
     def count(self, pair: AlmostGentlePair, pieces: Iterable[tuple[Node, int]]) -> dict[Node, int]:
-        """Multiplicity per node of the normalized pieces, each node's
-        summand made the first time it is met."""
-        counts = _counts((_normalize(pair.report, n), m) for n, m in pieces)
-        for n in counts:
-            if n not in self.summands:
-                self.summands[n] = _summand(pair, n)
-        return counts
+        return _counts((_normalize(pair.report, n), m) for n, m in pieces)  # normalized multiplicities
 
     def successors(self, pair: AlmostGentlePair, node: Node) -> list[tuple[Node, int]]:
         succ = self.succ.get(node)
@@ -444,13 +438,37 @@ def _summand_graph(pair: AlmostGentlePair) -> _SummandGraph:
     return pair.memo("summand_graph", _SummandGraph)
 
 
-def _level(pair: AlmostGentlePair, graph: _SummandGraph,
-           cover: dict[int, int], syzygy: dict[Node, int]) -> ResolutionLevel:
-    """A level from cover counts per vertex index and syzygy counts per node."""
-    vertices = pair.quiver.vertices
-    return ResolutionLevel(
-        tuple((vertices[i], cover[i]) for i in sorted(cover)),
-        SyzygyDecomposition(tuple((graph.summands[n], syzygy[n]) for n in sorted(syzygy))))
+def _levels(pair: AlmostGentlePair, kind: str, start, max_steps: int,
+            max_dim: int | None = None) -> Iterator[tuple[dict[int, int], dict[Node, int]]]:
+    """The levels of resolve_symbolic, each (cover per vertex index, syzygy
+    counts per node), stepped over the pair's summand graph for kind "simple"
+    or "injective" at the vertex index start, or "string" at the node start;
+    nothing is checked."""
+    graph, report = _summand_graph(pair), pair.report
+
+    def too_big(counts: dict[Node, int]) -> bool:
+        return max_dim is not None and sum(m * graph.dims_of(pair, n)[1] for n, m in counts.items()) > max_dim
+
+    made = 0
+    if kind == "injective" and report.ins[start]:
+        made, (cover, current) = 1, graph.injective(pair, start)
+        yield cover, current
+        if not current or too_big(current):
+            return
+    else:
+        current = graph.count(pair, [(start if kind == "string" else (0, start, -1, 0), 1)])
+    while True:
+        cover, nxt = {}, {}
+        for n, count in current.items():
+            x = n[1]
+            cover[x] = cover.get(x, 0) + count * (len(report.ins[x]) - 1 if n[0] == 3 else 1)
+            for k, m in graph.successors(pair, n):
+                nxt[k] = nxt.get(k, 0) + count * m
+        yield cover, nxt
+        made += 1
+        if not nxt or made > max_steps or too_big(nxt):
+            return
+        current = nxt
 
 
 def resolve_symbolic(pair: AlmostGentlePair, kind: str, arg, max_steps: int = 64,
@@ -459,45 +477,18 @@ def resolve_symbolic(pair: AlmostGentlePair, kind: str, arg, max_steps: int = 64
 
     kind is "simple", "string", or "injective".  Levels carry the cover of
     the current module and its syzygy; iteration stops when every summand
-    is recognized projective, else after max_steps with a cutoff marker.
-    With max_dim it also stops, with the cutoff marker, after the first
-    level whose syzygy has total dimension above max_dim.  Each level is a
-    sum over the pair's summand graph.
+    is recognized projective, else, with a cutoff marker, after max_steps
+    or after the first level whose syzygy has total dimension above max_dim.
     """
     pair.require_valid()
-    graph, report = _summand_graph(pair), pair.report
-    levels: list[ResolutionLevel] = []
-
-    def too_big(counts: dict[Node, int]) -> bool:
-        return max_dim is not None and sum(m * sum(graph.dims_of(pair, n).values())
-                                           for n, m in counts.items()) > max_dim
-
-    if kind == "injective" and not report.ins[_vertex(pair, arg)]:
-        kind = "simple"
-    if kind == "simple":
-        current = graph.count(pair, [((0, _vertex(pair, arg), -1, 0), 1)])
-    elif kind == "string":
-        current = graph.count(pair, [(_node_of(pair, _check_string(pair, arg)), 1)])
-    elif kind == "injective":
-        cover, current = graph.injective(pair, _vertex(pair, arg))
-        levels.append(_level(pair, graph, cover, current))
-        if not current:
-            return Resolution(tuple(levels), "projective")
-        if too_big(current):
-            return Resolution(tuple(levels), "cutoff")
+    if kind == "string":
+        start = _node_of(pair, _check_string(pair, arg))
+    elif kind in ("simple", "injective"):
+        start = _vertex(pair, arg)
     else:
         raise ValueError(f"unknown module kind {kind!r}")
-
-    while True:
-        cover, nxt = {}, {}
-        for n, count in current.items():
-            x = n[1]
-            cover[x] = cover.get(x, 0) + count * (len(report.ins[x]) - 1 if n[0] == 3 else 1)
-            for k, m in graph.successors(pair, n):
-                nxt[k] = nxt.get(k, 0) + count * m
-        levels.append(_level(pair, graph, cover, nxt))
-        if not nxt:
-            return Resolution(tuple(levels), "projective")
-        if len(levels) > max_steps or too_big(nxt):
-            return Resolution(tuple(levels), "cutoff")
-        current = nxt
+    vertices = pair.quiver.vertices
+    levels = tuple(ResolutionLevel(tuple((vertices[i], cover[i]) for i in sorted(cover)),
+                                   _decomposition(pair, syzygy.items()))
+                   for cover, syzygy in _levels(pair, kind, start, max_steps, max_dim))
+    return Resolution(levels, "cutoff" if levels[-1].syzygy else "projective")

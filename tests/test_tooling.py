@@ -180,6 +180,72 @@ def test_only_the_quiver_module_reads_a_quivers_private_attributes():
     assert reads == []
 
 
+# agq.oracle works on a module's support.  Only these entry points read a
+# whole-quiver sequence beyond an index read or its length: they check every
+# vertex, every relation or every arrow on purpose.
+WHOLE_QUIVER_ALLOWED = {"check_against_formulas", "check_relations", "RepMorphism.commutes"}
+WHOLE_QUIVER = {("quiver", "vertices"), ("quiver", "arrows"), ("report", "names"), ("pair", "relations")}
+
+
+def _whole_quiver_reads(source):
+    """(function, line) of each read of a whole-quiver sequence, or of a name
+    bound to one, that is neither an index read nor a len(): a loop, a zip,
+    a membership test, a copy.  Functions are the top-level ones and the
+    methods, named Class.method; the allowed ones are skipped."""
+    def whole(node):
+        owner = getattr(node, "value", None)
+        owner = getattr(owner, "id", None) or getattr(owner, "attr", None)
+        return isinstance(node, ast.Attribute) and (owner, node.attr) in WHOLE_QUIVER
+
+    functions = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef):
+            functions.append((node.name, node))
+        elif isinstance(node, ast.ClassDef):
+            functions += [(f"{node.name}.{fn.name}", fn) for fn in node.body if isinstance(fn, ast.FunctionDef)]
+    found = []
+    for name, fn in functions:
+        if name in WHOLE_QUIVER_ALLOWED:
+            continue
+        parent = {child: node for node in ast.walk(fn) for child in ast.iter_child_nodes(node)}
+        aliases = set()
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                target, value = node.targets[0], node.value
+                bound = (zip(target.elts, value.elts) if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple)
+                         else [(target, value)])
+                aliases |= {t.id for t, v in bound if isinstance(t, ast.Name) and whole(v)}
+        for node in ast.walk(fn):
+            if not (whole(node) or isinstance(node, ast.Name) and node.id in aliases
+                    and isinstance(node.ctx, ast.Load)):
+                continue
+            up = parent[node]
+            if (isinstance(up, ast.Subscript) and up.value is node  # an index read
+                    or isinstance(up, ast.Call) and getattr(up.func, "id", None) == "len"
+                    or isinstance(up, ast.Assign)  # an alias, checked where it is read
+                    or isinstance(up, ast.Tuple) and isinstance(parent[up], ast.Assign)):
+                continue
+            found.append((name, node.lineno))
+    return found
+
+
+def test_the_oracle_reads_no_whole_quiver_sequence_outside_its_entry_points():
+    path = pathlib.Path(__file__).resolve().parents[1] / "src" / "agq" / "oracle.py"
+    assert _whole_quiver_reads(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_whole_quiver_scan_sees_every_spelling():
+    source = (
+        "def direct(pair):\n    return [v for v in pair.quiver.vertices]\n"
+        "def aliased(pair):\n    names, outs = pair.report.names, pair.report.outs\n    return dict.fromkeys(names)\n"
+        "def member(pair, a, b):\n    return (a, b) in pair.relations\n"
+        "class Rep:\n    def method(self, pair):\n        return list(zip(pair.quiver.arrows, self))\n"
+        "def check_relations(pair):\n    return [r for r in pair.relations]\n"
+        "def indexed(pair, i):\n    vertices = pair.quiver.vertices\n"
+        "    return vertices[i], pair.report.names[i], len(pair.quiver.arrows)\n")
+    assert [name for name, _line in _whole_quiver_reads(source)] == ["direct", "aliased", "member", "Rep.method"]
+
+
 # Public names with no caller in the package, kept on purpose.
 UNREFERENCED_ALLOWED = {
     "check_relations": "independent check that a representation kills every relation",
@@ -195,6 +261,10 @@ UNREFERENCED_ALLOWED = {
     "is_gentle_vertex": "public vertex predicate; the vertex table computes every flag in its pass",
     "right_maximal_extension": "public string operation the README documents",
     "left_maximal_extension": "public string operation the README documents",
+    "omega1_injective": "public first syzygy of E(v); the summand graph takes it on the node, and the oracle "
+                        "reads the leftovers off the validation's tables",
+    "module_dims": "public dimension vector of a named module; the summand graph reads it off the node",
+    "vertex_type": "public (in-degree, out-degree) of a vertex; the package reads the adjacency tables",
 }
 
 
@@ -229,6 +299,7 @@ def test_every_public_name_has_a_caller_in_the_package():
 UNPASSED_DEFAULTS_ALLOWED = {
     ("forbidden_cycles", "cap"): "bounds the output on quivers with many forbidden cycles",
     ("main", "argv"): "tests and the benchmark run the CLI in process",
+    ("resolve_symbolic", "max_dim"): "the level comparison passes it to the stepping core, _levels",
 }
 
 
@@ -388,8 +459,9 @@ def test_string_layer_is_identical_to_the_recorded_hash():
                 tuple(module_dims(pair, "string", ds).items()),
                 right_maximal_extension(pair, ds).arrows,
                 left_maximal_extension(pair, ds).arrows,
-                tuple(module.dims.items()),
-                tuple((a, tuple(tuple(row.items()) for row in rows)) for a, rows in module.maps.items()))
+                # the module lives on its support; spelled out at every vertex and arrow
+                tuple((w, module.dims[w]) for w in pair.quiver.vertices),
+                tuple((a.name, tuple(tuple(row.items()) for row in module.maps[a.name])) for a in pair.quiver.arrows))
             digest.update(repr(values).encode())
             strings += 1
         for v in pair.quiver.vertices:
