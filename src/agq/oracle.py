@@ -50,6 +50,17 @@ class _Rows(_Dims):
         return self[i] if i in self else []
 
 
+class _NameDims(_Dims):
+    """Dimensions on a support, by vertex name; 0 at any other vertex name, and no read by index."""
+
+    __slots__ = ()
+
+    def __missing__(self, key):
+        if key in self.quiver.vertex_index:
+            return 0
+        raise KeyError(key)
+
+
 class Representation(_Record):
     """dims per vertex and one matrix per arrow, acting on row vectors.
 
@@ -155,9 +166,11 @@ Slot = tuple[int, int]  # (generator, path index in that generator's tree)
 
 
 def _free_module(pair: AlmostGentlePair, tops: list[int]) -> Representation:
-    """The direct sum of the projectives P(v), v in tops, on its path basis:
-    slots (g, k) at each vertex are listed generator by generator, then in
-    path order; the last arrow of path k sends slot (g, up[k]) to (g, k)."""
+    """The direct sum of the projectives P(v), v in tops, on its path basis.
+
+    Slots (g, k) at each vertex are listed generator by generator, then in
+    path order; the last arrow of path k sends slot (g, up[k]) to (g, k).
+    """
     trees = [_path_tree(pair, v) for v in tops]
     slots: dict[int, list[Slot]] = {}
     for g, tree in enumerate(trees):
@@ -221,7 +234,7 @@ def check_relations(pair: AlmostGentlePair, rep: Representation) -> bool:
 
 class CoverKernel(_Record):
     cover: tuple[tuple[str, int], ...]  # (vertex, multiplicity) in declaration order
-    cover_dims: dict[str, int]  # by vertex name on the cover's support; 0 elsewhere
+    cover_dims: dict[str, int]  # by vertex name on the cover's support; 0 at any other vertex name
     kernel: Representation
     _fields = ("cover", "cover_dims", "kernel")
     _key = attrgetter(*_fields)
@@ -278,9 +291,11 @@ def projective_cover_kernel(pair: AlmostGentlePair, rep: Representation) -> Cove
     """Minimal projective cover of rep and the kernel of the covering map.
 
     Generators are standard basis vectors completing the radical at each
-    vertex, extended along path actions; the kernel is the per-vertex left
-    nullspace with the induced arrow action.  Exactness checks: dimension
-    additivity and kernel inside the radical of the cover."""
+    vertex; the cover map extends them along path actions; the kernel is the
+    per-vertex left nullspace with the induced arrow action, built from the
+    nonzero kernel coordinates only.  Exactness checks: dimension additivity
+    and kernel inside the radical of the cover.
+    """
     pair.require_valid()
     rep = _indexed(pair, rep)
     gens, trees, slots, images = _cover_data(pair, rep)
@@ -325,7 +340,7 @@ def projective_cover_kernel(pair: AlmostGentlePair, rep: Representation) -> Cove
                 if image:
                     rows[r] = linalg.coords_in_nullbasis(free_pos[t], image)
     return CoverKernel(tuple((vertices[v], m) for v, m in cover_counts.items()),
-                       _Dims({vertices[w]: len(sl) for w, sl in slots.items()}, pair.quiver), kernel)
+                       _NameDims({vertices[w]: len(sl) for w, sl in slots.items()}, pair.quiver), kernel)
 
 
 class PdimResult(_Frozen):
@@ -361,8 +376,10 @@ def _slot_graph(pair: AlmostGentlePair, rep: Representation) -> tuple[list[int],
 
 
 def _components(pair: AlmostGentlePair, rep: Representation) -> list[Representation]:
-    """Split along the support graph of the chosen basis (a direct sum);
-    a module with one component is returned as itself, not copied."""
+    """Split along the support graph of the chosen basis (a direct sum).
+
+    A module with one component is returned as itself, not copied.
+    """
     label, edges = _slot_graph(pair, rep)
     n = len(label)
     if not n:
@@ -402,13 +419,9 @@ def _component_key(pair: AlmostGentlePair, rep: Representation):
     entry) is a path, every scalar normalizes to 1 over the rationals, so
     the walk of vertex and directed arrow indices determines the module up
     to isomorphism; reflection is handled by taking the smaller of the two
-    end-to-end encodings.  Covers every string module, revisits included.
+    end-to-end encodings.  Covers every string module, revisits included,
+    and a simple, a walk of one slot, unless a loop acts by a nonzero scalar.
     """
-    if sum(rep.dims.values()) == 1:  # a simple, unless a loop acts by a nonzero scalar
-        v = next(iter(rep.dims))
-        if any(row for a in pair.report.outs[v] for row in rep.maps[a]):
-            return None
-        return ((v,), ())
     label, edges = _slot_graph(pair, rep)
     n = len(label)
     if len(edges) != n - 1:
@@ -419,7 +432,7 @@ def _component_key(pair: AlmostGentlePair, rep: Representation):
         adj[w].append((u, a, -1))
     if any(len(nbrs) > 2 for nbrs in adj):
         return None  # a tree but not a path, or not connected
-    ends = [k for k in range(n) if len(adj[k]) == 1]
+    ends = [k for k in range(n) if len(adj[k]) <= 1]  # one slot alone is its own end
     best = None
     for start in ends:
         verts = [label[start]]
@@ -470,10 +483,12 @@ def _syzygy(pair: AlmostGentlePair, rep: Representation, key
 
 def _pdim(pair: AlmostGentlePair, rep: Representation, key, hardcap: int,
           stack: frozenset = frozenset(), depth: int = 0) -> int | None:
-    """Projective dimension of a nonzero rep (iso key: key); None encodes
-    infinity.  Finite values are stored per pair under the iso key.  A key
+    """Projective dimension of a nonzero rep (iso key: key); None encodes infinity.
+
+    Finite values are stored per pair under the iso key.  A key
     met again below itself is a syzygy recurrence, hence infinite; so is
-    going deeper than hardcap."""
+    going deeper than hardcap.
+    """
     memo = pair.memo("pdim", dict)
     if key is not None:
         if key in memo:
@@ -559,6 +574,7 @@ def check_against_formulas(pair: AlmostGentlePair, cutoff: int = 40) -> Agreemen
     """
     from .homdim import pdim_injective, pdim_simple
     from .syzygy import is_invalid_vertex
+    from .quiver import vertex_type
 
     pair.require_valid()
     mismatches: list[Mismatch] = []
@@ -574,7 +590,8 @@ def check_against_formulas(pair: AlmostGentlePair, cutoff: int = 40) -> Agreemen
             if not _agrees(frm, orc):
                 mismatches.append(Mismatch(v, f"pdim_{kind}", str(frm), str(orc)))
 
-        if pair.report.ins[i]:
+        c, _d = vertex_type(pair, v)
+        if c >= 1:
             invalid = is_invalid_vertex(pair, v)[0]
             proj = _oracle_psi0_projective(pair, i, modules["injective"])
             checked += 1
@@ -605,9 +622,12 @@ def _keyed(pair: AlmostGentlePair, rep: Representation) -> KeyedComponent:
 
 def _cover_kernel_componentwise(pair: AlmostGentlePair,
                                 level: Level) -> tuple[dict[int, int], Level]:
-    """Cover multiset per vertex index and kernel level, one small cover
-    per class; minimal covers are additive over direct sums, so a class of
-    multiplicity m counts m times and eliminations stay component-sized."""
+    """Cover multiset per vertex index and kernel level, one small cover per class.
+
+    Minimal covers are additive over direct sums, so this agrees with
+    covering the whole module at once while keeping the elimination sizes
+    bounded by component sizes; a class of multiplicity m counts m times.
+    """
     cover_counts: dict[int, int] = {}
     kernel: Level = {}
     for cls, (comp, mult) in level.items():
@@ -658,14 +678,23 @@ def _leftovers(pair: AlmostGentlePair, v: int) -> list[KeyedComponent]:
 
 
 def _oracle_psi0_projective(pair: AlmostGentlePair, v: int, injective: KeyedComponent) -> bool:
-    """Projectivity of the socle block of E(v), v a vertex index, by pure
-    dimension bookkeeping: Omega_2(E(v)) equals the first syzygy of the
-    per-branch leftovers alone exactly when the block is projective, and
-    minimal covers are additive over direct sums.  injective is E(v) keyed."""
+    """Projectivity of the socle block of E(v) by pure dimension bookkeeping.
+
+    v is a vertex index and injective is E(v) with its iso key.  Omega_2(E(v))
+    equals the first syzygy of the per-branch leftovers alone exactly when
+    the block is projective; minimal covers are additive over direct sums,
+    so dimension vectors decide this.
+    """
     omega1 = _cover_kernel_componentwise(pair, _level_of([injective]))[1]
     omega2 = _cover_kernel_componentwise(pair, omega1)[1]
     leftovers = _cover_kernel_componentwise(pair, _level_of(_leftovers(pair, v)))[1]
     return _dim_sum(omega2) == _dim_sum(leftovers)
+
+
+def _spelled(pair: AlmostGentlePair, counts: dict[int, int]) -> str:
+    """Counts by vertex index, spelled as sorted (vertex name, count) pairs."""
+    vertices = pair.quiver.vertices
+    return str(sorted((vertices[w], m) for w, m in counts.items()))
 
 
 def _compare_levels(pair: AlmostGentlePair, v: int, kind: str, module: KeyedComponent):
@@ -682,9 +711,13 @@ def _compare_levels(pair: AlmostGentlePair, v: int, kind: str, module: KeyedComp
     level = _level_of([module])
     for k, (sym_cover, syzygy) in enumerate(_levels(pair, kind, v, LEVELS_CAP, LEVEL_DIM_BUDGET)):
         cover_counts, level = _cover_kernel_componentwise(pair, level)
-        for part, sym, orc in (("cover", sym_cover, cover_counts),
-                               ("kernel", graph.dim_sum(pair, syzygy), _dim_sum(level))):
-            if sym != orc:
-                yield Mismatch(vertices[v], f"{kind}-resolution-{part}-level-{k}",
-                               *(str(sorted((vertices[w], m) for w, m in d.items())) for d in (sym, orc)))
-                return
+        if cover_counts != sym_cover:
+            yield Mismatch(vertices[v], f"{kind}-resolution-cover-level-{k}",
+                           _spelled(pair, sym_cover), _spelled(pair, cover_counts))
+            return
+        kernel_dims = _dim_sum(level)
+        sym_dims = graph.dim_sum(pair, syzygy)
+        if sym_dims != kernel_dims:
+            yield Mismatch(vertices[v], f"{kind}-resolution-kernel-level-{k}",
+                           _spelled(pair, sym_dims), _spelled(pair, kernel_dims))
+            return

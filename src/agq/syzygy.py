@@ -29,6 +29,7 @@ from .strings import (
     _invalid_at,
     _run,
     claw_of,
+    module_dims,
     string_of,
 )
 
@@ -132,17 +133,19 @@ def _decomposition(pair: AlmostGentlePair, pieces: Iterable[tuple[Node, int]]) -
     return SyzygyDecomposition(tuple((_summand(pair, n), counts[n]) for n in sorted(counts)))
 
 
-def _dims(report: ValidationReport, node: Node) -> dict[int, int]:
-    """The dimension vector of a node, by vertex index.  A projective has
-    its apex plus one per vertex along each claw branch; a socle block has
+def _dims(pair: AlmostGentlePair, node: Node) -> dict[int, int]:
+    """The dimension vector of a node, by vertex index.  A socle block has
     c-1 at its apex plus one per vertex strictly along each flagged tail."""
     rank, apex, first, length = node
+    if rank == 2:
+        vidx = pair.quiver.vertex_index
+        return {vidx[w]: n for w, n in module_dims(pair, "projective", pair.quiver.vertices[apex]).items()}
+    report = pair.report
     if rank == 3:
         basis = [apex] * (len(report.ins[apex]) - 1)
         runs = [(a, -1) for a in report.outs[apex] if report.nonzero_pred[a] >= 0]
     else:
-        basis = [apex]
-        runs = [(a, -1) for a in report.outs[apex]] if rank == 2 else [(first, length)]
+        basis, runs = [apex], [(first, length)]
     for a, n in runs:  # n arrows from a on, or the whole chain when n is -1
         while a >= 0 and n:
             basis.append(report.target[a])
@@ -260,7 +263,7 @@ def psi0_descriptor(pair: AlmostGentlePair, v: str) -> Psi0Descriptor:
 
 def psi0_dim_vector(pair: AlmostGentlePair, v: str) -> dict[str, int]:
     """(c-1) at the apex plus one per vertex strictly along each flagged tail."""
-    dims = _dims(pair.report, (3, _vertex(pair, v), -1, 0))
+    dims = _dims(pair, (3, _vertex(pair, v), -1, 0))
     return {pair.quiver.vertices[w]: n for w, n in dims.items()}
 
 
@@ -392,7 +395,7 @@ class _SummandGraph:
     def dims_of(self, pair: AlmostGentlePair, node: Node) -> tuple[dict[int, int], int]:
         entry = self.dims.get(node)
         if entry is None:
-            dims = _dims(pair.report, node)
+            dims = _dims(pair, node)
             entry = self.dims[node] = dims, sum(dims.values())
         return entry
 

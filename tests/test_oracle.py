@@ -3,6 +3,8 @@ import sys
 import time
 import weakref
 
+import pytest
+
 import agq.oracle
 import agq.syzygy
 from agq.linalg import identity, left_nullspace, mat_mul, rref
@@ -79,6 +81,14 @@ def test_dim_additivity(fig1):
         ck = projective_cover_kernel(fig1, rep)
         for w in fig1.quiver.vertices:
             assert ck.cover_dims[w] == rep.dims[w] + ck.kernel.dims[w]
+
+
+def test_cover_dims_read_by_vertex_name_only(fig1):
+    ck = projective_cover_kernel(fig1, rep_of(fig1, "simple", "4"))
+    assert dict(ck.cover_dims) == {"4": 1, "5": 1}
+    assert ck.cover_dims["1"] == 0
+    with pytest.raises(KeyError):
+        ck.cover_dims[fig1.quiver.vertex_index["4"]]
 
 
 def test_check_on_fixtures(fig1, gate, cyc2, cyc2e, pendant_cycle, matched_entry, finite_envelope):

@@ -263,8 +263,6 @@ UNREFERENCED_ALLOWED = {
     "left_maximal_extension": "public string operation the README documents",
     "omega1_injective": "public first syzygy of E(v); the summand graph takes it on the node, and the oracle "
                         "reads the leftovers off the validation's tables",
-    "module_dims": "public dimension vector of a named module; the summand graph reads it off the node",
-    "vertex_type": "public (in-degree, out-degree) of a vertex; the package reads the adjacency tables",
 }
 
 
