@@ -4,15 +4,19 @@ kernels, and brute-force projective dimensions.
 Everything here is plain linear algebra over the rationals; the only
 combinatorial input is the basis-path structure of the projectives.  A
 module lives on its support, keyed by vertex and arrow index, so the work
-follows the module, not the quiver.  Kernels are split into support
-components (a basis-level direct sum decomposition).  Only a path-shaped
-component (every string module is one) has a sound canonical iso key,
-made once, with the component.  Each syzygy step, each finite projective
-dimension and each per-branch leftover string of the socle-block check is
-stored per pair under the key, and repeating syzygies are detected by it:
-a module isomorphic to a summand of one of its own higher syzygies has
-infinite projective dimension.  The level comparison walks each resolution
-level as a multiset of iso classes, covering and summing each class once.
+follows the module, not the quiver; names appear only where they enter
+(rep_of's arguments, check_relations' relation pairs) or leave (a cover's
+vertices, a mismatch's text).  Kernels are split into support components
+(a basis-level direct sum decomposition).  Only a path-shaped component
+(every string module is one) has a sound canonical iso key, made once,
+with the component.  Each syzygy step, each projective dimension and each
+per-branch leftover string of the socle-block check is stored per pair
+under the key, and repeating syzygies are detected by it: a module
+isomorphic to a summand of one of its own higher syzygies has infinite
+projective dimension, and so has every module on the walk down to it.
+Only that proof of infinity is stored; one met at the depth backstop is
+not.  The level comparison walks each resolution level as a multiset of
+iso classes, covering and summing each class once.
 """
 
 from __future__ import annotations
@@ -21,76 +25,41 @@ from collections import Counter
 from operator import attrgetter
 
 from . import linalg
-from .forbidden import LengthOrInf
-from .quiver import AlmostGentlePair, Quiver, _Frozen, _Record
+from .quiver import AlmostGentlePair, _Frozen, _Record
 from .strings import DirectedString, _check_string
 
-
-class _Dims(dict):
-    """Dimensions on a support, by vertex index; 0 elsewhere, a name reads as its index."""
-
-    __slots__ = ("quiver",)
-
-    def __init__(self, entries: dict, quiver: Quiver) -> None:
-        dict.__init__(self, entries)
-        self.quiver = quiver
-
-    def __missing__(self, key):
-        i = self.quiver.vertex_index.get(key)
-        return self[i] if i in self else 0
-
-
-class _Rows(_Dims):
-    """Maps on a support's out-arrows, by arrow index; no rows elsewhere, a name reads as its index."""
-
-    __slots__ = ()
-
-    def __missing__(self, key):
-        i = self.quiver.arrow_index.get(key)
-        return self[i] if i in self else []
-
-
-class _NameDims(_Dims):
-    """Dimensions on a support, by vertex name; 0 at any other vertex name, and no read by index."""
-
-    __slots__ = ()
-
-    def __missing__(self, key):
-        if key in self.quiver.vertex_index:
-            return 0
-        raise KeyError(key)
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .forbidden import LengthOrInf
 
 
 class Representation(_Record):
     """dims per vertex and one matrix per arrow, acting on row vectors.
 
-    The oracle's modules live on their support, keyed by index: dims[i] > 0
-    per support vertex i, and maps[a] per out-arrow a of the support, a list
-    of dims[s(a)] sparse rows ({column: value}, nonzero entries only) with
-    columns below dims[t(a)]; reads elsewhere, or by name, are as in _Dims.
-    A module built by hand may be keyed by names; the public functions
-    rewrite it.  A relation pair must compose to the zero matrix.
+    Keyed by index on the module's support: dims[i] > 0 per support vertex
+    i, and maps[a] per out-arrow a of the support, a list of dims[s(a)]
+    sparse rows ({column: value}, nonzero entries only) with columns below
+    dims[t(a)].  Nothing is stored elsewhere, so a read off the support is
+    dims.get(i, 0) or maps.get(a, []).  A relation pair must compose to the
+    zero matrix.
     """
 
-    dims: dict
-    maps: dict
+    dims: dict[int, int]
+    maps: dict[int, linalg.Matrix]
     _fields = ("dims", "maps")
     _key = attrgetter(*_fields)
 
-    def __init__(self, dims: dict, maps: dict) -> None:
+    def __init__(self, dims: dict[int, int], maps: dict[int, linalg.Matrix]) -> None:
         self.dims = dims
         self.maps = maps
 
     def total_dim(self) -> int:
         return sum(self.dims.values())
 
-    def dim_vector(self) -> dict[str, int]:
+    def dim_vector(self, pair: AlmostGentlePair) -> dict[str, int]:
         """The nonzero dimensions by vertex name."""
-        dims = self.dims
-        if isinstance(dims, _Dims):
-            vertices = dims.quiver.vertices
-            return {vertices[i]: dims[i] for i in sorted(dims)}
-        return {v: n for v, n in dims.items() if n}
+        vertices = pair.quiver.vertices
+        return {vertices[i]: n for i, n in self.dims.items() if n}
 
 
 def _zero(pair: AlmostGentlePair, dims: dict[int, int]) -> Representation:
@@ -98,17 +67,7 @@ def _zero(pair: AlmostGentlePair, dims: dict[int, int]) -> Representation:
     empty row per basis vector for each out-arrow of the support."""
     outs = pair.report.outs
     maps = {a: [{} for _i in range(n)] for v, n in dims.items() for a in outs[v]}
-    return Representation(_Dims(dims, pair.quiver), _Rows(maps, pair.quiver))
-
-
-def _indexed(pair: AlmostGentlePair, rep: Representation) -> Representation:
-    """rep keyed by index on its support; a module keyed by names is rewritten."""
-    if isinstance(rep.dims, _Dims):
-        return rep
-    vidx, aidx = pair.quiver.vertex_index, pair.quiver.arrow_index
-    out = _zero(pair, {vidx[v]: n for v, n in rep.dims.items() if n})
-    out.maps.update((aidx[a], rows) for a, rows in rep.maps.items() if rows)
-    return out
+    return Representation(dims, maps)
 
 
 class _PathTree(_Frozen):
@@ -226,33 +185,33 @@ def rep_of(pair: AlmostGentlePair, kind: str, arg) -> Representation:
 
 def check_relations(pair: AlmostGentlePair, rep: Representation) -> bool:
     """Every relation pair composes to zero."""
+    aidx, maps = pair.quiver.arrow_index, rep.maps
     for a, b in pair.relations:
-        if any(linalg.mat_mul(rep.maps[a], rep.maps[b])):
+        if any(linalg.mat_mul(maps.get(aidx[a], []), maps.get(aidx[b], []))):
             return False
     return True
 
 
 class CoverKernel(_Record):
     cover: tuple[tuple[str, int], ...]  # (vertex, multiplicity) in declaration order
-    cover_dims: dict[str, int]  # by vertex name on the cover's support; 0 at any other vertex name
     kernel: Representation
-    _fields = ("cover", "cover_dims", "kernel")
+    _fields = ("cover", "kernel")
     _key = attrgetter(*_fields)
 
 
 class RepMorphism(_Record):
     """Per-vertex matrix blocks of a map of representations (row convention)."""
 
-    blocks: dict[str, linalg.Matrix]  # blocks[v]: src.dims[v] x dst.dims[v]; none off src's support
+    blocks: dict[int, linalg.Matrix]  # blocks[i]: src.dims[i] x dst.dims[i] at vertex index i; none off src's support
     _fields = ("blocks",)
     _key = attrgetter("blocks")
 
     def commutes(self, pair: AlmostGentlePair, src: Representation,
                  dst: Representation) -> bool:
-        blocks = self.blocks
-        return all(linalg.mat_mul(src.maps[a.name], blocks.get(a.target, []))
-                   == linalg.mat_mul(blocks.get(a.source, []), dst.maps[a.name])
-                   for a in pair.quiver.arrows)
+        blocks, report = self.blocks, pair.report
+        return all(linalg.mat_mul(src.maps.get(a, []), blocks.get(report.target[a], []))
+                   == linalg.mat_mul(blocks.get(report.source[a], []), dst.maps.get(a, []))
+                   for a in range(len(pair.quiver.arrows)))
 
 
 def _cover_data(pair: AlmostGentlePair, rep: Representation):
@@ -282,9 +241,8 @@ def _cover_data(pair: AlmostGentlePair, rep: Representation):
 def cover_morphism(pair: AlmostGentlePair, rep: Representation) -> tuple[Representation, RepMorphism]:
     """The cover representation alongside the covering map's blocks."""
     pair.require_valid()
-    gens, _trees, _slots, images = _cover_data(pair, _indexed(pair, rep))
-    vertices = pair.quiver.vertices
-    return _free_module(pair, [v for v, _j in gens]), RepMorphism({vertices[w]: m for w, m in images.items()})
+    gens, _trees, _slots, images = _cover_data(pair, rep)
+    return _free_module(pair, [v for v, _j in gens]), RepMorphism(images)
 
 
 def projective_cover_kernel(pair: AlmostGentlePair, rep: Representation) -> CoverKernel:
@@ -297,7 +255,6 @@ def projective_cover_kernel(pair: AlmostGentlePair, rep: Representation) -> Cove
     and kernel inside the radical of the cover.
     """
     pair.require_valid()
-    rep = _indexed(pair, rep)
     gens, trees, slots, images = _cover_data(pair, rep)
     vertices = pair.quiver.vertices
     cover_counts = Counter(v for v, _j in gens)  # in declaration order
@@ -339,8 +296,7 @@ def projective_cover_kernel(pair: AlmostGentlePair, rep: Representation) -> Cove
                         image[index[(g, k2)]] = x
                 if image:
                     rows[r] = linalg.coords_in_nullbasis(free_pos[t], image)
-    return CoverKernel(tuple((vertices[v], m) for v, m in cover_counts.items()),
-                       _NameDims({vertices[w]: len(sl) for w, sl in slots.items()}, pair.quiver), kernel)
+    return CoverKernel(tuple((vertices[v], m) for v, m in cover_counts.items()), kernel)
 
 
 class PdimResult(_Frozen):
@@ -481,34 +437,48 @@ def _syzygy(pair: AlmostGentlePair, rep: Representation, key
     return step
 
 
-def _pdim(pair: AlmostGentlePair, rep: Representation, key, hardcap: int,
-          stack: frozenset = frozenset(), depth: int = 0) -> int | None:
+def _pdim(pair: AlmostGentlePair, rep: Representation, key, hardcap: int) -> int | None:
     """Projective dimension of a nonzero rep (iso key: key); None encodes infinity.
 
-    Finite values are stored per pair under the iso key.  A key
-    met again below itself is a syzygy recurrence, hence infinite; so is
-    going deeper than hardcap.
+    A walk down the syzygies with an explicit stack of open modules, so its
+    depth is not bounded by Python's recursion limit.  Finite values are
+    stored per pair under the iso key.  A key met again below itself is a
+    syzygy recurrence, hence infinite, and so is every keyed module open
+    above it, which has it as a summand of a syzygy: that infinity is stored
+    too.  Going deeper than hardcap is infinite as well, but not stored.
     """
     memo = pair.memo("pdim", dict)
-    if key is not None:
-        if key in memo:
-            return memo[key]
-        if key in stack:
-            return None
-        stack = stack | {key}
-    if depth > hardcap:
-        return None
-    if rep.total_dim() > BUDGET_DIM:
-        raise AssertionError("oracle dimension budget exceeded")
-    val = 0
-    for sub_key, comp in _syzygy(pair, rep, key)[1]:
-        sub = _pdim(pair, comp, sub_key, hardcap, stack, depth + 1)
-        if sub is None:
-            return None
-        val = max(val, sub + 1)
-    if key is not None:
-        memo[key] = val
-    return val
+    path: list[list] = []  # per open module: its key, its kernel components left, its value so far
+    open_keys: set = set()
+    module: KeyedComponent | None = (key, rep)
+    while True:
+        if module is None:  # the top module's components are all settled
+            key, _left, value = path.pop()
+            if key is not None:
+                open_keys.remove(key)
+                memo[key] = value
+        else:
+            key, rep = module
+            if key is not None and (key in memo or key in open_keys):
+                value = memo.get(key)
+                if value is None:  # stored infinite, or a recurrence
+                    memo.update((k, None) for k, _left, _value in path if k is not None)
+                    return None
+            elif len(path) > hardcap:
+                return None
+            else:
+                if rep.total_dim() > BUDGET_DIM:
+                    raise AssertionError("oracle dimension budget exceeded")
+                if key is not None:
+                    open_keys.add(key)
+                path.append([key, iter(_syzygy(pair, rep, key)[1]), 0])
+                module = next(path[-1][1], None)
+                continue
+        if not path:
+            return value
+        top = path[-1]
+        top[2] = max(top[2], value + 1)
+        module = next(top[1], None)
 
 
 def oracle_pdim(pair: AlmostGentlePair, rep: Representation, cutoff: int) -> PdimResult:
@@ -518,7 +488,7 @@ def oracle_pdim(pair: AlmostGentlePair, rep: Representation, cutoff: int) -> Pdi
     reported as AtLeast(cutoff) per the agreement convention.
     """
     pair.require_valid()
-    return _keyed_pdim(pair, _keyed(pair, _indexed(pair, rep)), cutoff)
+    return _keyed_pdim(pair, _keyed(pair, rep), cutoff)
 
 
 def _keyed_pdim(pair: AlmostGentlePair, module: KeyedComponent, cutoff: int) -> PdimResult:

@@ -445,8 +445,9 @@ def _levels(pair: AlmostGentlePair, kind: str, start, max_steps: int,
             max_dim: int | None = None) -> Iterator[tuple[dict[int, int], dict[Node, int]]]:
     """The levels of resolve_symbolic, each (cover per vertex index, syzygy
     counts per node), stepped over the pair's summand graph for kind "simple"
-    or "injective" at the vertex index start, or "string" at the node start;
-    nothing is checked."""
+    or "injective" at the vertex index start, or "string" at the node start,
+    and cut after the first syzygy of total dimension above max_dim, if
+    given; nothing is checked."""
     graph, report = _summand_graph(pair), pair.report
 
     def too_big(counts: dict[Node, int]) -> bool:
@@ -474,14 +475,12 @@ def _levels(pair: AlmostGentlePair, kind: str, start, max_steps: int,
         current = nxt
 
 
-def resolve_symbolic(pair: AlmostGentlePair, kind: str, arg, max_steps: int = 64,
-                     max_dim: int | None = None) -> Resolution:
+def resolve_symbolic(pair: AlmostGentlePair, kind: str, arg, max_steps: int = 64) -> Resolution:
     """Minimal projective resolution by symbolic syzygy iteration.
 
     kind is "simple", "string", or "injective".  Levels carry the cover of
     the current module and its syzygy; iteration stops when every summand
-    is recognized projective, else, with a cutoff marker, after max_steps
-    or after the first level whose syzygy has total dimension above max_dim.
+    is recognized projective, else, with a cutoff marker, after max_steps.
     """
     pair.require_valid()
     if kind == "string":
@@ -493,5 +492,5 @@ def resolve_symbolic(pair: AlmostGentlePair, kind: str, arg, max_steps: int = 64
     vertices = pair.quiver.vertices
     levels = tuple(ResolutionLevel(tuple((vertices[i], cover[i]) for i in sorted(cover)),
                                    _decomposition(pair, syzygy.items()))
-                   for cover, syzygy in _levels(pair, kind, start, max_steps, max_dim))
+                   for cover, syzygy in _levels(pair, kind, start, max_steps))
     return Resolution(levels, "cutoff" if levels[-1].syzygy else "projective")

@@ -103,7 +103,7 @@ def test_criterion_4_fig1_omega1_injective_4(fig1):
     kernel = projective_cover_kernel(fig1, rep_of(fig1, "injective", "4")).kernel
     crit(4, "fig1 Omega1(E(4)) decomposition and kernel dims",
          symbolic | block == expected
-         and kernel.dim_vector() == {"3": 1, "3'": 1, "4": 2, "5": 1})
+         and kernel.dim_vector(fig1) == {"3": 1, "3'": 1, "4": 2, "5": 1})
 
 
 def test_criterion_5_fig1_resolution_of_string(fig1):
@@ -207,7 +207,7 @@ def test_criterion_10_gate_regression(gate):
     crit(10, "gate: pdim E(3) = 0 with E(3) isomorphic to P(1)",
          rep.value == LengthOrInf.finite(0)
          and oracle_pdim(gate, e3, 10) == PdimResult(True, 0)
-         and e3.dim_vector() == p1.dim_vector()
+         and e3.dim_vector(gate) == p1.dim_vector(gate)
          and pdim_injective_envelope(gate).is_finite)
 
 

@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
+import pytest
+
+from agq.cli import main
 from conftest import FIXTURES
 
 AGQ = [sys.executable, "-m", "agq.cli"]
@@ -209,3 +214,25 @@ def test_file_not_utf8_is_a_parse_error(tmp_path):
     out = run("gldim", bad)
     assert_clean_error(out)
     assert out.stderr == "error: line 3, column 6: file is not valid UTF-8\n"
+
+
+def _fully_related(n, ring):
+    """A_n, or the ring of n arrows, with every composition of consecutive arrows a relation."""
+    vertices = [f"v{k}" for k in range(n if ring else n + 1)]
+    lines = ["algebra fully_related", "vertex " + " ".join(vertices)]
+    lines += [f"arrow a{k} : v{k} -> {vertices[(k + 1) % len(vertices)]}" for k in range(n)]
+    lines += [f"rel a{k} a{(k + 1) % n}" for k in range(n if ring else n - 1)]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("ring, checked, pdim", [(False, 7504, "1500"), (True, 7500, ">=64")], ids=["chain", "ring"])
+def test_the_oracle_answers_on_resolutions_longer_than_the_recursion_limit(tmp_path, ring, checked, pdim):
+    # pd S(v0) is 1,500 on the chain; on the ring the syzygies of S(v0) repeat only after 1,500 steps
+    path = tmp_path / "fully_related.agq"
+    path.write_text(_fully_related(1500, ring))
+    for argv, last in ((["check", str(path)], f"ok: {checked} quantities agree with the oracle"),
+                       (["resolve", str(path), "--simple", "v0", "--oracle"], f"oracle pdim: {pdim}")):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0
+        assert out.getvalue().splitlines()[-1] == last

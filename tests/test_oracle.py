@@ -3,8 +3,6 @@ import sys
 import time
 import weakref
 
-import pytest
-
 import agq.oracle
 import agq.syzygy
 from agq.linalg import identity, left_nullspace, mat_mul, rref
@@ -17,7 +15,7 @@ from agq.oracle import (
     projective_cover_kernel,
     rep_of,
 )
-from agq.strings import DirectedString
+from agq.strings import DirectedString, module_dims
 from agq.generator import GeneratorParams, random_ag_pair
 
 
@@ -25,9 +23,9 @@ def test_rep_of_examples(fig1, a2):
     p1 = rep_of(fig1, "projective", "1")
     assert p1.total_dim() == 7
     e2r = rep_of(fig1, "injective", "2R")
-    assert e2r.total_dim() == 3 and e2r.dims["1"] == 2
+    assert e2r.total_dim() == 3 and e2r.dim_vector(fig1)["1"] == 2
     s2 = rep_of(a2, "simple", "2")
-    assert s2.dim_vector() == {"2": 1}
+    assert s2.dim_vector(a2) == {"2": 1}
     assert all(all(x == 0 for row in m for x in row.values()) for m in s2.maps.values())
 
 
@@ -40,8 +38,9 @@ def test_reps_annihilate_relations(fig1, cyc2e, gate):
 
 def test_string_rep_with_vertex_revisit(loop_rel):
     rep = rep_of(loop_rel, "string", DirectedString(("x",)))
-    assert rep.dims["1"] == 2
-    assert rep.maps["x"][0][1] == 1 and rep.maps["x"][1].get(0, 0) == 0
+    assert rep.dim_vector(loop_rel)["1"] == 2
+    x = rep.maps.get(loop_rel.quiver.arrow_index["x"], [])
+    assert x[0][1] == 1 and x[1].get(0, 0) == 0
     assert check_relations(loop_rel, rep)
 
 
@@ -60,10 +59,10 @@ def test_top(fig1):
 def test_cover_kernel_examples(fig1):
     ck = projective_cover_kernel(fig1, rep_of(fig1, "injective", "4"))
     assert dict(ck.cover) == {"3": 1, "2": 1, "3'": 1}
-    assert ck.kernel.dim_vector() == {"3": 1, "3'": 1, "4": 2, "5": 1}
+    assert ck.kernel.dim_vector(fig1) == {"3": 1, "3'": 1, "4": 2, "5": 1}
 
     ck2 = projective_cover_kernel(fig1, rep_of(fig1, "string", DirectedString(("a_1_2",))))
-    assert ck2.kernel.dim_vector() == {"2L": 1, "2R": 2, "3R": 1, "4R": 1}
+    assert ck2.kernel.dim_vector(fig1) == {"2L": 1, "2R": 2, "3R": 1, "4R": 1}
 
     for v in fig1.quiver.vertices:
         assert projective_cover_kernel(fig1, rep_of(fig1, "projective", v)).kernel.total_dim() == 0
@@ -75,20 +74,40 @@ def test_oracle_pdim(fig1, cyc2, gate):
     assert oracle_pdim(gate, rep_of(gate, "injective", "3"), 10) == PdimResult(True, 0)
 
 
+def cover_dims(pair, ck):
+    """The dimension vector of a cover, by vertex name, summed from
+    module_dims of its projectives: code that shares no path tree with the oracle."""
+    dims: dict[str, int] = {}
+    for v, m in ck.cover:
+        for w, n in module_dims(pair, "projective", v).items():
+            dims[w] = dims.get(w, 0) + m * n
+    return dims
+
+
+def test_only_an_infinity_proven_by_a_recurrence_is_stored():
+    from conftest import FIG1_ARROWS, FIG1_RELS, FIG1_VERTICES, make_pair
+    from agq.oracle import _keyed, _pdim
+    # cut at depth 2, pd S(1) = 4 reads infinite, and no infinity is stored
+    fig1 = make_pair(FIG1_VERTICES, FIG1_ARROWS, FIG1_RELS)
+    key, s1 = _keyed(fig1, rep_of(fig1, "simple", "1"))
+    assert _pdim(fig1, s1, key, 2) is None
+    assert None not in fig1.memo("pdim", dict).values()
+    assert _pdim(fig1, s1, key, 40) == 4
+    # over the 2-cycle with both relations S(1) and S(2) are each other's
+    # syzygy: the recurrence proves both infinite, and both are stored
+    cyc2 = make_pair(["1", "2"], [("a", "1", "2"), ("b", "2", "1")], [("a", "b"), ("b", "a")])
+    simples = [_keyed(cyc2, rep_of(cyc2, "simple", v)) for v in ("1", "2")]
+    assert oracle_pdim(cyc2, simples[0][1], 10) == PdimResult(False, 10)
+    assert cyc2.memo("pdim", dict) == {key: None for key, _rep in simples}
+
+
 def test_dim_additivity(fig1):
     for v in fig1.quiver.vertices:
         rep = rep_of(fig1, "injective", v)
         ck = projective_cover_kernel(fig1, rep)
+        cover, top, kernel = cover_dims(fig1, ck), rep.dim_vector(fig1), ck.kernel.dim_vector(fig1)
         for w in fig1.quiver.vertices:
-            assert ck.cover_dims[w] == rep.dims[w] + ck.kernel.dims[w]
-
-
-def test_cover_dims_read_by_vertex_name_only(fig1):
-    ck = projective_cover_kernel(fig1, rep_of(fig1, "simple", "4"))
-    assert dict(ck.cover_dims) == {"4": 1, "5": 1}
-    assert ck.cover_dims["1"] == 0
-    with pytest.raises(KeyError):
-        ck.cover_dims[fig1.quiver.vertex_index["4"]]
+            assert cover.get(w, 0) == top.get(w, 0) + kernel.get(w, 0)
 
 
 def test_check_on_fixtures(fig1, gate, cyc2, cyc2e, pendant_cycle, matched_entry, finite_envelope):
@@ -140,8 +159,7 @@ def test_cover_morphism_commutes(fig1, gate):
         cover, phi = cover_morphism(pair, rep)
         assert check_relations(pair, cover)
         assert phi.commutes(pair, cover, rep)
-        assert cover.dim_vector() == {
-            w: n for w, n in projective_cover_kernel(pair, rep).cover_dims.items() if n}
+        assert cover.dim_vector(pair) == cover_dims(pair, projective_cover_kernel(pair, rep))
 
 
 def test_syzygy_steps_are_stored_on_the_pair_only(monkeypatch):
@@ -173,11 +191,13 @@ def test_syzygy_steps_are_stored_on_the_pair_only(monkeypatch):
 def test_path_plus_cycle_is_not_taken_for_the_path(fig1):
     # K (one slot at 4L sent to one slot at 5 by both parallel arrows) plus
     # P(3L): n slots, n - 1 nonzero entries and two ends, like a path
-    dims = dict.fromkeys(fig1.quiver.vertices, 0) | {"3L": 1, "4L": 2, "5": 2}
-    maps = {a.name: [{} for _i in range(dims[a.source])] for a in fig1.quiver.arrows}
-    maps["a_3L_4L"][0][1] = 1
-    maps["a_4L_5"][0][0] = maps["a_4L_5"][1][1] = 1
-    maps["b_4L_5"][0][0] = 1
+    vidx, aidx = fig1.quiver.vertex_index, fig1.quiver.arrow_index
+    dims = {vidx["3L"]: 1, vidx["4L"]: 2, vidx["5"]: 2}
+    maps = {aidx[a.name]: [{} for _i in range(dims[vidx[a.source]])]
+            for a in fig1.quiver.arrows if vidx[a.source] in dims}
+    maps[aidx["a_3L_4L"]][0][1] = 1
+    maps[aidx["a_4L_5"]][0][0] = maps[aidx["a_4L_5"]][1][1] = 1
+    maps[aidx["b_4L_5"]][0][0] = 1
     rep = Representation(dims, maps)
     assert check_relations(fig1, rep)
     assert oracle_pdim(fig1, rep_of(fig1, "projective", "3L"), 10) == PdimResult(True, 0)
@@ -233,12 +253,13 @@ def test_each_leftover_string_is_built_once_per_pair(monkeypatch):
 
 
 def test_one_dimensional_modules_key_to_their_vertex_unless_a_loop_acts(loop_rel):
-    from agq.oracle import _component_key, _indexed
+    from agq.oracle import _component_key
     for pair in _valid_pairs(range(1, 21)):
         for i, v in enumerate(pair.quiver.vertices):
             assert _component_key(pair, rep_of(pair, "simple", v)) == ((i,), ())
-    loop_acts = Representation({"1": 1}, {"x": [{0: 1}]})
-    assert _component_key(loop_rel, _indexed(loop_rel, loop_acts)) is None
+    vidx, aidx = loop_rel.quiver.vertex_index, loop_rel.quiver.arrow_index
+    loop_acts = Representation({vidx["1"]: 1}, {aidx["x"]: [{0: 1}]})
+    assert _component_key(loop_rel, loop_acts) is None
 
 
 def test_one_summand_graph_per_pair():
@@ -282,7 +303,7 @@ def _reference_levels(pair, v, kind, repeats):
                              str(sorted(sym_cover.items())), str(sorted(cover.items())))]
         dims: dict[str, int] = {}
         for comp in comps:
-            for w, n in comp.dim_vector().items():
+            for w, n in comp.dim_vector(pair).items():
                 dims[w] = dims.get(w, 0) + n
         sym_dims = level.syzygy.dim_vector(pair)
         if sym_dims != dims:

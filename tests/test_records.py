@@ -22,7 +22,7 @@ REPORT = ValidationReport(True, (), ())
 SYZYGY = SyzygyDecomposition(((Summand("simple", "2"), 2),))
 LEVEL = ResolutionLevel((("1", 1),), SYZYGY)
 DIM = DimReport(LengthOrInf(1), ForbiddenWalk(("a",)), "simple", "1")
-REP = Representation({"1": 1, "2": 0}, {"a": [{}]})
+REP = Representation({0: 1}, {0: [{}]})
 MISMATCH = Mismatch("1", "pdim_simple", "1", "2")
 MUTABLE = {AgqDocument, Representation, CoverKernel, RepMorphism}
 
@@ -57,12 +57,10 @@ RECORDS = [
      "method='simple', attained_at='1'), injdim=DimReport(value=LengthOrInf(value=1), witness=ForbiddenWalk("
      "stem=('a',), cycle=()), method='simple', attained_at='1'), gorenstein=True, cycle_criterion=False, "
      "envelope_pdim=LengthOrInf(value=0), auslander_note='note')"),
-    (Representation, ({"1": 1, "2": 0}, {"a": [{}]}), {}, "dims",
-     "Representation(dims={'1': 1, '2': 0}, maps={'a': [{}]})"),
-    (CoverKernel, ((("1", 1),), {"1": 1, "2": 1}, REP), {}, "kernel",
-     "CoverKernel(cover=(('1', 1),), cover_dims={'1': 1, '2': 1}, "
-     "kernel=Representation(dims={'1': 1, '2': 0}, maps={'a': [{}]}))"),
-    (RepMorphism, ({"1": [{0: 1}], "2": []},), {}, "blocks", "RepMorphism(blocks={'1': [{0: 1}], '2': []})"),
+    (Representation, ({0: 1}, {0: [{}]}), {}, "dims", "Representation(dims={0: 1}, maps={0: [{}]})"),
+    (CoverKernel, ((("1", 1),), REP), {}, "kernel",
+     "CoverKernel(cover=(('1', 1),), kernel=Representation(dims={0: 1}, maps={0: [{}]}))"),
+    (RepMorphism, ({0: [{0: 1}], 1: []},), {}, "blocks", "RepMorphism(blocks={0: [{0: 1}], 1: []})"),
     (PdimResult, (False, 40), {}, "value", "PdimResult(finite=False, value=40)"),
     (Mismatch, ("1", "pdim_simple", "1", "2"), {}, "oracle",
      "Mismatch(vertex='1', quantity='pdim_simple', formula='1', oracle='2')"),
@@ -104,7 +102,7 @@ def test_records_show_compare_and_hash_by_their_fields(cls, args, kwargs, field,
     (lambda: Quiver(("1", "2", "1"), ()), AgqError, "duplicate vertex '1'"),
     (lambda: Quiver(("1",), (Arrow("a", "1", "1"), Arrow("a", "1", "1"))), AgqError, "duplicate arrow 'a'"),
     (lambda: Violation("NonzeroCycle", ("a",)), TypeError, "Violation takes 3 field values, got 2"),
-    (lambda: Representation({"1": 1}), TypeError, "missing 1 required positional argument: 'maps'"),
+    (lambda: Representation({0: 1}), TypeError, "missing 1 required positional argument: 'maps'"),
     (lambda: SyzygyDecomposition(), TypeError, "missing 1 required positional argument: 'items'"),
     (lambda: SyzygyDecomposition((), ()), TypeError, "takes 2 positional arguments but 3 were given"),
     (lambda: ResolutionLevel((("1", 1),), SYZYGY, "cutoff"), TypeError,

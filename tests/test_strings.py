@@ -91,7 +91,7 @@ def assert_module_dims_match_paths(pair):
     # the oracle builds P(v) and E(v) on the nonzero paths out of and into v
     for v in pair.quiver.vertices:
         for kind in ("projective", "injective"):
-            assert module_dims(pair, kind, v) == rep_of(pair, kind, v).dim_vector()
+            assert module_dims(pair, kind, v) == rep_of(pair, kind, v).dim_vector(pair)
 
 
 def test_module_dims_match_basis_path_counts(fig1, cyc2, gate):

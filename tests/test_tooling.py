@@ -163,6 +163,32 @@ def test_package_imports_only_the_standard_library():
                 assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)
 
 
+def test_the_oracle_imports_the_code_it_checks_only_inside_the_comparisons():
+    # agq.oracle runs on linalg, quiver and strings (of which only a directed
+    # string and its input check); the closed form and the symbolic layer it
+    # checks are imported where they are compared, and an import under
+    # TYPE_CHECKING serves annotations only, so it never runs
+    path = pathlib.Path(__file__).resolve().parents[1] / "src" / "agq" / "oracle.py"
+    top, inside, from_strings = set(), set(), set()
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.If) and getattr(node.test, "id", None) == "TYPE_CHECKING":
+            continue
+        where = getattr(node, "name", None)
+        for imp in ast.walk(node):
+            if isinstance(imp, ast.ImportFrom) and imp.level:
+                names = [imp.module] if imp.module else [alias.name for alias in imp.names]
+                if imp is node:
+                    top.update(names)
+                    if imp.module == "strings":
+                        from_strings.update(alias.name for alias in imp.names)
+                else:
+                    inside.update((where, name) for name in names)
+    assert top == {"linalg", "quiver", "strings"}
+    assert from_strings == {"DirectedString", "_check_string"}
+    checked = {(where, name) for where, name in inside if name in ("forbidden", "homdim", "syzygy")}
+    assert checked and {where for where, _name in checked} <= {"check_against_formulas", "_compare_levels"}, checked
+
+
 def test_only_the_quiver_module_reads_a_quivers_private_attributes():
     # other modules read a quiver through its public fields and index maps,
     # and adjacency through the validation report's tables
@@ -297,7 +323,6 @@ def test_every_public_name_has_a_caller_in_the_package():
 UNPASSED_DEFAULTS_ALLOWED = {
     ("forbidden_cycles", "cap"): "bounds the output on quivers with many forbidden cycles",
     ("main", "argv"): "tests and the benchmark run the CLI in process",
-    ("resolve_symbolic", "max_dim"): "the level comparison passes it to the stepping core, _levels",
 }
 
 
@@ -457,9 +482,10 @@ def test_string_layer_is_identical_to_the_recorded_hash():
                 tuple(module_dims(pair, "string", ds).items()),
                 right_maximal_extension(pair, ds).arrows,
                 left_maximal_extension(pair, ds).arrows,
-                # the module lives on its support; spelled out at every vertex and arrow
-                tuple((w, module.dims[w]) for w in pair.quiver.vertices),
-                tuple((a.name, tuple(tuple(row.items()) for row in module.maps[a.name])) for a in pair.quiver.arrows))
+                # the module lives on its support, by index; spelled out at every vertex and arrow
+                tuple((w, module.dims.get(i, 0)) for i, w in enumerate(pair.quiver.vertices)),
+                tuple((a.name, tuple(tuple(row.items()) for row in module.maps.get(j, [])))
+                      for j, a in enumerate(pair.quiver.arrows)))
             digest.update(repr(values).encode())
             strings += 1
         for v in pair.quiver.vertices:
