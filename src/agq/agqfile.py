@@ -16,7 +16,6 @@ line appears at all.
 from __future__ import annotations
 
 import re
-from operator import attrgetter
 
 from .quiver import TOKEN, TOKEN_RE, AgqError, AlmostGentlePair, Arrow, Quiver, _NAMES_RE, _Record, _sorted_relations
 
@@ -41,7 +40,6 @@ class AgqDocument(_Record):
     relations: list[tuple[str, str]]
     line_of: dict[str, int]
     _fields = ("name", "vertices", "arrows", "relations", "line_of")
-    _key = attrgetter(*_fields)
 
     def __init__(self, name: str | None = None, vertices: list[str] | None = None,
                  arrows: list[Arrow] | None = None, relations: list[tuple[str, str]] | None = None,

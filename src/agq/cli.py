@@ -25,7 +25,7 @@ from .homdim import (
     pdim_simple,
     self_injective_dimension,
 )
-from .quiver import AgqError
+from .quiver import AgqError, InvalidStringError
 from .strings import DirectedString
 
 
@@ -100,11 +100,14 @@ def cmd_injdim(args) -> int:
 
 def _module_arg(args) -> tuple[str, object]:
     """The module named by --simple, --injective or --string, as (kind, arg)."""
-    if args.simple:
+    if args.simple is not None:
         return "simple", args.simple
-    if args.injective:
+    if args.injective is not None:
         return "injective", args.injective
-    return "string", DirectedString(tuple(s for s in args.string.split(",") if s))
+    arrows = tuple(s for s in args.string.split(",") if s)
+    if not arrows:
+        raise InvalidStringError("--string needs at least one arrow; --simple V is the length-zero string at V")
+    return "string", DirectedString(arrows)
 
 
 def cmd_pdim(args) -> int:
@@ -261,8 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("forbidden", help="forbidden path sups and cycles")
     p.add_argument("file")
-    p.add_argument("--from", dest="from_vertex", metavar="V")
-    p.add_argument("--cycles", action="store_true")
+    grp = p.add_mutually_exclusive_group()
+    grp.add_argument("--from", dest="from_vertex", metavar="V")
+    grp.add_argument("--cycles", action="store_true")
     p.set_defaults(func=cmd_forbidden)
 
     p = module_parser("resolve", "symbolic minimal projective resolution")

@@ -24,17 +24,6 @@ class LengthOrInf(_Frozen):
     value: int | None  # None encodes infinity
     _fields = ("value",)
 
-    def __init__(self, value: int | None) -> None:
-        _setattr(self, "value", value)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.value == other.value  # type: ignore
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.value,))
-
     @classmethod
     def finite(cls, n: int) -> "LengthOrInf":
         if n < 0:
@@ -82,14 +71,6 @@ class ForbiddenWalk(_Frozen):
     def __init__(self, stem: tuple[str, ...], cycle: tuple[str, ...] = ()) -> None:
         _setattr(self, "stem", stem)
         _setattr(self, "cycle", cycle)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.stem == other.stem and self.cycle == other.cycle  # type: ignore
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.stem, self.cycle))
 
     @property
     def is_lasso(self) -> bool:

@@ -11,7 +11,6 @@ broken pair moves into the relations).
 from __future__ import annotations
 
 import random
-from operator import attrgetter
 
 from .agqfile import document_of, emit_agq
 from .quiver import AlmostGentlePair, Arrow, Quiver, _Frozen, _setattr, successor_cycles
@@ -24,7 +23,6 @@ class GeneratorParams(_Frozen):
     loop_allowed: bool
     relation_density: float  # probability a composable in/out pair stays zero
     _fields = ("seed", "max_vertices", "max_arrows", "loop_allowed", "relation_density")
-    _key = attrgetter(*_fields)
 
     def __init__(self, seed: int, max_vertices: int = 8, max_arrows: int = 14,
                  loop_allowed: bool = True, relation_density: float = 0.5) -> None:

@@ -11,7 +11,6 @@ lasso whose loop is a forbidden cycle.
 from __future__ import annotations
 
 from collections import deque
-from operator import attrgetter
 
 from .forbidden import (
     _INFINITE,
@@ -24,16 +23,16 @@ from .forbidden import (
     delta_forbidden_sup,
     digraph_data,
 )
-from .quiver import AlmostGentlePair, _Frozen
+from .quiver import AlmostGentlePair, _Frozen, _setattr
 from .strings import DirectedString, _chains, _gentle_at, _invalid_at
 
 
 _UNBUILT = object()
 
 
-class DimReport:
+class DimReport(_Frozen):
     """A dimension, the method that found it and, for a maximum over the
-    vertices, the first vertex attaining it.  Read-only.
+    vertices, the first vertex attaining it.
 
     The witness is a forbidden path of exactly that length, a lasso whose
     loop is a forbidden cycle, or None for 0.  A report read off the pair's
@@ -41,13 +40,19 @@ class DimReport:
     time it is read.
     """
 
-    __slots__ = ("_length", "_method", "_at", "_pointer", "_data", "_witness")
+    method: str
+    attained_at: str | None
+    __slots__ = ("_length", "method", "attained_at", "_pointer", "_data", "_witness")
+    _fields = ("value", "witness", "method", "attained_at")
 
     def __init__(self, value: LengthOrInf, witness: ForbiddenWalk | None, method: str,
                  attained_at: str | None = None):
-        self._length = _INFINITE if value.value is None else value.value
-        self._method, self._at = method, attained_at
-        self._pointer, self._data, self._witness = _NO_WALK, None, witness
+        _setattr(self, "_length", _INFINITE if value.value is None else value.value)
+        _setattr(self, "method", method)
+        _setattr(self, "attained_at", attained_at)
+        _setattr(self, "_pointer", _NO_WALK)
+        _setattr(self, "_data", None)
+        _setattr(self, "_witness", witness)
 
     @property
     def value(self) -> LengthOrInf:
@@ -56,38 +61,20 @@ class DimReport:
     @property
     def witness(self) -> ForbiddenWalk | None:
         if self._witness is _UNBUILT:
-            self._witness = self._data.walk(*self._pointer)  # type: ignore[union-attr]
+            _setattr(self, "_witness", self._data.walk(*self._pointer))  # type: ignore[union-attr]
         return self._witness  # type: ignore[return-value]
-
-    @property
-    def method(self) -> str:
-        return self._method
-
-    @property
-    def attained_at(self) -> str | None:
-        return self._at
-
-    def _fields(self) -> tuple:
-        return self.value, self.witness, self._method, self._at
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DimReport):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return "DimReport(value={!r}, witness={!r}, method={!r}, attained_at={!r})".format(*self._fields())
 
 
 def _pointed(data: _DigraphData, n, pointer: tuple[int, int], method: str,
              attained_at: str | None = None) -> DimReport:
     """A report of length-table value n whose witness is spelled by pointer."""
     rep = DimReport.__new__(DimReport)
-    rep._length, rep._method, rep._at = n, method, attained_at
-    rep._pointer, rep._data, rep._witness = pointer, data, _UNBUILT
+    _setattr(rep, "_length", n)
+    _setattr(rep, "method", method)
+    _setattr(rep, "attained_at", attained_at)
+    _setattr(rep, "_pointer", pointer)
+    _setattr(rep, "_data", data)
+    _setattr(rep, "_witness", _UNBUILT)
     return rep
 
 
@@ -99,7 +86,6 @@ class GorensteinReport(_Frozen):
     envelope_pdim: LengthOrInf
     auslander_note: str
     _fields = ("gldim", "injdim", "gorenstein", "cycle_criterion", "envelope_pdim", "auslander_note")
-    _key = attrgetter(*_fields)
 
 
 class _VertexTable:

@@ -22,7 +22,6 @@ iso classes, covering and summing each class once.
 from __future__ import annotations
 
 from collections import Counter
-from operator import attrgetter
 
 from . import linalg
 from .quiver import AlmostGentlePair, _Frozen, _Record
@@ -47,7 +46,6 @@ class Representation(_Record):
     dims: dict[int, int]
     maps: dict[int, linalg.Matrix]
     _fields = ("dims", "maps")
-    _key = attrgetter(*_fields)
 
     def __init__(self, dims: dict[int, int], maps: dict[int, linalg.Matrix]) -> None:
         self.dims = dims
@@ -86,7 +84,6 @@ class _PathTree(_Frozen):
     nxt: list[int]
     dims: dict[int, int]
     _fields = ("ends", "up", "local", "arrow", "nxt", "dims")
-    _key = attrgetter(*_fields)
 
 
 def _path_tree(pair: AlmostGentlePair, v: int, forward: bool = True) -> _PathTree:
@@ -196,7 +193,6 @@ class CoverKernel(_Record):
     cover: tuple[tuple[str, int], ...]  # (vertex, multiplicity) in declaration order
     kernel: Representation
     _fields = ("cover", "kernel")
-    _key = attrgetter(*_fields)
 
 
 class RepMorphism(_Record):
@@ -204,7 +200,6 @@ class RepMorphism(_Record):
 
     blocks: dict[int, linalg.Matrix]  # blocks[i]: src.dims[i] x dst.dims[i] at vertex index i; none off src's support
     _fields = ("blocks",)
-    _key = attrgetter("blocks")
 
     def commutes(self, pair: AlmostGentlePair, src: Representation,
                  dst: Representation) -> bool:
@@ -305,7 +300,6 @@ class PdimResult(_Frozen):
     finite: bool
     value: int
     _fields = ("finite", "value")
-    _key = attrgetter(*_fields)
 
     def __str__(self) -> str:
         return str(self.value) if self.finite else f">={self.value}"
@@ -509,14 +503,12 @@ class Mismatch(_Frozen):
     formula: str
     oracle: str
     _fields = ("vertex", "quantity", "formula", "oracle")
-    _key = attrgetter(*_fields)
 
 
 class AgreementReport(_Frozen):
     mismatches: tuple[Mismatch, ...]
     checked: int
     _fields = ("mismatches", "checked")
-    _key = attrgetter(*_fields)
 
     @property
     def ok(self) -> bool:

@@ -21,33 +21,57 @@ _NAMES_RE = re.compile(rf"{TOKEN}(?: {TOKEN})*\Z")  # names joined by single spa
 _setattr = object.__setattr__  # how a read-only record's __init__ sets its fields
 
 
-class _Record:
-    """A plain record: constructor, equality and repr read off its fields.
+def _by_constructor(record: _Record) -> tuple:
+    """A slotted record's ``__reduce__``: copies and pickles rebuild it."""
+    return type(record), tuple(getattr(record, name) for name in record._fields)
 
-    ``_fields`` names the fields shown by the repr, ``Name(field=value,
-    ...)``, in constructor order; ``_key`` reads the compared ones.  The
-    constructor takes one value per field, in that order (TypeError on a
-    wrong count).  Records with defaults, checks or hidden fields write out
-    their own, and so do those built thousands of times per run, where this
-    loop costs 2-3 times as much (about 1 us a record): ``Arrow``, ``Summand``
-    and the oracle's ``Representation``, ``SyzygyDecomposition`` and
-    ``ResolutionLevel``.  Two records are equal when they are of
-    the same class and their keys are equal.  With an ``__eq__`` and no
-    ``__hash__`` a record is unhashable, as a mutable one should be.  The
-    records compared and hashed most (``Arrow``, ``DirectedString``,
-    ``LengthOrInf``, ``ForbiddenWalk``, ``Summand``) write out their own
-    ``__eq__`` and ``__hash__``, which run faster than a read through
-    ``_key``.
+
+class _Record:
+    """A plain record: its ``_fields`` are all it declares.
+
+    ``_fields`` names the fields in constructor order.  The rest follows
+    from it: the repr, ``Name(field=value, ...)``; the key ``_key``, the
+    tuple of the field values (a 1-tuple for one field), which equality and
+    a read-only record's hash read; and a constructor taking one value per
+    field, by position in that order or by name (TypeError otherwise).
+    Two records are equal when they are of the same class and their keys
+    are equal.  With an ``__eq__`` and no ``__hash__`` a record is
+    unhashable, as a mutable one should be.  A record with ``__slots__``
+    has no ``__dict__`` for copy and pickle to fill, so it copies and
+    pickles through its constructor.
+
+    A record writes out its own ``__init__`` only to check its input, set
+    defaults or hidden fields, or because a benchmarked operation builds
+    thousands of it, where the generic loop costs 2-3 times as much (about
+    1 us a record): ``Arrow`` and the oracle's ``Representation``.  Only
+    ``AlmostGentlePair`` sets its own ``_key``: it compares a subset of its
+    fields.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...]
-    _key: Callable[[object], object]
+    _key: Callable[[object], tuple]
 
-    def __init__(self, *values: object) -> None:
-        if len(values) != len(self._fields):
-            raise TypeError(f"{type(self).__qualname__} takes {len(self._fields)} field values, got {len(values)}")
-        for name, value in zip(self._fields, values):
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        super().__init_subclass__(**kwargs)
+        fields = cls.__dict__.get("_fields")
+        if fields is None:  # a base, or a subclass keeping its parent's fields
+            return
+        if "_key" not in cls.__dict__:
+            read = attrgetter(*fields)
+            cls._key = read if len(fields) > 1 else staticmethod(lambda record: (read(record),))
+        if "__slots__" in cls.__dict__:
+            cls.__reduce__ = _by_constructor
+
+    def __init__(self, *values: object, **named: object) -> None:
+        fields = self._fields
+        if named:  # the fields after the positional ones, by name
+            values += tuple(named.pop(name) for name in fields[len(values):] if name in named)
+            if named:
+                raise TypeError(f"{type(self).__qualname__} got unexpected or repeated fields {sorted(named)}")
+        if len(values) != len(fields):
+            raise TypeError(f"{type(self).__qualname__} takes {len(fields)} field values, got {len(values)}")
+        for name, value in zip(fields, values):
             _setattr(self, name, value)
 
     def __eq__(self, other: object) -> bool:
@@ -108,15 +132,6 @@ class Arrow(_Frozen):
         _setattr(self, "source", source)
         _setattr(self, "target", target)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.name == other.name and self.source == other.source  # type: ignore
-                    and self.target == other.target)  # type: ignore
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.name, self.source, self.target))
-
 
 class Quiver(_Frozen):
     """Finite quiver with declaration order preserved for deterministic output."""
@@ -126,7 +141,6 @@ class Quiver(_Frozen):
     _vidx: dict[str, int]  # name -> declaration index
     _aidx: dict[str, int]
     _fields = ("vertices", "arrows")
-    _key = attrgetter(*_fields)
 
     def __init__(self, vertices: tuple[str, ...], arrows: tuple[Arrow, ...]) -> None:
         _setattr(self, "vertices", vertices)
@@ -175,7 +189,6 @@ class Violation(_Frozen):
     location: tuple[str, ...]
     message: str
     _fields = ("kind", "location", "message")
-    _key = attrgetter(*_fields)
 
 
 class ValidationReport(_Frozen):
@@ -205,7 +218,6 @@ class ValidationReport(_Frozen):
     outs: tuple[tuple[int, ...], ...]
     ins: tuple[tuple[int, ...], ...]
     _fields = ("valid", "violations", "warnings")  # the tables are neither shown nor compared
-    _key = attrgetter(*_fields)
 
     def __init__(self, valid: bool, violations: tuple[Violation, ...], warnings: tuple[str, ...],
                  **tables: object) -> None:

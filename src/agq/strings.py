@@ -28,18 +28,6 @@ class DirectedString(_Frozen):
         _setattr(self, "arrows", arrows)
         _setattr(self, "vertex", vertex)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.arrows == other.arrows and self.vertex == other.vertex  # type: ignore
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.arrows, self.vertex))
-
-    def __reduce__(self) -> tuple:
-        # copies and pickles go through the constructor: slots refuse assignment
-        return type(self), (self.arrows, self.vertex)
-
     def __len__(self) -> int:
         return len(self.arrows)
 

@@ -18,7 +18,6 @@ the public functions check their arguments and hand out ``Summand``s.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from operator import attrgetter
 
 from .quiver import AgqError, AlmostGentlePair, ValidationReport, _Frozen, _setattr
 from .strings import (
@@ -55,15 +54,6 @@ class Summand(_Frozen):
         _setattr(self, "kind", kind)
         _setattr(self, "vertex", vertex)
         _setattr(self, "arrows", arrows)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.kind == other.kind and self.vertex == other.vertex  # type: ignore
-                    and self.arrows == other.arrows)  # type: ignore
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.vertex, self.arrows))
 
 
 # A node is (rank, apex, first, length), all ints: rank indexes _KINDS, apex
@@ -161,13 +151,6 @@ class SyzygyDecomposition(_Frozen):
 
     items: tuple[tuple[Summand, int], ...]
     _fields = ("items",)
-    _key = attrgetter("items")
-
-    def __init__(self, items: tuple[tuple[Summand, int], ...]) -> None:
-        _setattr(self, "items", items)
-
-    def __hash__(self) -> int:
-        return hash((self.items,))  # the tuple of fields, as every other record hashes
 
     @classmethod
     def of(cls, pair: AlmostGentlePair,
@@ -234,19 +217,6 @@ class Psi0Descriptor(_Frozen):
     t: int
     tails: tuple[tuple[DirectedString, bool], ...]
     __slots__ = _fields = ("apex", "c", "d", "t", "tails")
-    _key = attrgetter(*_fields)
-
-    def __init__(self, apex: str, c: int, d: int, t: int,
-                 tails: tuple[tuple[DirectedString, bool], ...]) -> None:
-        _setattr(self, "apex", apex)
-        _setattr(self, "c", c)
-        _setattr(self, "d", d)
-        _setattr(self, "t", t)
-        _setattr(self, "tails", tails)
-
-    def __reduce__(self) -> tuple:
-        # copies and pickles go through the constructor: slots refuse assignment
-        return type(self), (self.apex, self.c, self.d, self.t, self.tails)
 
     def flagged(self) -> list[DirectedString]:
         return [s for s, f in self.tails if f]
@@ -346,18 +316,12 @@ class ResolutionLevel(_Frozen):
     cover: tuple[tuple[str, int], ...]  # (vertex, multiplicity), declaration order
     syzygy: SyzygyDecomposition
     _fields = ("cover", "syzygy")
-    _key = attrgetter(*_fields)
-
-    def __init__(self, cover: tuple[tuple[str, int], ...], syzygy: SyzygyDecomposition) -> None:
-        _setattr(self, "cover", cover)
-        _setattr(self, "syzygy", syzygy)
 
 
 class Resolution(_Frozen):
     levels: tuple[ResolutionLevel, ...]
     terminated: str  # "projective" | "cutoff"
     _fields = ("levels", "terminated")
-    _key = attrgetter(*_fields)
 
     @property
     def length(self) -> int:

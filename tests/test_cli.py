@@ -182,6 +182,30 @@ def test_forbidden_unknown_vertex_is_an_error():
     assert out.stderr == "error: unknown vertex 'zz'\n"
 
 
+def test_forbidden_from_and_cycles_are_a_usage_error_together():
+    out = run("forbidden", FIXTURES / "fig1.agq", "--from", "1", "--cycles")
+    assert_clean_error(out)
+    assert out.stderr.startswith("usage: agq forbidden")
+    assert out.stderr.endswith("error: argument --cycles: not allowed with argument --from\n")
+    assert out.stdout == ""
+
+
+@pytest.mark.parametrize("command, string", [("pdim", ""), ("pdim", ","), ("resolve", "")],
+                         ids=["pdim-empty", "pdim-comma", "resolve-empty"])
+def test_a_string_without_arrows_points_to_the_simple_flag(command, string):
+    out = run(command, FIXTURES / "fig1.agq", "--string", string)
+    assert_clean_error(out)
+    assert out.stderr == "error: --string needs at least one arrow; --simple V is the length-zero string at V\n"
+    assert out.stdout == ""
+
+
+@pytest.mark.parametrize("command, flag", [("pdim", "--simple"), ("pdim", "--injective"), ("resolve", "--injective")])
+def test_an_empty_vertex_is_an_unknown_vertex(command, flag):
+    out = run(command, FIXTURES / "fig1.agq", flag, "")
+    assert_clean_error(out)
+    assert out.stderr == "error: unknown vertex ''\n"
+
+
 def test_check_cutoff_below_one_is_a_usage_error():
     assert_clean_error(run("check", FIXTURES / "fig1.agq", "--cutoff", "0"))
 

@@ -7,7 +7,7 @@ import pickle
 
 import pytest
 
-from agq.agqfile import AgqDocument
+from agq.agqfile import AgqDocument, load_pair
 from agq.forbidden import ForbiddenWalk, LengthOrInf
 from agq.generator import GeneratorParams
 from agq.homdim import DimReport, GorensteinReport, pdim_simple
@@ -16,6 +16,7 @@ from agq.quiver import (AgqError, AlmostGentlePair, Arrow, InvalidStringError, Q
                         vertex_type)
 from agq.strings import DirectedString
 from agq.syzygy import Psi0Descriptor, Resolution, ResolutionLevel, Summand, SyzygyDecomposition
+from conftest import FIXTURES
 
 ARROW = Arrow("a", "1", "2")
 REPORT = ValidationReport(True, (), ())
@@ -26,7 +27,13 @@ REP = Representation({0: 1}, {0: [{}]})
 MISMATCH = Mismatch("1", "pdim_simple", "1", "2")
 MUTABLE = {AgqDocument, Representation, CoverKernel, RepMorphism}
 
-# (class, positional and keyword arguments, a field, the repr)
+
+def fig1_pdim_simple():
+    """pd S(1) on fig1, read off the pair's length table: its witness is built when first read."""
+    return pdim_simple(load_pair(str(FIXTURES / "fig1.agq"))[1], "1")
+
+
+# (class, positional and keyword arguments or a function building the record, a field, the repr)
 RECORDS = [
     (Arrow, ("a", "1", "2"), {}, "name", "Arrow(name='a', source='1', target='2')"),
     (Quiver, (("1", "2"), (ARROW,)), {}, "arrows",
@@ -57,6 +64,12 @@ RECORDS = [
      "method='simple', attained_at='1'), injdim=DimReport(value=LengthOrInf(value=1), witness=ForbiddenWalk("
      "stem=('a',), cycle=()), method='simple', attained_at='1'), gorenstein=True, cycle_criterion=False, "
      "envelope_pdim=LengthOrInf(value=0), auslander_note='note')"),
+    (DimReport, (LengthOrInf(1), ForbiddenWalk(("a",)), "simple", "1"), {}, "method",
+     "DimReport(value=LengthOrInf(value=1), witness=ForbiddenWalk(stem=('a',), cycle=()), method='simple', "
+     "attained_at='1')"),
+    (DimReport, fig1_pdim_simple, {}, "witness",
+     "DimReport(value=LengthOrInf(value=4), witness=ForbiddenWalk(stem=('a_1_2', 'a_2_3', 'a_3_4', 'a_4_5'), "
+     "cycle=()), method='forbidden-from-vertex', attained_at=None)"),
     (Representation, ({0: 1}, {0: [{}]}), {}, "dims", "Representation(dims={0: 1}, maps={0: [{}]})"),
     (CoverKernel, ((("1", 1),), REP), {}, "kernel",
      "CoverKernel(cover=(('1', 1),), kernel=Representation(dims={0: 1}, maps={0: [{}]}))"),
@@ -73,20 +86,22 @@ RECORDS = [
 ]
 
 
-@pytest.mark.parametrize("cls, args, kwargs, field, shown", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+@pytest.mark.parametrize("cls, args, kwargs, field, shown", RECORDS,
+                         ids=[r[0].__name__ + ("-read-off" if callable(r[1]) else "") for r in RECORDS])
 def test_records_show_compare_and_hash_by_their_fields(cls, args, kwargs, field, shown):
-    record = cls(*args, **kwargs)
+    build = args if callable(args) else lambda: cls(*args, **kwargs)
+    record = build()
     assert repr(record) == shown
-    assert record == cls(*args, **kwargs)
-    assert copy.deepcopy(record) == record == pickle.loads(pickle.dumps(record))
-    other = type("Other", (cls,), {})(*args, **kwargs)  # another class holding the same values
+    assert record == build()
+    assert copy.deepcopy(build()) == record == pickle.loads(pickle.dumps(build()))  # copied before any read
+    other = type("Other", (cls,), {})(*(getattr(record, name) for name in cls._fields))  # the same values
     assert record != other and other != record
     if cls in MUTABLE:
         with pytest.raises(TypeError):
             hash(record)
         setattr(record, field, getattr(other, field))
     else:
-        assert hash(record) == hash(cls(*args, **kwargs))
+        assert hash(record) == hash(build())
         with pytest.raises(AttributeError) as raised:
             setattr(record, field, getattr(other, field))
         assert raised.type is AttributeError
@@ -103,15 +118,25 @@ def test_records_show_compare_and_hash_by_their_fields(cls, args, kwargs, field,
     (lambda: Quiver(("1",), (Arrow("a", "1", "1"), Arrow("a", "1", "1"))), AgqError, "duplicate arrow 'a'"),
     (lambda: Violation("NonzeroCycle", ("a",)), TypeError, "Violation takes 3 field values, got 2"),
     (lambda: Representation({0: 1}), TypeError, "missing 1 required positional argument: 'maps'"),
-    (lambda: SyzygyDecomposition(), TypeError, "missing 1 required positional argument: 'items'"),
-    (lambda: SyzygyDecomposition((), ()), TypeError, "takes 2 positional arguments but 3 were given"),
+    (lambda: SyzygyDecomposition(), TypeError, "SyzygyDecomposition takes 1 field values, got 0"),
+    (lambda: SyzygyDecomposition((), ()), TypeError, "SyzygyDecomposition takes 1 field values, got 2"),
     (lambda: ResolutionLevel((("1", 1),), SYZYGY, "cutoff"), TypeError,
-     "takes 3 positional arguments but 4 were given"),
+     "ResolutionLevel takes 2 field values, got 3"),
 ], ids=["empty-string", "no-vertices", "density", "vertex-twice", "arrow-twice", "field-count",
         "representation-count", "syzygy-count", "syzygy-extra", "level-count"])
 def test_records_reject_bad_input(build, error, message):
     with pytest.raises(error, match=message):
         build()
+
+
+def test_the_generic_constructor_takes_fields_by_position_or_name():
+    assert LengthOrInf(value=None) == LengthOrInf(None)
+    assert ResolutionLevel((("1", 1),), syzygy=SYZYGY) == ResolutionLevel(cover=(("1", 1),), syzygy=SYZYGY) == LEVEL
+    for build in (lambda: LengthOrInf(1, value=1), lambda: PdimResult(True, valu=1)):
+        with pytest.raises(TypeError, match="unexpected or repeated fields"):
+            build()
+    with pytest.raises(TypeError, match="ResolutionLevel takes 2 field values, got 1"):
+        ResolutionLevel(syzygy=SYZYGY)
 
 
 @pytest.mark.parametrize("ask", [
