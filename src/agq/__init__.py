@@ -83,9 +83,8 @@ __version__ = "0.1.0"
 # the deferred modules' public names, each read from its module on access
 _DEFERRED_NAMES = {
     **dict.fromkeys((
-        "NotInjectiveCaseError", "Psi0Descriptor", "Resolution", "Summand", "SyzygyDecomposition",
-        "is_gentle_vertex", "is_invalid_vertex", "omega1_directed_string", "omega1_injective",
-        "psi0_decompose", "psi0_descriptor", "psi0_dim_vector", "resolve_symbolic"), syzygy),
+        "Psi0Descriptor", "Resolution", "Summand", "SyzygyDecomposition", "is_invalid_vertex",
+        "psi0_descriptor", "resolve_symbolic"), syzygy),
     **dict.fromkeys((
         "AgreementReport", "PdimResult", "Representation", "RepMorphism", "check_against_formulas",
         "check_relations", "cover_morphism", "oracle_pdim", "projective_cover_kernel", "rep_of"),

@@ -87,8 +87,6 @@ class ForbiddenWalk(_Frozen):
                 return False
         if self.cycle and (self.cycle[-1], self.cycle[0]) not in pair.relations:
             return False
-        if self.cycle and self.stem and (self.stem[-1], self.cycle[0]) not in pair.relations:
-            return False
         return True
 
 

@@ -7,9 +7,10 @@ module lives on its support, keyed by vertex and arrow index, so the work
 follows the module, not the quiver; names appear only where they enter
 (rep_of's arguments, check_relations' relation pairs) or leave (a cover's
 vertices, a mismatch's text).  Kernels are split into support components
-(a basis-level direct sum decomposition).  Only a path-shaped component
-(every string module is one) has a sound canonical iso key, made once,
-with the component.  Each syzygy step, each projective dimension and each
+(a basis-level direct sum decomposition).  A path-shaped component
+(every string module is one) has a sound canonical iso key, and any other
+is keyed by its exact entries; either key is made once, with the
+component.  Each syzygy step, each projective dimension and each
 per-branch leftover string of the socle-block check is stored per pair
 under the key, and repeating syzygies are detected by it: a module
 isomorphic to a summand of one of its own higher syzygies has infinite
@@ -362,8 +363,14 @@ def _components(pair: AlmostGentlePair, rep: Representation) -> list[Representat
     return comps
 
 
+def _entries(rep: Representation):
+    """The key of a module by its exact entries, which only equal modules share."""
+    return ("entries", tuple(sorted(rep.dims.items())),
+            tuple((a, tuple(tuple(row.items()) for row in rows)) for a, rows in sorted(rep.maps.items())))
+
+
 def _component_key(pair: AlmostGentlePair, rep: Representation):
-    """Canonical iso key for a connected path-shaped module, else None.
+    """Canonical iso key for a connected path-shaped module, else its exact entries.
 
     When the slot graph (one node per basis slot, one edge per nonzero
     entry) is a path, every scalar normalizes to 1 over the rationals, so
@@ -375,13 +382,13 @@ def _component_key(pair: AlmostGentlePair, rep: Representation):
     label, edges = _slot_graph(pair, rep)
     n = len(label)
     if len(edges) != n - 1:
-        return None
+        return _entries(rep)
     adj: list[list[tuple[int, int, int]]] = [[] for _k in range(n)]
     for a, u, w, _x in edges:
         adj[u].append((w, a, 1))
         adj[w].append((u, a, -1))
     if any(len(nbrs) > 2 for nbrs in adj):
-        return None  # a tree but not a path, or not connected
+        return _entries(rep)  # a tree but not a path, or not connected
     ends = [k for k in range(n) if len(adj[k]) <= 1]  # one slot alone is its own end
     best = None
     for start in ends:
@@ -397,7 +404,7 @@ def _component_key(pair: AlmostGentlePair, rep: Representation):
             verts.append(label[nxt])
             prev, cur = cur, nxt
         if len(verts) < n:
-            return None  # a path plus cycles elsewhere: not connected
+            return _entries(rep)  # a path plus cycles elsewhere: not connected
         enc = (tuple(verts), tuple(steps))
         if best is None or enc < best:
             best = enc
@@ -407,7 +414,7 @@ def _component_key(pair: AlmostGentlePair, rep: Representation):
 BUDGET_DIM = 200_000  # the largest module the oracle covers
 
 
-KeyedComponent = tuple[object, Representation]  # (iso key or None, component)
+KeyedComponent = tuple[object, Representation]  # (key, component)
 
 
 def _syzygy(pair: AlmostGentlePair, rep: Representation, key
@@ -415,14 +422,10 @@ def _syzygy(pair: AlmostGentlePair, rep: Representation, key
     """One syzygy step: the minimal cover of rep, as (vertex index,
     multiplicity) pairs, and its kernel's components, each with its key.
 
-    key is rep's iso key, or None for a module without one.  The step is
-    stored per pair under the key, or else rep's exact entries.  Every
+    key is rep's key, under which the step is stored per pair.  Every
     caller gets the same stored components, so none may modify them.
     """
     steps = pair.memo("syzygy", dict)
-    if key is None:
-        key = ("entries", tuple(sorted(rep.dims.items())),
-               tuple((a, tuple(tuple(row.items()) for row in rows)) for a, rows in sorted(rep.maps.items())))
     step = steps.get(key)
     if step is None:
         ck, vidx = projective_cover_kernel(pair, rep), pair.quiver.vertex_index
@@ -432,13 +435,13 @@ def _syzygy(pair: AlmostGentlePair, rep: Representation, key
 
 
 def _pdim(pair: AlmostGentlePair, rep: Representation, key, hardcap: int) -> int | None:
-    """Projective dimension of a nonzero rep (iso key: key); None encodes infinity.
+    """Projective dimension of a nonzero rep with its key; None encodes infinity.
 
     A walk down the syzygies with an explicit stack of open modules, so its
     depth is not bounded by Python's recursion limit.  Finite values are
-    stored per pair under the iso key.  A key met again below itself is a
-    syzygy recurrence, hence infinite, and so is every keyed module open
-    above it, which has it as a summand of a syzygy: that infinity is stored
+    stored per pair under the key.  A key met again below itself is a
+    syzygy recurrence, hence infinite, and so is every module open above
+    it, which has it as a summand of a syzygy: that infinity is stored
     too.  Going deeper than hardcap is infinite as well, but not stored.
     """
     memo = pair.memo("pdim", dict)
@@ -448,23 +451,21 @@ def _pdim(pair: AlmostGentlePair, rep: Representation, key, hardcap: int) -> int
     while True:
         if module is None:  # the top module's components are all settled
             key, _left, value = path.pop()
-            if key is not None:
-                open_keys.remove(key)
-                memo[key] = value
+            open_keys.remove(key)
+            memo[key] = value
         else:
             key, rep = module
-            if key is not None and (key in memo or key in open_keys):
+            if key in memo or key in open_keys:
                 value = memo.get(key)
                 if value is None:  # stored infinite, or a recurrence
-                    memo.update((k, None) for k, _left, _value in path if k is not None)
+                    memo.update((k, None) for k, _left, _value in path)
                     return None
             elif len(path) > hardcap:
                 return None
             else:
                 if rep.total_dim() > BUDGET_DIM:
                     raise AssertionError("oracle dimension budget exceeded")
-                if key is not None:
-                    open_keys.add(key)
+                open_keys.add(key)
                 path.append([key, iter(_syzygy(pair, rep, key)[1]), 0])
                 module = next(path[-1][1], None)
                 continue
@@ -486,7 +487,7 @@ def oracle_pdim(pair: AlmostGentlePair, rep: Representation, cutoff: int) -> Pdi
 
 
 def _keyed_pdim(pair: AlmostGentlePair, module: KeyedComponent, cutoff: int) -> PdimResult:
-    """oracle_pdim of a module that comes with its iso key (or None)."""
+    """oracle_pdim of a module that comes with its key."""
     key, rep = module
     if cutoff < 1:
         raise ValueError("cutoff must be at least 1")
@@ -567,18 +568,17 @@ def check_against_formulas(pair: AlmostGentlePair, cutoff: int = 40) -> Agreemen
     return AgreementReport(tuple(mismatches), checked)
 
 
-# A resolution level is a multiset of modules: iso class -> [representative,
-# multiplicity].  The class of a path-shaped component is its iso key; a
-# component without one is a class of its own, numbered by its position.
+# A resolution level is a multiset of modules: key -> [representative,
+# multiplicity].  The class of a component is its key.
 Level = dict
 
 
 def _add(level: Level, key, comp: Representation, mult: int = 1) -> None:
-    level.setdefault(key if key is not None else len(level), [comp, 0])[1] += mult
+    level.setdefault(key, [comp, 0])[1] += mult
 
 
 def _keyed(pair: AlmostGentlePair, rep: Representation) -> KeyedComponent:
-    """A fresh module with its iso key, keyed once, here."""
+    """A fresh module with its key, keyed once, here."""
     return _component_key(pair, rep), rep
 
 
@@ -593,7 +593,7 @@ def _cover_kernel_componentwise(pair: AlmostGentlePair,
     cover_counts: dict[int, int] = {}
     kernel: Level = {}
     for cls, (comp, mult) in level.items():
-        cover, kcomps = _syzygy(pair, comp, cls if isinstance(cls, tuple) else None)
+        cover, kcomps = _syzygy(pair, comp, cls)
         for w, m in cover:
             cover_counts[w] = cover_counts.get(w, 0) + m * mult
         for key, kcomp in kcomps:
@@ -611,7 +611,7 @@ def _dim_sum(level: Level) -> dict[int, int]:
 
 
 def _level_of(modules: list[KeyedComponent]) -> Level:
-    """The multiset of modules, each with its iso key."""
+    """The multiset of modules, each with its key."""
     level: Level = {}
     for module in modules:
         _add(level, *module)
@@ -642,7 +642,7 @@ def _leftovers(pair: AlmostGentlePair, v: int) -> list[KeyedComponent]:
 def _oracle_psi0_projective(pair: AlmostGentlePair, v: int, injective: KeyedComponent) -> bool:
     """Projectivity of the socle block of E(v) by pure dimension bookkeeping.
 
-    v is a vertex index and injective is E(v) with its iso key.  Omega_2(E(v))
+    v is a vertex index and injective is E(v) with its key.  Omega_2(E(v))
     equals the first syzygy of the per-branch leftovers alone exactly when
     the block is projective; minimal covers are additive over direct sums,
     so dimension vectors decide this.
@@ -661,7 +661,7 @@ def _spelled(pair: AlmostGentlePair, counts: dict[int, int]) -> str:
 
 def _compare_levels(pair: AlmostGentlePair, v: int, kind: str, module: KeyedComponent):
     """Symbolic resolution levels of module, S(v) or E(v) at the vertex
-    index v with its iso key, against the oracle's: the stepping core's
+    index v with its key, against the oracle's: the stepping core's
     covers per vertex index and node counts, summed by the summand graph."""
     from .syzygy import _levels, _summand_graph
 

@@ -190,7 +190,12 @@ def socle_supports(pair: AlmostGentlePair) -> list[str]:
 
 
 def _gentle_at(report: ValidationReport, v: int) -> bool:
-    """is_gentle_vertex on the validation's tables, at vertex index v."""
+    """Local gentle conditions at the vertex index v.
+
+    In- and out-degree at most two, and each arrow through v composes to
+    zero with at most one partner (the nonzero side is already bounded by
+    validation).
+    """
     ins = report.ins[v]
     if len(ins) > 2 or len(report.outs[v]) > 2:
         return False

@@ -12,29 +12,24 @@ genuine tree module handled by its own exact kernel formula.
 
 Every lemma runs once, on the validation's index tables, over nodes
 ``(rank, apex, first, length)``, and one core steps resolutions over them;
-the public functions check their arguments and hand out ``Summand``s.
+``resolve_symbolic`` checks its arguments and hands out ``Summand``s.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 
-from .quiver import AgqError, AlmostGentlePair, ValidationReport, _Frozen, _setattr
+from .quiver import AlmostGentlePair, ValidationReport, _Frozen, _setattr
 from .strings import (
     DirectedString,
     _chains,
     _check_string,
-    _gentle_at,
     _invalid_at,
     _run,
     claw_of,
     module_dims,
     string_of,
 )
-
-
-class NotInjectiveCaseError(AgqError):
-    """Raised for socle-block queries at a source vertex (E(v) = S(v))."""
 
 
 class Summand(_Frozen):
@@ -152,11 +147,6 @@ class SyzygyDecomposition(_Frozen):
     items: tuple[tuple[Summand, int], ...]
     _fields = ("items",)
 
-    @classmethod
-    def of(cls, pair: AlmostGentlePair,
-           summands: list[tuple[Summand, int]]) -> "SyzygyDecomposition":
-        return _decomposition(pair, ((_node_of(pair, s), n) for s, n in summands))
-
     def dim_vector(self, pair: AlmostGentlePair) -> dict[str, int]:
         dims = _summand_graph(pair).dim_sum(pair, _counts((_node_of(pair, s), n) for s, n in self.items))
         return {pair.quiver.vertices[w]: n for w, n in dims.items()}
@@ -166,9 +156,15 @@ class SyzygyDecomposition(_Frozen):
 
 
 def _omega1(report: ValidationReport, node: Node) -> list[tuple[Node, int]]:
-    """omega1_directed_string on a simple or string node: each out-arrow of
-    the apex gives what follows it, or, for the one the string starts, what
-    follows the string's next arrow, if any."""
+    """First syzygy of the directed string module of a simple or string node.
+
+    Every claw branch at the source contributes what is left after its
+    first arrow, except the branch that the string starts: a checked string
+    is a slice of its chain, so that branch is the string followed by its
+    continuation, which contributes what is left after one more arrow
+    (nothing if the string is the whole branch).  A length-zero string is
+    the simple at its anchor, and every branch there contributes.
+    """
     _rank, apex, first, length = node
     pieces = []
     for a in report.outs[apex]:
@@ -176,30 +172,6 @@ def _omega1(report: ValidationReport, node: Node) -> list[tuple[Node, int]]:
         if x >= 0:
             pieces.append((_after(report, x), 1))
     return pieces
-
-
-def omega1_directed_string(pair: AlmostGentlePair, delta: DirectedString) -> SyzygyDecomposition:
-    """First syzygy of the directed string module M(delta).
-
-    Every claw branch at the source contributes what is left after its
-    first arrow, except the branch that delta starts: a checked string is a
-    slice of its chain, so that branch is delta followed by its
-    continuation, which contributes what is left after one more arrow
-    (nothing if delta is the whole branch).  A length-zero string is the
-    simple at its anchor, and every branch there contributes.
-    """
-    pair.require_valid()
-    return _decomposition(pair, _omega1(pair.report, _node_of(pair, _check_string(pair, delta))))
-
-
-def is_gentle_vertex(pair: AlmostGentlePair, v: str) -> bool:
-    """Local gentle conditions at v.
-
-    In- and out-degree at most two, and each arrow through v composes to
-    zero with at most one partner (the nonzero side is already bounded by
-    validation).
-    """
-    return _gentle_at(pair.report, _vertex(pair, v))
 
 
 class Psi0Descriptor(_Frozen):
@@ -231,32 +203,14 @@ def psi0_descriptor(pair: AlmostGentlePair, v: str) -> Psi0Descriptor:
     return Psi0Descriptor(v, len(pair.report.ins[pair.quiver.vertex_index[v]]), len(claw), t, tails)
 
 
-def psi0_dim_vector(pair: AlmostGentlePair, v: str) -> dict[str, int]:
-    """(c-1) at the apex plus one per vertex strictly along each flagged tail."""
-    dims = _dims(pair, (3, _vertex(pair, v), -1, 0))
-    return {pair.quiver.vertices[w]: n for w, n in dims.items()}
-
-
 def _leftovers(pair: AlmostGentlePair, v: int) -> list[Node]:
-    """The per-branch leftovers of Omega_1(E(v)): for each in-arrow of v,
-    what follows every other out-arrow at the source of its anti-claw
-    branch, which starts at the head of the in-arrow's chain."""
+    """The per-branch leftovers of Omega_1(E(v)) at a vertex index v, which
+    run over the anti-claw branches: every claw branch of the branch source
+    other than the one through the branch itself, minus its first arrow.
+    The branch of an in-arrow starts at the head of the in-arrow's chain."""
     report, head = pair.report, _chains(pair)[0]
     return [_after(report, a) for b in report.ins[v]
             for a in report.outs[report.source[head[b]]] if a != head[b]]
-
-
-def omega1_injective(pair: AlmostGentlePair, v: str) -> tuple[Psi0Descriptor, list[Summand]]:
-    """First syzygy of E(v) as (socle-block descriptor, per-branch leftovers).
-
-    The leftover list runs over the anti-claw branches: every claw branch of
-    the branch source other than the one through the branch itself, minus
-    its first arrow.  The socle block is returned symbolically.
-    """
-    i = _vertex(pair, v)
-    if not pair.report.ins[i]:
-        raise NotInjectiveCaseError(f"E({v}) is the simple at the source {v}")
-    return psi0_descriptor(pair, v), [_summand(pair, n) for n in sorted(_leftovers(pair, i))]
 
 
 def is_invalid_vertex(pair: AlmostGentlePair, v: str) -> tuple[bool, int | None]:
@@ -272,8 +226,16 @@ def is_invalid_vertex(pair: AlmostGentlePair, v: str) -> tuple[bool, int | None]
 
 
 def _block(report: ValidationReport, v: int) -> list[tuple[Node, int]] | None:
-    """psi0_decompose at a vertex index with in-arrows; a tail is flagged
-    when its first arrow has a nonzero predecessor."""
+    """Directed-string decomposition of the socle block of E(v), at a vertex
+    index v with in-arrows, or None.
+
+    A tail is flagged when its first arrow has a nonzero predecessor.  For
+    t < c the block is the flagged full tails plus c-1-t simples at the
+    apex; for a single matched in-arrow it is the tail minus its first
+    arrow.  When every in-arrow is matched and there are at least two the
+    block is a tree outside the directed-string vocabulary (projective
+    exactly when the vertex is invalid) and None is returned.
+    """
     c = len(report.ins[v])
     flagged = [a for a in report.outs[v] if report.nonzero_pred[a] >= 0]
     if len(flagged) < c:
@@ -283,22 +245,6 @@ def _block(report: ValidationReport, v: int) -> list[tuple[Node, int]] | None:
     if c == 1:
         return [(_after(report, flagged[0]), 1)]
     return None
-
-
-def psi0_decompose(pair: AlmostGentlePair, v: str) -> SyzygyDecomposition | None:
-    """Directed-string decomposition of the socle block, or None.
-
-    For t < c the block is the flagged full tails plus c-1-t simples at the
-    apex; for a single matched in-arrow it is the tail minus its first
-    arrow.  When every in-arrow is matched and there are at least two the
-    block is a tree outside the directed-string vocabulary (projective
-    exactly when the vertex is invalid) and None is returned.
-    """
-    i = _vertex(pair, v)
-    if not pair.report.ins[i]:
-        raise NotInjectiveCaseError(f"E({v}) is simple; no socle block")
-    block = _block(pair.report, i)
-    return None if block is None else _decomposition(pair, block)
 
 
 def _tree_omega1(report: ValidationReport, v: int) -> list[tuple[Node, int]]:

@@ -4,9 +4,10 @@ import sys
 
 import pytest
 
+from agq import syzygy
 from agq.agqfile import parse_agq
 from agq.quiver import AlmostGentlePair, Arrow, Quiver, nonzero_successor
-from agq.strings import DirectedString
+from agq.strings import DirectedString, _check_string, _gentle_at
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 BENCH_INPUTS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
@@ -34,6 +35,35 @@ def bench_cyclic_pairs(count: int) -> list[AlmostGentlePair]:
 def bench_acyclic_docs():
     """The benchmark's closed_acyclic ladder at seed 1, 25 rungs, parsed."""
     return [parse_agq(item.text) for item in _bench_inputs().acyclic_items(1, 25)]
+
+
+def lemma(pair, name, arg):
+    """One lemma of the symbolic layer, read off the index core that the
+    summand graph runs, with names only here at its edge; arguments are
+    not checked.
+
+    "omega1" is the first syzygy of the directed string arg.  At a vertex
+    arg with in-arrows, "leftovers" lists the per-branch leftovers of
+    Omega_1(E(arg)) in node order, "block" decomposes its socle block into
+    directed strings (None for a tree module) and "block_dims" gives the
+    block's dimension vector by vertex name.  "gentle" is the local gentle
+    test at the vertex arg.
+    """
+    report = pair.report
+    if name == "omega1":
+        node = syzygy._node_of(pair, _check_string(pair, arg))
+        return syzygy._decomposition(pair, syzygy._omega1(report, node))
+    v = pair.quiver.vertex_index[arg]
+    if name == "leftovers":
+        return [syzygy._summand(pair, n) for n in sorted(syzygy._leftovers(pair, v))]
+    if name == "block":
+        block = syzygy._block(report, v)
+        return None if block is None else syzygy._decomposition(pair, block)
+    if name == "block_dims":
+        return {pair.quiver.vertices[w]: n for w, n in syzygy._dims(pair, (3, v, -1, 0)).items()}
+    if name == "gentle":
+        return _gentle_at(report, v)
+    raise ValueError(f"unknown lemma {name!r}")
 
 
 def strings_of(pair):

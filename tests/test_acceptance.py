@@ -17,7 +17,7 @@ import time
 
 import pytest
 
-from conftest import FIXTURES
+from conftest import FIXTURES, lemma
 from agq.forbidden import INF, LengthOrInf, digraph_data
 from agq.generator import GeneratorParams, random_ag_pair
 from agq.homdim import (
@@ -33,7 +33,7 @@ from agq.homdim import (
 from agq.oracle import PdimResult, check_against_formulas, oracle_pdim, projective_cover_kernel, rep_of
 from agq.quiver import opposite
 from agq.strings import DirectedString
-from agq.syzygy import is_invalid_vertex, omega1_injective, psi0_decompose, resolve_symbolic
+from agq.syzygy import is_invalid_vertex, resolve_symbolic
 
 AGQ = [sys.executable, "-m", "agq.cli"]
 FIG1 = str(FIXTURES / "fig1.agq")
@@ -95,9 +95,8 @@ def test_criterion_3_fig1_socle_block_classification(fig1):
 
 
 def test_criterion_4_fig1_omega1_injective_4(fig1):
-    desc, mlist = omega1_injective(fig1, "4")
-    symbolic = {(s.kind, s.vertex, s.arrows) for s in mlist}
-    block = {(s.kind, s.vertex, s.arrows) for s, _n in psi0_decompose(fig1, "4").items}
+    symbolic = {(s.kind, s.vertex, s.arrows) for s in lemma(fig1, "leftovers", "4")}
+    block = {(s.kind, s.vertex, s.arrows) for s, _n in lemma(fig1, "block", "4").items}
     expected = {("simple", "3", ()), ("simple", "3'", ()),
                 ("simple", "4", ()), ("string", None, ("a_4_5",))}
     kernel = projective_cover_kernel(fig1, rep_of(fig1, "injective", "4")).kernel

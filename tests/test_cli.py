@@ -53,6 +53,13 @@ def test_injdim_cyc2():
     assert out.stdout.splitlines()[0] == "0"
 
 
+def test_injdim_of_an_empty_document(tmp_path, capsys):
+    empty = tmp_path / "empty.agq"
+    empty.write_text("")
+    assert main(["injdim", str(empty)]) == 0
+    assert capsys.readouterr().out == "0\n"
+
+
 def test_pdim_flags():
     assert run("pdim", FIXTURES / "fig1.agq", "--simple", "1").stdout == "4\n"
     assert run("pdim", FIXTURES / "fig1.agq", "--injective", "2R").stdout == "4\n"

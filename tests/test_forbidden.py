@@ -44,6 +44,17 @@ def test_sup_from_arrow_cycle(cyc2):
     assert walk.verify(cyc2)
 
 
+def test_verify_rejects_a_forged_walk(fig1, cyc2, matched_entry, finite_envelope):
+    # each forgery breaks one link that verify reads, next to a genuine walk
+    assert ForbiddenWalk(("b_1_2R", "a_2R_3R")).verify(fig1)
+    assert not ForbiddenWalk(("a_1_2R", "a_2R_3R")).verify(fig1)  # a stem step that is no relation
+    one_way = make_pair(["1", "2"], [("a", "1", "2"), ("b", "2", "1")], [("a", "b")])
+    assert ForbiddenWalk((), ("a", "b")).verify(cyc2)
+    assert not ForbiddenWalk((), ("a", "b")).verify(one_way)  # the wrap (b, a) is no relation
+    assert ForbiddenWalk(("al",), ("a0", "a1")).verify(finite_envelope)
+    assert not ForbiddenWalk(("ap",), ("a0", "a1")).verify(matched_entry)  # (ap, a0) is no relation
+
+
 def test_sup_from_arrow_vacuous(a2):
     value, walk = sup_forbidden_from_arrow(a2, "a")
     assert value == LengthOrInf.finite(1)

@@ -57,10 +57,10 @@ def test_pdim_directed_string(fig1, gate, cyc2, cyc2e):
 
 def test_pdim_directed_string_non_right_maximal(fig1):
     # one syzygy step unrolled agrees with the closed form
-    from agq.syzygy import omega1_directed_string
+    from conftest import lemma
     delta = DirectedString(("a_1_2R",))
     rep = pdim_directed_string(fig1, delta)
-    dec = omega1_directed_string(fig1, delta)
+    dec = lemma(fig1, "omega1", delta)
     stepped = fin(0)
     for s, _n in dec.items:
         sub = (pdim_simple(fig1, s.vertex) if s.kind == "simple"
@@ -422,6 +422,22 @@ def test_the_report_leaves_one_list_per_arrow_to_the_collector():
     left = len(gc.get_objects()) - before
     assert len(pair.quiver.arrows) == 1_899
     assert left < REPORT_GC_OBJECTS * 1.1, left
+
+
+def test_an_empty_document_has_dimension_zero():
+    import json
+    from agq.oracle import check_against_formulas
+    pair = parse_agq("").pair()
+    for rep, method in ((global_dimension(pair), "forbidden-global"),
+                        (self_injective_dimension(pair), "self-injective")):
+        assert (rep.value, rep.witness, rep.method, rep.attained_at) == (fin(0), None, method, None)
+    g = gorenstein_report(pair)
+    assert g.gorenstein and not g.cycle_criterion and g.envelope_pdim == fin(0)
+    report = report_json(pair)
+    assert report["per_vertex"] == {}
+    assert report["self_injective_dimension"] == {"finite": True, "value": 0, "attained_at": None}
+    assert emit_json(report) == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    assert check_against_formulas(pair).checked == 0
 
 
 def test_the_report_builds_only_the_two_global_witnesses(monkeypatch):

@@ -125,7 +125,7 @@ def test_check_on_small_corpus():
 
 def test_socle_block_top_count(fig1, cyc2e, gate):
     # the top of the socle block has exactly c-1 factors of S(v)
-    from agq.syzygy import omega1_injective
+    from conftest import lemma
     from agq.quiver import vertex_type
     for pair in (fig1, cyc2e, gate):
         for v in pair.quiver.vertices:
@@ -135,7 +135,7 @@ def test_socle_block_top_count(fig1, cyc2e, gate):
             ck = projective_cover_kernel(pair, rep_of(pair, "injective", v))
             tops = top(pair, ck.kernel)
             mlist_tops_at_v = 0
-            for s in omega1_injective(pair, v)[1]:
+            for s in lemma(pair, "leftovers", v):
                 apex = s.vertex if s.kind == "simple" else pair.arrow(s.arrows[0]).source
                 if apex == v:
                     mlist_tops_at_v += 1
@@ -259,7 +259,7 @@ def test_one_dimensional_modules_key_to_their_vertex_unless_a_loop_acts(loop_rel
             assert _component_key(pair, rep_of(pair, "simple", v)) == ((i,), ())
     vidx, aidx = loop_rel.quiver.vertex_index, loop_rel.quiver.arrow_index
     loop_acts = Representation({vidx["1"]: 1}, {aidx["x"]: [{0: 1}]})
-    assert _component_key(loop_rel, loop_acts) is None
+    assert _component_key(loop_rel, loop_acts) != ((vidx["1"],), ())
 
 
 def test_one_summand_graph_per_pair():
@@ -278,7 +278,7 @@ def _reference_levels(pair, v, kind, repeats):
     """The oracle's level comparison, one component at a time over plain lists.
 
     Nothing is stored: every component of every level is covered afresh.
-    repeats counts the levels where two components are isomorphic strings.
+    repeats counts the levels where two components share a key.
     """
     from agq.oracle import LEVEL_DIM_BUDGET, LEVELS_CAP, Mismatch, _component_key, _components
 
@@ -295,7 +295,7 @@ def _reference_levels(pair, v, kind, repeats):
                 cover[w] = cover.get(w, 0) + m
             kernel.extend(_components(pair, ck.kernel))
         comps = kernel
-        keys = [key for key in (_component_key(pair, c) for c in comps) if key is not None]
+        keys = [_component_key(pair, c) for c in comps]
         repeats[0] += len(set(keys)) < len(keys)
         sym_cover = dict(level.cover)
         if cover != sym_cover:
@@ -384,6 +384,30 @@ def test_level_multisets_report_a_perturbed_level_like_a_plain_list_walk(monkeyp
     assert repeats[0]
 
 
+def test_the_check_reports_a_wrong_closed_form(fig1, monkeypatch):
+    # every dimension of fig1 is finite, so pd E(v) + 1 is wrong at every vertex
+    import types
+    import agq.homdim
+    from agq.oracle import Mismatch
+    pdim_injective, is_invalid_vertex = agq.homdim.pdim_injective, agq.syzygy.is_invalid_vertex
+    expected = []
+    for v in fig1.quiver.vertices:
+        value = pdim_injective(fig1, v).value
+        expected.append(Mismatch(v, "pdim_injective", str(value.plus(1)), str(value)))
+        if fig1.in_arrows(v):
+            invalid = is_invalid_vertex(fig1, v)[0]
+            expected.append(Mismatch(v, "psi0_projective", str(not invalid), str(invalid)))
+    checked = check_against_formulas(fig1).checked
+    monkeypatch.setattr(agq.homdim, "pdim_injective",
+                        lambda pair, v: types.SimpleNamespace(value=pdim_injective(pair, v).value.plus(1)))
+    monkeypatch.setattr(agq.syzygy, "is_invalid_vertex", lambda pair, v: (not is_invalid_vertex(pair, v)[0], None))
+    report = check_against_formulas(fig1)
+    assert list(report.mismatches) == expected
+    assert report.checked == checked
+    assert Mismatch("4", "pdim_injective", "4", "3") in expected
+    assert Mismatch("4", "psi0_projective", "True", "False") in expected
+
+
 def test_the_check_reads_the_tables_not_the_symbolic_decomposition(monkeypatch):
     # the socle-block check takes the per-branch leftovers, and rep_of a
     # string's source, from the validation's tables: the symbolic layer's
@@ -394,7 +418,7 @@ def test_the_check_reads_the_tables_not_the_symbolic_decomposition(monkeypatch):
         raise AssertionError("the oracle read the code it checks")
 
     for module in [m for name, m in sys.modules.items() if name.startswith("agq.")]:
-        for name in ("omega1_injective", "psi0_descriptor", "string_source"):
+        for name in ("psi0_descriptor", "string_source"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
     assert [check_against_formulas(pair) for pair in _valid_pairs(range(1, 21))] == expected

@@ -254,6 +254,17 @@ def test_operations_require_validation():
         nonzero_successor(bad, "x")
 
 
+def test_kind_dispatchers_reject_an_unknown_kind(fig1):
+    from agq.oracle import oracle_pdim
+    from agq.strings import module_dims
+    from agq.syzygy import resolve_symbolic
+    for dispatch in (rep_of, module_dims, resolve_symbolic):
+        with pytest.raises(ValueError, match="unknown module kind 'tilted'"):
+            dispatch(fig1, "tilted", "1")
+    with pytest.raises(ValueError, match="cutoff must be at least 1"):
+        oracle_pdim(fig1, rep_of(fig1, "simple", "1"), 0)
+
+
 def test_public_entry_points_reject_unknown_names(fig1, loop_norel):
     # Internal helpers read the pair's tables unchecked, so every public entry
     # point must check the pair, then the names and strings it is given.
@@ -263,18 +274,15 @@ def test_public_entry_points_reject_unknown_names(fig1, loop_norel):
     from agq.quiver import InvalidStringError, NotValidatedError, UnknownVertexError
     from agq.strings import (anticlaw_of, claw_of, left_maximal_extension, module_dims,
                              right_maximal_extension, string_of)
-    from agq.syzygy import (is_gentle_vertex, is_invalid_vertex, omega1_directed_string,
-                            omega1_injective, psi0_decompose, psi0_descriptor, psi0_dim_vector,
-                            resolve_symbolic)
+    from agq.syzygy import is_invalid_vertex, psi0_descriptor, resolve_symbolic
     vertex_zz, arrow_zz = DirectedString((), "zz"), DirectedString(("zz",))
-    by_string = [right_maximal_extension, left_maximal_extension, omega1_directed_string,
+    by_string = [right_maximal_extension, left_maximal_extension,
                  pdim_directed_string, delta_forbidden_sup,
                  lambda p, ds: module_dims(p, "string", ds),
                  lambda p, ds: rep_of(p, "string", ds),
                  lambda p, ds: resolve_symbolic(p, "string", ds)]
     by_vertex = [pdim_simple, pdim_injective, sup_forbidden_from_vertex, zero_length_forbidden,
-                 claw_of, anticlaw_of, is_gentle_vertex, is_invalid_vertex, psi0_descriptor,
-                 psi0_dim_vector, psi0_decompose, omega1_injective,
+                 claw_of, anticlaw_of, is_invalid_vertex, psi0_descriptor,
                  lambda p, v: module_dims(p, "projective", v),
                  lambda p, v: module_dims(p, "injective", v),
                  lambda p, v: rep_of(p, "injective", v)]

@@ -15,8 +15,8 @@ from agq.generator import GeneratorParams, random_ag_pair
 from agq.oracle import rep_of
 from agq.homdim import pdim_directed_string
 from agq.quiver import InvalidStringError, nonzero_successor
-from agq.syzygy import is_gentle_vertex, is_invalid_vertex, psi0_descriptor, resolve_symbolic
-from conftest import FIXTURES, bench_cyclic_pairs
+from agq.syzygy import is_invalid_vertex, psi0_descriptor, resolve_symbolic
+from conftest import FIXTURES, bench_cyclic_pairs, lemma
 
 
 def test_right_maximal_extension_fig1(fig1):
@@ -195,7 +195,7 @@ def test_maximal_extensions_reject_an_unknown_arrow(fig1):
 def _reference_invalid_vertex(pair, v):
     """The five invalid-vertex conditions read off the socle-block descriptor."""
     desc = psi0_descriptor(pair, v)
-    if desc.c == 2 and is_gentle_vertex(pair, v):
+    if desc.c == 2 and lemma(pair, "gentle", v):
         return True, 1
     if desc.d == 0:
         return True, 2

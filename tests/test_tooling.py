@@ -35,8 +35,8 @@ from agq.oracle import check_against_formulas, oracle_pdim, projective_cover_ker
 from agq.quiver import AlmostGentlePair, Arrow, Quiver
 from agq.strings import (anticlaw_of, claw_of, left_maximal_extension,
                          module_dims, right_maximal_extension)
-from agq.syzygy import omega1_directed_string, omega1_injective, psi0_descriptor, resolve_symbolic
-from conftest import bench_acyclic_docs, bench_cyclic_pairs, make_pair, strings_of
+from agq.syzygy import psi0_descriptor, resolve_symbolic
+from conftest import bench_acyclic_docs, bench_cyclic_pairs, lemma, make_pair, strings_of
 
 FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 
@@ -121,9 +121,8 @@ PACKAGE_EXPORTS = {
                 "right_maximal_extension", "socle_supports", "string_of"),
     "forbidden": ("ForbiddenWalk", "LengthOrInf", "delta_forbidden_sup", "forbidden_cycles",
                   "sup_forbidden_from_arrow", "sup_forbidden_from_vertex", "zero_length_forbidden"),
-    "syzygy": ("NotInjectiveCaseError", "Psi0Descriptor", "Resolution", "Summand", "SyzygyDecomposition",
-               "is_gentle_vertex", "is_invalid_vertex", "omega1_directed_string", "omega1_injective",
-               "psi0_decompose", "psi0_descriptor", "psi0_dim_vector", "resolve_symbolic"),
+    "syzygy": ("Psi0Descriptor", "Resolution", "Summand", "SyzygyDecomposition", "is_invalid_vertex",
+               "psi0_descriptor", "resolve_symbolic"),
     "homdim": ("DimReport", "GorensteinReport", "global_dimension", "gorenstein_report",
                "noninvalid_cycle_vertex", "pdim_directed_string", "pdim_injective",
                "pdim_injective_envelope", "pdim_simple", "self_injective_dimension",
@@ -136,7 +135,7 @@ PACKAGE_EXPORTS = {
 def test_package_names_resolve_to_their_modules_own_objects():
     import agq
 
-    assert sum(map(len, PACKAGE_EXPORTS.values())) == 63
+    assert sum(map(len, PACKAGE_EXPORTS.values())) == 57
     for modname, names in PACKAGE_EXPORTS.items():
         module = importlib.import_module(f"agq.{modname}")
         for name in names:
@@ -275,21 +274,17 @@ def test_the_whole_quiver_scan_sees_every_spelling():
 
 # Public names with no caller in the package, kept on purpose.
 UNREFERENCED_ALLOWED = {
-    "check_relations": "independent check that a representation kills every relation",
-    "cover_morphism": "independent check that the minimal cover map commutes with the arrows",
-    "noninvalid_cycle_vertex": "the predicate acceptance criterion 7 is about",
-    "opposite": "the opposite algebra, a cross-check for criterion 8 and the benchmark",
-    "psi0_decompose": "public socle-block decomposition; the summand graph decomposes the block on its node",
-    "psi0_dim_vector": "public socle-block dimension vector; the summand graph reads it off the block's node",
-    "omega1_directed_string": "public first syzygy of a directed string; the summand graph takes it on the node",
-    "sup_forbidden_from_arrow": "public per-arrow sup with witness; the package reads the digraph's tables",
-    "socle_supports": "public socle multiset of the regular module; the envelope reads the same vertex set "
-                      "off the nonzero successor map",
-    "is_gentle_vertex": "public vertex predicate; the vertex table computes every flag in its pass",
+    "check_relations": "independent check that a representation kills every relation; ROADMAP item 8 "
+                       "runs it in the cross-checks",
+    "cover_morphism": "independent check that the minimal cover map commutes with the arrows; ROADMAP "
+                      "item 8 runs it in the cross-checks",
+    "noninvalid_cycle_vertex": "the predicate acceptance criterion 7 reads",
+    "opposite": "the opposite algebra, which perfbench/checks.py imports for its symmetry check",
+    "sup_forbidden_from_arrow": "the benchmark's tracer wraps it (perfbench/tracer.py)",
+    "socle_supports": "the benchmark's tracer wraps it (perfbench/tracer.py)",
+    "psi0_descriptor": "the benchmark's tracer wraps it (perfbench/tracer.py)",
     "right_maximal_extension": "public string operation the README documents",
     "left_maximal_extension": "public string operation the README documents",
-    "omega1_injective": "public first syzygy of E(v); the summand graph takes it on the node, and the oracle "
-                        "reads the leftovers off the validation's tables",
 }
 
 
@@ -524,7 +519,7 @@ def test_string_layer_is_identical_to_the_recorded_hash():
             res = resolve_symbolic(pair, "string", ds, max_steps=8)
             module = rep_of(pair, "string", ds)
             values = (
-                _summands(omega1_directed_string(pair, ds).items),
+                _summands(lemma(pair, "omega1", ds).items),
                 _sup(rep.value, rep.witness), rep.method,
                 _sup(*delta_forbidden_sup(pair, ds)),
                 tuple((level.cover, _summands(level.syzygy.items)) for level in res.levels),
@@ -545,7 +540,7 @@ def test_string_layer_is_identical_to_the_recorded_hash():
                 tuple(br.arrows for br in anticlaw_of(pair, v)),
                 (desc.apex, desc.c, desc.d, desc.t,
                  tuple((tail.arrows, flag) for tail, flag in desc.tails)),
-                _summands((s, 1) for s in omega1_injective(pair, v)[1]) if desc.c else None)
+                _summands((s, 1) for s in lemma(pair, "leftovers", v)) if desc.c else None)
             digest.update(repr(values).encode())
     assert (len(pairs), strings) == (208, 2889)
     assert digest.hexdigest() == STRINGS_SHA256
