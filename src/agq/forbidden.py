@@ -426,8 +426,9 @@ def forbidden_cycles(pair: AlmostGentlePair, cap: int = 10_000) -> tuple[list[tu
         covered = {scc[cyc[0]] for cyc in cycles}  # an elementary cycle stays in one component
         for node, on_cycle in enumerate(data.cyclic):
             if on_cycle and scc[node] not in covered:
-                cycles.append(tuple(map(pair.quiver.arrow_index.__getitem__,
-                                        data.walk(-1, node).cycle)))  # type: ignore[union-attr]
+                # the loop of the node's lasso witness, from the arrow it repeats
+                walk = list(data.spelled(-1, node))
+                cycles.append(tuple(walk[walk.index(data.nxt[walk[-1]]):]))
                 covered.add(scc[node])
     canon = set()
     for cyc in cycles:

@@ -24,7 +24,7 @@ from .forbidden import (
     digraph_data,
 )
 from .quiver import AlmostGentlePair, _Frozen, _setattr
-from .strings import DirectedString, _chains, _gentle_at, _invalid_at
+from .strings import DirectedString, _gentle_at, _invalid_at
 
 
 _UNBUILT = object()
@@ -90,8 +90,8 @@ class GorensteinReport(_Frozen):
 
 class _VertexTable:
     """Every vertex's pd E(v) and row flags on one pair, read off the
-    validation's, the chain table's and the digraph's tables in one pass.
-    Lists indexed by vertex_index:
+    validation's tables (the chain table among them) and the digraph's in
+    one pass.  Lists indexed by vertex_index:
 
     - ``inj_len``, ``inj_ptr``, ``inj_method``: pd E(v) as length, witness
       pointer and method.
@@ -107,7 +107,7 @@ class _VertexTable:
         self.data = data = digraph_data(pair)
         report = pair.report
         succ, pred, outs, ins = report.nonzero_succ, report.nonzero_pred, report.outs, report.ins
-        n_v, head = len(outs), _chains(pair)[0]  # the first arrow of each arrow's chain
+        n_v, head = len(outs), report.head  # the first arrow of each arrow's chain
         self.gentle = [_gentle_at(report, v) for v in range(n_v)]
         self.invalid = [_invalid_at(report, v)[0] for v in range(n_v)]
         self.inj_len: list = [0] * n_v

@@ -202,9 +202,10 @@ class ValidationReport(_Frozen):
     predecessor ``nonzero_succ``/``nonzero_pred`` (-1 where there is none)
     and its relation successors ``relation_succ``, the arrows b with ab in
     the ideal, in declaration order; these are complete only when the
-    report is valid.  The tables are the report's only successor data.  In
-    a report built by hand without them, reading a table raises
-    NotValidatedError."""
+    report is valid.  A valid report also keeps the chain table
+    (``_chain_table``): ``chain``, ``at``, ``end`` and ``head``.  The
+    tables are the report's only successor and path data.  In a report
+    built without one, reading it raises NotValidatedError."""
 
     valid: bool
     violations: tuple[Violation, ...]
@@ -215,6 +216,10 @@ class ValidationReport(_Frozen):
     nonzero_succ: list[int]
     nonzero_pred: list[int]
     relation_succ: list[list[int]]
+    chain: list[int]
+    at: list[int]
+    end: list[int]
+    head: list[int]
     outs: tuple[tuple[int, ...], ...]
     ins: tuple[tuple[int, ...], ...]
     _fields = ("valid", "violations", "warnings")  # the tables are neither shown nor compared
@@ -224,7 +229,8 @@ class ValidationReport(_Frozen):
         _setattr(self, "valid", valid)
         _setattr(self, "violations", violations)
         _setattr(self, "warnings", warnings)
-        for field in ("names", "source", "target", "outs", "ins", "nonzero_succ", "nonzero_pred", "relation_succ"):
+        for field in ("names", "source", "target", "outs", "ins", "nonzero_succ", "nonzero_pred", "relation_succ",
+                      "chain", "at", "end", "head"):
             _setattr(self, field, tables[field] if field in tables else _NoTable(field))
 
 
@@ -311,8 +317,30 @@ def validate_bound_quiver(quiver: Quiver, relations: frozenset[tuple[str, str]])
         warnings.append("quiver is disconnected; all computations are componentwise")
 
     violations.sort(key=lambda v: (v.kind, v.location))
+    if not violations:
+        tables.update(_chain_table(succ, pred))
     return ValidationReport(not violations, tuple(violations), tuple(warnings), **tables,
                             nonzero_succ=succ, nonzero_pred=pred, relation_succ=rel)
+
+
+def _chain_table(succ: list[int], pred: list[int]) -> dict[str, list[int]]:
+    """The chains of a valid pair, maximal runs of nonzero successors, in
+    one pass: ``chain`` lists the arrows chain by chain, each from its head
+    (an arrow without a nonzero predecessor); by arrow index, ``at[i]`` is
+    arrow i's position there, ``end[i]`` the position past its chain's last
+    arrow and ``head[i]`` its chain's first arrow.  Every nonzero directed
+    path is a slice of ``chain``."""
+    chain: list[int] = []
+    at, head, stop = [0] * len(succ), [0] * len(succ), [0] * len(succ)  # stop: by head arrow
+    for h, p in enumerate(pred):
+        if p < 0:
+            i = h
+            while i >= 0:  # admissibility keeps the chain finite
+                at[i], head[i] = len(chain), h
+                chain.append(i)
+                i = succ[i]
+            stop[h] = len(chain)
+    return {"chain": chain, "at": at, "end": [stop[h] for h in head], "head": head}
 
 
 def _arrows_at(count: int, ends: list[int]) -> tuple[tuple[int, ...], ...]:

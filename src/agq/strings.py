@@ -3,11 +3,11 @@
 Only directed strings (all arrows pointing the same way) enter any
 computation here; the claw of a vertex bundles the right maximal strings out
 of it and describes P(v), the anti-claw dually describes E(v).  Every
-nonzero directed path is a slice of one chain.  The pair's only string
-cache is its chain table, two lists on arrow indices; claws, anti-claws and
-maximal extensions follow the nonzero successor table over just the arrows
-they return.  The gentle and invalid vertex tests, read off the validation
-report's index tables, live here too, so the closed form needs no syzygy.
+nonzero directed path is a slice of one chain, and the validation report's
+chain table lists the chains; claws, anti-claws, maximal extensions and
+socle supports are slices of it.  The gentle and invalid vertex tests, read
+off the validation report's index tables, live here too, so the closed form
+needs no syzygy.
 """
 
 from __future__ import annotations
@@ -71,40 +71,10 @@ def string_source(pair: AlmostGentlePair, ds: DirectedString) -> str:
     return ds.vertex if not ds.arrows else pair.arrow(ds.arrows[0]).source  # type: ignore[return-value]
 
 
-def _chains(pair: AlmostGentlePair) -> tuple[list[int], list[int]]:
-    """The chain table, by arrow index; stored once per pair.
-
-    A chain is a maximal run of arrows linked by the nonzero successor map.
-    On a valid pair the chains partition the arrows: one pass starts at
-    every arrow without a nonzero predecessor and follows the successors,
-    which admissibility keeps finite.  ``head[i]`` is the first arrow of
-    arrow i's chain, and ``last[h]`` the last arrow of the chain that starts
-    at h (-1 where h starts none).
-    """
-    def compute() -> tuple[list[int], list[int]]:
-        succ = pair.report.nonzero_succ
-        head, last = [-1] * len(succ), [-1] * len(succ)
-        for i, p in enumerate(pair.report.nonzero_pred):
-            if p < 0:
-                j = i
-                while j >= 0:
-                    head[j] = i
-                    k, j = j, succ[j]
-                last[i] = k
-        return head, last
-
-    return pair.memo("chains", compute)
-
-
-def _run(pair: AlmostGentlePair, i: int, stop: int) -> tuple[str, ...]:
-    """The names of arrows i, succ[i], ... along a chain, up to stop (an
-    arrow further on, or -1 for the chain's end), excluded."""
-    names, succ = pair.report.names, pair.report.nonzero_succ
-    run: list[str] = []
-    while i != stop:
-        run.append(names[i])
-        i = succ[i]
-    return tuple(run)
+def _names(report: ValidationReport, lo: int, hi: int) -> tuple[str, ...]:
+    """The names of the arrows at positions lo up to hi, excluded, of the
+    chain table: a slice of one chain."""
+    return tuple(map(report.names.__getitem__, report.chain[lo:hi]))
 
 
 def right_maximal_extension(pair: AlmostGentlePair, ds: DirectedString) -> DirectedString:
@@ -117,33 +87,32 @@ def right_maximal_extension(pair: AlmostGentlePair, ds: DirectedString) -> Direc
     pair.require_valid()
     if not _check_string(pair, ds).arrows:
         return ds
-    aidx, succ = pair.quiver.arrow_index, pair.report.nonzero_succ
-    return DirectedString(ds.arrows + _run(pair, succ[aidx[ds.arrows[-1]]], -1))
+    report, last = pair.report, pair.quiver.arrow_index[ds.arrows[-1]]
+    return DirectedString(ds.arrows + _names(report, report.at[last] + 1, report.end[last]))
 
 
 def left_maximal_extension(pair: AlmostGentlePair, ds: DirectedString) -> DirectedString:
     pair.require_valid()
     if not _check_string(pair, ds).arrows:
         return ds
-    first = pair.quiver.arrow_index[ds.arrows[0]]
-    return DirectedString(_run(pair, _chains(pair)[0][first], first) + ds.arrows)
+    report, first = pair.report, pair.quiver.arrow_index[ds.arrows[0]]
+    return DirectedString(_names(report, report.at[report.head[first]], report.at[first]) + ds.arrows)
 
 
 def claw_of(pair: AlmostGentlePair, v: str) -> tuple[DirectedString, ...]:
     """The claw of v: one right maximal branch per outgoing arrow, its chain
     from it on; P(v)."""
     pair.require_valid()
-    outs = pair.report.outs[pair.quiver.vertex_index[pair.require_vertex(v)]]
-    return tuple(DirectedString(_run(pair, a, -1)) for a in outs)
+    report, i = pair.report, pair.quiver.vertex_index[pair.require_vertex(v)]
+    return tuple(DirectedString(_names(report, report.at[a], report.end[a])) for a in report.outs[i])
 
 
 def anticlaw_of(pair: AlmostGentlePair, v: str) -> tuple[DirectedString, ...]:
     """The anti-claw of v: one left maximal branch per incoming arrow, its
     chain up to it; E(v)."""
     pair.require_valid()
-    ins = pair.report.ins[pair.quiver.vertex_index[pair.require_vertex(v)]]
-    head, succ = _chains(pair)[0], pair.report.nonzero_succ
-    return tuple(DirectedString(_run(pair, head[a], succ[a])) for a in ins)
+    report, i = pair.report, pair.quiver.vertex_index[pair.require_vertex(v)]
+    return tuple(DirectedString(_names(report, report.at[report.head[b]], report.at[b] + 1)) for b in report.ins[i])
 
 
 def module_dims(pair: AlmostGentlePair, kind: str, arg) -> dict[str, int]:
@@ -179,13 +148,11 @@ def socle_supports(pair: AlmostGentlePair) -> list[str]:
     This indexes the injective envelope of the algebra.
     """
     pair.require_valid()
-    vertices, target, (head, last) = pair.quiver.vertices, pair.report.target, _chains(pair)
+    vertices, report = pair.quiver.vertices, pair.report
+    target, chain, end = report.target, report.chain, report.end
     supports: list[str] = []
-    for v, outs in zip(vertices, pair.report.outs):
-        if not outs:
-            supports.append(v)
-        else:
-            supports.extend(vertices[target[last[head[b]]]] for b in outs)
+    for v, outs in zip(vertices, report.outs):
+        supports.extend([vertices[target[chain[end[b] - 1]]] for b in outs] if outs else [v])
     return supports
 
 

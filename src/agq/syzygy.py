@@ -22,10 +22,9 @@ from collections.abc import Iterable, Iterator
 from .quiver import AlmostGentlePair, ValidationReport, _Frozen, _setattr
 from .strings import (
     DirectedString,
-    _chains,
     _check_string,
     _invalid_at,
-    _run,
+    _names,
     claw_of,
     module_dims,
     string_of,
@@ -56,6 +55,8 @@ class Summand(_Frozen):
 # index and arrow count, every other kind -1, 0.  Every string met is a
 # slice of one chain, so two with the same first arrow are prefixes of each
 # other: nodes sort as their summands do, by rank, apex, then arrow indices.
+# Rank 4 is the injective E(apex) at a vertex with in-arrows, a start node
+# only, never a summand.
 _KINDS = ("simple", "string", "projective", "psi0")
 Node = tuple[int, int, int, int]
 
@@ -66,24 +67,13 @@ def _vertex(pair: AlmostGentlePair, v: str) -> int:
     return pair.quiver.vertex_index[pair.require_vertex(v)]
 
 
-def _walk(succ: list[int], i: int, n: int) -> int:
-    """The arrow n steps after arrow i along its chain, -1 just past its end."""
-    for _ in range(n):
-        i = succ[i]
-    return i
-
-
 def _after(report: ValidationReport, x: int) -> Node:
-    """What follows arrow x on its chain: the chain from its nonzero
-    successor on, or the simple at its target when x ends the chain."""
-    succ = report.nonzero_succ
-    y = n = succ[x]
-    if y < 0:
+    """What follows arrow x on its chain: the rest of the chain, or the
+    simple at its target when x ends the chain."""
+    p, end = report.at[x] + 1, report.end[x]
+    if p == end:
         return 0, report.target[x], -1, 0
-    length = 0
-    while n >= 0:
-        length, n = length + 1, succ[n]
-    return 1, report.target[x], y, length
+    return 1, report.target[x], report.chain[p], end - p
 
 
 def _node_of(pair: AlmostGentlePair, s: Summand | DirectedString) -> Node:
@@ -100,7 +90,8 @@ def _node_of(pair: AlmostGentlePair, s: Summand | DirectedString) -> Node:
 def _summand(pair: AlmostGentlePair, node: Node) -> Summand:
     rank, apex, first, length = node
     if rank == 1:
-        return Summand("string", None, _run(pair, first, _walk(pair.report.nonzero_succ, first, length)))
+        at = pair.report.at[first]
+        return Summand("string", None, _names(pair.report, at, at + length))
     return Summand(_KINDS[rank], pair.quiver.vertices[apex])
 
 
@@ -126,15 +117,14 @@ def _dims(pair: AlmostGentlePair, node: Node) -> dict[int, int]:
         vidx = pair.quiver.vertex_index
         return {vidx[w]: n for w, n in module_dims(pair, "projective", pair.quiver.vertices[apex]).items()}
     report = pair.report
+    at, end = report.at, report.end
     if rank == 3:
         basis = [apex] * (len(report.ins[apex]) - 1)
-        runs = [(a, -1) for a in report.outs[apex] if report.nonzero_pred[a] >= 0]
+        spans = [(at[a], end[a]) for a in report.outs[apex] if report.nonzero_pred[a] >= 0]
     else:
-        basis, runs = [apex], [(first, length)]
-    for a, n in runs:  # n arrows from a on, or the whole chain when n is -1
-        while a >= 0 and n:
-            basis.append(report.target[a])
-            a, n = report.nonzero_succ[a], n - 1
+        basis, spans = [apex], ([(at[first], at[first] + length)] if length else [])
+    for lo, hi in spans:  # each a slice of one chain
+        basis += map(report.target.__getitem__, report.chain[lo:hi])
     dims: dict[int, int] = {}
     for w in basis:
         dims[w] = dims.get(w, 0) + 1
@@ -168,9 +158,12 @@ def _omega1(report: ValidationReport, node: Node) -> list[tuple[Node, int]]:
     _rank, apex, first, length = node
     pieces = []
     for a in report.outs[apex]:
-        x = _walk(report.nonzero_succ, a, length) if a == first else a
-        if x >= 0:
-            pieces.append((_after(report, x), 1))
+        if a == first:  # the string's own branch goes on from the arrow after it
+            p = report.at[a] + length
+            if p == report.end[a]:
+                continue
+            a = report.chain[p]
+        pieces.append((_after(report, a), 1))
     return pieces
 
 
@@ -196,21 +189,20 @@ class Psi0Descriptor(_Frozen):
 
 def psi0_descriptor(pair: AlmostGentlePair, v: str) -> Psi0Descriptor:
     """The socle-block shape of E(v), built from the claw of v when asked."""
-    claw = claw_of(pair, v)
-    pred, idx = pair.report.nonzero_pred, pair.quiver.arrow_index
-    tails = tuple((tail, pred[idx[tail.arrows[0]]] >= 0) for tail in claw)
+    claw, report = claw_of(pair, v), pair.report
+    i = pair.quiver.vertex_index[v]
+    tails = tuple((tail, report.nonzero_pred[a] >= 0) for tail, a in zip(claw, report.outs[i]))
     t = sum(1 for _, f in tails if f)
-    return Psi0Descriptor(v, len(pair.report.ins[pair.quiver.vertex_index[v]]), len(claw), t, tails)
+    return Psi0Descriptor(v, len(report.ins[i]), len(claw), t, tails)
 
 
-def _leftovers(pair: AlmostGentlePair, v: int) -> list[Node]:
+def _leftovers(report: ValidationReport, v: int) -> list[Node]:
     """The per-branch leftovers of Omega_1(E(v)) at a vertex index v, which
     run over the anti-claw branches: every claw branch of the branch source
     other than the one through the branch itself, minus its first arrow.
     The branch of an in-arrow starts at the head of the in-arrow's chain."""
-    report, head = pair.report, _chains(pair)[0]
     return [_after(report, a) for b in report.ins[v]
-            for a in report.outs[report.source[head[b]]] if a != head[b]]
+            for a in report.outs[report.source[report.head[b]]] if a != report.head[b]]
 
 
 def is_invalid_vertex(pair: AlmostGentlePair, v: str) -> tuple[bool, int | None]:
@@ -279,28 +271,47 @@ def _normalize(report: ValidationReport, node: Node) -> Node:
     """Recognize projective nodes; symbolic termination needs no oracle."""
     rank, apex, first, length = node
     if (rank == 0 and not report.outs[apex]
-            or rank == 1 and len(report.outs[apex]) == 1 and _walk(report.nonzero_succ, first, length) < 0
+            or rank == 1 and len(report.outs[apex]) == 1 and report.at[first] + length == report.end[first]
             # t = c = 2 and gentle: the block is the two-branch claw P(apex)
             or rank == 3 and _invalid_at(report, apex)[0]):
         return 2, apex, -1, 0
     return node
 
 
-class _SummandGraph:
-    """The summands met on one pair, as nodes that are their own keys.
+class _Successors(dict):
+    """The edges of a summand graph, each node's computed when first read:
+    the top of its projective cover as [(vertex index, multiplicity)] and
+    its normalized first syzygy as [(node, multiplicity)], empty for a
+    projective.  A node covers its apex, c - 1 times for a socle block,
+    else once; the injective E(v) covers the source of each in-arrow's
+    chain head once."""
 
-    Each once asked for, it stores per node its dimension vector by vertex
-    index with its total, and its successors: the normalized first syzygy
-    as [(node, multiplicity)], empty for a projective.  An injective E(v)
-    that is not simple enters through its cover per vertex index and its
-    first syzygy as counts per node.  A node covers its apex, c - 1 times
-    for a socle block, else once.  The pair is passed in, never stored.
+    def __init__(self, report: ValidationReport) -> None:
+        super().__init__()
+        self.report = report
+
+    def __missing__(self, node: Node) -> tuple[list[tuple[int, int]], list[tuple[Node, int]]]:
+        report, rank, apex = self.report, node[0], node[1]
+        if rank == 4:  # the socle block is its pieces, or its own node when it is a tree module
+            top = list(_counts([(report.source[report.head[b]], 1) for b in report.ins[apex]]).items())
+            pieces = [(n, 1) for n in _leftovers(report, apex)] + (_block(report, apex) or [((3, apex, -1, 0), 1)])
+        else:
+            top = [(apex, len(report.ins[apex]) - 1 if rank == 3 else 1)]
+            pieces = _tree_omega1(report, apex) if rank == 3 else _omega1(report, node) if rank < 2 else []
+        entry = self[node] = top, list(_counts([(_normalize(report, n), m) for n, m in pieces]).items())
+        return entry
+
+
+class _SummandGraph:
+    """The modules met on one pair, as nodes that are their own keys: per
+    node its successors ``succ[node]`` (``_Successors``) and, once asked
+    for, its dimension vector by vertex index with its total.  The graph
+    keeps the pair's validation report, never the pair.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, report: ValidationReport) -> None:
         self.dims: dict[Node, tuple[dict[int, int], int]] = {}
-        self.succ: dict[Node, list[tuple[Node, int]]] = {}
-        self.injectives: dict[int, tuple[dict[int, int], dict[Node, int]]] = {}
+        self.succ = _Successors(report)
 
     def dims_of(self, pair: AlmostGentlePair, node: Node) -> tuple[dict[int, int], int]:
         entry = self.dims.get(node)
@@ -317,70 +328,35 @@ class _SummandGraph:
                 total[w] = total.get(w, 0) + d * m
         return total
 
-    def count(self, pair: AlmostGentlePair, pieces: Iterable[tuple[Node, int]]) -> dict[Node, int]:
-        return _counts((_normalize(pair.report, n), m) for n, m in pieces)  # normalized multiplicities
-
-    def successors(self, pair: AlmostGentlePair, node: Node) -> list[tuple[Node, int]]:
-        succ = self.succ.get(node)
-        if succ is None:
-            report = pair.report
-            pieces = (_tree_omega1(report, node[1]) if node[0] == 3
-                      else _omega1(report, node) if node[0] < 2 else [])
-            succ = self.succ[node] = list(self.count(pair, pieces).items())
-        return succ
-
-    def injective(self, pair: AlmostGentlePair, v: int) -> tuple[dict[int, int], dict[Node, int]]:
-        """E(v) at a vertex index with in-arrows: its cover per vertex index
-        and its first syzygy as counts per node."""
-        entry = self.injectives.get(v)
-        if entry is None:
-            report, head = pair.report, _chains(pair)[0]
-            cover: dict[int, int] = {}
-            for b in report.ins[v]:
-                x = report.source[head[b]]
-                cover[x] = cover.get(x, 0) + 1
-            block = _block(report, v)
-            if block is None:
-                block = [((3, v, -1, 0), 1)]
-            syzygy = self.count(pair, [(n, 1) for n in _leftovers(pair, v)] + block)
-            entry = self.injectives[v] = (cover, syzygy)
-        return entry
-
 
 def _summand_graph(pair: AlmostGentlePair) -> _SummandGraph:
-    return pair.memo("summand_graph", _SummandGraph)
+    return pair.memo("summand_graph", lambda: _SummandGraph(pair.report))
 
 
 def _levels(pair: AlmostGentlePair, kind: str, start, max_steps: int,
             max_dim: int | None = None) -> Iterator[tuple[dict[int, int], dict[Node, int]]]:
     """The levels of resolve_symbolic, each (cover per vertex index, syzygy
-    counts per node), stepped over the pair's summand graph for kind "simple"
-    or "injective" at the vertex index start, or "string" at the node start,
-    and cut after the first syzygy of total dimension above max_dim, if
-    given; nothing is checked."""
-    graph, report = _summand_graph(pair), pair.report
-
-    def too_big(counts: dict[Node, int]) -> bool:
-        return max_dim is not None and sum(m * graph.dims_of(pair, n)[1] for n, m in counts.items()) > max_dim
-
-    made = 0
-    if kind == "injective" and report.ins[start]:
-        made, (cover, current) = 1, graph.injective(pair, start)
-        yield cover, current
-        if not current or too_big(current):
-            return
-    else:
-        current = graph.count(pair, [(start if kind == "string" else (0, start, -1, 0), 1)])
+    counts per node), stepped over the pair's summand graph from one node:
+    for kind "simple" or "injective" the module at the vertex index start
+    (E(v) at a vertex without in-arrows is its simple), for kind "string"
+    the node start.  Cut after the first syzygy of total dimension above
+    max_dim, if given; nothing is checked."""
+    graph = _summand_graph(pair)
+    if kind != "string":
+        start = 4 if kind == "injective" and pair.report.ins[start] else 0, start, -1, 0
+    current, edges = {_normalize(pair.report, start): 1}, graph.succ
     while True:
         cover, nxt = {}, {}
         for n, count in current.items():
-            x = n[1]
-            cover[x] = cover.get(x, 0) + count * (len(report.ins[x]) - 1 if n[0] == 3 else 1)
-            for k, m in graph.successors(pair, n):
+            top, succ = edges[n]
+            for x, m in top:
+                cover[x] = cover.get(x, 0) + count * m
+            for k, m in succ:
                 nxt[k] = nxt.get(k, 0) + count * m
         yield cover, nxt
-        made += 1
-        if not nxt or made > max_steps or too_big(nxt):
+        max_steps -= 1
+        if not nxt or max_steps < 0 or (
+                max_dim is not None and sum(m * graph.dims_of(pair, n)[1] for n, m in nxt.items()) > max_dim):
             return
         current = nxt
 

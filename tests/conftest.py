@@ -40,14 +40,17 @@ def bench_acyclic_docs():
 def lemma(pair, name, arg):
     """One lemma of the symbolic layer, read off the index core that the
     summand graph runs, with names only here at its edge; arguments are
-    not checked.
+    not checked.  The cores read the validation report's tables, slicing
+    its chain table for every string.
 
     "omega1" is the first syzygy of the directed string arg.  At a vertex
-    arg with in-arrows, "leftovers" lists the per-branch leftovers of
-    Omega_1(E(arg)) in node order, "block" decomposes its socle block into
-    directed strings (None for a tree module) and "block_dims" gives the
-    block's dimension vector by vertex name.  "gentle" is the local gentle
-    test at the vertex arg.
+    arg with in-arrows, where E(arg) is the graph node (4, arg, -1, 0),
+    "leftovers" lists the per-branch leftovers of Omega_1(E(arg)) in node
+    order and "block" decomposes its socle block into directed strings
+    (None for a tree module, which the node's successors keep as the
+    socle-block node); before normalization the two are that node's
+    successors.  "block_dims" gives the block's dimension vector by vertex
+    name.  "gentle" is the local gentle test at the vertex arg.
     """
     report = pair.report
     if name == "omega1":
@@ -55,7 +58,7 @@ def lemma(pair, name, arg):
         return syzygy._decomposition(pair, syzygy._omega1(report, node))
     v = pair.quiver.vertex_index[arg]
     if name == "leftovers":
-        return [syzygy._summand(pair, n) for n in sorted(syzygy._leftovers(pair, v))]
+        return [syzygy._summand(pair, n) for n in sorted(syzygy._leftovers(report, v))]
     if name == "block":
         block = syzygy._block(report, v)
         return None if block is None else syzygy._decomposition(pair, block)

@@ -349,7 +349,8 @@ def test_the_chain_table_is_the_only_string_cache(monkeypatch):
             anticlaw_of(pair, v)
             assert [tail for tail, _flag in desc.tails] == list(branches)
             resolve_symbolic(pair, "injective", v, max_steps=8)
-        assert built.count("chains") == 1
+        # the chain table is the validation's, built with the pair: no memo entry builds one
+        assert "chains" not in built and len(pair.report.chain) == len(pair.report.names)
         assert not [key for key in built
                     if isinstance(key, tuple) and key[0] in ("maximal", "psi0")]
         assert {"DirectedString", "Psi0Descriptor"} <= set(made)
@@ -380,9 +381,9 @@ def test_the_report_builds_one_vertex_table_and_no_per_vertex_entry(monkeypatch)
             sup_forbidden_from_arrow(pair, a.name)
         for ds in strings_of(pair):
             pdim_directed_string(pair, ds)
-        # the digraph's sup table, the chain table and the vertex table, once each
-        assert sorted(built) == ["chains", "digraph", "vertices"]
-        assert sorted(pair._memo) == ["chains", "digraph", "vertices"]
+        # the digraph's sup table and the vertex table, once each; the chain table is the validation's
+        assert sorted(built) == ["digraph", "vertices"]
+        assert sorted(pair._memo) == ["digraph", "vertices"]
 
 
 def _report_pairs():
@@ -396,11 +397,12 @@ def test_the_report_reads_the_validation_tables_and_no_name_map():
         emit_json(report_json(pair))
         # the report holds its verdict and index tables only
         assert sorted(vars(pair.report)) == sorted(["valid", "violations", "warnings", "names", "source", "target",
-                                                    "outs", "ins", "nonzero_succ", "nonzero_pred", "relation_succ"])
-        # the report path builds the chain table, the digraph and the vertex table, and nothing else
-        assert sorted(pair._memo) == ["chains", "digraph", "vertices"]
-        head, last = pair._memo["chains"]
-        assert len(head) == len(last) == len(pair.report.names)
+                                                    "outs", "ins", "nonzero_succ", "nonzero_pred", "relation_succ",
+                                                    "chain", "at", "end", "head"])
+        # the report path builds the digraph and the vertex table, and nothing else
+        assert sorted(pair._memo) == ["digraph", "vertices"]
+        r = pair.report
+        assert len(r.chain) == len(r.at) == len(r.end) == len(r.head) == len(r.names)
         assert digraph_data(pair).out is pair.report.relation_succ
 
 

@@ -15,8 +15,8 @@ from agq.generator import GeneratorParams, random_ag_pair
 from agq.oracle import rep_of
 from agq.homdim import pdim_directed_string
 from agq.quiver import InvalidStringError, nonzero_successor
-from agq.syzygy import is_invalid_vertex, psi0_descriptor, resolve_symbolic
-from conftest import FIXTURES, bench_cyclic_pairs, lemma
+from agq.syzygy import Summand, SyzygyDecomposition, is_invalid_vertex, psi0_descriptor, resolve_symbolic
+from conftest import FIXTURES, bench_cyclic_pairs, lemma, make_pair
 
 
 def test_right_maximal_extension_fig1(fig1):
@@ -129,19 +129,24 @@ def test_socle_supports_fig1(fig1):
 def _reference_maximal_string(pair, a, right):
     """Walk the nonzero successors (right) or predecessors (left) of a."""
     arrows = [a]
+    names, pred, idx = pair.report.names, pair.report.nonzero_pred, pair.quiver.arrow_index
     while True:
         if right:
             nxt = nonzero_successor(pair, arrows[-1])
         else:
-            names = pair.report.names
-            p = pair.report.nonzero_pred[names.index(arrows[0])]
+            p = pred[idx[arrows[-1]]]
             nxt = names[p] if p >= 0 else None
         if nxt is None:
-            return tuple(arrows)
-        if right:
-            arrows.append(nxt)
-        else:
-            arrows.insert(0, nxt)
+            return tuple(arrows if right else reversed(arrows))
+        arrows.append(nxt)
+
+
+def _edge_pairs():
+    """A quiver with no arrows, and the relation-free A_n at n = 1,500: one
+    chain of 1,499 arrows."""
+    n = 1_500
+    a_n = make_pair([f"v{i}" for i in range(n)], [(f"a{i}", f"v{i}", f"v{i + 1}") for i in range(n - 1)], [])
+    return [make_pair(["1", "2", "3"], [], []), a_n]
 
 
 def _valid_corpus_pairs():
@@ -155,7 +160,7 @@ def _valid_corpus_pairs():
 def test_claws_and_extensions_match_a_reference_walk():
     # claws, anti-claws and both maximal extensions slice the chain table
     checked = 0
-    for pair in _valid_corpus_pairs():
+    for pair in _valid_corpus_pairs() + _edge_pairs():
         for v in pair.quiver.vertices:
             assert [br.arrows for br in claw_of(pair, v)] == \
                 [_reference_maximal_string(pair, a.name, True) for a in pair.out_arrows(v)]
@@ -168,7 +173,7 @@ def test_claws_and_extensions_match_a_reference_walk():
             assert left_maximal_extension(pair, one).arrows == \
                 _reference_maximal_string(pair, a.name, False)
         checked += 1
-    assert checked == 218  # 8 valid fixtures, 200 corpus seeds, 10 benchmark instances
+    assert checked == 220  # 8 valid fixtures, 200 corpus seeds, 10 benchmark instances, 2 edge quivers
 
 
 def test_maximal_extensions_splice_the_table_entry(fig1):
@@ -236,3 +241,41 @@ def test_chain_end_readings_agree_with_the_string_tables():
         checked += 1
     assert checked == 218
     assert conditions == {None, 1, 2, 3, 4, 5}
+
+
+def test_the_edge_quivers_resolve_and_measure_off_the_chain_table():
+    from agq.homdim import pdim_injective, pdim_simple
+    arrowless, a_n = _edge_pairs()
+    assert arrowless.validated and arrowless.report.chain == []
+    assert socle_supports(arrowless) == ["1", "2", "3"]
+    for v in arrowless.quiver.vertices:
+        anchor = DirectedString((), v)
+        for kind, arg in (("simple", v), ("projective", v), ("injective", v), ("string", anchor)):
+            assert module_dims(arrowless, kind, arg) == {v: 1}
+        for kind, arg in (("simple", v), ("injective", v), ("string", anchor)):
+            res = resolve_symbolic(arrowless, kind, arg)
+            assert [(level.cover, level.syzygy.items) for level in res.levels] == [(((v, 1),), ())]
+            assert res.terminated == "projective"
+        simple = SyzygyDecomposition(((Summand("simple", v), 1), (Summand("projective", v), 2)))
+        assert simple.dim_vector(arrowless) == {v: 3}
+
+    # A_n: P(v_i) runs from v_i to the sink, E(v_i) from the source to v_i
+    vertices = a_n.quiver.vertices
+    n, last = len(vertices), vertices[-1]
+    assert socle_supports(a_n) == [last] * n
+    for i, v in enumerate(vertices):
+        assert module_dims(a_n, "simple", v) == {v: 1}
+        assert module_dims(a_n, "projective", v) == dict.fromkeys(vertices[i:], 1)
+        assert module_dims(a_n, "injective", v) == dict.fromkeys(vertices[:i + 1], 1)
+        # S(v_i), E(v_i) and the anchor at v_i have syzygy P(v_i+1), except at the sink,
+        # where they are projective; the string from v_i to the sink is P(v_i)
+        strings = [DirectedString((), v)] + list(claw_of(a_n, v))
+        for kind, arg in [("simple", v), ("injective", v)] + [("string", ds) for ds in strings]:
+            res = resolve_symbolic(a_n, kind, arg)
+            ends = i == n - 1 or kind == "string" and bool(arg.arrows)
+            expected = [] if ends else [(Summand("projective", vertices[i + 1]), 1)]
+            assert list(res.levels[0].syzygy.items) == expected, (kind, v)
+            assert res.length == (0 if ends else 1) and res.terminated == "projective"
+            assert res.levels[0].syzygy.dim_vector(a_n) == ({} if ends else dict.fromkeys(vertices[i + 1:], 1))
+        assert pdim_simple(a_n, v).value.value == pdim_injective(a_n, v).value.value == (0 if i == n - 1 else 1)
+    assert module_dims(a_n, "string", DirectedString(a_n.report.names[3:10])) == dict.fromkeys(vertices[3:11], 1)

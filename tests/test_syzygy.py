@@ -290,3 +290,33 @@ def test_max_dim_cuts_a_resolution_after_its_first_syzygy_over_it(fig1, cyc2e):
                     assert levels == full[:n]
                     # a nonempty last syzygy is a cutoff
                     assert bool(levels[-1][1]) == (n < len(totals) or bool(full[-1][1]))
+
+
+def _closed_form_cross_check(pairs):
+    """How many resolutions of the stepping core, run to 64 steps from every
+    S(v) and E(v) of the valid pairs, end where pdim_simple and
+    pdim_injective say."""
+    from agq.homdim import pdim_injective, pdim_simple
+    from agq.syzygy import _levels
+    resolutions = 0
+    for pair in (pair for pair in pairs if pair.validated):
+        for i, v in enumerate(pair.quiver.vertices):
+            for kind, closed in (("simple", pdim_simple), ("injective", pdim_injective)):
+                levels = list(_levels(pair, kind, i, 64))
+                ended = not levels[-1][1]  # level k holds the syzygy after P_k, empty once resolved
+                pd = closed(pair, v).value.value  # None when infinite
+                if pd is not None and pd <= 63:
+                    assert ended and len(levels) - 1 == pd, (kind, v, pd, len(levels))
+                else:  # the cutoff: all 64 steps, resolved only at exactly 64
+                    assert len(levels) == 65 and ended == (pd == 64), (kind, v, pd)
+                resolutions += 1
+    return resolutions
+
+
+def test_symbolic_resolutions_end_where_the_closed_form_says():
+    # the summand graph's syzygy lemmas and the forbidden-path closed form share no code
+    from conftest import FIXTURES, bench_acyclic_docs
+    fixtures = [parse_agq(f.read_text()).pair() for f in sorted(FIXTURES.glob("*.agq"))]
+    corpus = [random_ag_pair(GeneratorParams(seed=s))[0] for s in range(1, 201)]
+    ladder = [doc.pair() for doc in bench_acyclic_docs()]
+    assert [_closed_form_cross_check(pairs) for pairs in (fixtures, corpus, ladder)] == [56, 1_776, 17_836]

@@ -272,6 +272,57 @@ def test_the_whole_quiver_scan_sees_every_spelling():
     assert [name for name, _line in _whole_quiver_reads(source)] == ["direct", "aliased", "member", "Rep.method"]
 
 
+_LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _successor_steps(source):
+    """(function, line) of each loop that reads ``nonzero_succ``, directly
+    or through a name bound to it in the same function, and of each call
+    that is handed it: a step along a chain, or a helper that may take
+    one, where a slice of the chain table would do."""
+    def succ(node):
+        return isinstance(node, ast.Attribute) and node.attr == "nonzero_succ"
+
+    found = set()
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        aliases = set()
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                target, value = node.targets[0], node.value
+                bound = (zip(target.elts, value.elts) if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple)
+                         else [(target, value)])
+                aliases |= {t.id for t, v in bound if isinstance(t, ast.Name) and succ(v)}
+        def reads(tree):
+            return any(succ(node) or isinstance(node, ast.Name) and node.id in aliases
+                       and isinstance(node.ctx, ast.Load) for node in ast.walk(tree))
+
+        for node in ast.walk(fn):
+            if (isinstance(node, _LOOPS) and reads(node)
+                    or isinstance(node, ast.Call) and any(map(reads, node.args + node.keywords))):
+                found.add((fn.name, node.lineno))
+    return sorted(found)
+
+
+def test_no_string_or_syzygy_loop_steps_along_the_successor_table():
+    # every nonzero path is a slice of the validation's chain table
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "agq"
+    for name in ("strings.py", "syzygy.py"):
+        assert _successor_steps((src / name).read_text(encoding="utf-8")) == [], name
+
+
+def test_the_successor_step_scan_sees_every_spelling():
+    source = (
+        "def handed(report, i):\n    return walk(report.nonzero_succ, i, 2)\n"
+        "def direct(report, i):\n    while i >= 0:\n        i = report.nonzero_succ[i]\n"
+        "def aliased(report, i):\n    names, succ = report.names, report.nonzero_succ\n"
+        "    for _ in range(3):\n        i = succ[i]\n"
+        "def comprehension(report, xs):\n    return [report.nonzero_succ[x] for x in xs]\n"
+        "def one_read(report, i):\n    succ = report.nonzero_succ\n    return succ[i]\n")
+    assert _successor_steps(source) == [("aliased", 8), ("comprehension", 11), ("direct", 4), ("handed", 2)]
+
+
 # Public names with no caller in the package, kept on purpose.
 UNREFERENCED_ALLOWED = {
     "check_relations": "independent check that a representation kills every relation; ROADMAP item 8 "
@@ -479,10 +530,10 @@ def test_symbolic_resolutions_are_identical_to_the_recorded_hash():
     assert digest.hexdigest() == RESOLUTION_SHA256
 
 
-def test_the_summand_graph_walks_nodes_of_four_ints():
+def test_the_summand_graph_walks_nodes_of_four_ints(fig1):
     # what a walk over the graph reads must stay index tuples, not names
     from agq.syzygy import _summand_graph
-    pairs = [pair for _path, pair in _valid_fixtures()]
+    pairs = [fig1] + [pair for _path, pair in _valid_fixtures()]
     pairs += [random_ag_pair(GeneratorParams(seed=s))[0] for s in range(1, 21)]
     for pair in pairs:
         for kind in ("simple", "injective"):
@@ -490,9 +541,16 @@ def test_the_summand_graph_walks_nodes_of_four_ints():
                 resolve_symbolic(pair, kind, v)
         graph = _summand_graph(pair)
         assert graph.succ
-        for node, succ in graph.succ.items():
+        for node, (cover, succ) in graph.succ.items():
             for n in [node] + [k for k, _m in succ]:
                 assert type(n) is tuple and len(n) == 4 and all(type(x) is int for x in n), n
+            assert cover and all(type(x) is int and type(m) is int for x, m in cover), cover
+        # every injective E(v) at a vertex with in-arrows is a node of the graph
+        report = pair.report
+        injectives = {node for node in graph.succ if node[0] == 4}
+        assert injectives == {(4, v, -1, 0) for v, ins in enumerate(report.ins) if ins}
+    fig1_injectives = {fig1.quiver.vertices[node[1]] for node in _summand_graph(fig1).succ if node[0] == 4}
+    assert fig1_injectives == set(fig1.quiver.vertices) - {"1"}  # every vertex but the source
 
 
 # SHA-256 of the plain values (no reprs of the package's own types) that
