@@ -14,7 +14,7 @@ Finite(0) throughout.
 
 from __future__ import annotations
 
-from .quiver import AlmostGentlePair, _Frozen, _setattr, nonzero_successor
+from .quiver import AlmostGentlePair, _Frozen, _setattr
 from .strings import DirectedString, _check_string, string_source
 
 
@@ -251,11 +251,7 @@ class _DigraphData:
 
         Witnesses compare at the first arrow where they differ, by
         declaration index; a prefix comes before its extensions and any
-        walk before none.  Both walks step in lockstep and stop at the first
-        difference, or once both stand on the same arrow of a finite walk,
-        since from there they spell the same arrows.  Two lassos on the same
-        arrow may still close their loops at different arrows, so they run
-        on until one of them ends.
+        walk before none.
         """
         if x == y or x == _NO_WALK:
             return False
@@ -265,17 +261,7 @@ class _DigraphData:
         first_y = y[0] if y[0] >= 0 else y[1]
         if first_x != first_y:  # the common case, settled without stepping
             return first_x < first_y
-        on_walks = 1 if x[0] >= 0 or y[0] >= 0 else 0  # from here both spell their walks
-        ys = self.spelled(*y)
-        for pos, a in enumerate(self.spelled(*x)):
-            b = next(ys, -1)
-            if b < 0:
-                return False  # y is a proper prefix of x
-            if a != b:
-                return a < b
-            if pos >= on_walks and self.length[a] != _INFINITE:
-                return False
-        return next(ys, -1) >= 0
+        return list(self.spelled(*x)) < list(self.spelled(*y))
 
     def best(self, candidates) -> tuple:
         """The largest of (length, pointer) candidates, ties to the least
@@ -352,9 +338,9 @@ def delta_forbidden_sup(pair: AlmostGentlePair, delta: DirectedString) -> tuple[
     source = pair.quiver.vertex_index[string_source(pair, delta)]
     n, i = data.skip(source, idx[arrows[0]] if arrows else -1)
     candidates = [(n, (-1, i))]
-    after = nonzero_successor(pair, arrows[-1]) if arrows else None  # the continuation past the sink
-    if after is not None:
-        candidates.append((data.length[idx[after]], (-1, idx[after])))
+    after = pair.report.nonzero_succ[idx[arrows[-1]]] if arrows else -1  # the continuation past the sink
+    if after >= 0:
+        candidates.append((data.length[after], (-1, after)))
     n, (_head, start) = data.best(candidates)
     return _length_value(n), data.walk(-1, start)
 

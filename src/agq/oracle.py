@@ -16,8 +16,10 @@ under the key, and repeating syzygies are detected by it: a module
 isomorphic to a summand of one of its own higher syzygies has infinite
 projective dimension, and so has every module on the walk down to it.
 Only that proof of infinity is stored; one met at the depth backstop is
-not.  The level comparison walks each resolution level as a multiset of
-iso classes, covering and summing each class once.
+not.  The comparison with the symbolic layer visits each node of its
+summand graph once per pair: the node's module, built by rep_of and stored
+per pair under the node, must have the node's cover, and its kernel the
+node's successors, matched by key.
 """
 
 from __future__ import annotations
@@ -522,18 +524,14 @@ def _agrees(formula: LengthOrInf, orc: PdimResult) -> bool:
     return not orc.finite
 
 
-LEVELS_CAP = 6  # the last resolution level compared per module, counted from 0
-LEVEL_DIM_BUDGET = 120  # the largest level the comparison covers
-
-
 def check_against_formulas(pair: AlmostGentlePair, cutoff: int = 40) -> AgreementReport:
     """Cross-validate every closed-form dimension against the oracle.
 
-    Per vertex: projective dimensions of the simple and the injective, the
-    invalid-vertex test against oracle projectivity of the injective's socle
-    block, and the per-level dimension vectors of the symbolic resolutions
-    against oracle kernels: levels 0 to LEVELS_CAP, stopping before the
-    first level whose module has total dimension above LEVEL_DIM_BUDGET.
+    Per vertex: projective dimensions of the simple and the injective, and
+    the invalid-vertex test against oracle projectivity of the injective's
+    socle block.  Per pair: the summand graph that the symbolic resolutions
+    of every S(v) and E(v) step over, each reachable node once, against
+    the oracle's cover and kernel components of the node's module.
     """
     from .homdim import pdim_injective, pdim_simple
     from .syzygy import is_invalid_vertex
@@ -542,6 +540,7 @@ def check_against_formulas(pair: AlmostGentlePair, cutoff: int = 40) -> Agreemen
     pair.require_valid()
     mismatches: list[Mismatch] = []
     checked = 0
+    seen: set = set()  # the (summand-graph node, module key) pairs compared so far
 
     for i, v in enumerate(pair.quiver.vertices):
         # S(v) and E(v) are built and keyed once here, for every check below
@@ -562,13 +561,13 @@ def check_against_formulas(pair: AlmostGentlePair, cutoff: int = 40) -> Agreemen
                 mismatches.append(Mismatch(v, "psi0_projective", str(invalid), str(proj)))
 
         for kind in ("simple", "injective"):
-            mismatches.extend(_compare_levels(pair, i, kind, modules[kind]))
+            mismatches.extend(_compare_graph(pair, i, kind, modules[kind], seen))
             checked += 1
 
     return AgreementReport(tuple(mismatches), checked)
 
 
-# A resolution level is a multiset of modules: key -> [representative,
+# A direct sum as a multiset of modules: key -> [representative,
 # multiplicity].  The class of a component is its key.
 Level = dict
 
@@ -618,25 +617,44 @@ def _level_of(modules: list[KeyedComponent]) -> Level:
     return level
 
 
+_NODE_KINDS = ("simple", "string", "projective", "psi0", "injective")  # by node rank
+
+
+def _module(pair: AlmostGentlePair, node) -> KeyedComponent:
+    """The module of a summand-graph node (rank, apex, first, length) that
+    is not a socle block (rank 3), built by rep_of and keyed once per pair:
+    the directed string of length arrows of the chain table from the arrow
+    index first (a simple is one of length zero), or the projective or the
+    injective at the vertex index apex."""
+    modules = pair.memo("modules", dict)
+    module = modules.get(node)
+    if module is None:
+        rank, apex, first, length = node
+        report, vertex = pair.report, pair.quiver.vertices[apex]
+        if rank < 2:
+            at = report.at[first] if length else 0
+            arrows = tuple(report.names[x] for x in report.chain[at:at + length])
+            rep = rep_of(pair, "string", DirectedString(arrows, None if arrows else vertex))
+        else:
+            rep = rep_of(pair, _NODE_KINDS[rank], vertex)
+        module = modules[node] = _keyed(pair, rep)
+    return module
+
+
 def _leftovers(pair: AlmostGentlePair, v: int) -> list[KeyedComponent]:
     """The per-branch leftovers of Omega_1(E(v)), v a vertex index, each
-    built and keyed once per pair: at the source of the first arrow h of
-    each branch of E(v), every other out-arrow a leaves its chain from its
-    nonzero successor on, or the simple at its target."""
+    the module of its node: at the source of the first arrow h of each
+    branch of E(v), every other out-arrow a leaves its chain from its
+    nonzero successor b on, or the simple at its target."""
     report, succ = pair.report, pair.report.nonzero_succ
 
-    def build(a: int) -> KeyedComponent:
-        run, y = [], succ[a]
-        while y >= 0:
-            run.append(report.names[y])
-            y = succ[y]
-        ds = DirectedString(tuple(run), None if run else pair.quiver.vertices[report.target[a]])
-        return _keyed(pair, rep_of(pair, "string", ds))
+    def rest(a: int):
+        b = succ[a]
+        return (0, report.target[a], -1, 0) if b < 0 else (1, report.target[a], b, report.end[b] - report.at[b])
 
     # the branches' first arrows are the last arrows of E(v)'s path tree that grow no further
     heads = [h for h in _path_tree(pair, v, forward=False).arrow[1:] if report.nonzero_pred[h] < 0]
-    return [pair.memo(("leftover", succ[a], report.target[a]), lambda: build(a))
-            for h in heads for a in report.outs[report.source[h]] if a != h]
+    return [_module(pair, rest(a)) for h in heads for a in report.outs[report.source[h]] if a != h]
 
 
 def _oracle_psi0_projective(pair: AlmostGentlePair, v: int, injective: KeyedComponent) -> bool:
@@ -659,27 +677,58 @@ def _spelled(pair: AlmostGentlePair, counts: dict[int, int]) -> str:
     return str(sorted((vertices[w], m) for w, m in counts.items()))
 
 
-def _compare_levels(pair: AlmostGentlePair, v: int, kind: str, module: KeyedComponent):
-    """Symbolic resolution levels of module, S(v) or E(v) at the vertex
-    index v with its key, against the oracle's: the stepping core's
-    covers per vertex index and node counts, summed by the summand graph."""
-    from .syzygy import _levels, _summand_graph
+def _compare_graph(pair: AlmostGentlePair, v: int, kind: str, module: KeyedComponent, seen: set):
+    """The summand graph against the oracle from the start node of S(v) or
+    E(v) at the vertex index v, whose module comes with its key.  seen holds
+    each (node, key of its module) compared so far, and each one reached
+    joins it: a start module unlike the one built for its node is compared
+    too.
 
-    if module[1].total_dim() > LEVEL_DIM_BUDGET:
-        return
+    At each node the oracle's cover of its module must be the node's top.
+    Each successor takes the kernel components whose key is that of its own
+    module, and the walk goes on from it.  What no key matches (a socle
+    block, or pieces the kernel's basis glues together) is one unit, whose
+    cover must be its successors' tops and whose kernel must match all of
+    its successors by key; the walk goes on from those too.
+    """
+    from .syzygy import _start, _step, _summand_graph
+
     graph, vertices = _summand_graph(pair), pair.quiver.vertices
-    # the symbolic side stops after its first syzygy over budget, and each
-    # level's kernel has that syzygy's dimension vector unless a mismatch ends the loop first
-    level = _level_of([module])
-    for k, (sym_cover, syzygy) in enumerate(_levels(pair, kind, v, LEVELS_CAP, LEVEL_DIM_BUDGET)):
-        cover_counts, level = _cover_kernel_componentwise(pair, level)
-        if cover_counts != sym_cover:
-            yield Mismatch(vertices[v], f"{kind}-resolution-cover-level-{k}",
-                           _spelled(pair, sym_cover), _spelled(pair, cover_counts))
-            return
-        kernel_dims = _dim_sum(level)
-        sym_dims = graph.dim_sum(pair, syzygy)
-        if sym_dims != kernel_dims:
-            yield Mismatch(vertices[v], f"{kind}-resolution-kernel-level-{k}",
-                           _spelled(pair, sym_dims), _spelled(pair, kernel_dims))
-            return
+    stack = [(_start(pair.report, kind, v), module)]
+
+    def step(nodes: dict, level: Level):
+        """The symbolic and the oracle cover of a sum of nodes with its
+        module, and the successors and kernel components left unmatched."""
+        top, succ = _step(graph, nodes)
+        cover, kernel = _cover_kernel_componentwise(pair, level)
+        left = {}
+        for k, m in succ.items():
+            if k[0] != 3:  # a socle block has no module of its own
+                module = _module(pair, k)
+                entry = kernel.get(module[0])
+                if entry:
+                    stack.append((k, module))
+                    taken = min(m, entry[1])
+                    m, entry[1] = m - taken, entry[1] - taken
+                    if not entry[1]:
+                        del kernel[module[0]]
+            if m:
+                left[k] = m
+        return top, cover, left, kernel
+
+    while stack:
+        node, module = stack.pop()
+        if (node, module[0]) in seen:
+            continue
+        seen.add((node, module[0]))
+        where, what = vertices[node[1]], _NODE_KINDS[node[0]]
+        top, cover, left, kernel = step({node: 1}, _level_of([module]))
+        if top != cover:
+            yield Mismatch(where, f"{what}-cover", _spelled(pair, top), _spelled(pair, cover))
+        elif left or kernel:
+            top, cover, left, kernel = step(left, kernel)
+            if top != cover:
+                yield Mismatch(where, f"{what}-kernel-cover", _spelled(pair, top), _spelled(pair, cover))
+            elif left or kernel:
+                yield Mismatch(where, f"{what}-kernel-summands", str(sum(left.values())),
+                               str(sum(m for _comp, m in kernel.values())))

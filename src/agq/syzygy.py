@@ -26,8 +26,6 @@ from .strings import (
     _invalid_at,
     _names,
     claw_of,
-    module_dims,
-    string_of,
 )
 
 
@@ -76,15 +74,12 @@ def _after(report: ValidationReport, x: int) -> Node:
     return 1, report.target[x], report.chain[p], end - p
 
 
-def _node_of(pair: AlmostGentlePair, s: Summand | DirectedString) -> Node:
-    """The node of a summand, its arrows checked, or of a checked directed string."""
+def _node_of(pair: AlmostGentlePair, s: DirectedString) -> Node:
+    """The node of a checked directed string."""
     if s.arrows:
-        if isinstance(s, Summand):
-            string_of(pair, s.arrows)
         first = pair.quiver.arrow_index[s.arrows[0]]
         return 1, pair.report.source[first], first, len(s.arrows)
-    rank = _KINDS.index(s.kind) if isinstance(s, Summand) else 0
-    return rank, pair.quiver.vertex_index[s.vertex], -1, 0  # type: ignore[index]
+    return 0, pair.quiver.vertex_index[s.vertex], -1, 0  # type: ignore[index]
 
 
 def _summand(pair: AlmostGentlePair, node: Node) -> Summand:
@@ -109,37 +104,11 @@ def _decomposition(pair: AlmostGentlePair, pieces: Iterable[tuple[Node, int]]) -
     return SyzygyDecomposition(tuple((_summand(pair, n), counts[n]) for n in sorted(counts)))
 
 
-def _dims(pair: AlmostGentlePair, node: Node) -> dict[int, int]:
-    """The dimension vector of a node, by vertex index.  A socle block has
-    c-1 at its apex plus one per vertex strictly along each flagged tail."""
-    rank, apex, first, length = node
-    if rank == 2:
-        vidx = pair.quiver.vertex_index
-        return {vidx[w]: n for w, n in module_dims(pair, "projective", pair.quiver.vertices[apex]).items()}
-    report = pair.report
-    at, end = report.at, report.end
-    if rank == 3:
-        basis = [apex] * (len(report.ins[apex]) - 1)
-        spans = [(at[a], end[a]) for a in report.outs[apex] if report.nonzero_pred[a] >= 0]
-    else:
-        basis, spans = [apex], ([(at[first], at[first] + length)] if length else [])
-    for lo, hi in spans:  # each a slice of one chain
-        basis += map(report.target.__getitem__, report.chain[lo:hi])
-    dims: dict[int, int] = {}
-    for w in basis:
-        dims[w] = dims.get(w, 0) + 1
-    return dims
-
-
 class SyzygyDecomposition(_Frozen):
     """Multiset of summands, stored with multiplicities (they grow fast)."""
 
     items: tuple[tuple[Summand, int], ...]
     _fields = ("items",)
-
-    def dim_vector(self, pair: AlmostGentlePair) -> dict[str, int]:
-        dims = _summand_graph(pair).dim_sum(pair, _counts((_node_of(pair, s), n) for s, n in self.items))
-        return {pair.quiver.vertices[w]: n for w, n in dims.items()}
 
     def __bool__(self) -> bool:
         return bool(self.items)
@@ -279,12 +248,14 @@ def _normalize(report: ValidationReport, node: Node) -> Node:
 
 
 class _Successors(dict):
-    """The edges of a summand graph, each node's computed when first read:
-    the top of its projective cover as [(vertex index, multiplicity)] and
-    its normalized first syzygy as [(node, multiplicity)], empty for a
+    """The summand graph of one pair: the modules met on it, as nodes that
+    are their own keys, each with its edges, computed when first read: the
+    top of its projective cover as [(vertex index, multiplicity)] and its
+    normalized first syzygy as [(node, multiplicity)], empty for a
     projective.  A node covers its apex, c - 1 times for a socle block,
     else once; the injective E(v) covers the source of each in-arrow's
-    chain head once."""
+    chain head once.  The graph keeps the pair's validation report, never
+    the pair."""
 
     def __init__(self, report: ValidationReport) -> None:
         super().__init__()
@@ -302,63 +273,44 @@ class _Successors(dict):
         return entry
 
 
-class _SummandGraph:
-    """The modules met on one pair, as nodes that are their own keys: per
-    node its successors ``succ[node]`` (``_Successors``) and, once asked
-    for, its dimension vector by vertex index with its total.  The graph
-    keeps the pair's validation report, never the pair.
-    """
-
-    def __init__(self, report: ValidationReport) -> None:
-        self.dims: dict[Node, tuple[dict[int, int], int]] = {}
-        self.succ = _Successors(report)
-
-    def dims_of(self, pair: AlmostGentlePair, node: Node) -> tuple[dict[int, int], int]:
-        entry = self.dims.get(node)
-        if entry is None:
-            dims = _dims(pair, node)
-            entry = self.dims[node] = dims, sum(dims.values())
-        return entry
-
-    def dim_sum(self, pair: AlmostGentlePair, counts: dict[Node, int]) -> dict[int, int]:
-        """The dimension vector of a sum of nodes, by vertex index."""
-        total: dict[int, int] = {}
-        for node, m in counts.items():
-            for w, d in self.dims_of(pair, node)[0].items():
-                total[w] = total.get(w, 0) + d * m
-        return total
+def _summand_graph(pair: AlmostGentlePair) -> _Successors:
+    return pair.memo("summand_graph", lambda: _Successors(pair.report))
 
 
-def _summand_graph(pair: AlmostGentlePair) -> _SummandGraph:
-    return pair.memo("summand_graph", lambda: _SummandGraph(pair.report))
+def _start(report: ValidationReport, kind: str, v: int) -> Node:
+    """The normalized node of S(v) (kind "simple") or E(v) (kind
+    "injective") at the vertex index v; E(v) at a vertex without in-arrows
+    is its simple."""
+    return _normalize(report, (4 if kind == "injective" and report.ins[v] else 0, v, -1, 0))
 
 
-def _levels(pair: AlmostGentlePair, kind: str, start, max_steps: int,
-            max_dim: int | None = None) -> Iterator[tuple[dict[int, int], dict[Node, int]]]:
+def _step(graph: _Successors, current: dict[Node, int]) -> tuple[dict[int, int], dict[Node, int]]:
+    """The cover per vertex index and the syzygy counts per node of a sum of nodes."""
+    cover: dict[int, int] = {}
+    nxt: dict[Node, int] = {}
+    for n, count in current.items():
+        top, succ = graph[n]
+        for x, m in top:
+            cover[x] = cover.get(x, 0) + count * m
+        for k, m in succ:
+            nxt[k] = nxt.get(k, 0) + count * m
+    return cover, nxt
+
+
+def _levels(pair: AlmostGentlePair, kind: str, start,
+            max_steps: int) -> Iterator[tuple[dict[int, int], dict[Node, int]]]:
     """The levels of resolve_symbolic, each (cover per vertex index, syzygy
     counts per node), stepped over the pair's summand graph from one node:
-    for kind "simple" or "injective" the module at the vertex index start
-    (E(v) at a vertex without in-arrows is its simple), for kind "string"
-    the node start.  Cut after the first syzygy of total dimension above
-    max_dim, if given; nothing is checked."""
-    graph = _summand_graph(pair)
-    if kind != "string":
-        start = 4 if kind == "injective" and pair.report.ins[start] else 0, start, -1, 0
-    current, edges = {_normalize(pair.report, start): 1}, graph.succ
+    for kind "simple" or "injective" the module at the vertex index start,
+    for kind "string" the node start.  Nothing is checked."""
+    report, graph = pair.report, _summand_graph(pair)
+    current = {_normalize(report, start) if kind == "string" else _start(report, kind, start): 1}
     while True:
-        cover, nxt = {}, {}
-        for n, count in current.items():
-            top, succ = edges[n]
-            for x, m in top:
-                cover[x] = cover.get(x, 0) + count * m
-            for k, m in succ:
-                nxt[k] = nxt.get(k, 0) + count * m
-        yield cover, nxt
+        cover, current = _step(graph, current)
+        yield cover, current
         max_steps -= 1
-        if not nxt or max_steps < 0 or (
-                max_dim is not None and sum(m * graph.dims_of(pair, n)[1] for n, m in nxt.items()) > max_dim):
+        if not current or max_steps < 0:
             return
-        current = nxt
 
 
 def resolve_symbolic(pair: AlmostGentlePair, kind: str, arg, max_steps: int = 64) -> Resolution:

@@ -1,13 +1,14 @@
 import importlib.util
 import pathlib
 import sys
+from collections import Counter
 
 import pytest
 
 from agq import syzygy
 from agq.agqfile import parse_agq
 from agq.quiver import AlmostGentlePair, Arrow, Quiver, nonzero_successor
-from agq.strings import DirectedString, _check_string, _gentle_at
+from agq.strings import DirectedString, _check_string, _gentle_at, module_dims
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 BENCH_INPUTS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
@@ -50,7 +51,8 @@ def lemma(pair, name, arg):
     (None for a tree module, which the node's successors keep as the
     socle-block node); before normalization the two are that node's
     successors.  "block_dims" gives the block's dimension vector by vertex
-    name.  "gentle" is the local gentle test at the vertex arg.
+    name: c-1 at its apex plus one per vertex strictly along each flagged
+    tail.  "gentle" is the local gentle test at the vertex arg.
     """
     report = pair.report
     if name == "omega1":
@@ -63,10 +65,28 @@ def lemma(pair, name, arg):
         block = syzygy._block(report, v)
         return None if block is None else syzygy._decomposition(pair, block)
     if name == "block_dims":
-        return {pair.quiver.vertices[w]: n for w, n in syzygy._dims(pair, (3, v, -1, 0)).items()}
+        basis = [v] * (len(report.ins[v]) - 1)
+        for a in report.outs[v]:
+            if report.nonzero_pred[a] >= 0:  # a flagged tail: a slice of one chain
+                basis += [report.target[x] for x in report.chain[report.at[a]:report.end[a]]]
+        return dict(Counter(pair.quiver.vertices[w] for w in basis))
     if name == "gentle":
         return _gentle_at(report, v)
     raise ValueError(f"unknown lemma {name!r}")
+
+
+def dim_vector(pair, decomposition):
+    """The dimension vector by vertex name of a symbolic syzygy: module_dims
+    per summand, and the socle-block lemma for an undecomposed block."""
+    dims = {}
+    for s, n in decomposition.items:
+        if s.kind == "psi0":
+            part = lemma(pair, "block_dims", s.vertex)
+        else:
+            part = module_dims(pair, s.kind, DirectedString(s.arrows) if s.arrows else s.vertex)
+        for w, d in part.items():
+            dims[w] = dims.get(w, 0) + n * d
+    return dims
 
 
 def strings_of(pair):

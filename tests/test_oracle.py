@@ -3,6 +3,8 @@ import sys
 import time
 import weakref
 
+import pytest
+
 import agq.oracle
 import agq.syzygy
 from agq.linalg import identity, left_nullspace, mat_mul, rref
@@ -264,29 +266,31 @@ def test_one_dimensional_modules_key_to_their_vertex_unless_a_loop_acts(loop_rel
 
 def test_one_summand_graph_per_pair():
     from conftest import FIG1_ARROWS, FIG1_RELS, FIG1_VERTICES, make_pair
-    from agq.syzygy import _SummandGraph
+    from agq.syzygy import _Successors
     pairs = [make_pair(FIG1_VERTICES, FIG1_ARROWS, FIG1_RELS)]
     pairs += [random_ag_pair(GeneratorParams(seed=s))[0] for s in range(1, 21)]
     for pair in pairs:
         check_against_formulas(pair)
         memo = pair._memo
         assert not [k for k in memo if isinstance(k, tuple) and k[0] == "omega1"]
-        assert sum(isinstance(value, _SummandGraph) for value in memo.values()) == 1
+        assert sum(isinstance(value, _Successors) for value in memo.values()) == 1
 
 
-def _reference_levels(pair, v, kind, repeats):
-    """The oracle's level comparison, one component at a time over plain lists.
+def _reference_levels(pair, v, kind):
+    """Whether a plain level walk flags the resolution of S(v) or E(v):
+    levels 0 to 6 of resolve_symbolic against the oracle's cover and the
+    summed dimensions of its kernel's components, stopping before the first
+    module above total dimension 120.  The symbolic dimensions come from
+    module_dims per summand and the socle-block lemma; nothing is stored,
+    and every component of every level is covered afresh."""
+    from conftest import dim_vector
+    from agq.oracle import _components
 
-    Nothing is stored: every component of every level is covered afresh.
-    repeats counts the levels where two components share a key.
-    """
-    from agq.oracle import LEVEL_DIM_BUDGET, LEVELS_CAP, Mismatch, _component_key, _components
-
-    res = agq.syzygy.resolve_symbolic(pair, kind, v, max_steps=LEVELS_CAP)
+    res = agq.syzygy.resolve_symbolic(pair, kind, v, max_steps=6)
     comps = _components(pair, rep_of(pair, kind, v))
-    for k, level in enumerate(res.levels):
-        if sum(c.total_dim() for c in comps) > LEVEL_DIM_BUDGET:
-            return []
+    for level in res.levels:
+        if sum(c.total_dim() for c in comps) > 120:
+            return False
         cover: dict[str, int] = {}
         kernel = []
         for comp in comps:
@@ -295,93 +299,98 @@ def _reference_levels(pair, v, kind, repeats):
                 cover[w] = cover.get(w, 0) + m
             kernel.extend(_components(pair, ck.kernel))
         comps = kernel
-        keys = [_component_key(pair, c) for c in comps]
-        repeats[0] += len(set(keys)) < len(keys)
-        sym_cover = dict(level.cover)
-        if cover != sym_cover:
-            return [Mismatch(v, f"{kind}-resolution-cover-level-{k}",
-                             str(sorted(sym_cover.items())), str(sorted(cover.items())))]
         dims: dict[str, int] = {}
         for comp in comps:
             for w, n in comp.dim_vector(pair).items():
                 dims[w] = dims.get(w, 0) + n
-        sym_dims = level.syzygy.dim_vector(pair)
-        if sym_dims != dims:
-            return [Mismatch(v, f"{kind}-resolution-kernel-level-{k}",
-                             str(sorted(sym_dims.items())), str(sorted(dims.items())))]
-    return []
+        if cover != dict(level.cover) or dims != dim_vector(pair, level.syzygy):
+            return True
+    return False
 
 
-def _level_mismatches_agree(pair, repeats):
-    report = check_against_formulas(pair)
-    ours = [m for m in report.mismatches if "resolution" in m.quantity]
-    ref = [m for v in pair.quiver.vertices for kind in ("simple", "injective")
-           for m in _reference_levels(pair, v, kind, repeats)]
-    assert ours == ref
-    return ours
+def _flagged_by_both(pairs):
+    """The indices of the pairs whose summand graph the check flags, and of
+    those the plain level walk flags."""
+    walk, ref = set(), set()
+    for k, pair in enumerate(pairs):
+        if any(not m.quantity.startswith(("pdim_", "psi0_")) for m in check_against_formulas(pair).mismatches):
+            walk.add(k)
+        if any(_reference_levels(pair, v, kind) for v in pair.quiver.vertices for kind in ("simple", "injective")):
+            ref.add(k)
+    return walk, ref
 
 
-def test_level_multisets_match_a_plain_list_walk():
-    repeats = [0]
+def test_the_graph_walk_and_a_plain_level_walk_flag_no_pair():
     pairs = _valid_pairs(range(1, 51))
     assert len(pairs) == 58
-    for pair in pairs:
-        assert _level_mismatches_agree(pair, repeats) == []
-    assert repeats[0]  # some walked level holds a class with multiplicity > 1
+    assert _flagged_by_both(pairs) == (set(), set())
 
 
-def test_the_level_comparison_builds_only_the_levels_it_compares(monkeypatch):
-    # every symbolic level the check asks for is compared: each level but the
-    # last has a syzygy within the budget, and the resolution is a prefix of
-    # the uncut one
-    from agq.oracle import LEVEL_DIM_BUDGET, LEVELS_CAP
-    levels_of = agq.syzygy._levels
-    cut = []
+_after, _block, _leftovers, _normalize = (agq.syzygy._after, agq.syzygy._block, agq.syzygy._leftovers,
+                                          agq.syzygy._normalize)
 
-    def recording(pair, kind, start, max_steps, max_dim=None):
-        levels = list(levels_of(pair, kind, start, max_steps, max_dim))
-        graph = agq.syzygy._summand_graph(pair)
-        totals = [sum(graph.dim_sum(pair, syzygy).values()) for _cover, syzygy in levels]
-        assert all(t <= LEVEL_DIM_BUDGET for t in totals[:-1])
-        full = list(levels_of(pair, kind, start, LEVELS_CAP))
-        assert levels == full[:len(levels)]
-        cut.append(len(levels) < len(full))
-        return iter(levels)
-
-    monkeypatch.setattr(agq.syzygy, "_levels", recording)
-    for pair in _valid_pairs(range(1, 11)):
-        assert check_against_formulas(pair).ok
-    assert any(cut)
+# Planted value-changing mistakes in the symbolic lemmas, each as (name, replacement).
+SYZYGY_MUTANTS = {
+    "every branch of a string's source gives its rest": (
+        "_omega1", lambda report, node: [(_after(report, a), 1) for a in report.outs[node[1]]]),
+    "a tree block keeps c-1 copies of a flagged tail too": (
+        "_tree_omega1", lambda report, v: [(_after(report, a), len(report.ins[v]) - 1) for a in report.outs[v]]),
+    "a socle block has one simple too many": (
+        "_block", lambda report, v: None if _block(report, v) is None else
+        [(n, m + (n[0] == 0)) for n, m in _block(report, v)]),
+    "the first leftover is dropped": (
+        "_leftovers", lambda report, v: _leftovers(report, v)[1:]),
+    "a simple whose one out-arrow ends its chain is projective": (
+        "_normalize", lambda report, node: (2, node[1], -1, 0) if node[0] == 0 and len(report.outs[node[1]]) == 1
+        and report.nonzero_succ[report.outs[node[1]][0]] < 0 else _normalize(report, node)),
+}
 
 
-def test_level_multisets_report_a_perturbed_level_like_a_plain_list_walk(monkeypatch):
-    # the stepping core is what the check and resolve_symbolic both read
-    levels_of = agq.syzygy._levels
+@pytest.mark.parametrize("mutant", sorted(SYZYGY_MUTANTS))
+def test_the_graph_walk_flags_the_pairs_a_plain_level_walk_flags(mutant, monkeypatch):
+    monkeypatch.setattr(agq.syzygy, *SYZYGY_MUTANTS[mutant])
+    walk, ref = _flagged_by_both(_valid_pairs(range(1, 51)))
+    assert walk and walk == ref
 
-    def perturb(part):
-        def perturbed(pair, kind, start, max_steps, max_dim=None):
-            levels = list(levels_of(pair, kind, start, max_steps, max_dim))
-            # the same level as in the uncut resolution, wherever max_dim cuts
-            k = min(1, len(list(levels_of(pair, kind, start, max_steps))) - 1)
-            if k >= len(levels):
-                return iter(levels)
-            cover, syzygy = dict(levels[k][0]), dict(levels[k][1])
-            if part == "cover":  # start is the vertex index of S(v) or E(v)
-                cover[start] = cover.get(start, 0) + 1
-            else:
-                simple = (0, start, -1, 0)
-                syzygy[simple] = syzygy.get(simple, 0) + 2
-            levels[k] = cover, syzygy
-            return iter(levels)
-        return perturbed
 
-    repeats = [0]
-    for part in ("cover", "kernel"):
-        monkeypatch.setattr(agq.syzygy, "_levels", perturb(part))
-        for pair in _valid_pairs(range(1, 21)):
-            found = _level_mismatches_agree(pair, repeats)
-            assert found and all(f"-{part}-level-" in m.quantity for m in found)
-    assert repeats[0]
+def _plant(pair, node, part):
+    """Plant one mistake in the summand-graph entry of node: a cover
+    multiplicity one too high, a successor multiplicity one too high, or a
+    one-arrow string M(a) swapped for S(s(a)) + S(t(a)), which has the same
+    dimension vector; None if the entry has no such successor."""
+    graph, report = agq.syzygy._summand_graph(pair), pair.report
+    top, succ = graph[node]
+    if part == "cover":
+        top = [(x, m + (k == 0)) for k, (x, m) in enumerate(top)]
+    elif part == "successor" and succ:
+        succ = [(n, m + (k == 0)) for k, (n, m) in enumerate(succ)]
+    elif part == "swap" and any(n[0] == 1 and n[3] == 1 for n, _m in succ):
+        (_rank, s, a, _length), m = next((n, m) for n, m in succ if n[0] == 1 and n[3] == 1)
+        swapped = [(agq.syzygy._normalize(report, (0, w, -1, 0)), m) for w in (s, report.target[a])]
+        succ = [(n, k) for n, k in succ if n != (1, s, a, 1)] + swapped
+    else:
+        return None
+    graph[node] = top, succ
+    return pair
+
+
+@pytest.mark.parametrize("part", ["cover", "successor", "swap"])
+def test_a_planted_graph_entry_is_reported_at_its_apex(part):
+    from conftest import FIG1_ARROWS, FIG1_RELS, FIG1_VERTICES, make_pair
+
+    def fresh():
+        pair = make_pair(FIG1_VERTICES, FIG1_ARROWS, FIG1_RELS)
+        assert check_against_formulas(pair).ok  # the graph now holds every reachable node
+        return pair
+
+    planted = 0
+    for node in list(agq.syzygy._summand_graph(fresh())):
+        pair = _plant(fresh(), node, part)
+        if pair is not None:
+            found = check_against_formulas(pair).mismatches
+            assert pair.quiver.vertices[node[1]] in [m.vertex for m in found], (node, found)
+            planted += 1
+    assert planted >= 2
 
 
 def test_the_check_reports_a_wrong_closed_form(fig1, monkeypatch):

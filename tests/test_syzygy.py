@@ -1,17 +1,13 @@
-import pytest
-
-from agq.quiver import InvalidStringError, vertex_type
+from agq.quiver import vertex_type
 from agq.strings import DirectedString
 from agq.syzygy import (
     Psi0Descriptor,
-    Summand,
-    SyzygyDecomposition,
     is_invalid_vertex,
     psi0_descriptor,
     resolve_symbolic,
 )
 from agq.agqfile import document_of, emit_agq, parse_agq
-from conftest import lemma, make_pair
+from conftest import dim_vector, lemma, make_pair
 from agq.generator import GeneratorParams, random_ag_pair
 
 
@@ -50,7 +46,7 @@ def test_omega1_dim_conservation(fig1):
         dec = lemma(fig1, "omega1", DirectedString((), v))
         cover = module_dims(fig1, "projective", v)
         lhs = {w: cover.get(w, 0) - (1 if w == v else 0) for w in fig1.quiver.vertices}
-        assert dec.dim_vector(fig1) == {w: n for w, n in lhs.items() if n}
+        assert dim_vector(fig1, dec) == {w: n for w, n in lhs.items() if n}
 
 
 def test_is_omega1_projective(fig1, a2):
@@ -183,7 +179,7 @@ def test_injective_resolution_first_level(fig1):
     assert items_set(res.levels[0].syzygy) == {
         ("projective", "4", (), 1), ("simple", "4", (), 1),
         ("simple", "3", (), 1), ("simple", "3'", (), 1)}
-    assert res.levels[0].syzygy.dim_vector(fig1) == {"3": 1, "3'": 1, "4": 2, "5": 1}
+    assert dim_vector(fig1, res.levels[0].syzygy) == {"3": 1, "3'": 1, "4": 2, "5": 1}
 
 
 def test_psi0_block_in_resolution():
@@ -214,7 +210,7 @@ def test_resolution_dims_conserved_vs_oracle(fig1, gate):
     for pair, v in ((fig1, "4"), (fig1, "2R"), (gate, "3")):
         res = resolve_symbolic(pair, "injective", v, max_steps=4)
         ck = projective_cover_kernel(pair, rep_of(pair, "injective", v))
-        assert res.levels[0].syzygy.dim_vector(pair) == ck.kernel.dim_vector(pair)
+        assert dim_vector(pair, res.levels[0].syzygy) == ck.kernel.dim_vector(pair)
 
 
 def test_omega1_simple_projectivity_three_ways(fig1, gate, cyc2e):
@@ -253,43 +249,20 @@ def test_resolving_an_injective_builds_no_socle_block_descriptor(monkeypatch):
     assert undecomposed > 0
 
 
-def test_a_level_has_the_same_dim_vector_over_an_equal_pair():
-    # a socle block's dimensions follow from its apex, so an equal pair that
-    # has not resolved that injective itself reads them too
+def test_a_resolution_is_the_same_over_an_equal_pair():
+    # a node holds only indices, and a socle block follows from its apex, so
+    # an equal pair that has resolved nothing itself gives the same summands
     blocks = 0
     for seed in range(1, 201):
         pair, _ = random_ag_pair(GeneratorParams(seed=seed))
         text = emit_agq(document_of(pair))
         for v in pair.quiver.vertices:
-            for level in resolve_symbolic(pair, "injective", v, max_steps=2).levels:
-                again = parse_agq(text).pair()
-                assert again == pair
-                assert level.syzygy.dim_vector(again) == level.syzygy.dim_vector(pair), (seed, v)
-                blocks += any(s.kind == "psi0" for s, _n in level.syzygy.items)
+            res = resolve_symbolic(pair, "injective", v, max_steps=2)
+            again = parse_agq(text).pair()
+            assert again == pair
+            assert resolve_symbolic(again, "injective", v, max_steps=2) == res, (seed, v)
+            blocks += any(s.kind == "psi0" for level in res.levels for s, _n in level.syzygy.items)
     assert blocks > 0
-
-
-def test_a_string_summand_that_is_no_path_is_refused(fig1):
-    # a node keeps only a string's first arrow and length, so the arrows are checked first
-    bogus = [(Summand("string", None, ("a_1_2", "a_4_5")), 1)]
-    with pytest.raises(InvalidStringError):
-        SyzygyDecomposition(tuple(bogus)).dim_vector(fig1)
-
-
-def test_max_dim_cuts_a_resolution_after_its_first_syzygy_over_it(fig1, cyc2e):
-    from agq.syzygy import _levels, _summand_graph
-    for pair in (fig1, cyc2e):
-        graph = _summand_graph(pair)
-        for v in range(len(pair.quiver.vertices)):
-            for kind in ("simple", "injective"):
-                full = list(_levels(pair, kind, v, 8))
-                totals = [sum(graph.dim_sum(pair, syzygy).values()) for _cover, syzygy in full]
-                for max_dim in range(max(totals) + 1):
-                    levels = list(_levels(pair, kind, v, 8, max_dim))
-                    n = next((k + 1 for k, t in enumerate(totals) if t > max_dim), len(totals))
-                    assert levels == full[:n]
-                    # a nonempty last syzygy is a cutoff
-                    assert bool(levels[-1][1]) == (n < len(totals) or bool(full[-1][1]))
 
 
 def _closed_form_cross_check(pairs):
@@ -320,3 +293,34 @@ def test_symbolic_resolutions_end_where_the_closed_form_says():
     corpus = [random_ag_pair(GeneratorParams(seed=s))[0] for s in range(1, 201)]
     ladder = [doc.pair() for doc in bench_acyclic_docs()]
     assert [_closed_form_cross_check(pairs) for pairs in (fixtures, corpus, ladder)] == [56, 1_776, 17_836]
+
+
+def _ends(pairs):
+    """The reachable nodes without successors of each valid pair's summand
+    graph, reached from every S(v) and E(v), as (pair index, node)."""
+    from agq.syzygy import _start, _summand_graph
+    ends = []
+    for k, pair in enumerate(pairs):
+        if not pair.validated:
+            continue
+        graph, report = _summand_graph(pair), pair.report
+        todo = [_start(report, kind, v) for v in range(len(report.ins)) for kind in ("simple", "injective")]
+        seen = set(todo)
+        while todo:
+            succ = graph[node := todo.pop()][1]
+            ends += [] if succ else [(k, node)]
+            todo += [n for n, _m in succ if n not in seen]
+            seen.update(n for n, _m in succ)
+    return ends
+
+
+def test_every_reachable_node_without_successors_is_a_projective_or_an_injective():
+    # after _normalize, a node whose first syzygy is zero is a recognized
+    # projective (rank 2) or a projective-injective E(v) (rank 4); a simple,
+    # a string or a socle block there is a projective it failed to label
+    from conftest import FIXTURES
+    pairs = [parse_agq(f.read_text()).pair() for f in sorted(FIXTURES.glob("*.agq"))]
+    pairs += [random_ag_pair(GeneratorParams(seed=s))[0] for s in range(1, 1001)]
+    ends = _ends(pairs)
+    assert [(k, node) for k, node in ends if node[0] not in (2, 4)] == []
+    assert {node[0] for _k, node in ends} == {2, 4}
